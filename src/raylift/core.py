@@ -271,20 +271,24 @@ def spectral_decompose(A: SymOp, group_tol: Optional[float] = None) -> SpectralD
     )
 
 
-def _schatten_from_singvals(s: np.ndarray, p: float) -> float:
-    if s.size == 0:
-        return 0.0
+def _schatten_batch(vals: np.ndarray, p: float) -> np.ndarray:
+    """Schatten p-norms of a stack of self-adjoint operators, given their
+    eigenvalues along the last axis."""
+    a = np.abs(vals)
     if p == math.inf:
-        return float(np.max(s))
+        return np.max(a, axis=-1)
     if p == 1:
-        return float(np.sum(s))
+        return np.sum(a, axis=-1)
     if p == 2:
-        return float(np.sqrt(np.sum(s * s)))
-    top = float(np.max(s))
-    if top == 0.0:
-        return 0.0
-    # factor out the top singular value to avoid overflow for large p
-    return float(top * np.sum((s / top) ** p) ** (1.0 / p))
+        return np.sqrt(np.sum(a * a, axis=-1))
+    # factor out each row's largest magnitude to avoid overflow for large p
+    top = np.max(a, axis=-1, keepdims=True)
+    scaled = np.divide(a, top, out=np.zeros_like(a), where=top > 0)
+    return top[..., 0] * np.sum(scaled**p, axis=-1) ** (1.0 / p)
+
+
+def _schatten_from_singvals(s: np.ndarray, p: float) -> float:
+    return float(_schatten_batch(s, p)) if s.size else 0.0
 
 
 def schatten_norm(A: SymOp, p: float) -> float:

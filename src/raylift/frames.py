@@ -341,12 +341,13 @@ def _pyify(obj):
         return [_pyify(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_pyify(v) for v in obj.tolist()]
+    # bool before int: bool is a subclass of int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     if isinstance(obj, Field):
         return obj.value
     return obj

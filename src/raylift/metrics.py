@@ -16,6 +16,7 @@ from .core import (
     SymOp,
     Vector,
     _check_same,
+    _schatten_from_singvals,
     sym_outer,
 )
 
@@ -177,7 +178,7 @@ def lift_dist(x: RayPoint, y: RayPoint, p: float) -> float:
     if sigma2 > 0 and min(s2, d2sq) < 1e-10 * sigma2 * sigma2:
         diff = sym_outer(x.rep, x.rep).entries - sym_outer(y.rep, y.rep).entries
         sv = np.abs(np.linalg.eigvalsh(diff))
-        return _sv_pnorm(sv, p)
+        return _schatten_from_singvals(sv, p)
     s = math.sqrt(max(s2, 0.0))
     t = nx2 - ny2
     if p == 1:
@@ -186,20 +187,7 @@ def lift_dist(x: RayPoint, y: RayPoint, p: float) -> float:
         return math.sqrt(max(d2sq, 0.0))
     if p == math.inf:
         return 0.5 * abs(t) + 0.5 * s
-    return _sv_pnorm(np.array([abs(0.5 * (t + s)), abs(0.5 * (t - s))]), p)
-
-
-def _sv_pnorm(sv: np.ndarray, p: float) -> float:
-    if p == 1:
-        return float(np.sum(sv))
-    if p == 2:
-        return float(np.sqrt(np.sum(sv * sv)))
-    if p == math.inf:
-        return float(np.max(sv)) if sv.size else 0.0
-    top = float(np.max(sv)) if sv.size else 0.0
-    if top == 0.0:
-        return 0.0
-    return float(top * np.sum((sv / top) ** p) ** (1.0 / p))
+    return _schatten_from_singvals(np.array([abs(0.5 * (t + s)), abs(0.5 * (t - s))]), p)
 
 
 def lift(x: RayPoint) -> RankOnePSD:

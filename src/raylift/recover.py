@@ -12,7 +12,7 @@ constant) without asserting a relation between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -24,6 +24,7 @@ from .retraction import rank_one_retract, retraction_bound
 
 __all__ = [
     "RecoveryReport",
+    "PolishStats",
     "LipBound",
     "recover",
     "recovery_lip_bound",
@@ -32,14 +33,27 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class PolishStats:
+    """How the polish descent ended: accepted steps, residual-and-gradient
+    evaluations, and the stopping rule that fired (``rel_decrease``,
+    ``stationary``, ``line_search`` or ``max_iters``)."""
+
+    iterations: int
+    evaluations: int
+    stop: str
+
+
+@dataclass(frozen=True)
 class RecoveryReport:
     """Outcome of one inversion: the estimated ray, the measurement-space
-    residual, intermediate stage norms, and whether iterative polish ran."""
+    residual, intermediate stage norms, whether iterative polish ran and,
+    when it did, how it ended."""
 
     estimate: RayPoint
     residual: float
     pipeline_stage_norms: dict
     polished: bool
+    polish: Optional[PolishStats] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.residual) and self.residual >= 0):
@@ -51,12 +65,15 @@ class RecoveryReport:
             entries = [[float(z.real), float(z.imag)] for z in rep.entries]
         else:
             entries = [float(z) for z in rep.entries]
-        return {
+        doc = {
             "estimate": {"field": rep.field.value, "dim": rep.dim, "entries": entries},
             "residual": self.residual,
             "pipeline_stage_norms": dict(self.pipeline_stage_norms),
             "polished": self.polished,
         }
+        if self.polish is not None:
+            doc["polish"] = asdict(self.polish)
+        return doc
 
 
 def recover(
@@ -86,16 +103,16 @@ def recover(
         "pseudoinverse_fro": float(np.linalg.norm(T.entries)),
         "retraction_fro": float(np.linalg.norm(R.carrier.entries)),
     }
-    polished = False
+    stats = None
     if do_polish:
-        est = polish(F, c, est, iters=polish_iters)
-        polished = True
+        est, stats = _polish(F, c, est, polish_iters)
     residual = float(np.linalg.norm(measure(F, est.rep).values - c.values))
     return RecoveryReport(
         estimate=est,
         residual=residual,
         pipeline_stage_norms=stage_norms,
-        polished=polished,
+        polished=stats is not None,
+        polish=stats,
     )
 
 
@@ -159,9 +176,54 @@ def _residual_and_grad(F: Frame, c_vals: np.ndarray, x: np.ndarray):
     coeff = F.synthesis.conj() @ x
     intens = np.abs(coeff) ** 2
     diff = intens - c_vals
-    h = float(np.sum(diff * diff))
+    # diff @ diff is the square of np.linalg.norm(diff), bit for bit, so h
+    # orders estimates exactly as the reported residual does
+    h = float(diff @ diff)
     grad = 4.0 * (F.synthesis.T @ (diff * coeff))
     return h, grad
+
+
+def _descend(F: Frame, vals: np.ndarray, x: np.ndarray, iters: int):
+    """The descent loop behind ``polish``: returns the final iterate and its
+    ``PolishStats``."""
+    h, grad = _residual_and_grad(F, vals, x)
+    evaluations = 1
+    t = None
+    for it in range(iters):
+        gnorm2 = float(np.vdot(grad, grad).real)
+        if gnorm2 == 0.0:
+            return x, PolishStats(it, evaluations, "stationary")
+        # h/||grad||^2 scales as 1/s^2 under x -> s x, like the step itself
+        t = h / gnorm2 if t is None else 2.0 * t
+        for _ in range(60):
+            xn = x - t * grad
+            hn, gn = _residual_and_grad(F, vals, xn)
+            evaluations += 1
+            if hn <= h - 1e-4 * t * gnorm2:
+                break
+            t *= 0.5
+        else:
+            return x, PolishStats(it, evaluations, "line_search")
+        x, grad, h_prev, h = xn, gn, h, hn
+        if h_prev - h <= 1e-10 * h_prev:
+            return x, PolishStats(it + 1, evaluations, "rel_decrease")
+    return x, PolishStats(iters, evaluations, "max_iters")
+
+
+def _polish(F: Frame, c, x0: RayPoint, iters: int):
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+    vals = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
+    if vals.shape[0] != F.count:
+        raise ValueError("measurement count does not match frame")
+    x, stats = _descend(F, vals, x0.rep.entries.copy(), iters)
+    est = ray(Vector(x, F.field))
+    # the phase normalisation in ray() rounds; near an exact fit that alone
+    # can raise the residual, so never hand back a worse fit than the start
+    h0 = _residual_and_grad(F, vals, x0.rep.entries)[0]
+    if _residual_and_grad(F, vals, est.rep.entries)[0] > h0:
+        return x0, stats
+    return est, stats
 
 
 def polish(
@@ -170,41 +232,23 @@ def polish(
     x0: RayPoint,
     iters: int = 200,
     step_rule: str = "backtracking",
-    b0_hint: Optional[float] = None,
 ) -> RayPoint:
     """Refine a ray estimate by gradient descent on the squared measurement
-    residual (Wirtinger gradient in the complex case), with an Armijo
-    backtracking line search. Accepted steps never increase the residual.
+    residual h(x) = sum_k (|<x, f_k>|^2 - c_k)^2 (Wirtinger gradient in the
+    complex case), with an Armijo backtracking line search. Accepted steps
+    never increase the residual.
+
+    The first trial step is h/||grad h||^2 at ``x0``; every later line search
+    starts from twice the last accepted step. Both scale as 1/s^2 under
+    x -> s x, c -> s^2 c, so the iterates scale by s and no constant of the
+    frame is needed (the former ``b0_hint`` argument is gone). The descent
+    stops when an accepted step lowers h by at most 1e-10 h, when the
+    gradient is exactly zero (which includes an exact fit), when the line
+    search fails after 60 halvings, or after ``iters`` iterations.
+    ``recover(..., do_polish=True)`` reports which rule stopped it. Should
+    the phase normalisation of the result leave a larger residual than
+    ``x0`` has (possible only at roundoff level), ``x0`` is returned.
     """
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
     if step_rule != "backtracking":
         raise ValueError(f"unknown step rule {step_rule!r}")
-    vals = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
-    if vals.shape[0] != F.count:
-        raise ValueError("measurement count does not match frame")
-    if b0_hint is None:
-        # certified upper stability constant: ||alpha(x)-alpha(y)|| <= sigma_max d1
-        b0_hint = float(np.linalg.svd(build_lifted_map(F).matrix, compute_uv=False)[0]) ** 2
-    step0 = 1.0 / (2.0 * max(b0_hint, 1e-300))
-    x = x0.rep.entries.copy()
-    h, grad = _residual_and_grad(F, vals, x)
-    for _ in range(iters):
-        gnorm2 = float(np.vdot(grad, grad).real)
-        if gnorm2 <= 1e-30 * max(1.0, h):
-            break
-        t = step0
-        accepted = False
-        for _ in range(60):
-            xn = x - t * grad
-            hn, gn = _residual_and_grad(F, vals, xn)
-            if hn <= h - 1e-4 * t * gnorm2:
-                x, h, grad = xn, hn, gn
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        if h <= 1e-30:
-            break
-    return ray(Vector(x, F.field))
+    return _polish(F, c, x0, iters)[0]

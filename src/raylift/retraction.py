@@ -22,6 +22,7 @@ from .core import (
     Vector,
     _canonical_phase_columns,
     _check_same,
+    _schatten_batch,
     schatten_norm,
     spectral_decompose,
 )
@@ -83,17 +84,6 @@ def retraction_ratio(A: SymOp, B: SymOp, p: float, group_tol: Optional[float] = 
 
 
 # --- batched probe machinery -------------------------------------------------
-
-def _schatten_batch(vals: np.ndarray, p: float) -> np.ndarray:
-    a = np.abs(vals)
-    if p == math.inf:
-        return np.max(a, axis=-1)
-    if p == 1:
-        return np.sum(a, axis=-1)
-    if p == 2:
-        return np.sqrt(np.sum(a * a, axis=-1))
-    return np.sum(a**p, axis=-1) ** (1.0 / p)
-
 
 def _retract_batch(mats: np.ndarray, tol_rel: float = 1e-8) -> np.ndarray:
     """Vectorized retraction of a stack of self-adjoint matrices; same math

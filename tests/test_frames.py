@@ -24,6 +24,8 @@ from raylift import (
     write_measurements,
 )
 
+from raylift.frames import dumps_json
+
 from oracles import random_hermitian, random_vector
 
 
@@ -255,3 +257,11 @@ class TestFrameIO:
         p.write_text(json.dumps({"count": 2, "values": [1.0, 2.0]}))
         back = read_measurements(p)
         assert len(back) == 1 and np.array_equal(back[0].values, [1.0, 2.0])
+
+
+class TestDumpsJson:
+    def test_bools_stay_bools(self):
+        doc = json.loads(dumps_json({"a": True, "b": np.bool_(False), "c": [1, np.int64(2)]}))
+        assert doc["a"] is True and doc["b"] is False
+        assert doc["c"] == [1, 2] and all(type(v) is int for v in doc["c"])
+        assert '"a": true' in dumps_json({"a": True})

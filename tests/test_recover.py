@@ -1,3 +1,5 @@
+import importlib
+import json
 import math
 
 import numpy as np
@@ -18,9 +20,16 @@ from raylift import (
     recovery_lip_bound,
     retraction_bound,
     vec,
+    write_frame,
+    write_measurements,
 )
+from raylift.cli import main as cli_main
 
 from oracles import random_vector
+
+# the package re-exports the function recover, which shadows its module
+frames_mod = importlib.import_module("raylift.frames")
+recover_mod = importlib.import_module("raylift.recover")
 
 SQ2 = math.sqrt(2)
 
@@ -96,6 +105,29 @@ class TestRecover:
         assert set(doc) == {"estimate", "residual", "pipeline_stage_norms", "polished"}
         assert doc["estimate"]["field"] == "complex"
         assert isinstance(doc["estimate"]["entries"][0], list)
+
+    def test_polished_dict_reports_descent(self):
+        F = _gauss(2, 6, Field.COMPLEX, seed=5)
+        c = measure(F, vec(np.array([1.0 + 1j, 2.0]), Field.COMPLEX)).values + 1e-3
+        doc = recover(F, c, do_polish=True).to_dict()
+        assert set(doc) == {"estimate", "residual", "pipeline_stage_norms", "polished", "polish"}
+        assert set(doc["polish"]) == {"iterations", "evaluations", "stop"}
+        assert doc["polish"]["stop"] in {"rel_decrease", "stationary", "line_search", "max_iters"}
+        assert doc["polish"]["evaluations"] > doc["polish"]["iterations"] >= 1
+
+    @pytest.mark.parametrize("mode", ["on", "off"])
+    def test_reconstruct_writes_json_bool(self, tmp_path, mode):
+        F = _gauss(3, 12, Field.COMPLEX, seed=5)
+        x = vec(np.array([1.0, 2.0 - 1j, 0.5j]), Field.COMPLEX)
+        write_frame(tmp_path / "f.json", F)
+        write_measurements(tmp_path / "c.json", [Measurement(measure(F, x).values + 1e-3)])
+        out = tmp_path / "out.json"
+        argv = ["reconstruct", "--frame", str(tmp_path / "f.json"), "--measurements",
+                str(tmp_path / "c.json"), "--polish", mode, "--out", str(out)]
+        assert cli_main(argv) == 0
+        row, = json.loads(out.read_text())["rows"]
+        assert row["polished"] is (mode == "on")
+        assert ("polish" in row) is (mode == "on")
 
 
 class TestStageDecomposition:
@@ -218,3 +250,86 @@ class TestPolish:
         rep = recover(F, measure(F, x), do_polish=True)
         assert rep.polished
         assert rep.residual <= 1e-9
+
+
+def _sweep_rows(rows=16, noise=0.01, seed=0):
+    """Seeded complex frame (n=8, m=128) with noisy measurement rows: each
+    row's noise has norm ``noise`` times the norm of its clean measurement."""
+    F = _gauss(8, 128, Field.COMPLEX, seed=seed)
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(rows):
+        c = measure(F, vec(random_vector(rng, 8, True), Field.COMPLEX)).values
+        e = rng.standard_normal(c.shape)
+        out.append(c + e * (noise * np.linalg.norm(c) / np.linalg.norm(e)))
+    return F, build_lifted_map(F), out
+
+
+class TestPolishDescent:
+    def test_scale_covariance(self):
+        """x -> s x with c -> s^2 c scales the polished estimate by s: the
+        step and the stopping rules carry no absolute scale."""
+        F, M, rows = _sweep_rows(rows=2, noise=0.05, seed=1)
+        for c in rows:
+            base = recover(F, c, lifted=M, do_polish=True)
+            assert base.residual < recover(F, c, lifted=M).residual
+            for s in (1e-6, 1.0, 1e6):
+                got = recover(F, c * s * s, lifted=M, do_polish=True)
+                err = np.linalg.norm(got.estimate.rep.entries - s * base.estimate.rep.entries)
+                assert err <= 1e-9 * s * base.estimate.norm()
+                assert got.polish == base.polish
+
+    def test_no_lifted_map_rebuild(self, monkeypatch):
+        F, M, rows = _sweep_rows(rows=2)
+        calls = {"build": 0, "svd": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for mod in (frames_mod, recover_mod):
+            monkeypatch.setattr(mod, "build_lifted_map", counting("build", build_lifted_map))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        for c in rows:
+            assert recover(F, c, lifted=M, do_polish=True).polished
+        assert calls == {"build": 0, "svd": 0}
+
+    def test_residual_sweep_no_worse(self):
+        F, M, rows = _sweep_rows()
+        lower = 0
+        for c in rows:
+            r0 = recover(F, c, lifted=M).residual
+            r1 = recover(F, c, lifted=M, do_polish=True).residual
+            assert r1 <= r0
+            lower += r1 < r0
+        assert lower >= 14
+
+    def test_cost_per_row(self):
+        """Work, not time: mean residual-and-gradient evaluations per row on
+        the sweep shape."""
+        F, M, rows = _sweep_rows()
+        evals = [recover(F, c, lifted=M, do_polish=True).polish.evaluations for c in rows]
+        assert np.mean(evals) <= 400
+
+    def test_cost_at_true_ray(self, monkeypatch):
+        """A noiseless row started at its true ray is already a fit to
+        roundoff: polish must stop quickly and not raise the residual."""
+        F = _gauss(8, 128, Field.COMPLEX, seed=0)
+        x = vec(random_vector(np.random.default_rng(3), 8, True), Field.COMPLEX)
+        c = measure(F, x)
+        start = ray(x)
+        count = [0]
+        inner = recover_mod._residual_and_grad
+
+        def counted(*args):
+            count[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(recover_mod, "_residual_and_grad", counted)
+        out = polish(F, c, start)
+        assert count[0] <= 64
+        r0 = float(np.linalg.norm(measure(F, start.rep).values - c.values))
+        r1 = float(np.linalg.norm(measure(F, out.rep).values - c.values))
+        assert r1 <= r0

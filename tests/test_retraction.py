@@ -15,6 +15,7 @@ from raylift import (
     symop,
     vec,
 )
+from raylift.core import _schatten_batch
 from raylift.retraction import _retract_batch
 
 from oracles import random_hermitian, random_vector
@@ -120,3 +121,20 @@ class TestBatch:
         r1 = retraction_probe(dims=(2,), ps=(2,), n_random=200, n_adversarial=400, seed=9)
         r2 = retraction_probe(dims=(2,), ps=(2,), n_random=200, n_adversarial=400, seed=9)
         assert r1["combos"] == r2["combos"]
+
+    @pytest.mark.parametrize("p", [3.0, 2000.0])
+    def test_batched_schatten_matches_scalar(self, rng, p):
+        mats = [np.diag([3.0, -2.0, 0.5])] + [random_hermitian(rng, 4, True) for _ in range(5)]
+        mats += [np.zeros((3, 3)), 1e200 * np.diag([1.0, -1.0, 0.25])]
+        for A in mats:
+            got = float(_schatten_batch(np.linalg.eigvalsh(A)[None, :], p)[0])
+            want = schatten_norm(symop(A), p)
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert schatten_norm(symop(np.diag([3.0, -2.0, 0.5])), 2000.0) == pytest.approx(3.0)
+
+    def test_probe_large_p_finite(self):
+        res = retraction_probe(dims=(2, 3), ps=(2000.0,), n_random=200, n_adversarial=400, seed=3)
+        assert res["violations"] == 0
+        for c in res["combos"]:
+            assert math.isfinite(c["max_ratio"]) and 0.0 < c["max_ratio"] <= c["bound"] + 1e-8
