@@ -45,6 +45,7 @@ from .probes import (
     lower_lip_objective,
     pr_verdict,
     probe_bilipschitz,
+    upper_lip_ceiling,
     verify_property_k,
 )
 from .recover import LipBound, RecoveryReport, polish, recover, recovery_lip_bound
@@ -106,6 +107,7 @@ __all__ = [
     "lower_lip_objective",
     "pr_verdict",
     "probe_bilipschitz",
+    "upper_lip_ceiling",
     "verify_property_k",
     "__version__",
 ]

@@ -36,10 +36,12 @@ from .frames import (
 )
 from .metrics import lift_dist
 from .probes import (
+    _b0_ascent,
     estimate_lower_lip,
     estimate_upper_lip,
     pr_verdict,
     probe_bilipschitz,
+    upper_lip_ceiling,
     verify_property_k,
 )
 from .recover import recover, recovery_lip_bound
@@ -182,7 +184,11 @@ def cmd_check(args) -> int:
         return EXIT_IO
     est = estimate_lower_lip(F, starts=args.starts, seed=args.seed)
     b0_samples = 2000
-    b0 = estimate_upper_lip(F, samples=b0_samples, seed=args.seed)
+    # estimate_upper_lip(refine=True) in its two parts, so that the
+    # ascent's iteration count reaches the report
+    b0_sampled = estimate_upper_lip(F, samples=b0_samples, seed=args.seed, refine=False)
+    b0_ascent, b0_iterations = _b0_ascent(F, args.seed)
+    b0 = max(b0_sampled, b0_ascent)
     verdict = pr_verdict(F, estimate=est)
     u = est.argmin_u.entries
     v = est.argmin_v.entries
@@ -197,6 +203,7 @@ def cmd_check(args) -> int:
         "frame_hash": _frame_hash(F),
         "a0": est.value,
         "b0": b0,
+        "b0_upper": upper_lip_ceiling(F),
         "verdict": verdict,
         "witnesses": {
             "u": _vec_json(u),
@@ -205,6 +212,13 @@ def cmd_check(args) -> int:
             "grid_resolution": est.grid_resolution,
         },
         "sample_counts": {"starts": est.starts, "b0_samples": b0_samples},
+        "search": {
+            "kept_starts": est.kept_starts,
+            "refine_iterations": est.refine_iterations,
+            "refine_evaluations": est.refine_evaluations,
+            "refine_converged": est.refine_converged,
+            "b0_ascent_iterations": b0_iterations,
+        },
         "seeds": {"seed": args.seed},
         "provenance": _provenance("check", args),
     }

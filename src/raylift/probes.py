@@ -11,8 +11,17 @@ divided by ||u||^2 ||v||^2 - Im(<u, v>)^2. A frame is phase retrievable iff
 that minimum is positive. The minimum is found by multistart alternating
 exact block minimization: for fixed u the objective is a quadratic form in
 the real coordinates of v, so the optimal v is a (generalized) smallest
-eigenvector; n = 2 real frames additionally get an exhaustive angle-grid
-oracle.
+eigenvector. Block alternation stalls on flat valleys and at block-optimal
+saddles, so the best three candidates are refined jointly by L-BFGS-B on the
+ratio with its analytic gradient in the packed real coordinates of (u, v);
+the objective is divided by its start value, which makes the stopping rules
+independent of the frame's scale. n = 2 real frames additionally get an
+exhaustive angle-grid oracle.
+
+The upper stability constant has a closed form: it is the maximum over unit
+u of sum_k |<u, f_k>|^4, found by a batched multistart fixed-point ascent,
+and it is bracketed above by the largest eigenvalue of the Gram matrix
+|<f_k, f_l>|^2, which is sigma_max(lifted map)^2.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import numpy as np
 from scipy import optimize
 
 from .core import Field, Vector
-from .frames import Frame, measure
+from .frames import Frame
 from .metrics import RayPoint, align_dist, lift_dist, ray
 
 __all__ = [
@@ -34,6 +43,7 @@ __all__ = [
     "grid_lower_lip",
     "lower_lip_objective",
     "estimate_upper_lip",
+    "upper_lip_ceiling",
     "pr_verdict",
     "probe_bilipschitz",
     "verify_property_k",
@@ -51,7 +61,10 @@ class LowerLipEstimate:
 
     The value is an upper bound on the true constant (it is a minimum over
     explored points); method="grid" marks values cross-checked against the
-    exhaustive n=2 angle grid.
+    exhaustive n=2 angle grid. ``kept_starts`` counts the multistarts that did
+    not degenerate; the ``refine_*`` fields sum the gradient refinement's
+    iterations and objective evaluations over the refined candidates and say
+    whether every one of them met its stopping rule.
     """
 
     value: float
@@ -60,6 +73,10 @@ class LowerLipEstimate:
     method: str
     starts: int
     grid_resolution: Optional[int] = None
+    kept_starts: int = 0
+    refine_iterations: int = 0
+    refine_evaluations: int = 0
+    refine_converged: bool = True
 
 
 def lower_lip_objective(F: Frame, u: np.ndarray, v: np.ndarray):
@@ -169,30 +186,65 @@ def _unpack_pair(F: Frame, rz: np.ndarray):
     return rz[:half], rz[half:]
 
 
+def _ratio_and_grad(F: Frame, rz: np.ndarray):
+    """The stability ratio Q/den at a packed pair and its gradient in the
+    packed real coordinates; (inf, 0) where the denominator degenerates.
+
+    With a = conj(F) u, b = conj(F) v and t = Re(a conj(b)), the real
+    gradient of Q is 2 F^T (t b) in u and 2 F^T (t a) in v; the
+    denominator ||u||^2 ||v||^2 - s^2 with s = Im<v, u> has gradient
+    2 ||v||^2 u - 2 s (i v) in u and 2 ||u||^2 v + 2 s (i u) in v.
+    """
+    u, v = _unpack_pair(F, rz)
+    fs = F.synthesis
+    a = fs.conj() @ u
+    b = fs.conj() @ v
+    t = np.real(a * b.conj())
+    nu2 = float(np.vdot(u, u).real)
+    nv2 = float(np.vdot(v, v).real)
+    du, dv = nv2 * u, nu2 * v
+    den = nu2 * nv2
+    if F.field is Field.COMPLEX:
+        s = float(np.imag(np.vdot(v, u)))
+        den -= s * s
+        du = du - s * 1j * v
+        dv = dv + s * 1j * u
+    if den <= _DEN_CUTOFF * max(nu2 * nv2, 1e-30):
+        return math.inf, np.zeros_like(rz)
+    r = float(t @ t) / den
+    gu = 2.0 * (fs.T @ (t * b) - r * du) / den
+    gv = 2.0 * (fs.T @ (t * a) - r * dv) / den
+    return r, _pack_pair(F, gu, gv)
+
+
 def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
-    """Local simplex refinement of a candidate pair. The ratio is invariant
-    under separate real rescaling of u and v, so the raw coordinates can be
-    searched unconstrained; block alternation alone stalls on flat valleys
-    and at block-optimal saddles."""
+    """Local gradient refinement of a candidate pair by L-BFGS-B. The ratio
+    is invariant under separate real rescaling of u and v, so the raw
+    coordinates can be searched unconstrained; block alternation alone
+    stalls on flat valleys and at block-optimal saddles. The objective and
+    its gradient are divided by the ratio at the start, so the stopping
+    rules do not depend on the frame's scale.
+
+    Returns (value, u, v, iterations, evaluations, converged); the start is
+    returned when the search ends at a non-finite or larger value."""
+    x0 = _pack_pair(F, u, v)
+    r0, _ = _ratio_and_grad(F, x0)
+    if not (0.0 < r0 < math.inf):
+        # a zero ratio is already the global minimum
+        return r0, u, v, 0, 0, True
 
     def obj(rz):
-        uu, vv = _unpack_pair(F, rz)
-        q, den = lower_lip_objective(F, uu, vv)
-        nu2 = float(np.vdot(uu, uu).real)
-        nv2 = float(np.vdot(vv, vv).real)
-        if den <= _DEN_CUTOFF * max(nu2 * nv2, 1e-30):
-            return math.inf
-        return q / den
+        r, g = _ratio_and_grad(F, rz)
+        return r / r0, g / r0
 
-    x0 = _pack_pair(F, u, v)
-    res = optimize.minimize(
-        obj, x0, method="Nelder-Mead",
-        options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 8000, "maxfev": 8000},
-    )
-    if not math.isfinite(res.fun) or res.fun > obj(x0):
-        return obj(x0), u, v
+    res = optimize.minimize(obj, x0, jac=True, method="L-BFGS-B",
+                            options={"ftol": 1e-13, "gtol": 1e-9})
+    stats = (int(res.nit), int(res.nfev), bool(res.success))
+    value = float(res.fun) * r0
+    if not math.isfinite(value) or value > r0:
+        return (r0, u, v) + stats
     uu, vv = _unpack_pair(F, res.x)
-    return float(res.fun), uu / np.linalg.norm(uu), vv / np.linalg.norm(vv)
+    return (value, uu / np.linalg.norm(uu), vv / np.linalg.norm(vv)) + stats
 
 
 def grid_lower_lip(F: Frame, resolution: int = 2048, refine: bool = True):
@@ -254,8 +306,13 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
         raise RuntimeError("all multistarts degenerated; try more starts")
     candidates.sort(key=lambda c: c[0])
     best = candidates[0]
+    iterations = evaluations = 0
+    converged = True
     for r, u, v in candidates[:3]:
-        polished = _polish_pair(F, u, v)
+        *polished, nit, nfev, ok = _polish_pair(F, u, v)
+        iterations += nit
+        evaluations += nfev
+        converged &= ok
         if polished[0] < best[0]:
             best = polished
     value, u, v = best
@@ -278,6 +335,10 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
         method=method,
         starts=starts,
         grid_resolution=resolution,
+        kept_starts=len(candidates),
+        refine_iterations=iterations,
+        refine_evaluations=evaluations,
+        refine_converged=converged,
     )
 
 
@@ -327,49 +388,102 @@ def _measure_batch(F: Frame, x: np.ndarray) -> np.ndarray:
 
 
 def estimate_upper_lip(F: Frame, samples: int = 2000, seed: int = 0, refine: bool = True) -> float:
-    """Sampled lower bound on the frame's upper stability constant: the max
-    over pairs of ||alpha(x) - alpha(y)||^2 / d1(x, y)^2, optionally refined
-    by local ascent from the best sample."""
+    """The frame's upper stability constant b0, the max over pairs of
+    ||alpha(x) - alpha(y)||^2 / d1(x, y)^2.
+
+    b0 has the closed form max over unit u of sum_k |<u, f_k>|^4 (y = 0
+    attains it; for other pairs split xx* - yy* into its two eigen-terms and
+    use the triangle inequality). The sampled pair ratios are lower bounds;
+    ``refine`` adds the exact maximiser found by a batched multistart
+    fixed-point ascent on the sphere and returns the larger of the two. The
+    value is bracketed above by ``upper_lip_ceiling(F)`` =
+    sigma_max(lifted map)^2.
+    """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     best = 0.0
-    best_pair = None
     for x, y in _pair_blocks(seed, samples, F.dim, F.field):
         num = np.sum((_measure_batch(F, x) - _measure_batch(F, y)) ** 2, axis=1)
         den = _lift_dist_batch(x, y, 1) ** 2
         scale4 = (np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)) ** 2
         keep = den > 1e-12 * np.maximum(1.0, scale4)
-        if not np.any(keep):
-            continue
-        ratios = num[keep] / den[keep]
-        k = int(np.argmax(ratios))
-        if ratios[k] > best:
-            best = float(ratios[k])
-            best_pair = (x[keep][k], y[keep][k])
-    if refine and best_pair is not None:
-        dim = F.dim
-
-        def neg_ratio(rz):
-            if F.field is Field.COMPLEX:
-                xx = _to_complex(rz[: 2 * dim])
-                yy = _to_complex(rz[2 * dim :])
-            else:
-                xx, yy = rz[:dim], rz[dim:]
-            num = float(np.sum((measure(F, Vector(xx, F.field)).values
-                                - measure(F, Vector(yy, F.field)).values) ** 2))
-            den = float(_lift_dist_batch(xx[None, :], yy[None, :], 1)[0]) ** 2
-            if den <= 1e-12:
-                return 0.0
-            return -num / den
-
-        x0 = np.concatenate([
-            _to_real(best_pair[0]) if F.field is Field.COMPLEX else best_pair[0],
-            _to_real(best_pair[1]) if F.field is Field.COMPLEX else best_pair[1],
-        ])
-        res = optimize.minimize(neg_ratio, x0, method="Nelder-Mead",
-                                options={"maxiter": 4000, "fatol": 1e-12})
-        best = max(best, float(-res.fun))
+        if np.any(keep):
+            best = max(best, float(np.max(num[keep] / den[keep])))
+    if refine:
+        best = max(best, _b0_ascent(F, seed)[0])
     return best
+
+
+_ASCENT_STARTS = 64
+_ASCENT_MAX_ITERS = 1000
+_ASCENT_RTOL = 1e-13
+
+
+def _quartic_and_grad(F: Frame, rz: np.ndarray):
+    """sum_k |<u, f_k>|^4 / ||u||^4 at the packed real coordinates of u and
+    its gradient there, 4 (G - value ||u||^2 u) / ||u||^4 with
+    G = F^T (|a|^2 a) and a = conj(F) u."""
+    u = _to_complex(rz) if F.field is Field.COMPLEX else rz
+    fs = F.synthesis
+    a = fs.conj() @ u
+    p = np.abs(a) ** 2
+    n2 = float(np.vdot(u, u).real)
+    value = float(p @ p) / (n2 * n2)
+    g = 4.0 * (fs.T @ (p * a) - value * n2 * u) / (n2 * n2)
+    return value, (_to_real(g) if F.field is Field.COMPLEX else g)
+
+
+def _b0_ascent(F: Frame, seed: int = 0):
+    """max over unit u of sum_k |<u, f_k>|^4.
+
+    Fixed-point ascent from 64 seeded starts, iterated as one batch:
+    U <- G / ||G|| per row with G = (|A|^2 A) F and A = U conj(F)^T. G is a
+    quarter of the gradient and the objective is convex, so no step lowers
+    a value (SS-HOPM, Kolda & Mayo 2011). The batch stops once no start's
+    relative gain exceeds 1e-13, or after 1000 steps. At a degenerate
+    maximum (one where the objective falls off at fourth order, as for
+    r2_pr3) the ascent slows to a crawl, so the best start is then refined
+    by L-BFGS-B with the objective divided by its start value.
+
+    Returns (value, iterations), iterations counting the batched steps."""
+    fs = F.synthesis
+    U = _sample_vector_blocks(np.random.default_rng(seed), _ASCENT_STARTS, F.dim, F.field)
+    U /= np.linalg.norm(U, axis=1, keepdims=True)
+    A = U @ fs.conj().T
+    vals = np.zeros(_ASCENT_STARTS)
+    iterations = 0
+    while iterations < _ASCENT_MAX_ITERS:
+        P = np.abs(A) ** 2
+        new = np.sum(P * P, axis=1)
+        gain = np.max((new - vals) / new)
+        vals = np.maximum(vals, new)
+        if gain <= _ASCENT_RTOL:
+            break
+        iterations += 1
+        U = (P * A) @ fs
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        A = U @ fs.conj().T
+    i = int(np.argmax(vals))
+    v0 = vals[i]
+
+    def obj(rz):
+        value, g = _quartic_and_grad(F, rz)
+        return -value / v0, -g / v0
+
+    x0 = _to_real(U[i]) if F.field is Field.COMPLEX else U[i]
+    res = optimize.minimize(obj, x0, jac=True, method="L-BFGS-B",
+                            options={"ftol": 1e-15, "gtol": 1e-12})
+    return max(float(v0), -float(res.fun) * v0), iterations
+
+
+def upper_lip_ceiling(F: Frame) -> float:
+    """Certified upper end of the b0 bracket: the largest eigenvalue of the
+    m x m Gram matrix |<f_k, f_l>|^2, which equals sigma_max(lifted map)^2
+    because the lifted map A satisfies A A* = that matrix. No lifted map is
+    built; the cost is one O(m^3) symmetric eigenvalue solve."""
+    fs = F.synthesis
+    gram = np.abs(fs.conj() @ fs.T) ** 2
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 def pr_verdict(

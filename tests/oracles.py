@@ -86,3 +86,20 @@ def random_hermitian(rng, n, complex_field):
     if complex_field:
         g = g + 1j * rng.standard_normal((n, n))
     return (g + g.conj().T) / 2
+
+
+def quartic_max_scan(vectors, resolution=20_000, rounds=4):
+    """max over unit u in R^2 of sum_k <u, f_k>^4 by an angle scan of
+    [0, pi) (u and -u give the same value), zoomed in ``rounds`` times onto
+    the two grid steps around the best angle."""
+    fs = np.asarray(vectors, dtype=float)
+    lo, hi = 0.0, np.pi
+    best = -np.inf
+    for _ in range(rounds):
+        th = np.linspace(lo, hi, resolution)
+        vals = np.sum((fs @ np.stack([np.cos(th), np.sin(th)])) ** 4, axis=0)
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        step = th[1] - th[0]
+        lo, hi = th[i] - step, th[i] + step
+    return best

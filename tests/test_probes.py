@@ -1,3 +1,5 @@
+import importlib
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ from raylift import (
     Field,
     Frame,
     Vector,
+    build_lifted_map,
     estimate_lower_lip,
     estimate_upper_lip,
     gen_frame,
@@ -14,9 +17,18 @@ from raylift import (
     lower_lip_objective,
     pr_verdict,
     probe_bilipschitz,
+    upper_lip_ceiling,
     verify_property_k,
+    write_frame,
 )
-from raylift.probes import certify_min_above
+from raylift.cli import main as cli_main
+from raylift.probes import _alternating_min, _b0_ascent, _ratio_and_grad, certify_min_above
+
+from oracles import quartic_max_scan
+
+frames_mod = importlib.import_module("raylift.frames")
+probes_mod = importlib.import_module("raylift.probes")
+cli_mod = importlib.import_module("raylift.cli")
 
 SQ2 = math.sqrt(2)
 PK_KEYS = ("distances_ok", "x_intersection_nonempty", "y_intersection_empty")
@@ -125,6 +137,137 @@ class TestUpperLip:
         a0 = estimate_lower_lip(F, starts=16).value
         b0 = estimate_upper_lip(F, samples=500, seed=0)
         assert a0 <= b0 + 1e-9
+
+
+class TestLowerLipRefinement:
+    def test_gradient_matches_central_differences(self, field):
+        F = gen_frame("random_gaussian", 4, 16, field, seed=3)
+        rng = np.random.default_rng(11)
+        n = F.dim
+        rdim = 2 * n if field is Field.REAL else 4 * n
+
+        def ratio(rz):
+            # packed as (u, v), complex entries as (real parts, imag parts)
+            if field is Field.REAL:
+                u, v = rz[:n], rz[n:]
+            else:
+                u, v = rz[:n] + 1j * rz[n:2 * n], rz[2 * n:3 * n] + 1j * rz[3 * n:]
+            q, den = lower_lip_objective(F, u, v)
+            return q / den
+
+        for _ in range(3):
+            x = rng.standard_normal(rdim)
+            value, grad = _ratio_and_grad(F, x)
+            assert value == pytest.approx(ratio(x), rel=1e-12)
+            h = 1e-6
+            fd = np.array([(ratio(x + h * e) - ratio(x - h * e)) / (2 * h)
+                           for e in np.eye(rdim)])
+            assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    def test_scale_covariance_n8(self):
+        F = gen_frame("random_gaussian", 8, 72, Field.COMPLEX, seed=4)
+        G = Frame(tuple(Vector(2.0 * v.entries, Field.COMPLEX) for v in F.vectors),
+                  Field.COMPLEX)
+        a = estimate_lower_lip(F, seed=1).value
+        b = estimate_lower_lip(G, seed=1).value
+        assert b == pytest.approx(16 * a, rel=1e-9)
+
+    def test_refined_never_above_best_alternating_candidate(self, field):
+        F = gen_frame("random_gaussian", 4, 16, field, seed=6)
+        starts, seed = 16, 3
+        best = math.inf
+        for s in range(starts):
+            u0 = np.random.default_rng([seed, s]).standard_normal(
+                F.dim if field is Field.REAL else 2 * F.dim)
+            if field is Field.COMPLEX:
+                u0 = u0[:F.dim] + 1j * u0[F.dim:]
+            _, u, v = _alternating_min(F, u0)
+            q, den = lower_lip_objective(F, u, v)
+            if den > 1e-9:
+                best = min(best, q / den)
+        est = estimate_lower_lip(F, starts=starts, seed=seed)
+        assert est.value <= best * (1 + 1e-12)
+
+    def test_search_diagnostics(self, field):
+        F = gen_frame("random_gaussian", 3, 9, field, seed=2)
+        est = estimate_lower_lip(F, starts=16, seed=0)
+        assert 3 <= est.kept_starts <= 16
+        assert 0 < est.refine_iterations <= est.refine_evaluations
+        assert est.refine_converged
+
+    def test_refinement_evaluation_guard(self):
+        # the simplex search this replaced spent 24,000 evaluations here
+        F = gen_frame("random_gaussian", 8, 72, Field.COMPLEX, seed=7)
+        est = estimate_lower_lip(F, seed=1)
+        assert est.refine_evaluations <= 1500
+        assert est.refine_converged
+
+
+class TestUpperLipExact:
+    def test_pr3_matches_angle_scan(self):
+        F = _pr3()
+        want = quartic_max_scan([v.entries for v in F.vectors])
+        assert estimate_upper_lip(F, samples=100, seed=0) == pytest.approx(want, rel=1e-9)
+
+    def test_ceiling_is_lifted_sigma_max_squared(self, field):
+        for n, m in ((3, 9), (4, 16)):
+            F = gen_frame("random_gaussian", n, m, field, seed=n)
+            want = build_lifted_map(F).sigma_max ** 2
+            assert upper_lip_ceiling(F) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(3, 9), (4, 16), (8, 72)])
+    def test_bracket(self, field, n, m):
+        for seed in (4, 5):
+            F = gen_frame("random_gaussian", n, m, field, seed=seed)
+            raw = estimate_upper_lip(F, samples=500, seed=1, refine=False)
+            b0 = estimate_upper_lip(F, samples=500, seed=1)
+            assert raw <= b0 <= upper_lip_ceiling(F) * (1 + 1e-12)
+
+    def test_onb_bracket_is_tight(self):
+        F = _onb()
+        assert upper_lip_ceiling(F) == pytest.approx(1.0, rel=1e-12)
+        assert _b0_ascent(F)[0] == pytest.approx(1.0, rel=1e-12)
+
+    def test_refinement_makes_no_measure_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return measure(*args, **kwargs)
+
+        measure = frames_mod.measure
+        monkeypatch.setattr(frames_mod, "measure", counting)
+        monkeypatch.setattr(probes_mod, "measure", counting, raising=False)
+        F = gen_frame("random_gaussian", 8, 72, Field.COMPLEX, seed=1)
+        estimate_upper_lip(F, samples=2000, seed=1, refine=True)
+        assert calls == []
+
+
+class TestCheckReport:
+    def test_bracket_and_search_record(self, tmp_path, monkeypatch):
+        F = gen_frame("random_gaussian", 3, 9, Field.COMPLEX, seed=3)
+        write_frame(tmp_path / "f.json", F)
+        built = []
+        monkeypatch.setattr(cli_mod, "build_lifted_map",
+                            lambda *a, **k: built.append(1) or build_lifted_map(*a, **k))
+        argv = ["check", "--frame", str(tmp_path / "f.json"), "--seed", "2",
+                "--report", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 0
+        first = (tmp_path / "r.json").read_bytes()
+        assert cli_main(argv) == 0
+        assert (tmp_path / "r.json").read_bytes() == first
+        assert built == []
+        rep = json.loads(first)
+        assert rep["b0_upper"] == upper_lip_ceiling(F)
+        assert 0 < rep["a0"] <= rep["b0"] <= rep["b0_upper"]
+        est = estimate_lower_lip(F, starts=64, seed=2)
+        assert rep["search"] == {
+            "kept_starts": est.kept_starts,
+            "refine_iterations": est.refine_iterations,
+            "refine_evaluations": est.refine_evaluations,
+            "refine_converged": est.refine_converged,
+            "b0_ascent_iterations": _b0_ascent(F, 2)[1],
+        }
 
 
 class TestVerdict:
