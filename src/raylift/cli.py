@@ -24,7 +24,7 @@ from .core import Field, Vector, symop
 from .frames import (
     Frame,
     FrameFileError,
-    Measurement,
+    _vec_to_json,
     build_lifted_map,
     dumps_json,
     frame_to_dict,
@@ -190,14 +190,6 @@ def cmd_check(args) -> int:
     b0_ascent, b0_iterations = _b0_ascent(F, args.seed)
     b0 = max(b0_sampled, b0_ascent)
     verdict = pr_verdict(F, estimate=est)
-    u = est.argmin_u.entries
-    v = est.argmin_v.entries
-
-    def _vec_json(z):
-        if F.field is Field.COMPLEX:
-            return [[float(e.real), float(e.imag)] for e in z]
-        return [float(e) for e in z]
-
     report = {
         "frame_label": F.label,
         "frame_hash": _frame_hash(F),
@@ -206,8 +198,8 @@ def cmd_check(args) -> int:
         "b0_upper": upper_lip_ceiling(F),
         "verdict": verdict,
         "witnesses": {
-            "u": _vec_json(u),
-            "v": _vec_json(v),
+            "u": _vec_to_json(est.argmin_u.entries, F.field),
+            "v": _vec_to_json(est.argmin_v.entries, F.field),
             "method": est.method,
             "grid_resolution": est.grid_resolution,
         },
@@ -304,6 +296,7 @@ def _probe_omega(args):
             lifted = build_lifted_map(F)
             rng = np.random.default_rng([args.seed, dim, 0 if field is Field.REAL else 1])
             n_pairs = max(1, args.samples)
+            bounds = [recovery_lip_bound(F, p, q, lifted=lifted).pipeline for p, q in pq_pairs]
             for _ in range(n_pairs):
                 x = rng.standard_normal(dim)
                 xp = rng.standard_normal(dim)
@@ -316,8 +309,7 @@ def _probe_omega(args):
                 cp = cp + 0.05 * rng.standard_normal(cp.shape) * max(1.0, float(np.max(cp)))
                 ra = recover(F, c, lifted=lifted).estimate
                 rb = recover(F, cp, lifted=lifted).estimate
-                for p, q in pq_pairs:
-                    bound = recovery_lip_bound(F, p, q, lifted=lifted).pipeline
+                for (p, q), bound in zip(pq_pairs, bounds):
                     dq = lift_dist(ra, rb, q)
                     dp = float(np.linalg.norm(c - cp, ord=p))
                     ok = dq <= bound * dp + 1e-8

@@ -287,10 +287,6 @@ def _schatten_batch(vals: np.ndarray, p: float) -> np.ndarray:
     return top[..., 0] * np.sum(scaled**p, axis=-1) ** (1.0 / p)
 
 
-def _schatten_from_singvals(s: np.ndarray, p: float) -> float:
-    return float(_schatten_batch(s, p)) if s.size else 0.0
-
-
 def schatten_norm(A: SymOp, p: float) -> float:
     """Schatten p-norm of a self-adjoint operator (p=1 nuclear, 2 Frobenius,
     inf operator norm). Singular values are the absolute eigenvalues."""
@@ -300,7 +296,7 @@ def schatten_norm(A: SymOp, p: float) -> float:
         s = np.abs(np.linalg.eigvalsh(A.entries))
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigensolver failed: {e}") from e
-    return _schatten_from_singvals(s, p)
+    return float(_schatten_batch(s, p)) if s.size else 0.0
 
 
 def weyl_gap(A: SymOp, B: SymOp) -> float:
@@ -342,7 +338,7 @@ class RankOnePSD:
             )
         if self.generator is not None:
             g = self.generator
-            _check_same(g, _DimFieldProxy(self.carrier.dim, self.carrier.field))
+            _check_same(g, self.carrier)
             ref = sym_outer(g, g).entries
             err = np.linalg.norm(self.carrier.entries - ref)
             if err > max(allow, 1e-10 * max(1.0, float(np.linalg.norm(ref)))):
@@ -363,9 +359,3 @@ class RankOnePSD:
         w, V = np.linalg.eigh(self.carrier.entries)
         u = _canonical_phase_columns(V[:, -1:])[:, 0]
         return float(w[-1]), Vector(u, self.field)
-
-
-class _DimFieldProxy:
-    def __init__(self, dim, field):
-        self.dim = dim
-        self.field = field

@@ -358,10 +358,12 @@ def dumps_json(obj) -> str:
     return json.dumps(_pyify(obj), cls=_Float17Encoder, indent=2) + "\n"
 
 
-def _entry_to_json(z, field: Field):
+def _vec_to_json(entries: np.ndarray, field: Field) -> list:
+    """JSON form of a vector, or of a stack of them: numbers, or [re, im]
+    pairs in the complex field."""
     if field is Field.COMPLEX:
-        return [float(z.real), float(z.imag)]
-    return float(z)
+        return np.stack([entries.real, entries.imag], axis=-1).tolist()
+    return entries.tolist()
 
 
 def _entry_from_json(e, field: Field, where: str):
@@ -384,9 +386,7 @@ def frame_to_dict(F: Frame) -> dict:
         "field": F.field.value,
         "dim": F.dim,
         "count": F.count,
-        "vectors": [
-            [_entry_to_json(z, F.field) for z in v.entries] for v in F.vectors
-        ],
+        "vectors": _vec_to_json(F.synthesis, F.field),
         "label": F.label,
     }
 

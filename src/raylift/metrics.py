@@ -6,17 +6,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .core import (
     Field,
     RankOnePSD,
-    SymOp,
     Vector,
     _check_same,
-    _schatten_from_singvals,
+    _schatten_batch,
     sym_outer,
 )
 
@@ -153,41 +151,48 @@ def align_dist(x: RayPoint, y: RayPoint, p: float) -> float:
     return _min_over_phase(xa, ya, p)
 
 
-def _lift_gram(x: np.ndarray, y: np.ndarray):
-    nx2 = float(np.vdot(x, x).real)
-    ny2 = float(np.vdot(y, y).real)
-    h = abs(complex(np.vdot(y, x))) ** 2
-    return nx2, ny2, h
-
-
-def lift_dist(x: RayPoint, y: RayPoint, p: float) -> float:
-    """Matrix-norm metric on rays: Schatten p-norm of [x,x] - [y,y].
+def _lift_dist_stack(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """Lift distances ||[x,x] - [y,y]||_p between the rows of two
+    broadcastable (k, n) arrays.
 
     Uses the closed forms for p in {1, 2, inf}; other p use the two (at most)
-    nonzero eigenvalues of the rank-<=2 difference. Nearly coincident rays
-    are rerouted through the explicit difference matrix: the closed forms
-    cancel catastrophically there (absolute error ~ sqrt(eps) * scale^2,
-    which would swamp distances below ~1e-8).
+    nonzero eigenvalues of the rank-<=2 difference. Nearly coincident rows
+    are rerouted through one batched ``eigvalsh`` of their explicit
+    difference matrices: the closed forms cancel catastrophically there
+    (absolute error ~ sqrt(eps) * scale^2, which would swamp distances below
+    ~1e-8).
     """
     _check_p(p)
-    _check_same(x.rep, y.rep)
-    nx2, ny2, h = _lift_gram(x.rep.entries, y.rep.entries)
+    x, y = np.broadcast_arrays(x, y)
+    nx2 = np.sum(np.abs(x) ** 2, axis=-1)
+    ny2 = np.sum(np.abs(y) ** 2, axis=-1)
+    h = np.abs(np.sum(x * y.conj(), axis=-1)) ** 2
     sigma2 = nx2 + ny2
     s2 = sigma2 * sigma2 - 4 * h
     d2sq = nx2 * nx2 + ny2 * ny2 - 2 * h
-    if sigma2 > 0 and min(s2, d2sq) < 1e-10 * sigma2 * sigma2:
-        diff = sym_outer(x.rep, x.rep).entries - sym_outer(y.rep, y.rep).entries
-        sv = np.abs(np.linalg.eigvalsh(diff))
-        return _schatten_from_singvals(sv, p)
-    s = math.sqrt(max(s2, 0.0))
+    s = np.sqrt(np.maximum(s2, 0.0))
     t = nx2 - ny2
     if p == 1:
-        return s
-    if p == 2:
-        return math.sqrt(max(d2sq, 0.0))
-    if p == math.inf:
-        return 0.5 * abs(t) + 0.5 * s
-    return _schatten_from_singvals(np.array([abs(0.5 * (t + s)), abs(0.5 * (t - s))]), p)
+        out = s
+    elif p == 2:
+        out = np.sqrt(np.maximum(d2sq, 0.0))
+    elif p == math.inf:
+        out = 0.5 * np.abs(t) + 0.5 * s
+    else:
+        out = _schatten_batch(np.stack([0.5 * (t + s), 0.5 * (t - s)], axis=-1), p)
+    near = (sigma2 > 0) & (np.minimum(s2, d2sq) < 1e-10 * sigma2 * sigma2)
+    if np.any(near):
+        xn, yn = x[near], y[near]
+        diff = np.einsum("ki,kj->kij", xn, xn.conj()) - np.einsum("ki,kj->kij", yn, yn.conj())
+        out[near] = _schatten_batch(np.linalg.eigvalsh(diff), p)
+    return out
+
+
+def lift_dist(x: RayPoint, y: RayPoint, p: float) -> float:
+    """Matrix-norm metric on rays: Schatten p-norm of [x,x] - [y,y], the
+    one-row case of ``_lift_dist_stack``."""
+    _check_same(x.rep, y.rep)
+    return float(_lift_dist_stack(x.rep.entries[None], y.rep.entries[None], p)[0])
 
 
 def lift(x: RayPoint) -> RankOnePSD:

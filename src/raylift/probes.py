@@ -35,7 +35,7 @@ from scipy import optimize
 
 from .core import Field, Vector
 from .frames import Frame
-from .metrics import RayPoint, align_dist, lift_dist, ray
+from .metrics import _lift_dist_stack, align_dist, lift_dist, ray
 
 __all__ = [
     "LowerLipEstimate",
@@ -369,20 +369,6 @@ def _pair_blocks(seed: int, samples: int, dim: int, field: Field):
         block += 1
 
 
-def _lift_dist_batch(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
-    nx2 = np.sum(np.abs(x) ** 2, axis=1)
-    ny2 = np.sum(np.abs(y) ** 2, axis=1)
-    h = np.abs(np.sum(x * y.conj(), axis=1)) ** 2
-    if p == 1:
-        return np.sqrt(np.maximum((nx2 + ny2) ** 2 - 4 * h, 0.0))
-    if p == 2:
-        return np.sqrt(np.maximum(nx2 * nx2 + ny2 * ny2 - 2 * h, 0.0))
-    if p == math.inf:
-        s = np.sqrt(np.maximum((nx2 + ny2) ** 2 - 4 * h, 0.0))
-        return 0.5 * np.abs(nx2 - ny2) + 0.5 * s
-    raise ValueError(f"unsupported batch order {p}")
-
-
 def _measure_batch(F: Frame, x: np.ndarray) -> np.ndarray:
     return np.abs(x @ F.synthesis.conj().T) ** 2
 
@@ -404,7 +390,7 @@ def estimate_upper_lip(F: Frame, samples: int = 2000, seed: int = 0, refine: boo
     best = 0.0
     for x, y in _pair_blocks(seed, samples, F.dim, F.field):
         num = np.sum((_measure_batch(F, x) - _measure_batch(F, y)) ** 2, axis=1)
-        den = _lift_dist_batch(x, y, 1) ** 2
+        den = _lift_dist_stack(x, y, 1) ** 2
         scale4 = (np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)) ** 2
         keep = den > 1e-12 * np.maximum(1.0, scale4)
         if np.any(keep):
@@ -523,7 +509,7 @@ def probe_bilipschitz(F: Frame, samples: int = 10_000, seed: int = 0) -> dict:
     ratios = []
     for x, y in _pair_blocks(seed, samples, F.dim, F.field):
         num = np.sqrt(np.sum((_measure_batch(F, x) - _measure_batch(F, y)) ** 2, axis=1))
-        den = _lift_dist_batch(x, y, 1)
+        den = _lift_dist_stack(x, y, 1)
         scale = np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)
         keep = den > 1e-12 * np.maximum(1.0, scale)
         ratios.append(num[keep] / den[keep])
@@ -631,15 +617,10 @@ def _align_ball_deficit(points: np.ndarray, ys: np.ndarray, rs: np.ndarray) -> n
 
 def _lift_ball_deficit(points: np.ndarray, ys: np.ndarray, rs: np.ndarray) -> np.ndarray:
     """max_i (d2(z, y_i) - r_i) on canonical C^2 rays z = (a, br + i bi)."""
-    a, br, bi = points[:, 0], points[:, 1], points[:, 2]
-    nz2 = a * a + br * br + bi * bi
+    z = np.stack([points[:, 0], points[:, 1] + 1j * points[:, 2]], axis=1)
     out = np.full(points.shape[0], -math.inf)
     for yv, rv in zip(ys, rs):
-        ny2 = float(np.vdot(yv, yv).real)
-        ip = a * np.conj(yv[0]) + (br + 1j * bi) * np.conj(yv[1])
-        h = np.abs(ip) ** 2
-        d2 = np.sqrt(np.maximum(nz2 * nz2 + ny2 * ny2 - 2 * h, 0.0))
-        out = np.maximum(out, d2 - rv)
+        out = np.maximum(out, _lift_dist_stack(z, yv, 2) - rv)
     return out
 
 

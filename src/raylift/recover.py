@@ -19,8 +19,9 @@ import numpy as np
 
 from .core import Vector
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, measure, min_norm_inverse
-from .metrics import RayPoint, ray, unlift
-from .retraction import rank_one_retract, retraction_bound
+from .frames import _vec_to_json
+from .metrics import RayPoint, ray
+from .retraction import _retract_stack, retraction_bound
 
 __all__ = [
     "RecoveryReport",
@@ -61,12 +62,9 @@ class RecoveryReport:
 
     def to_dict(self) -> dict:
         rep = self.estimate.rep
-        if rep.field.value == "complex":
-            entries = [[float(z.real), float(z.imag)] for z in rep.entries]
-        else:
-            entries = [float(z) for z in rep.entries]
         doc = {
-            "estimate": {"field": rep.field.value, "dim": rep.dim, "entries": entries},
+            "estimate": {"field": rep.field.value, "dim": rep.dim,
+                         "entries": _vec_to_json(rep.entries, rep.field)},
             "residual": self.residual,
             "pipeline_stage_norms": dict(self.pipeline_stage_norms),
             "polished": self.polished,
@@ -90,6 +88,9 @@ def recover(
     measurement range, the estimate recovers the original ray exactly (up to
     numerical tolerance). Pass a prebuilt ``lifted`` map to amortize the
     factorization over many measurements.
+
+    The retraction and the un-lift read the same top eigenpair, so one
+    ``eigh`` serves both: the estimate is the ray of sqrt(lam1 - lam2) u1.
     """
     if not isinstance(c, Measurement):
         c = Measurement(np.asarray(c, dtype=np.float64))
@@ -97,11 +98,14 @@ def recover(
     if c.count != M.rows:
         raise ValueError(f"measurement count {c.count} does not match frame count {M.rows}")
     T = min_norm_inverse(M, c)
-    R = rank_one_retract(T, group_tol)
-    est = unlift(R)
+    coef, vecs, top, _ = _retract_stack(T.entries[None], group_tol)
+    coef = float(coef[0])
+    x = math.sqrt(coef) * vecs[0, :, -1] if coef > 0.0 else np.zeros(F.dim, F.field.dtype)
+    est = ray(Vector(x, F.field))
     stage_norms = {
         "pseudoinverse_fro": float(np.linalg.norm(T.entries)),
-        "retraction_fro": float(np.linalg.norm(R.carrier.entries)),
+        # (lam1 - lam2) P1 has Frobenius norm coef * sqrt(rank P1)
+        "retraction_fro": coef * math.sqrt(int(top[0].sum())),
     }
     stats = None
     if do_polish:
@@ -231,7 +235,6 @@ def polish(
     c: Union[Measurement, np.ndarray],
     x0: RayPoint,
     iters: int = 200,
-    step_rule: str = "backtracking",
 ) -> RayPoint:
     """Refine a ray estimate by gradient descent on the squared measurement
     residual h(x) = sum_k (|<x, f_k>|^2 - c_k)^2 (Wirtinger gradient in the
@@ -249,6 +252,4 @@ def polish(
     the phase normalisation of the result leave a larger residual than
     ``x0`` has (possible only at roundoff level), ``x0`` is returned.
     """
-    if step_rule != "backtracking":
-        raise ValueError(f"unknown step rule {step_rule!r}")
     return _polish(F, c, x0, iters)[0]

@@ -18,13 +18,13 @@ import numpy as np
 from .core import (
     Field,
     RankOnePSD,
+    SpectralError,
     SymOp,
     Vector,
     _canonical_phase_columns,
     _check_same,
     _schatten_batch,
     schatten_norm,
-    spectral_decompose,
 )
 
 __all__ = [
@@ -41,6 +41,42 @@ def retraction_bound(p: float) -> float:
     return 3.0 + 2.0 ** (1.0 + invp)
 
 
+def _retract_stack(mats: np.ndarray, group_tol: Optional[float] = None):
+    """The retraction's one eigendecomposition, on a (k, n, n) stack of
+    self-adjoint matrices.
+
+    Returns ``(coef, vecs, top, tol)``: the coefficients lam1 - lam2, the
+    eigenvectors as ``np.linalg.eigh`` orders them (ascending, so the top one
+    is ``vecs[:, :, -1]``), the (k, n) mask of the top distinct eigenvalue
+    group and each row's grouping tolerance, ``group_tol`` or by default
+    1e-8 * max |lam|. Eigenvalues chain into the top group while each gap
+    between neighbours is at most the tolerance, as in ``spectral_decompose``.
+    """
+    if mats.shape[-1] < 2:
+        raise ValueError("retraction needs dimension >= 2")
+    if group_tol is not None and group_tol < 0:
+        raise ValueError(f"group_tol must be >= 0, got {group_tol}")
+    try:
+        w, vecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as e:
+        raise SpectralError(f"eigensolver failed: {e}") from e
+    coef = w[:, -1] - w[:, -2]
+    if group_tol is None:
+        tol = 1e-8 * np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0]))
+    else:
+        tol = np.full(w.shape[0], float(group_tol))
+    close = np.diff(w, axis=1) <= tol[:, None]
+    top = np.ones(w.shape, dtype=bool)
+    top[:, :-1] = np.logical_and.accumulate(close[:, ::-1], axis=1)[:, ::-1]
+    return coef, vecs, top, tol
+
+
+def _carriers(coef: np.ndarray, vecs: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """The retracted operators (lam1 - lam2) P1 of a ``_retract_stack``."""
+    vm = vecs * top[:, None, :]
+    return coef[:, None, None] * (vm @ vm.conj().transpose(0, 2, 1))
+
+
 def rank_one_retract(A: SymOp, group_tol: Optional[float] = None) -> RankOnePSD:
     """Retract a self-adjoint operator onto rank-one PSD operators.
 
@@ -50,24 +86,16 @@ def rank_one_retract(A: SymOp, group_tol: Optional[float] = None) -> RankOnePSD:
     (nearly) degenerate the coefficient is at most ``group_tol``, so the
     output passes continuously through zero there. Fixes rank-one PSD inputs.
     """
-    if A.dim < 2:
-        raise ValueError("retraction needs dimension >= 2")
-    sd = spectral_decompose(A, group_tol)
-    lam = sd.eigenvalues
-    coef = float(lam[0] - lam[1])
-    p1 = sd.projectors[0]
-    carrier = SymOp(coef * p1.entries, A.field)
+    coef, vecs, top, tol = _retract_stack(A.entries[None], group_tol)
     generator = None
-    if sd.multiplicities[0] == 1 and coef > 0.0:
-        # every nonzero projector column is proportional to the eigenvector;
-        # re-phase it canonically so outputs are reproducible
-        col = p1.entries[:, [int(np.argmax(np.diag(p1.entries).real))]]
-        u1 = _canonical_phase_columns(col / np.linalg.norm(col))[:, 0]
-        generator = Vector(math.sqrt(coef) * u1, A.field)
+    if top[0].sum() == 1 and coef[0] > 0.0:
+        # re-phase the eigenvector canonically so outputs are reproducible
+        u1 = _canonical_phase_columns(vecs[0, :, -1:])[:, 0]
+        generator = Vector(math.sqrt(coef[0]) * u1, A.field)
     return RankOnePSD(
-        carrier=carrier,
+        carrier=SymOp(_carriers(coef, vecs, top)[0], A.field),
         generator=generator,
-        rank_atol=sd.group_tolerance * (1 + 1e-8) + 1e-300,
+        rank_atol=float(tol[0]) * (1 + 1e-8) + 1e-300,
     )
 
 
@@ -84,21 +112,6 @@ def retraction_ratio(A: SymOp, B: SymOp, p: float, group_tol: Optional[float] = 
 
 
 # --- batched probe machinery -------------------------------------------------
-
-def _retract_batch(mats: np.ndarray, tol_rel: float = 1e-8) -> np.ndarray:
-    """Vectorized retraction of a stack of self-adjoint matrices; same math
-    as rank_one_retract with the default relative grouping tolerance."""
-    w, v = np.linalg.eigh(mats)
-    lam1 = w[:, -1]
-    lam2 = w[:, -2]
-    coef = lam1 - lam2
-    scale = np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0]))
-    tol = tol_rel * scale
-    member = (lam1[:, None] - w) <= tol[:, None]
-    vm = v * member[:, None, :]
-    proj = vm @ vm.conj().transpose(0, 2, 1)
-    return coef[:, None, None] * proj
-
 
 def _hermitian_stack(rng, k: int, dim: int, field: Field) -> np.ndarray:
     g = rng.standard_normal((k, dim, dim))
@@ -164,8 +177,8 @@ def _max_ratio_for_stacks(a, b, p):
     keep = den > 1e-12 * np.maximum(1.0, scale)
     if not np.any(keep):
         return 0.0
-    pa = _retract_batch(a[keep])
-    pb = _retract_batch(b[keep])
+    pa = _carriers(*_retract_stack(a[keep])[:3])
+    pb = _carriers(*_retract_stack(b[keep])[:3])
     num = _schatten_batch(np.linalg.eigvalsh(pa - pb), p)
     return float(np.max(num / den[keep]))
 

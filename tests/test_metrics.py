@@ -17,6 +17,8 @@ from raylift import (
     vec,
 )
 
+from raylift.metrics import _lift_dist_stack
+
 from oracles import align_dist_scan, random_vector, svd_schatten
 
 SQ2 = math.sqrt(2)
@@ -112,6 +114,27 @@ class TestLiftDist:
             d = sym_outer(x.rep, x.rep).entries - sym_outer(y.rep, y.rep).entries
             want = svd_schatten(d, np.inf if p == math.inf else p)
             assert abs(lift_dist(x, y, p) - want) <= 1e-10 * max(1.0, want)
+
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_batch_near_coincident_vs_svd_oracle(self, rng, field, p):
+        """The batched kernel on nearly coincident rows, where the closed
+        forms cancel: y = x + sep ||x|| e with e a unit vector."""
+        cplx = field is Field.COMPLEX
+        for sep in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+            x = np.stack([random_vector(rng, 4, cplx) for _ in range(20)])
+            e = np.stack([random_vector(rng, 4, cplx) for _ in range(20)])
+            e *= (sep * np.linalg.norm(x, axis=1) / np.linalg.norm(e, axis=1))[:, None]
+            y = x + e
+            got = _lift_dist_stack(x, y, p)
+            for k in range(x.shape[0]):
+                d = np.outer(x[k], x[k].conj()) - np.outer(y[k], y[k].conj())
+                want = svd_schatten(d, np.inf if p == math.inf else p)
+                scale = np.vdot(x[k], x[k]).real + np.vdot(y[k], y[k]).real
+                assert abs(got[k] - want) <= 1e-14 * scale
+                assert lift_dist(ray(vec(x[k])), ray(vec(y[k])), p) == pytest.approx(
+                    got[k], rel=1e-4
+                )
 
 
 class TestMetricAxioms:

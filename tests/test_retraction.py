@@ -11,12 +11,13 @@ from raylift import (
     retraction_probe,
     retraction_ratio,
     schatten_norm,
+    spectral_decompose,
     sym_outer,
     symop,
     vec,
 )
 from raylift.core import _schatten_batch
-from raylift.retraction import _retract_batch
+from raylift.retraction import _carriers, _retract_stack
 
 from oracles import random_hermitian, random_vector
 
@@ -96,18 +97,34 @@ class TestRatio:
 
 
 class TestBatch:
-    def test_matches_single_path(self, rng, field):
-        mats = np.stack([
-            random_hermitian(rng, 5, field is Field.COMPLEX) for _ in range(40)
-        ])
-        if field is Field.REAL:
-            mats = mats.real
-        batch = _retract_batch(mats)
-        for k in range(mats.shape[0]):
-            single = rank_one_retract(SymOp(mats[k], field)).carrier.entries
-            assert np.max(np.abs(batch[k] - single)) <= 1e-9 * max(
-                1.0, float(np.max(np.abs(single)))
-            )
+    def test_kernel_matches_spectral_decompose(self, rng, field):
+        """The stack kernel's coefficient, top group and carrier against the
+        grouped decomposition of each matrix on its own."""
+        cplx = field is Field.COMPLEX
+        t = 1e-8  # the default grouping tolerance of a matrix of norm 1
+        # gaps of 0.6 t chain three eigenvalues into the top group even
+        # though the first and third are 1.2 t apart
+        chain = np.diag([1.0, 1.0 - 0.6 * t, 1.0 - 1.2 * t, 0.0])[None]
+        assert int(_retract_stack(chain)[2][0].sum()) == 3
+        stacks = [
+            np.stack([random_hermitian(rng, 5, cplx) for _ in range(40)]),
+            np.diag([1.0, 1.0, 0.0])[None],
+            chain,
+            np.zeros((1, 3, 3)),
+        ]
+        for mats in stacks:
+            if not cplx:
+                mats = mats.real
+            coef, vecs, top, _ = _retract_stack(mats)
+            carriers = _carriers(coef, vecs, top)
+            for k in range(mats.shape[0]):
+                sd = spectral_decompose(SymOp(mats[k], field))
+                want_coef = float(sd.eigenvalues[0] - sd.eigenvalues[1])
+                want = want_coef * sd.projectors[0].entries
+                scale = max(1.0, float(np.max(np.abs(mats[k]))))
+                assert abs(coef[k] - want_coef) <= 1e-12 * scale
+                assert int(top[k].sum()) == sd.multiplicities[0]
+                assert np.max(np.abs(carriers[k] - want)) <= 1e-12 * scale
 
     def test_probe_small_run_no_violations(self):
         res = retraction_probe(
