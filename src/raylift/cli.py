@@ -242,6 +242,13 @@ def cmd_reconstruct(args) -> int:
         )
         return EXIT_USAGE
     lifted = build_lifted_map(F)
+    if lifted.rank < lifted.cols:
+        print(
+            f"reconstruct: warning: the lifted map has rank {lifted.rank} of "
+            f"{lifted.cols} columns, so the pipeline is not a left inverse on "
+            f"this frame and estimates may be wrong even without noise",
+            file=sys.stderr,
+        )
     reports = []
     for row in rows:
         rep = recover(F, row, group_tol=args.group_tol, lifted=lifted,

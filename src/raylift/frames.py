@@ -8,11 +8,12 @@ are bit exact.
 
 from __future__ import annotations
 
+import itertools
 import json
-import json.encoder
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -70,6 +71,8 @@ class Frame:
                 raise ValueError("frame vector field tag mismatch")
             if v.dim != dim:
                 raise ValueError("frame vectors must share one dimension")
+        if dim == 0:
+            raise ValueError("frame vectors must have at least one entry")
         if len(vs) < dim:
             raise ValueError(
                 f"frame needs count >= dim, got m={len(vs)} < n={dim}"
@@ -152,11 +155,20 @@ def _sym_basis_tags(n: int, field: Field) -> tuple:
     return tuple(tags)
 
 
+@lru_cache(maxsize=64)
+def _triu_pairs(n: int) -> tuple:
+    """Read-only ``np.triu_indices(n, 1)``, built once per n."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
 def sym_coords(M: np.ndarray, field: Field) -> np.ndarray:
     """Coordinates of self-adjoint matrices in the fixed real orthonormal
     basis of the operator space; works on stacks (..., n, n)."""
     n = M.shape[-1]
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _triu_pairs(n)
     diag = np.real(M[..., np.arange(n), np.arange(n)])
     off = M[..., iu, ju]
     parts = [diag, math.sqrt(2) * np.real(off)]
@@ -170,7 +182,7 @@ def sym_from_coords(c: np.ndarray, n: int, field: Field) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (_sym_dim(n, field),):
         raise ValueError(f"expected {_sym_dim(n, field)} coordinates, got shape {c.shape}")
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _triu_pairs(n)
     k = iu.size
     M = np.zeros((n, n), dtype=field.dtype)
     M[np.arange(n), np.arange(n)] = c[:n]
@@ -308,77 +320,135 @@ def gen_frame(
 
 # --- JSON serialization -----------------------------------------------------
 
+_INDENT = "  "
+
+
 def _float_repr17(x: float) -> str:
     if math.isfinite(x):
         return format(x, ".17g")
     raise ValueError(f"non-finite value {x!r} cannot be serialized")
 
 
-class _Float17Encoder(json.JSONEncoder):
-    def iterencode(self, o, _one_shot=False):
-        indent = self.indent
-        if indent is not None and not isinstance(indent, str):
-            indent = " " * indent
-        make = json.encoder._make_iterencode(
-            {},
-            self.default,
-            json.encoder.encode_basestring_ascii,
-            indent,
-            _float_repr17,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            _one_shot,
-        )
-        return make(o, 0)
+def _encode_array(a: np.ndarray, level: int) -> str:
+    """A float array as nested JSON lists, formatted in one pass: the leaves
+    first, then one join per axis from the innermost out."""
+    if a.dtype.kind != "f":
+        return _encode(a.tolist(), level)
+    finite = np.isfinite(a)
+    if not finite.all():
+        raise ValueError(f"non-finite value {float(a[~finite][0])!r} cannot be serialized")
+    parts = [format(x, ".17g") for x in a.ravel().tolist()]
+    for axis in range(a.ndim - 1, -1, -1):
+        d = a.shape[axis]
+        if d == 0:
+            parts = ["[]"] * math.prod(a.shape[:axis])
+            continue
+        inner = _INDENT * (level + axis + 1)
+        head, sep = "[\n" + inner, ",\n" + inner
+        tail = "\n" + _INDENT * (level + axis) + "]"
+        parts = [head + sep.join(parts[i : i + d]) + tail for i in range(0, len(parts), d)]
+    return parts[0]
 
 
-def _pyify(obj):
-    if isinstance(obj, dict):
-        return {k: _pyify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
+def _encode(o, level: int) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
     # bool before int: bool is a subclass of int
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, Field):
-        return obj.value
-    return obj
+    if isinstance(o, (bool, np.bool_)):
+        return "true" if o else "false"
+    if isinstance(o, (int, np.integer)):
+        return repr(int(o))
+    if isinstance(o, (float, np.floating)):
+        return _float_repr17(float(o))
+    if isinstance(o, np.ndarray):
+        return _encode_array(o, level)
+    # in containers a float leaf, the commonest, skips the recursive call
+    inner = _INDENT * (level + 1)
+    sep = ",\n" + inner
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = []
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            v = _float_repr17(v) if type(v) is float else _encode(v, level + 1)
+            items.append(encode_basestring_ascii(k) + ": " + v)
+        return "{\n" + inner + sep.join(items) + "\n" + _INDENT * level + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_float_repr17(v) if type(v) is float else _encode(v, level + 1) for v in o]
+        return "[\n" + inner + sep.join(items) + "\n" + _INDENT * level + "]"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def dumps_json(obj) -> str:
-    """Serialize to JSON with all floats at 17 significant digits."""
-    return json.dumps(_pyify(obj), cls=_Float17Encoder, indent=2) + "\n"
+    """Serialize to JSON, indented by 2, with all floats at 17 significant
+    digits; numpy scalars and arrays are accepted, and float arrays are
+    written in bulk."""
+    return _encode(obj, 0) + "\n"
 
 
-def _vec_to_json(entries: np.ndarray, field: Field) -> list:
-    """JSON form of a vector, or of a stack of them: numbers, or [re, im]
-    pairs in the complex field."""
+def _vec_to_json(entries: np.ndarray, field: Field) -> np.ndarray:
+    """JSON form of a vector, or of a stack of them, as a float array:
+    numbers, or [re, im] pairs in the complex field."""
     if field is Field.COMPLEX:
-        return np.stack([entries.real, entries.imag], axis=-1).tolist()
-    return entries.tolist()
+        return np.stack([entries.real, entries.imag], axis=-1)
+    return entries
 
 
-def _entry_from_json(e, field: Field, where: str):
-    if field is Field.COMPLEX:
-        if not (isinstance(e, list) and len(e) == 2):
-            raise FrameFileError(f"{where}: expected [re, im] pair, got {e!r}")
-        re, im = e
-        if not isinstance(re, (int, float)) or isinstance(re, bool):
-            raise FrameFileError(f"{where}[0]: expected number, got {re!r}")
-        if not isinstance(im, (int, float)) or isinstance(im, bool):
-            raise FrameFileError(f"{where}[1]: expected number, got {im!r}")
-        return complex(re, im)
+def _entry_error(e, where: str) -> Optional[str]:
+    """Why a parsed JSON leaf is not a finite number, or None if it is."""
     if not isinstance(e, (int, float)) or isinstance(e, bool):
-        raise FrameFileError(f"{where}: expected number, got {e!r}")
-    return float(e)
+        return f"{where}: expected number, got {e!r}"
+    try:
+        finite = math.isfinite(e)
+    except OverflowError:
+        finite = False
+    return None if finite else f"{where}: expected a finite number, got {e!r}"
+
+
+def _bulk_numbers(nested: list, shape: tuple) -> Optional[np.ndarray]:
+    """``nested``, as ``json.loads`` returns it, as a float64 array of
+    ``shape``; None unless every container is a list and every leaf a
+    finite int or float (no bool)."""
+    if not nested:  # np.array([]) has shape (0,), whatever shape is wanted
+        return np.zeros(shape)
+    try:
+        a = np.array(nested, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if a.shape != shape or not np.isfinite(a).all():
+        return None
+    level = nested
+    for _ in range(len(shape) - 1):
+        if not set(map(type, level)) <= {list}:
+            return None
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {int, float}:
+        return None
+    return a
+
+
+def _frame_entries_error(rows: list, dim: int, field: Field, where: str) -> str:
+    """The first entry of a frame's vectors that is not well formed."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            return f"{where}.vectors[{i}]: expected {dim} entries"
+        for j, e in enumerate(row):
+            at = f"{where}.vectors[{i}][{j}]"
+            if field is Field.COMPLEX:
+                if not (isinstance(e, list) and len(e) == 2):
+                    return f"{at}: expected [re, im] pair, got {e!r}"
+                err = _entry_error(e[0], f"{at}[0]") or _entry_error(e[1], f"{at}[1]")
+            else:
+                err = _entry_error(e, at)
+            if err:
+                return err
+    return f"{where}.vectors: malformed entries"
 
 
 def frame_to_dict(F: Frame) -> dict:
@@ -407,17 +477,16 @@ def frame_from_dict(doc: dict, where: str = "frame") -> Frame:
     rows = doc["vectors"]
     if not isinstance(rows, list) or len(rows) != count:
         raise FrameFileError(f"{where}.vectors: expected {count} vectors")
-    vectors = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise FrameFileError(f"{where}.vectors[{i}]: expected {dim} entries")
-        entries = [
-            _entry_from_json(e, field, f"{where}.vectors[{i}][{j}]")
-            for j, e in enumerate(row)
-        ]
-        vectors.append(Vector(np.asarray(entries, dtype=field.dtype), field))
+    shape = (count, dim, 2) if field is Field.COMPLEX else (count, dim)
+    a = _bulk_numbers(rows, shape)
+    if a is None:
+        raise FrameFileError(_frame_entries_error(rows, dim, field, where))
+    if field is Field.COMPLEX:
+        # the bits of each (re, im) pair, signed zeros included
+        a = a.view(np.complex128)[..., 0]
     try:
-        return Frame(tuple(vectors), field, label=str(doc.get("label", "")))
+        vectors = tuple(Vector(row, field) for row in a)
+        return Frame(vectors, field, label=str(doc.get("label", "")))
     except ValueError as e:
         raise FrameFileError(f"{where}: {e}") from e
 
@@ -445,7 +514,7 @@ def write_measurements(path, rows: Sequence[Measurement]) -> None:
     for r in rows:
         if r.count != count:
             raise ValueError("measurement rows must share one count")
-    doc = {"count": count, "values": [list(r.values) for r in rows]}
+    doc = {"count": count, "values": np.stack([r.values for r in rows])}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_json(doc))
 
@@ -466,12 +535,14 @@ def read_measurements(path) -> list:
     if not isinstance(values, list) or not values:
         raise FrameFileError(f"{path}.values: expected a nonempty list")
     rows = values if isinstance(values[0], list) else [values]
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != count:
-            raise FrameFileError(f"{path}.values[{i}]: expected {count} numbers")
-        for j, e in enumerate(row):
-            if not isinstance(e, (int, float)) or isinstance(e, bool):
-                raise FrameFileError(f"{path}.values[{i}][{j}]: expected number, got {e!r}")
-        out.append(Measurement(np.asarray(row, dtype=np.float64)))
-    return out
+    a = _bulk_numbers(rows, (len(rows), count))
+    if a is None:
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != count:
+                raise FrameFileError(f"{path}.values[{i}]: expected {count} numbers")
+            for j, e in enumerate(row):
+                err = _entry_error(e, f"{path}.values[{i}][{j}]")
+                if err:
+                    raise FrameFileError(err)
+        raise FrameFileError(f"{path}.values: malformed entries")
+    return [Measurement(row) for row in a]

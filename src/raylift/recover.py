@@ -64,7 +64,7 @@ class RecoveryReport:
         rep = self.estimate.rep
         doc = {
             "estimate": {"field": rep.field.value, "dim": rep.dim,
-                         "entries": _vec_to_json(rep.entries, rep.field)},
+                         "entries": _vec_to_json(rep.entries, rep.field).tolist()},
             "residual": self.residual,
             "pipeline_stage_norms": dict(self.pipeline_stage_norms),
             "polished": self.polished,

@@ -6,6 +6,10 @@ SVD norms, and dense parameter scans. They are slow and only used at small
 sizes.
 """
 
+import json
+import json.encoder
+import math
+
 import numpy as np
 
 
@@ -103,3 +107,55 @@ def quartic_max_scan(vectors, resolution=20_000, rounds=4):
         step = th[1] - th[0]
         lo, hi = th[i] - step, th[i] + step
     return best
+
+
+def _float_repr17(x):
+    if math.isfinite(x):
+        return format(x, ".17g")
+    raise ValueError(f"non-finite value {x!r} cannot be serialized")
+
+
+class _Float17Encoder(json.JSONEncoder):
+    """The stdlib's pure-Python encoder with floats written at 17
+    significant digits."""
+
+    def iterencode(self, o, _one_shot=False):
+        indent = self.indent
+        if indent is not None and not isinstance(indent, str):
+            indent = " " * indent
+        make = json.encoder._make_iterencode(
+            {},
+            self.default,
+            json.encoder.encode_basestring_ascii,
+            indent,
+            _float_repr17,
+            self.key_separator,
+            self.item_separator,
+            self.sort_keys,
+            self.skipkeys,
+            _one_shot,
+        )
+        return make(o, 0)
+
+
+def _pyify(obj):
+    if isinstance(obj, dict):
+        return {k: _pyify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_pyify(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_pyify(v) for v in obj.tolist()]
+    # bool before int: bool is a subclass of int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+def dumps_json_stdlib(obj):
+    """JSON text of ``obj`` by element-wise conversion to Python scalars and
+    the stdlib encoder: indent 2, floats at 17 significant digits."""
+    return json.dumps(_pyify(obj), cls=_Float17Encoder, indent=2) + "\n"

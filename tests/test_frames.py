@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from raylift import (
     Field,
@@ -24,9 +27,10 @@ from raylift import (
     write_measurements,
 )
 
-from raylift.frames import dumps_json
+from raylift.cli import main as cli_main
+from raylift.frames import _triu_pairs, dumps_json
 
-from oracles import random_hermitian, random_vector
+from oracles import dumps_json_stdlib, random_hermitian, random_vector
 
 
 def _gauss(dim, count, field, seed=0):
@@ -259,7 +263,206 @@ class TestFrameIO:
         assert len(back) == 1 and np.array_equal(back[0].values, [1.0, 2.0])
 
 
+class TestFrameFileErrors:
+    """Malformed entries are named, with the first bad one in row order."""
+
+    def _frame(self, tmp_path, vectors, field="real", dim=2):
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({
+            "field": field, "dim": dim, "count": len(vectors), "vectors": vectors,
+            "label": "",
+        }))
+        return p
+
+    def _meas(self, tmp_path, values, count=3):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"count": count, "values": values}))
+        return p
+
+    @pytest.mark.parametrize("vectors,field,message", [
+        ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]], "complex",
+         r"\.vectors\[1\]\[1\]\[0\]: expected number, got True$"),
+        ([[[1.0, 0.0], [0.0, 0.0, 1.0]], [[0.0, 0.0], [1.0, 0.0]]], "complex",
+         r"\.vectors\[0\]\[1\]: expected \[re, im\] pair, got \[0\.0, 0\.0, 1\.0\]$"),
+        ([[[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0]], "complex",
+         r"\.vectors\[1\]\[0\]: expected \[re, im\] pair, got 1\.0$"),
+        ([[1.0, 0.0], [0.0, 1.0, 2.0]], "real", r"\.vectors\[1\]: expected 2 entries$"),
+        ([[1.0, 0.0], "ab"], "real", r"\.vectors\[1\]: expected 2 entries$"),
+        ([[1.0, None], [0.0, 1.0]], "real", r"\.vectors\[0\]\[1\]: expected number, got None$"),
+        ([[1.0, 0.0], [False, 1.0]], "real", r"\.vectors\[1\]\[0\]: expected number, got False$"),
+    ], ids=["bool-in-pair", "pair-of-3", "number-not-pair", "ragged", "string-row", "null",
+            "bool"])
+    def test_frame_entry_messages(self, tmp_path, vectors, field, message):
+        with pytest.raises(FrameFileError, match=message):
+            read_frame(self._frame(tmp_path, vectors, field))
+
+    @pytest.mark.parametrize("token,field", [
+        ("NaN", "real"), ("Infinity", "real"), ("-Infinity", "complex"), ("NaN", "complex"),
+    ])
+    def test_frame_non_finite_named(self, tmp_path, token, field):
+        one = "[1.0, 0.0]" if field == "complex" else "1.0"
+        bad = f"[{token}, 0.0]" if field == "complex" else token
+        zero = "[0.0, 0.0]" if field == "complex" else "0.0"
+        p = tmp_path / "f.json"
+        p.write_text(f'{{"field": "{field}", "dim": 2, "count": 2, "vectors": '
+                     f'[[{one}, {zero}], [{zero}, {bad}]], "label": ""}}')
+        at = r"vectors\[1\]\[1\]" + (r"\[0\]" if field == "complex" else "")
+        with pytest.raises(FrameFileError, match=at + ": expected a finite number"):
+            read_frame(p)
+
+    def test_frame_int_beyond_float_range_named(self, tmp_path):
+        p = tmp_path / "f.json"
+        p.write_text('{"field": "real", "dim": 2, "count": 2, '
+                     '"vectors": [[1, 0], [0, 1' + "0" * 400 + ']], "label": ""}')
+        with pytest.raises(FrameFileError, match=r"vectors\[1\]\[1\]: expected a finite number"):
+            read_frame(p)
+
+    def test_frame_int_entries_accepted(self, tmp_path, field):
+        if field is Field.COMPLEX:
+            vectors = [[[1, 0], [0, 2]], [[0, -1], [3, 0]], [[1, 1], [1, -1]]]
+            want = [[1, 2j], [-1j, 3], [1 + 1j, 1 - 1j]]
+        else:
+            vectors = [[1, 0], [0, 2], [1, 1]]
+            want = vectors
+        F = read_frame(self._frame(tmp_path, vectors, field.value))
+        assert F.synthesis.dtype == field.dtype
+        assert np.array_equal(F.synthesis, np.asarray(want, dtype=field.dtype))
+
+    def test_complex_signed_zeros_kept(self, tmp_path):
+        F = read_frame(self._frame(tmp_path, [[[-0.0, -0.0], [1.0, 0.0]],
+                                              [[0.0, 1.0], [-0.0, 2.0]]], "complex"))
+        signs = np.signbit(np.stack([F.synthesis.real, F.synthesis.imag], axis=-1))
+        assert signs.tolist() == [[[True, True], [False, False]],
+                                  [[False, False], [True, False]]]
+
+    def test_empty_vectors_message(self, tmp_path):
+        with pytest.raises(FrameFileError, match=r"f\.json: frame needs at least one vector$"):
+            read_frame(self._frame(tmp_path, []))
+
+    def test_zero_dim_rejected(self, tmp_path):
+        with pytest.raises(FrameFileError, match="at least one entry"):
+            read_frame(self._frame(tmp_path, [[], []], dim=0))
+
+    @pytest.mark.parametrize("values,message", [
+        ([[1.0, True, 2.0]], r"\.values\[0\]\[1\]: expected number, got True$"),
+        ([[1.0, 2.0, 3.0], [1.0, 2.0]], r"\.values\[1\]: expected 3 numbers$"),
+        ([[1.0, 2.0, 3.0], 4.0], r"\.values\[1\]: expected 3 numbers$"),
+        ([1.0, "2", 3.0], r"\.values\[0\]\[1\]: expected number, got '2'$"),
+        ([[1.0, 2.0, [3.0]]], r"\.values\[0\]\[2\]: expected number, got \[3\.0\]$"),
+    ], ids=["bool", "ragged", "number-row", "string", "nested"])
+    def test_measurement_entry_messages(self, tmp_path, values, message):
+        with pytest.raises(FrameFileError, match=message):
+            read_measurements(self._meas(tmp_path, values))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_measurement_non_finite_named(self, tmp_path, token):
+        p = tmp_path / "m.json"
+        p.write_text(f'{{"count": 3, "values": [[1.0, 2.0, 3.0], [4.0, {token}, 6.0]]}}')
+        with pytest.raises(FrameFileError,
+                           match=r"values\[1\]\[1\]: expected a finite number, got -?(nan|inf)"):
+            read_measurements(p)
+
+    def test_measurement_int_entries_accepted(self, tmp_path):
+        back = read_measurements(self._meas(tmp_path, [[1, 2, 3], [4.5, -6, 0]]))
+        assert [r.values.tolist() for r in back] == [[1.0, 2.0, 3.0], [4.5, -6.0, 0.0]]
+        assert all(r.values.dtype == np.float64 for r in back)
+
+    @pytest.mark.parametrize("command", ["check", "reconstruct"])
+    def test_cli_non_finite_frame_exits_io(self, tmp_path, capsys, command):
+        p = tmp_path / "f.json"
+        write_frame(p, _gauss(2, 4, Field.REAL, seed=3))
+        text = p.read_text()
+        p.write_text(text.replace(format(json.loads(text)["vectors"][1][0], ".17g"), "NaN", 1))
+        write_measurements(tmp_path / "c.json", [Measurement(np.ones(4))])
+        if command == "check":
+            argv = ["check", "--frame", str(p), "--report", str(tmp_path / "r.json")]
+        else:
+            argv = ["reconstruct", "--frame", str(p), "--measurements",
+                    str(tmp_path / "c.json"), "--out", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{command}: {p}.vectors[1][0]: expected a finite number, got nan" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_cli_non_finite_measurement_exits_io(self, tmp_path, capsys):
+        write_frame(tmp_path / "f.json", _gauss(2, 4, Field.REAL, seed=3))
+        c = tmp_path / "c.json"
+        c.write_text('{"count": 4, "values": [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, Infinity, 4.0]]}')
+        argv = ["reconstruct", "--frame", str(tmp_path / "f.json"), "--measurements", str(c),
+                "--out", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"reconstruct: {c}.values[1][2]: expected a finite number, got inf" in err
+        assert not (tmp_path / "r.json").exists()
+
+
+class TestTriuPairs:
+    def test_cached_read_only_and_equal(self):
+        for n in (1, 2, 5):
+            iu, ju = _triu_pairs(n)
+            want_i, want_j = np.triu_indices(n, 1)
+            assert np.array_equal(iu, want_i) and np.array_equal(ju, want_j)
+            assert not iu.flags.writeable and not ju.flags.writeable
+            assert _triu_pairs(n)[0] is iu
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3])
+_shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
+_leaves = (
+    st.text()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=2**80)
+    | st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64)
+    | st.booleans()
+    | st.booleans().map(np.bool_)
+    | st.none()
+    | _finite
+    | _finite.map(np.float64)
+    | hnp.arrays(np.float64, _shapes, elements=_finite)
+    | hnp.arrays(np.float64, st.sampled_from([(1,), (1, 1), (3, 1), (1, 3, 1), (2, 0, 3)]),
+                 elements=_finite)
+    | hnp.arrays(np.int64, _shapes)
+)
+_json_docs = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
 class TestDumpsJson:
+    @given(_json_docs)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stdlib_oracle(self, doc):
+        assert dumps_json(doc) == dumps_json_stdlib(doc)
+
+    def test_matches_oracle_on_edge_values(self):
+        doc = {"s": "\u00e9\x00\n\"\\\u2028\U0001f600", "big": [2**64, -(2**70)],
+               "f": [-0.0, 5e-324, 1e308, 1.5, np.float64(0.1)], "i": np.int64(-7),
+               "b": [True, np.bool_(False)], "n": None, "t": (1, (2.5, "x")), "e": [[], {}],
+               "a": np.arange(6.0).reshape(1, 2, 3), "z": np.zeros((2, 0)),
+               "ai": np.arange(4).reshape(2, 2), "c": Field.COMPLEX, "\u00fc": np.float32(0.1)}
+        assert dumps_json(doc) == dumps_json_stdlib(doc)
+        for scalar in (1.5, "x", None, True, np.zeros(3), np.zeros(0)):
+            assert dumps_json(scalar) == dumps_json_stdlib(scalar)
+
+    @pytest.mark.parametrize("bad", [
+        math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf"),
+        np.array([1.0, math.nan]), np.array([[0.0, 1.0], [-math.inf, 2.0]]),
+        [1.0, [2.0, math.inf]], {"a": np.array([[[0.0, math.nan]]])},
+    ])
+    def test_non_finite_raises(self, bad):
+        with pytest.raises(ValueError, match="non-finite value"):
+            dumps_json(bad)
+
+    @pytest.mark.parametrize("bad", [object(), 1j, np.array([1j]), {1: 2.0}, {"a": {3}}])
+    def test_unsupported_raises_type_error(self, bad):
+        with pytest.raises(TypeError):
+            dumps_json(bad)
+
     def test_bools_stay_bools(self):
         doc = json.loads(dumps_json({"a": True, "b": np.bool_(False), "c": [1, np.int64(2)]}))
         assert doc["a"] is True and doc["b"] is False

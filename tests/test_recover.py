@@ -131,6 +131,21 @@ class TestRecover:
         assert row["polished"] is (mode == "on")
         assert ("polish" in row) is (mode == "on")
 
+    @pytest.mark.parametrize("n,m,warned", [(4, 7, True), (4, 10, False)])
+    def test_reconstruct_warns_when_not_left_inverse(self, tmp_path, capsys, n, m, warned):
+        # real n=4, m=7: the lifted map is 7 x 10, so rank 7 of 10 columns
+        F = _gauss(n, m, Field.REAL, seed=0)
+        write_frame(tmp_path / "f.json", F)
+        write_measurements(tmp_path / "c.json", [measure(F, vec(np.arange(1.0, n + 1)))])
+        out = tmp_path / "out.json"
+        argv = ["reconstruct", "--frame", str(tmp_path / "f.json"), "--measurements",
+                str(tmp_path / "c.json"), "--out", str(out)]
+        assert cli_main(argv) == 0
+        err = capsys.readouterr().err
+        assert ("rank 7 of 10 columns" in err) is warned
+        assert ("not a left inverse" in err) is warned
+        assert json.loads(out.read_text())["rows"][0]["residual"] >= 0
+
     def test_one_eigh_per_row(self, monkeypatch, field):
         F = _gauss(4, 20, field, seed=15)
         M = build_lifted_map(F)
