@@ -12,13 +12,13 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Field, SymOp, Vector, _freeze
+from .core import Field, SymOp, Vector, _as_field_array, _freeze
 
 __all__ = [
     "Frame",
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _SPAN_TOL = 1e-10
+_PINV_TOL = 1e-10
 
 NAMED_FRAMES = {
     # phase retrievable in R^2 (full spark, m = 3 = 2n - 1)
@@ -53,32 +54,24 @@ class FrameFileError(ValueError):
 
 @dataclass(frozen=True)
 class Frame:
-    """An ordered spanning set of the n-dimensional Hilbert space."""
+    """An ordered spanning set of the n-dimensional Hilbert space, held as its
+    m x n synthesis matrix: row k is the frame vector f_k."""
 
-    vectors: tuple
+    synthesis: np.ndarray
     field: Field
     label: str = ""
 
     def __post_init__(self):
-        if not self.vectors:
+        a = _as_field_array(self.synthesis, self.field, 2, "frame")
+        count, dim = a.shape
+        if count == 0:
             raise ValueError("frame needs at least one vector")
-        vs = tuple(self.vectors)
-        dim = vs[0].dim
-        for v in vs:
-            if not isinstance(v, Vector):
-                raise TypeError("frame vectors must be Vector instances")
-            if v.field is not self.field:
-                raise ValueError("frame vector field tag mismatch")
-            if v.dim != dim:
-                raise ValueError("frame vectors must share one dimension")
         if dim == 0:
             raise ValueError("frame vectors must have at least one entry")
-        if len(vs) < dim:
-            raise ValueError(
-                f"frame needs count >= dim, got m={len(vs)} < n={dim}"
-            )
-        object.__setattr__(self, "vectors", vs)
-        s = np.linalg.svd(self.synthesis, compute_uv=False)
+        if count < dim:
+            raise ValueError(f"frame needs count >= dim, got m={count} < n={dim}")
+        object.__setattr__(self, "synthesis", _freeze(a))
+        s = self.singular_values()
         if s[-1] <= _SPAN_TOL * s[0]:
             raise ValueError(
                 f"frame does not span: singular values range [{s[-1]:.3e}, {s[0]:.3e}]"
@@ -86,19 +79,22 @@ class Frame:
 
     @property
     def dim(self) -> int:
-        return self.vectors[0].dim
+        return self.synthesis.shape[1]
 
     @property
     def count(self) -> int:
-        return len(self.vectors)
-
-    @cached_property
-    def synthesis(self) -> np.ndarray:
-        """m x n matrix whose rows are the frame vectors."""
-        return _freeze(np.stack([v.entries for v in self.vectors]))
+        return self.synthesis.shape[0]
 
     def singular_values(self) -> np.ndarray:
         return np.linalg.svd(self.synthesis, compute_uv=False)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Frame)
+            and self.field is other.field
+            and self.label == other.label
+            and bool(np.array_equal(self.synthesis, other.synthesis))
+        )
 
 
 @dataclass(frozen=True)
@@ -145,14 +141,6 @@ def amplitudes(F: Frame, x: Vector) -> Measurement:
 
 def _sym_dim(n: int, field: Field) -> int:
     return n * (n + 1) // 2 if field is Field.REAL else n * n
-
-
-def _sym_basis_tags(n: int, field: Field) -> tuple:
-    tags = [("diag", i, i) for i in range(n)]
-    tags += [("sym", i, j) for i in range(n) for j in range(i + 1, n)]
-    if field is Field.COMPLEX:
-        tags += [("skew", i, j) for i in range(n) for j in range(i + 1, n)]
-    return tuple(tags)
 
 
 @lru_cache(maxsize=64)
@@ -206,8 +194,6 @@ class LiftedMap:
     matrix: np.ndarray
     dim: int
     field: Field
-    basis: tuple
-    pinv_tol: float
     rank: int
     _svd_u: np.ndarray
     _svd_s: np.ndarray
@@ -238,28 +224,22 @@ class LiftedMap:
             raise ValueError("operator does not match the lifted map's space")
         return self.matrix @ sym_coords(T.entries, self.field)
 
-    def pinv_matrix(self) -> np.ndarray:
-        r = self.rank
-        return (self._svd_vt[:r].T / self._svd_s[:r]) @ self._svd_u[:, :r].T
 
-
-def build_lifted_map(F: Frame, pinv_tol: float = 1e-10) -> LiftedMap:
+def build_lifted_map(F: Frame) -> LiftedMap:
     """Assemble the measurement matrix on lifted operators for a frame.
 
     Row k holds the basis coordinates of the rank-one functional of f_k; the
-    numerical rank uses ``pinv_tol`` relative to the top singular value.
+    numerical rank counts singular values above ``_PINV_TOL`` times the top.
     """
     fs = F.synthesis
     outers = np.einsum("ki,kj->kij", fs, fs.conj())
     rows = sym_coords(outers, F.field)
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > pinv_tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > _PINV_TOL * s[0])) if s.size else 0
     return LiftedMap(
         matrix=_freeze(rows),
         dim=F.dim,
         field=F.field,
-        basis=_sym_basis_tags(F.dim, F.field),
-        pinv_tol=float(pinv_tol),
         rank=rank,
         _svd_u=_freeze(u),
         _svd_s=_freeze(s),
@@ -304,8 +284,7 @@ def gen_frame(
             raise ValueError(f"named frame {name} has dim {len(rows[0])}, requested {dim}")
         if count is not None and count != len(rows):
             raise ValueError(f"named frame {name} has count {len(rows)}, requested {count}")
-        vs = tuple(Vector(np.asarray(r, dtype=field.dtype), field) for r in rows)
-        return Frame(vs, field, label=name)
+        return Frame(np.asarray(rows, dtype=field.dtype), field, label=name)
     if kind == "random_gaussian":
         if count < dim:
             raise ValueError(f"need count >= dim, got m={count} < n={dim}")
@@ -313,8 +292,7 @@ def gen_frame(
         a = rng.standard_normal((count, dim))
         if field is Field.COMPLEX:
             a = a + 1j * rng.standard_normal((count, dim))
-        vs = tuple(Vector(row, field) for row in a)
-        return Frame(vs, field, label=f"gaussian-n{dim}-m{count}-{field.value}-seed{seed}")
+        return Frame(a, field, label=f"gaussian-n{dim}-m{count}-{field.value}-seed{seed}")
     raise ValueError(f"unknown frame kind {kind!r}")
 
 
@@ -472,7 +450,8 @@ def frame_from_dict(doc: dict, where: str = "frame") -> Frame:
     except ValueError:
         raise FrameFileError(f"{where}.field: expected 'real' or 'complex', got {doc['field']!r}")
     dim, count = doc["dim"], doc["count"]
-    if not isinstance(dim, int) or not isinstance(count, int):
+    # type, not isinstance: JSON true and false parse to bool, a subclass of int
+    if type(dim) is not int or type(count) is not int:
         raise FrameFileError(f"{where}: dim and count must be integers")
     rows = doc["vectors"]
     if not isinstance(rows, list) or len(rows) != count:
@@ -485,8 +464,7 @@ def frame_from_dict(doc: dict, where: str = "frame") -> Frame:
         # the bits of each (re, im) pair, signed zeros included
         a = a.view(np.complex128)[..., 0]
     try:
-        vectors = tuple(Vector(row, field) for row in a)
-        return Frame(vectors, field, label=str(doc.get("label", "")))
+        return Frame(a, field, label=str(doc.get("label", "")))
     except ValueError as e:
         raise FrameFileError(f"{where}: {e}") from e
 
@@ -530,7 +508,7 @@ def read_measurements(path) -> list:
     if not isinstance(doc, dict) or "count" not in doc or "values" not in doc:
         raise FrameFileError(f"{path}: expected object with keys 'count' and 'values'")
     count, values = doc["count"], doc["values"]
-    if not isinstance(count, int):
+    if type(count) is not int:  # not isinstance: that admits bool
         raise FrameFileError(f"{path}.count: expected integer, got {count!r}")
     if not isinstance(values, list) or not values:
         raise FrameFileError(f"{path}.values: expected a nonempty list")

@@ -8,15 +8,15 @@ of
     Q(u, v) = sum_k |Re(<u, f_k> conj(<v, f_k>))|^2
 
 divided by ||u||^2 ||v||^2 - Im(<u, v>)^2. A frame is phase retrievable iff
-that minimum is positive. The minimum is found by multistart alternating
-exact block minimization: for fixed u the objective is a quadratic form in
-the real coordinates of v, so the optimal v is a (generalized) smallest
-eigenvector. Block alternation stalls on flat valleys and at block-optimal
-saddles, so the best three candidates are refined jointly by L-BFGS-B on the
-ratio with its analytic gradient in the packed real coordinates of (u, v);
-the objective is divided by its start value, which makes the stopping rules
-independent of the frame's scale. n = 2 real frames additionally get an
-exhaustive angle-grid oracle.
+that minimum is positive. Each seeded start u0 takes one alternation of exact
+block minimization (for fixed u the objective is a quadratic form in the real
+coordinates of v, so the best partner v is a generalized smallest
+eigenvector): u0's best partner v, then v's best partner u. That screens the
+starts without converging; the best three candidates are refined jointly by
+L-BFGS-B on the ratio with its analytic gradient in the packed real
+coordinates of (u, v); the objective is divided by its start value, which
+makes the stopping rules independent of the frame's scale. n = 2 real frames
+additionally get an exhaustive angle-grid oracle.
 
 The upper stability constant has a closed form: it is the maximum over unit
 u of sum_k |<u, f_k>|^4, found by a batched multistart fixed-point ascent,
@@ -61,10 +61,11 @@ class LowerLipEstimate:
 
     The value is an upper bound on the true constant (it is a minimum over
     explored points); method="grid" marks values cross-checked against the
-    exhaustive n=2 angle grid. ``kept_starts`` counts the multistarts that did
-    not degenerate; the ``refine_*`` fields sum the gradient refinement's
-    iterations and objective evaluations over the refined candidates and say
-    whether every one of them met its stopping rule.
+    exhaustive n=2 angle grid. ``kept_starts`` counts the multistarts whose
+    one block alternation did not degenerate; the ``refine_*`` fields sum the
+    gradient refinement's iterations and objective evaluations over the
+    refined candidates and say whether every one of them met its stopping
+    rule.
     """
 
     value: float
@@ -151,18 +152,12 @@ def _best_partner_complex(F: Frame, u: np.ndarray):
     return float(vals[0]), v
 
 
-def _alternating_min(F: Frame, u0: np.ndarray, iters: int = 200, tol: float = 1e-15):
-    u = u0 / np.linalg.norm(u0)
+def _alternating_min(F: Frame, u0: np.ndarray):
+    """One alternation of exact block minimization from u0: the best partner
+    v of u0, then the best partner u of v. Returns (value, u, v)."""
     step = _best_partner_real if F.field is Field.REAL else _best_partner_complex
-    val = math.inf
-    v = None
-    for _ in range(iters):
-        _, v = step(F, u)
-        new_val, u = step(F, v)
-        if val - new_val <= tol * max(1.0, abs(val)):
-            val = new_val
-            break
-        val = new_val
+    _, v = step(F, u0 / np.linalg.norm(u0))
+    val, u = step(F, v)
     return val, u, v
 
 
@@ -247,7 +242,7 @@ def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
     return (value, uu / np.linalg.norm(uu), vv / np.linalg.norm(vv)) + stats
 
 
-def grid_lower_lip(F: Frame, resolution: int = 2048, refine: bool = True):
+def grid_lower_lip(F: Frame, resolution: int = 2048):
     """Exhaustive angle-grid oracle for n = 2 real frames: evaluates the
     stability objective on all angle pairs and locally polishes the best one.
     Returns (value, u, v)."""
@@ -261,34 +256,35 @@ def grid_lower_lip(F: Frame, resolution: int = 2048, refine: bool = True):
     i, j = np.unravel_index(int(np.argmin(Q)), Q.shape)
     best = float(Q[i, j])
     ti, tj = float(th[i]), float(th[j])
-    if refine:
-        def angle_obj(ab):
-            uu = np.array([math.cos(ab[0]), math.sin(ab[0])])
-            vv = np.array([math.cos(ab[1]), math.sin(ab[1])])
-            return lower_lip_objective(F, uu, vv)[0]
 
-        # start the simplex at grid-step scale so the polish stays in the
-        # basin the exhaustive scan located
-        step = 2 * np.pi / resolution
-        x0 = np.array([ti, tj])
-        simplex = np.array([x0, x0 + [step, 0.0], x0 + [0.0, step]])
-        res = optimize.minimize(
-            angle_obj, x0, method="Nelder-Mead",
-            options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": 4000,
-                     "initial_simplex": simplex},
-        )
-        if res.fun <= best:
-            best = float(res.fun)
-            ti, tj = float(res.x[0]), float(res.x[1])
+    def angle_obj(ab):
+        uu = np.array([math.cos(ab[0]), math.sin(ab[0])])
+        vv = np.array([math.cos(ab[1]), math.sin(ab[1])])
+        return lower_lip_objective(F, uu, vv)[0]
+
+    # start the simplex at grid-step scale so the polish stays in the
+    # basin the exhaustive scan located
+    step = 2 * np.pi / resolution
+    x0 = np.array([ti, tj])
+    simplex = np.array([x0, x0 + [step, 0.0], x0 + [0.0, step]])
+    res = optimize.minimize(
+        angle_obj, x0, method="Nelder-Mead",
+        options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": 4000,
+                 "initial_simplex": simplex},
+    )
+    if res.fun <= best:
+        best = float(res.fun)
+        ti, tj = float(res.x[0]), float(res.x[1])
     u = np.array([math.cos(ti), math.sin(ti)])
     v = np.array([math.cos(tj), math.sin(tj)])
     return best, u, v
 
 
 def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEstimate:
-    """Estimate the frame's lower stability constant by multistart local
-    minimization; n = 2 real frames are cross-checked against the exhaustive
-    grid oracle (the two must agree to 1e-6)."""
+    """Estimate the frame's lower stability constant: one block alternation
+    from each of ``starts`` seeded starts, then L-BFGS-B refinement of the
+    three best pairs; n = 2 real frames are cross-checked against the
+    exhaustive grid oracle (the two must agree to 1e-6)."""
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
     rdim = F.dim if F.field is Field.REAL else 2 * F.dim
@@ -297,7 +293,7 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
         rng = np.random.default_rng([seed, s])
         u0 = rng.standard_normal(rdim)
         u0 = u0 if F.field is Field.REAL else _to_complex(u0)
-        val, u, v = _alternating_min(F, u0)
+        _, u, v = _alternating_min(F, u0)
         _, den = lower_lip_objective(F, u, v)
         if den <= _DEN_CUTOFF:
             continue
@@ -524,6 +520,9 @@ def probe_bilipschitz(F: Frame, samples: int = 10_000, seed: int = 0) -> dict:
 
 # --- certified ball-intersection counterexamples --------------------------------
 
+_MAX_LEVELS = 60  # bisection levels before the certifier gives up
+
+
 def certify_min_above(
     eval_batch: Callable[[np.ndarray], np.ndarray],
     lip_batch: Callable[[np.ndarray, float], np.ndarray],
@@ -532,7 +531,6 @@ def certify_min_above(
     init_spacing: float,
     target: float,
     descend: Optional[Callable[[np.ndarray], tuple]] = None,
-    max_levels: int = 60,
 ):
     """Decide whether min over the box of a Lipschitz objective exceeds
     ``target``.
@@ -561,7 +559,7 @@ def certify_min_above(
     offsets = np.stack(np.meshgrid(*([np.array([-0.5, 0.5])] * d), indexing="ij"),
                        axis=-1).reshape(-1, d)
     best_val, best_pt = math.inf, None
-    for _ in range(max_levels):
+    for _ in range(_MAX_LEVELS):
         vals = eval_batch(centers)
         i = int(np.argmin(vals))
         if vals[i] < best_val:

@@ -74,13 +74,15 @@ class RecoveryReport:
         return doc
 
 
+_POLISH_ITERS = 200  # the descent's iteration cap, as in recover(do_polish=True)
+
+
 def recover(
     F: Frame,
     c: Union[Measurement, np.ndarray],
     group_tol: Optional[float] = None,
     lifted: Optional[LiftedMap] = None,
     do_polish: bool = False,
-    polish_iters: int = 200,
 ) -> RecoveryReport:
     """Invert a measurement vector to a ray estimate.
 
@@ -109,7 +111,7 @@ def recover(
     }
     stats = None
     if do_polish:
-        est, stats = _polish(F, c, est, polish_iters)
+        est, stats = _polish(F, c, est, _POLISH_ITERS)
     residual = float(np.linalg.norm(measure(F, est.rep).values - c.values))
     return RecoveryReport(
         estimate=est,
@@ -234,7 +236,7 @@ def polish(
     F: Frame,
     c: Union[Measurement, np.ndarray],
     x0: RayPoint,
-    iters: int = 200,
+    iters: int = _POLISH_ITERS,
 ) -> RayPoint:
     """Refine a ray estimate by gradient descent on the squared measurement
     residual h(x) = sum_k (|<x, f_k>|^2 - c_k)^2 (Wirtinger gradient in the

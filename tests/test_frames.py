@@ -39,19 +39,67 @@ def _gauss(dim, count, field, seed=0):
 
 class TestFrameType:
     def test_count_below_dim_rejected(self):
-        vs = (vec([1.0, 0.0]),)
-        with pytest.raises(ValueError):
-            Frame(vs, Field.REAL)
+        with pytest.raises(ValueError, match=r"^frame needs count >= dim, got m=1 < n=2$"):
+            Frame([[1.0, 0.0]], Field.REAL)
 
     def test_non_spanning_rejected(self):
-        vs = (vec([1.0, 0.0]), vec([2.0, 0.0]))
-        with pytest.raises(ValueError):
-            Frame(vs, Field.REAL)
+        with pytest.raises(ValueError, match=r"^frame does not span"):
+            Frame([[1.0, 0.0], [2.0, 0.0]], Field.REAL)
 
     def test_field_mismatch_rejected(self):
-        vs = (vec([1.0, 0.0]), vec(np.array([0.0 + 0j, 1.0])))
+        with pytest.raises(ValueError, match=r"^frame tagged real but has nonzero imaginary part$"):
+            Frame([[1.0, 0.0], [1j, 1.0]], Field.REAL)
+
+    @pytest.mark.parametrize("data,field,message", [
+        ([[1.0, np.nan], [0.0, 1.0]], Field.REAL, r"^frame has non-finite entries$"),
+        ([[1.0, 0.0], [np.inf * 1j, 1.0]], Field.COMPLEX, r"^frame has non-finite entries$"),
+        ([1.0, 0.0], Field.REAL, r"^frame must be 2-dimensional, got shape \(2,\)$"),
+        (np.zeros((0, 2)), Field.REAL, r"^frame needs at least one vector$"),
+        (np.zeros((2, 0)), Field.COMPLEX, r"^frame vectors must have at least one entry$"),
+    ], ids=["nan", "inf", "1-d", "m=0", "n=0"])
+    def test_bulk_rejections(self, data, field, message):
+        with pytest.raises(ValueError, match=message):
+            Frame(data, field)
+
+    def test_synthesis_read_only_and_not_aliased(self):
+        a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        F = Frame(a, Field.REAL)
+        assert not F.synthesis.flags.writeable
         with pytest.raises(ValueError):
-            Frame(vs, Field.REAL)
+            F.synthesis[0, 0] = 2.0
+        assert not np.shares_memory(F.synthesis, a)
+        a[0, 0] = 5.0
+        assert F.synthesis[0, 0] == 1.0
+
+    def test_equality(self, tmp_path, field):
+        F = _gauss(3, 7, field, seed=12)
+        write_frame(tmp_path / "f.json", F)
+        assert read_frame(tmp_path / "f.json") == F
+        assert F != Frame(2 * F.synthesis, field, label=F.label)
+        assert F != Frame(F.synthesis, field, label="other")
+        assert F != F.synthesis
+        R = gen_frame("named", 2, 3, name="r2_pr3")
+        assert R != Frame(R.synthesis, Field.COMPLEX, label=R.label)
+
+    def test_no_vector_objects_built(self, tmp_path, monkeypatch, field):
+        """The frame is validated and stored as one array: reading or
+        generating it builds no per-vector Vector objects."""
+        F = _gauss(3, 9, field, seed=2)
+        write_frame(tmp_path / "f.json", F)
+        built = []
+        post_init = Vector.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Vector, "__post_init__", counting)
+        assert read_frame(tmp_path / "f.json") == F
+        assert _gauss(3, 9, field, seed=2) == F
+        gen_frame("named", 2, 3, name="r2_pr3")
+        assert built == []
+        vec([1.0, 2.0])
+        assert len(built) == 1
 
 
 class TestMeasure:
@@ -108,7 +156,7 @@ class TestLiftedMap:
             T = SymOp(random_hermitian(rng, 4, field is Field.COMPLEX), field)
             got = M.apply(T)
             want = np.array([
-                np.vdot(f.entries, T.entries @ f.entries).real for f in F.vectors
+                np.vdot(f, T.entries @ f).real for f in F.synthesis
             ])
             assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -382,6 +430,45 @@ class TestFrameFileErrors:
         assert cli_main(argv) == 3
         err = capsys.readouterr().err
         assert f"{command}: {p}.vectors[1][0]: expected a finite number, got nan" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key", ["dim", "count"])
+    def test_bool_dim_or_count_rejected(self, tmp_path, key):
+        p = tmp_path / "f.json"
+        doc = {"field": "real", "dim": 1, "count": 1, "vectors": [[1.0]], "label": ""}
+        doc[key] = True
+        p.write_text(json.dumps(doc))
+        with pytest.raises(FrameFileError, match=r"f\.json: dim and count must be integers$"):
+            read_frame(p)
+
+    def test_bool_measurement_count_rejected(self, tmp_path):
+        with pytest.raises(FrameFileError, match=r"m\.json\.count: expected integer, got True$"):
+            read_measurements(self._meas(tmp_path, [[1.0]], count=True))
+
+    @pytest.mark.parametrize("command,bad", [
+        ("check", "frame"), ("reconstruct", "frame"), ("reconstruct", "measurements"),
+    ])
+    def test_cli_bool_dim_or_count_exits_io(self, tmp_path, capsys, command, bad):
+        f = tmp_path / "f.json"
+        c = tmp_path / "c.json"
+        if bad == "frame":
+            f.write_text(json.dumps({"field": "real", "dim": True, "count": 1,
+                                     "vectors": [[1.0]], "label": ""}))
+            write_measurements(c, [Measurement(np.ones(1))])
+        else:
+            write_frame(f, gen_frame("named", 2, 3, name="r2_pr3"))
+            c.write_text('{"count": true, "values": [[1.0]]}')
+        if command == "check":
+            argv = ["check", "--frame", str(f), "--report", str(tmp_path / "r.json")]
+        else:
+            argv = ["reconstruct", "--frame", str(f), "--measurements", str(c),
+                    "--out", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        if bad == "frame":
+            assert f"{command}: {f}: dim and count must be integers" in err
+        else:
+            assert f"{command}: {c}.count: expected integer, got True" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_cli_non_finite_measurement_exits_io(self, tmp_path, capsys):

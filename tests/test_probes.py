@@ -8,7 +8,6 @@ import pytest
 from raylift import (
     Field,
     Frame,
-    Vector,
     build_lifted_map,
     estimate_lower_lip,
     estimate_upper_lip,
@@ -87,19 +86,14 @@ class TestLowerLip:
         rng = np.random.default_rng(7)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u, _ = np.linalg.qr(g)
-        G = Frame(
-            tuple(Vector(u @ v.entries, Field.COMPLEX) for v in F.vectors),
-            Field.COMPLEX,
-        )
+        G = Frame(F.synthesis @ u.T, Field.COMPLEX)
         a = estimate_lower_lip(F, starts=32).value
         b = estimate_lower_lip(G, starts=32).value
         assert abs(a - b) <= 1e-6 * max(1.0, a)
 
     def test_scaling_quartic(self, field):
         F = gen_frame("random_gaussian", 3, 9, field, seed=5)
-        G = Frame(
-            tuple(Vector(2.0 * v.entries, field) for v in F.vectors), field
-        )
+        G = Frame(2.0 * F.synthesis, field)
         a = estimate_lower_lip(F, starts=32).value
         b = estimate_lower_lip(G, starts=32).value
         assert b == pytest.approx(16 * a, rel=1e-6)
@@ -166,8 +160,7 @@ class TestLowerLipRefinement:
 
     def test_scale_covariance_n8(self):
         F = gen_frame("random_gaussian", 8, 72, Field.COMPLEX, seed=4)
-        G = Frame(tuple(Vector(2.0 * v.entries, Field.COMPLEX) for v in F.vectors),
-                  Field.COMPLEX)
+        G = Frame(2.0 * F.synthesis, Field.COMPLEX)
         a = estimate_lower_lip(F, seed=1).value
         b = estimate_lower_lip(G, seed=1).value
         assert b == pytest.approx(16 * a, rel=1e-9)
@@ -188,6 +181,28 @@ class TestLowerLipRefinement:
         est = estimate_lower_lip(F, starts=starts, seed=seed)
         assert est.value <= best * (1 + 1e-12)
 
+    def test_one_alternation_per_start(self, monkeypatch, field):
+        """Each start takes exactly one block alternation: two best-partner
+        solves, the second from the first's partner."""
+        F = gen_frame("random_gaussian", 3, 9, field, seed=2)
+        name = "_best_partner_real" if field is Field.REAL else "_best_partner_complex"
+        solve = getattr(probes_mod, name)
+        calls = []
+
+        def counting(F, u):
+            calls.append(u)
+            return solve(F, u)
+
+        monkeypatch.setattr(probes_mod, name, counting)
+        u0 = np.arange(1.0, 4.0) if field is Field.REAL else np.array([1.0, 2j, 3.0])
+        val, u, v = _alternating_min(F, u0)
+        assert len(calls) == 2
+        assert np.allclose(calls[0], u0 / np.linalg.norm(u0)) and calls[1] is v
+        want_val, want_u = solve(F, v)
+        assert val == want_val and np.array_equal(u, want_u)
+        estimate_lower_lip(F, starts=5, seed=0)
+        assert len(calls) == 2 + 2 * 5
+
     def test_search_diagnostics(self, field):
         F = gen_frame("random_gaussian", 3, 9, field, seed=2)
         est = estimate_lower_lip(F, starts=16, seed=0)
@@ -206,7 +221,7 @@ class TestLowerLipRefinement:
 class TestUpperLipExact:
     def test_pr3_matches_angle_scan(self):
         F = _pr3()
-        want = quartic_max_scan([v.entries for v in F.vectors])
+        want = quartic_max_scan(F.synthesis)
         assert estimate_upper_lip(F, samples=100, seed=0) == pytest.approx(want, rel=1e-9)
 
     def test_ceiling_is_lifted_sigma_max_squared(self, field):

@@ -47,7 +47,7 @@ def _pr_frame_r2():
     extra = _gauss(2, 3, Field.REAL, seed=21)
     from raylift import Frame
 
-    return Frame(base.vectors + extra.vectors, Field.REAL, label="r2_pr3+3")
+    return Frame(np.vstack([base.synthesis, extra.synthesis]), Field.REAL, label="r2_pr3+3")
 
 
 class TestRecover:

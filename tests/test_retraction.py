@@ -17,7 +17,7 @@ from raylift import (
     vec,
 )
 from raylift.core import _schatten_batch
-from raylift.retraction import _carriers, _retract_stack
+from raylift.retraction import _carriers, _max_ratio_for_stacks, _retract_stack
 
 from oracles import random_hermitian, random_vector
 
@@ -125,6 +125,16 @@ class TestBatch:
                 assert abs(coef[k] - want_coef) <= 1e-12 * scale
                 assert int(top[k].sum()) == sd.multiplicities[0]
                 assert np.max(np.abs(carriers[k] - want)) <= 1e-12 * scale
+
+    def test_ratio_is_one_row_of_the_stack_kernel(self, rng, field):
+        cplx = field is Field.COMPLEX
+        a = np.stack([random_hermitian(rng, 4, cplx) for _ in range(30)])
+        b = np.stack([random_hermitian(rng, 4, cplx) for _ in range(30)])
+        if not cplx:
+            a, b = a.real, b.real
+        for p in (1, 2, math.inf):
+            rows = [retraction_ratio(SymOp(x, field), SymOp(y, field), p) for x, y in zip(a, b)]
+            assert _max_ratio_for_stacks(a, b, p) == max(rows)
 
     def test_probe_small_run_no_violations(self):
         res = retraction_probe(
