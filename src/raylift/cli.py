@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import Field, Vector, symop
+from .core import Field, Vector, _check_order, _gaussian, symop
 from .frames import (
     Frame,
     FrameFileError,
@@ -56,12 +56,12 @@ EXIT_VIOLATION = 5
 
 
 def _parse_order(text: str) -> float:
-    if text in ("inf", "Inf", "INF"):
-        return math.inf
+    """A norm order: a number >= 1, or 'inf'."""
     try:
         val = float(text)
+        _check_order(val)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number or 'inf', got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a number >= 1 or 'inf', got {text!r}")
     return val
 
 
@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="empirical Lipschitz probes and certifications")
     p.add_argument("--what", choices=["pi", "omega", "bilipschitz", "property-k"], required=True)
     p.add_argument("--p", type=_parse_order, default=math.inf)
-    p.add_argument("--q", type=_parse_order, default=1.0)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4))
@@ -305,11 +304,7 @@ def _probe_omega(args):
             n_pairs = max(1, args.samples)
             bounds = [recovery_lip_bound(F, p, q, lifted=lifted).pipeline for p, q in pq_pairs]
             for _ in range(n_pairs):
-                x = rng.standard_normal(dim)
-                xp = rng.standard_normal(dim)
-                if field is Field.COMPLEX:
-                    x = x + 1j * rng.standard_normal(dim)
-                    xp = xp + 1j * rng.standard_normal(dim)
+                x, xp = _gaussian(rng, (2, dim), field)
                 c = measure(F, Vector(x, field)).values
                 cp = measure(F, Vector(xp, field)).values
                 c = c + 0.05 * rng.standard_normal(c.shape) * max(1.0, float(np.max(c)))

@@ -158,6 +158,21 @@ def symop(data, field: Optional[Field] = None, check_tol: Optional[float] = None
     return SymOp(a, field)
 
 
+def _check_order(p: float, name: str = "p") -> None:
+    """Reject a norm order outside [1, inf]; NaN fails the comparison too."""
+    if not p >= 1:
+        raise ValueError(f"{name} must satisfy 1 <= {name} <= inf, got {p}")
+
+
+def _gaussian(rng: np.random.Generator, shape, field: Field) -> np.ndarray:
+    """Standard normal draws in a field: all real parts first, then, in the
+    complex field, all imaginary parts."""
+    a = rng.standard_normal(shape)
+    if field is Field.COMPLEX:
+        a = a + 1j * rng.standard_normal(shape)
+    return a
+
+
 def _check_same(a, b):
     if a.field is not b.field:
         raise ValueError(f"field mismatch: {a.field.value} vs {b.field.value}")
@@ -181,9 +196,10 @@ def sym_outer(x: Vector, y: Vector) -> SymOp:
 class SpectralDecomp:
     """Spectral decomposition with eigenvalues grouped by a tolerance.
 
-    ``eigenvalues`` are descending with multiplicities; eigenvalues within
-    ``group_tolerance`` of each other are merged into one distinct eigenvalue
-    whose projector sums the corresponding eigenprojections.
+    ``eigenvalues`` are descending with multiplicities; neighbouring
+    eigenvalues at most ``group_tolerance`` apart are merged (chaining) into
+    one distinct eigenvalue whose projector sums the corresponding
+    eigenprojections.
     """
 
     eigenvalues: np.ndarray
@@ -216,57 +232,59 @@ class SpectralDecomp:
         return SymOp(acc, self.field)
 
 
-def _canonical_phase_columns(V: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    idx = np.argmax(np.abs(V), axis=0)
-    lead = V[idx, np.arange(V.shape[1])]
-    mag = np.abs(lead)
-    safe = np.where(mag > 0, mag, 1.0)
-    phase = np.where(mag > 0, lead.conj() / safe, 1.0)
-    return V * phase[np.newaxis, :]
+def _eigh_groups(mats: np.ndarray, group_tol: Optional[float] = None):
+    """One batched ``eigh`` of a (k, n, n) stack of self-adjoint matrices,
+    with each row's eigenvalues grouped by a tolerance.
+
+    Returns ``(w, vecs, labels, tol)``: the eigenvalues and eigenvectors as
+    ``np.linalg.eigh`` orders them (ascending, so the top pair is last), the
+    (k, n) group labels counted from the top (label 0 is the top distinct
+    eigenvalue) and each row's tolerance, ``group_tol`` or by default
+    1e-8 * max |lam|. A gap above the tolerance starts a new group, so
+    neighbours at most the tolerance apart chain into one group even when
+    its ends are further apart.
+    """
+    if group_tol is not None and group_tol < 0:
+        raise ValueError(f"group_tol must be >= 0, got {group_tol}")
+    try:
+        w, vecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as e:
+        raise SpectralError(f"eigensolver failed: {e}") from e
+    if group_tol is None:
+        tol = 1e-8 * np.max(np.abs(w), axis=-1)
+    else:
+        tol = np.full(w.shape[0], float(group_tol))
+    gaps = np.diff(w, axis=-1) > tol[:, None]
+    labels = np.zeros(w.shape, dtype=np.intp)
+    labels[:, :-1] = np.cumsum(gaps[:, ::-1], axis=-1)[:, ::-1]
+    return w, vecs, labels, tol
 
 
 def spectral_decompose(A: SymOp, group_tol: Optional[float] = None) -> SpectralDecomp:
-    """Eigen-decompose a self-adjoint operator into distinct-eigenvalue groups.
+    """Eigen-decompose a self-adjoint operator into distinct-eigenvalue groups,
+    the one-row case of ``_eigh_groups``.
 
     Parameters
     ----------
     A : SymOp
     group_tol : float, optional
         Non-negative absolute tolerance for merging nearby eigenvalues into
-        one distinct eigenvalue. Defaults to ``1e-8 * ||A||_inf`` so behavior
-        is scale invariant.
+        one distinct eigenvalue: neighbours whose gap is at most the
+        tolerance share a group, so groups chain. Defaults to
+        ``1e-8 * ||A||_inf`` so behavior is scale invariant.
     """
-    try:
-        w, V = np.linalg.eigh(A.entries)
-    except np.linalg.LinAlgError as e:
-        raise SpectralError(
-            f"eigensolver failed on {A.dim}x{A.dim} {A.field.value} operator: {e}"
-        ) from e
-    w = w[::-1]
-    V = V[:, ::-1]
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if group_tol is None:
-        group_tol = 1e-8 * scale
-    if group_tol < 0:
-        raise ValueError(f"group_tol must be >= 0, got {group_tol}")
-    V = _canonical_phase_columns(V)
-
-    mults, projectors = [], []
-    i, n = 0, w.shape[0]
-    while i < n:
-        j = i + 1
-        while j < n and w[j - 1] - w[j] <= group_tol:
-            j += 1
-        block = V[:, i:j]
-        projectors.append(SymOp(block @ block.conj().T, A.field))
-        mults.append(j - i)
-        i = j
+    if A.dim == 0:
+        raise ValueError("spectral decomposition needs dimension >= 1")
+    w, V, labels, tol = _eigh_groups(A.entries[None], group_tol)
+    w, V = w[0, ::-1], V[0, :, ::-1]
+    mults = np.bincount(labels[0, ::-1])
+    # the eigenvectors' phases cancel in each projector V V*
+    blocks = np.split(V, np.cumsum(mults)[:-1], axis=1)
     return SpectralDecomp(
         eigenvalues=_freeze(w),
-        multiplicities=tuple(mults),
-        projectors=tuple(projectors),
-        group_tolerance=float(group_tol),
+        multiplicities=tuple(int(r) for r in mults),
+        projectors=tuple(SymOp(b @ b.conj().T, A.field) for b in blocks),
+        group_tolerance=float(tol[0]),
         field=A.field,
     )
 
@@ -290,8 +308,7 @@ def _schatten_batch(vals: np.ndarray, p: float) -> np.ndarray:
 def schatten_norm(A: SymOp, p: float) -> float:
     """Schatten p-norm of a self-adjoint operator (p=1 nuclear, 2 Frobenius,
     inf operator norm). Singular values are the absolute eigenvalues."""
-    if p != math.inf and p < 1:
-        raise ValueError(f"Schatten norm needs p >= 1 or p = inf, got {p}")
+    _check_order(p)
     try:
         s = np.abs(np.linalg.eigvalsh(A.entries))
     except np.linalg.LinAlgError as e:
@@ -356,6 +373,7 @@ class RankOnePSD:
 
     @cached_property
     def top_eigenpair(self):
+        """The top eigenvalue and a unit eigenvector of it, with the phase
+        ``np.linalg.eigh`` gives; ``unlift`` makes it canonical."""
         w, V = np.linalg.eigh(self.carrier.entries)
-        u = _canonical_phase_columns(V[:, -1:])[:, 0]
-        return float(w[-1]), Vector(u, self.field)
+        return float(w[-1]), Vector(V[:, -1], self.field)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .core import Field, SymOp, Vector, _as_field_array, _freeze
+from .core import Field, SymOp, Vector, _as_field_array, _check_same, _freeze, _gaussian
 
 __all__ = [
     "Frame",
@@ -117,11 +117,9 @@ class Measurement:
         return self.values.shape[0]
 
 
-def _check_frame_vector(F: Frame, x: Vector):
-    if x.field is not F.field:
-        raise ValueError(f"field mismatch: frame {F.field.value}, vector {x.field.value}")
-    if x.dim != F.dim:
-        raise ValueError(f"dimension mismatch: frame dim {F.dim}, vector dim {x.dim}")
+def _measure_stack(F: Frame, x: np.ndarray) -> np.ndarray:
+    """|<x, f_k>|^2 along the last axis, for one vector or a (k, n) stack."""
+    return np.abs(x @ F.synthesis.conj().T) ** 2
 
 
 def measure(F: Frame, x: Vector) -> Measurement:
@@ -129,9 +127,8 @@ def measure(F: Frame, x: Vector) -> Measurement:
 
     Invariant under multiplying x by any unimodular scalar.
     """
-    _check_frame_vector(F, x)
-    coeff = F.synthesis.conj() @ x.entries
-    return Measurement(np.abs(coeff) ** 2)
+    _check_same(F, x)
+    return Measurement(_measure_stack(F, x.entries))
 
 
 def amplitudes(F: Frame, x: Vector) -> Measurement:
@@ -220,8 +217,7 @@ class LiftedMap:
         return self.rank == self.cols
 
     def apply(self, T: SymOp) -> np.ndarray:
-        if T.dim != self.dim or T.field is not self.field:
-            raise ValueError("operator does not match the lifted map's space")
+        _check_same(self, T)
         return self.matrix @ sym_coords(T.entries, self.field)
 
 
@@ -288,10 +284,7 @@ def gen_frame(
     if kind == "random_gaussian":
         if count < dim:
             raise ValueError(f"need count >= dim, got m={count} < n={dim}")
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((count, dim))
-        if field is Field.COMPLEX:
-            a = a + 1j * rng.standard_normal((count, dim))
+        a = _gaussian(np.random.default_rng(seed), (count, dim), field)
         return Frame(a, field, label=f"gaussian-n{dim}-m{count}-{field.value}-seed{seed}")
     raise ValueError(f"unknown frame kind {kind!r}")
 

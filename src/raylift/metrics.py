@@ -13,6 +13,7 @@ from .core import (
     Field,
     RankOnePSD,
     Vector,
+    _check_order,
     _check_same,
     _schatten_batch,
     sym_outer,
@@ -84,11 +85,6 @@ def _vector_pnorm(v: np.ndarray, p: float) -> float:
     return float(np.linalg.norm(v, ord=p))
 
 
-def _check_p(p: float):
-    if p != math.inf and p < 1:
-        raise ValueError(f"metric order must satisfy p >= 1 or p = inf, got {p}")
-
-
 def _phase_objective(x: np.ndarray, y: np.ndarray, p: float):
     def g(theta: float) -> float:
         return _vector_pnorm(x - np.exp(1j * theta) * y, p)
@@ -138,7 +134,7 @@ def align_dist(x: RayPoint, y: RayPoint, p: float) -> float:
     uses the closed form sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|); other p are
     minimized over the phase circle numerically.
     """
-    _check_p(p)
+    _check_order(p)
     _check_same(x.rep, y.rep)
     xa, ya = x.rep.entries, y.rep.entries
     if x.field is Field.REAL:
@@ -162,7 +158,7 @@ def _lift_dist_stack(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     (absolute error ~ sqrt(eps) * scale^2, which would swamp distances below
     ~1e-8).
     """
-    _check_p(p)
+    _check_order(p)
     x, y = np.broadcast_arrays(x, y)
     nx2 = np.sum(np.abs(x) ** 2, axis=-1)
     ny2 = np.sum(np.abs(y) ** 2, axis=-1)

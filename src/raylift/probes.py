@@ -33,8 +33,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import optimize
 
-from .core import Field, Vector
-from .frames import Frame
+from .core import Field, Vector, _gaussian
+from .frames import Frame, _measure_stack
 from .metrics import _lift_dist_stack, align_dist, lift_dist, ray
 
 __all__ = [
@@ -131,23 +131,12 @@ def _best_partner_complex(F: Frame, u: np.ndarray):
     wk = a[:, None] * fs
     L = np.concatenate([wk.real, wk.imag], axis=1)
     S = L.T @ L
-    w = _to_real(1j * u)
-    B = _orth_complement(w)
-    Sw = S @ w
-    wSw = float(w @ Sw)
-    SB = S @ B
-    St = B.T @ SB
-    beta_of_z = None
-    if wSw > 1e-14 * max(1.0, float(np.trace(S))):
-        g = B.T @ Sw
-        St = St - np.outer(g, g) / wSw
-        beta_of_z = lambda z: -float(g @ z) / wSw
+    # Q(u, v + t iu) = Q(u, v), so S annihilates the real coordinates of iu
+    # and the partner is searched in the hyperplane orthogonal to them
+    B = _orth_complement(_to_real(1j * u))
+    St = B.T @ (S @ B)
     vals, vecs = np.linalg.eigh((St + St.T) / 2)
-    z = vecs[:, 0]
-    vr = B @ z
-    if beta_of_z is not None:
-        vr = vr + beta_of_z(z) * w
-    v = _to_complex(vr)
+    v = _to_complex(B @ vecs[:, 0])
     v = v / np.linalg.norm(v)
     return float(vals[0]), v
 
@@ -159,13 +148,6 @@ def _alternating_min(F: Frame, u0: np.ndarray):
     _, v = step(F, u0 / np.linalg.norm(u0))
     val, u = step(F, v)
     return val, u, v
-
-
-def _ratio_at(F: Frame, u: np.ndarray, v: np.ndarray) -> float:
-    q, den = lower_lip_objective(F, u, v)
-    if den <= _DEN_CUTOFF:
-        return math.inf
-    return q / den
 
 
 def _pack_pair(F: Frame, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -287,17 +269,14 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
     exhaustive grid oracle (the two must agree to 1e-6)."""
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    rdim = F.dim if F.field is Field.REAL else 2 * F.dim
     candidates = []
     for s in range(starts):
-        rng = np.random.default_rng([seed, s])
-        u0 = rng.standard_normal(rdim)
-        u0 = u0 if F.field is Field.REAL else _to_complex(u0)
+        u0 = _gaussian(np.random.default_rng([seed, s]), F.dim, F.field)
         _, u, v = _alternating_min(F, u0)
-        _, den = lower_lip_objective(F, u, v)
+        q, den = lower_lip_objective(F, u, v)
         if den <= _DEN_CUTOFF:
             continue
-        candidates.append((_ratio_at(F, u, v), u, v))
+        candidates.append((q / den, u, v))
     if not candidates:
         raise RuntimeError("all multistarts degenerated; try more starts")
     candidates.sort(key=lambda c: c[0])
@@ -343,13 +322,6 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
 _BLOCK = 512
 
 
-def _sample_vector_blocks(rng: np.random.Generator, k: int, dim: int, field: Field):
-    a = rng.standard_normal((k, dim))
-    if field is Field.COMPLEX:
-        a = a + 1j * rng.standard_normal((k, dim))
-    return a
-
-
 def _pair_blocks(seed: int, samples: int, dim: int, field: Field):
     """Deterministic (x, y) sample pairs in fixed-size blocks so a longer run
     extends a shorter one sample for sample."""
@@ -357,16 +329,12 @@ def _pair_blocks(seed: int, samples: int, dim: int, field: Field):
     block = 0
     while out < samples:
         rng = np.random.default_rng([seed, block])
-        x = _sample_vector_blocks(rng, _BLOCK, dim, field)
-        y = _sample_vector_blocks(rng, _BLOCK, dim, field)
+        x = _gaussian(rng, (_BLOCK, dim), field)
+        y = _gaussian(rng, (_BLOCK, dim), field)
         take = min(_BLOCK, samples - out)
         yield x[:take], y[:take]
         out += take
         block += 1
-
-
-def _measure_batch(F: Frame, x: np.ndarray) -> np.ndarray:
-    return np.abs(x @ F.synthesis.conj().T) ** 2
 
 
 def estimate_upper_lip(F: Frame, samples: int = 2000, seed: int = 0, refine: bool = True) -> float:
@@ -385,7 +353,7 @@ def estimate_upper_lip(F: Frame, samples: int = 2000, seed: int = 0, refine: boo
         raise ValueError(f"samples must be >= 1, got {samples}")
     best = 0.0
     for x, y in _pair_blocks(seed, samples, F.dim, F.field):
-        num = np.sum((_measure_batch(F, x) - _measure_batch(F, y)) ** 2, axis=1)
+        num = np.sum((_measure_stack(F, x) - _measure_stack(F, y)) ** 2, axis=1)
         den = _lift_dist_stack(x, y, 1) ** 2
         scale4 = (np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)) ** 2
         keep = den > 1e-12 * np.maximum(1.0, scale4)
@@ -429,7 +397,7 @@ def _b0_ascent(F: Frame, seed: int = 0):
 
     Returns (value, iterations), iterations counting the batched steps."""
     fs = F.synthesis
-    U = _sample_vector_blocks(np.random.default_rng(seed), _ASCENT_STARTS, F.dim, F.field)
+    U = _gaussian(np.random.default_rng(seed), (_ASCENT_STARTS, F.dim), F.field)
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     A = U @ fs.conj().T
     vals = np.zeros(_ASCENT_STARTS)
@@ -504,7 +472,7 @@ def probe_bilipschitz(F: Frame, samples: int = 10_000, seed: int = 0) -> dict:
         raise ValueError(f"samples must be >= 1, got {samples}")
     ratios = []
     for x, y in _pair_blocks(seed, samples, F.dim, F.field):
-        num = np.sqrt(np.sum((_measure_batch(F, x) - _measure_batch(F, y)) ** 2, axis=1))
+        num = np.sqrt(np.sum((_measure_stack(F, x) - _measure_stack(F, y)) ** 2, axis=1))
         den = _lift_dist_stack(x, y, 1)
         scale = np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)
         keep = den > 1e-12 * np.maximum(1.0, scale)
@@ -622,6 +590,18 @@ def _lift_ball_deficit(points: np.ndarray, ys: np.ndarray, rs: np.ndarray) -> np
     return out
 
 
+def _nelder_mead(ev):
+    """Local Nelder-Mead descent from one point on a batched objective, the
+    ``descend`` step of ``certify_min_above``."""
+    def descend(p0):
+        res = optimize.minimize(lambda p: float(ev(p[None, :])[0]), p0,
+                                method="Nelder-Mead",
+                                options={"xatol": 1e-12, "fatol": 1e-14})
+        return float(res.fun), res.x
+
+    return descend
+
+
 def _certify_align_empty(ys, rs, target=1e-6):
     def ev(pts):
         return _align_ball_deficit(pts, ys, rs)
@@ -629,14 +609,8 @@ def _certify_align_empty(ys, rs, target=1e-6):
     def lip(pts, hd):
         return np.ones(pts.shape[0])
 
-    def descend(p0):
-        res = optimize.minimize(lambda p: float(ev(p[None, :])[0]), p0,
-                                method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-14})
-        return float(res.fun), res.x
-
     # any ray with ||z|| > 6 misses the farthest ball by more than the target
-    return certify_min_above(ev, lip, [-6, -6], [6, 6], 0.1, target, descend)
+    return certify_min_above(ev, lip, [-6, -6], [6, 6], 0.1, target, _nelder_mead(ev))
 
 
 def _certify_lift_empty(ys, rs, target=1e-6):
@@ -651,13 +625,8 @@ def _certify_lift_empty(ys, rs, target=1e-6):
         nz = np.sqrt(np.sum(pts * pts, axis=1))
         return 2.0 * (nz + hd)
 
-    def descend(p0):
-        res = optimize.minimize(lambda p: float(ev(p[None, :])[0]), p0,
-                                method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-14})
-        return float(res.fun), res.x
-
-    return certify_min_above(ev, lip, [0, -hi, -hi], [hi, hi, hi], 0.125, target, descend)
+    return certify_min_above(ev, lip, [0, -hi, -hi], [hi, hi, hi], 0.125, target,
+                             _nelder_mead(ev))
 
 
 def verify_property_k(which: str, radii: Optional[Sequence[float]] = None) -> dict:

@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Vector
+from .core import Vector, _check_order
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, measure, min_norm_inverse
 from .frames import _vec_to_json
 from .metrics import RayPoint, ray
@@ -150,9 +150,8 @@ def recovery_lip_bound(
 ) -> LipBound:
     """Evaluate the pipeline's Lipschitz ceiling for input norm p and output
     metric order q."""
-    for name, val in (("p", p), ("q", q)):
-        if val != math.inf and not 1 <= val:
-            raise ValueError(f"{name} must satisfy 1 <= {name} <= inf, got {val}")
+    _check_order(p)
+    _check_order(q, "q")
     M = lifted if lifted is not None else build_lifted_map(F)
     invp = 0.0 if p == math.inf else 1.0 / p
     invq = 0.0 if q == math.inf else 1.0 / q

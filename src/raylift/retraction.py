@@ -18,13 +18,15 @@ import numpy as np
 from .core import (
     Field,
     RankOnePSD,
-    SpectralError,
     SymOp,
     Vector,
-    _canonical_phase_columns,
+    _check_order,
     _check_same,
+    _eigh_groups,
+    _gaussian,
     _schatten_batch,
 )
+from .metrics import ray
 
 __all__ = [
     "rank_one_retract",
@@ -36,6 +38,7 @@ __all__ = [
 
 def retraction_bound(p: float) -> float:
     """Proven Lipschitz ceiling 3 + 2^(1 + 1/p) of the retraction."""
+    _check_order(p)
     invp = 0.0 if p == math.inf else 1.0 / p
     return 3.0 + 2.0 ** (1.0 + invp)
 
@@ -47,27 +50,12 @@ def _retract_stack(mats: np.ndarray, group_tol: Optional[float] = None):
     Returns ``(coef, vecs, top, tol)``: the coefficients lam1 - lam2, the
     eigenvectors as ``np.linalg.eigh`` orders them (ascending, so the top one
     is ``vecs[:, :, -1]``), the (k, n) mask of the top distinct eigenvalue
-    group and each row's grouping tolerance, ``group_tol`` or by default
-    1e-8 * max |lam|. Eigenvalues chain into the top group while each gap
-    between neighbours is at most the tolerance, as in ``spectral_decompose``.
+    group and each row's grouping tolerance, all from ``_eigh_groups``.
     """
     if mats.shape[-1] < 2:
         raise ValueError("retraction needs dimension >= 2")
-    if group_tol is not None and group_tol < 0:
-        raise ValueError(f"group_tol must be >= 0, got {group_tol}")
-    try:
-        w, vecs = np.linalg.eigh(mats)
-    except np.linalg.LinAlgError as e:
-        raise SpectralError(f"eigensolver failed: {e}") from e
-    coef = w[:, -1] - w[:, -2]
-    if group_tol is None:
-        tol = 1e-8 * np.maximum(np.abs(w[:, -1]), np.abs(w[:, 0]))
-    else:
-        tol = np.full(w.shape[0], float(group_tol))
-    close = np.diff(w, axis=1) <= tol[:, None]
-    top = np.ones(w.shape, dtype=bool)
-    top[:, :-1] = np.logical_and.accumulate(close[:, ::-1], axis=1)[:, ::-1]
-    return coef, vecs, top, tol
+    w, vecs, labels, tol = _eigh_groups(mats, group_tol)
+    return w[:, -1] - w[:, -2], vecs, labels == 0, tol
 
 
 def _carriers(coef: np.ndarray, vecs: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -88,9 +76,8 @@ def rank_one_retract(A: SymOp, group_tol: Optional[float] = None) -> RankOnePSD:
     coef, vecs, top, tol = _retract_stack(A.entries[None], group_tol)
     generator = None
     if top[0].sum() == 1 and coef[0] > 0.0:
-        # re-phase the eigenvector canonically so outputs are reproducible
-        u1 = _canonical_phase_columns(vecs[0, :, -1:])[:, 0]
-        generator = Vector(math.sqrt(coef[0]) * u1, A.field)
+        # the ray's canonical representative, so outputs are reproducible
+        generator = ray(Vector(math.sqrt(coef[0]) * vecs[0, :, -1], A.field)).rep
     return RankOnePSD(
         carrier=SymOp(_carriers(coef, vecs, top)[0], A.field),
         generator=generator,
@@ -101,8 +88,7 @@ def rank_one_retract(A: SymOp, group_tol: Optional[float] = None) -> RankOnePSD:
 def retraction_ratio(A: SymOp, B: SymOp, p: float, group_tol: Optional[float] = None) -> float:
     """Observed Lipschitz ratio of the retraction on one operator pair."""
     _check_same(A, B)
-    if p != math.inf and p < 1:
-        raise ValueError(f"Schatten norm needs p >= 1 or p = inf, got {p}")
+    _check_order(p)
     num, den = _ratio_parts(A.entries[None], B.entries[None], p, group_tol)
     if den[0] == 0.0:
         raise ValueError("operators coincide: retraction ratio is undefined")
@@ -121,17 +107,12 @@ def _ratio_parts(a: np.ndarray, b: np.ndarray, p: float, group_tol: Optional[flo
 # --- batched probe machinery -------------------------------------------------
 
 def _hermitian_stack(rng, k: int, dim: int, field: Field) -> np.ndarray:
-    g = rng.standard_normal((k, dim, dim))
-    if field is Field.COMPLEX:
-        g = g + 1j * rng.standard_normal((k, dim, dim))
+    g = _gaussian(rng, (k, dim, dim), field)
     return (g + g.conj().transpose(0, 2, 1)) / 2
 
 
 def _unitary_stack(rng, k: int, dim: int, field: Field) -> np.ndarray:
-    g = rng.standard_normal((k, dim, dim))
-    if field is Field.COMPLEX:
-        g = g + 1j * rng.standard_normal((k, dim, dim))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(_gaussian(rng, (k, dim, dim), field))
     d = np.diagonal(r, axis1=1, axis2=2).copy()
     d = np.where(np.abs(d) == 0, 1.0, d / np.abs(d))
     return q * d[:, None, :].conj()
@@ -161,9 +142,7 @@ def _sample_gap_pairs(rng, k, dim, field):
 
 
 def _sample_rank_one_pairs(rng, k, dim, field):
-    x = rng.standard_normal((k, dim))
-    if field is Field.COMPLEX:
-        x = x + 1j * rng.standard_normal((k, dim))
+    x = _gaussian(rng, (k, dim), field)
     a = np.einsum("ki,kj->kij", x, x.conj())
     eps = 10.0 ** rng.uniform(-8, 0, size=k)
     e = _hermitian_stack(rng, k, dim, field)
@@ -204,6 +183,8 @@ def retraction_probe(
     violation count (any ratio above bound + 1e-8 would falsify the
     implementation, not the theory).
     """
+    for p in ps:
+        _check_order(p)
     combos = []
     violations = 0
     for pi, p in enumerate(ps):
@@ -213,10 +194,6 @@ def retraction_probe(
                 best = 0.0
                 for si, (sampler_name, sampler) in enumerate(_SAMPLERS):
                     total = n_random if sampler_name == "random" else n_adversarial // 2
-                    if sampler_name == "random" and n_random == 0:
-                        continue
-                    if sampler_name != "random" and n_adversarial == 0:
-                        continue
                     done = 0
                     part = 0
                     while done < total:

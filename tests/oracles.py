@@ -49,6 +49,20 @@ def jacobi_eigvalsh(A, sweeps=100, tol=1e-14):
     return np.sort(np.diag(A).real)
 
 
+def grouped_eigvalsh(A, tol=None):
+    """Jacobi eigenvalues, descending, with one group label per eigenvalue
+    counted from the top. A loop keeps each eigenvalue in its upper
+    neighbour's group while their gap is at most tol (by default 1e-8 times
+    the largest magnitude), so groups chain."""
+    w = jacobi_eigvalsh(A)[::-1]
+    if tol is None:
+        tol = 1e-8 * float(np.max(np.abs(w)))
+    labels = [0] * len(w)
+    for j in range(1, len(w)):
+        labels[j] = labels[j - 1] + int(w[j - 1] - w[j] > tol)
+    return w, labels
+
+
 def outer_sym_entrywise(x, y):
     """Symmetric outer product by an explicit double loop."""
     n = len(x)

@@ -9,6 +9,14 @@ from raylift import (
     RankOneViolation,
     SymOp,
     Vector,
+    align_dist,
+    gen_frame,
+    lift_dist,
+    ray,
+    recovery_lip_bound,
+    retraction_bound,
+    retraction_probe,
+    retraction_ratio,
     schatten_norm,
     spectral_decompose,
     sym_outer,
@@ -98,6 +106,10 @@ class TestSpectralDecompose:
         assert np.allclose(sd.projectors[0].entries, np.diag([1.0, 0.0]), atol=0)
         assert np.allclose(sd.projectors[1].entries, np.diag([0.0, 1.0]), atol=0)
 
+    def test_empty_operator_rejected(self):
+        with pytest.raises(ValueError):
+            spectral_decompose(SymOp(np.zeros((0, 0)), Field.REAL))
+
     def test_negative_group_tol_rejected(self, rng):
         with pytest.raises(ValueError):
             spectral_decompose(_rand_symop(rng, 3, Field.REAL), group_tol=-1.0)
@@ -164,6 +176,38 @@ class TestSchatten:
             a = _rand_symop(rng, 5, field)
             want = svd_schatten(a.entries, np.inf if p == math.inf else p)
             assert abs(schatten_norm(a, p) - want) <= 1e-10 * max(1.0, want)
+
+
+_A, _B = np.eye(2), np.diag([2.0, 0.0])
+_X, _Y = vec([1.0, 0.0]), vec([0.0, 1.0])
+
+# every public function that takes a norm order, called with order p
+_ORDER_TAKERS = {
+    "schatten_norm": lambda p: schatten_norm(symop(_A), p),
+    "lift_dist": lambda p: lift_dist(ray(_X), ray(_Y), p),
+    "align_dist": lambda p: align_dist(ray(_X), ray(_Y), p),
+    "retraction_ratio": lambda p: retraction_ratio(symop(_A), symop(_B), p),
+    "retraction_bound": retraction_bound,
+    "retraction_probe": lambda p: retraction_probe(dims=(2,), ps=(2, p), n_random=10,
+                                                   n_adversarial=10),
+    "recovery_lip_bound_p": lambda p: recovery_lip_bound(
+        gen_frame("named", None, None, name="r2_pr3"), p, 2),
+    "recovery_lip_bound_q": lambda p: recovery_lip_bound(
+        gen_frame("named", None, None, name="r2_pr3"), 2, p),
+}
+
+
+class TestNormOrder:
+    @pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf], ids=["nan", "half", "-inf"])
+    @pytest.mark.parametrize("name", sorted(_ORDER_TAKERS))
+    def test_rejected(self, name, p):
+        with pytest.raises(ValueError, match="<= inf"):
+            _ORDER_TAKERS[name](p)
+
+    @pytest.mark.parametrize("name", sorted(_ORDER_TAKERS))
+    def test_order_one_and_inf_accepted(self, name):
+        for p in (1, math.inf):
+            _ORDER_TAKERS[name](p)
 
 
 class TestWeyl:

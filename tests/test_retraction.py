@@ -6,6 +6,7 @@ import pytest
 from raylift import (
     Field,
     SymOp,
+    ray,
     rank_one_retract,
     retraction_bound,
     retraction_probe,
@@ -16,10 +17,10 @@ from raylift import (
     symop,
     vec,
 )
-from raylift.core import _schatten_batch
+from raylift.core import _eigh_groups, _schatten_batch
 from raylift.retraction import _carriers, _max_ratio_for_stacks, _retract_stack
 
-from oracles import random_hermitian, random_vector
+from oracles import grouped_eigvalsh, random_hermitian, random_vector
 
 
 class TestRetract:
@@ -54,6 +55,18 @@ class TestRetract:
         if out.generator is not None:
             rebuilt = sym_outer(out.generator, out.generator).entries
             assert np.max(np.abs(rebuilt - out.carrier.entries)) <= 1e-10
+
+    def test_generator_is_canonical(self, rng, field):
+        """The generator is in its ray's canonical form: the first entry
+        above 1e-12 of its norm is real and positive."""
+        for _ in range(25):
+            a = SymOp(random_hermitian(rng, 5, field is Field.COMPLEX), field)
+            g = rank_one_retract(a).generator
+            assert g is not None
+            lead = g.entries[np.abs(g.entries) > 1e-12 * g.norm()][0]
+            assert lead.imag == 0 and lead.real > 0
+            # re-canonicalising moves it by roundoff only
+            assert np.max(np.abs(ray(g).rep.entries - g.entries)) <= 1e-15 * g.norm()
 
     def test_unitary_equivariance(self, rng, field):
         for _ in range(25):
@@ -98,33 +111,46 @@ class TestRatio:
 
 class TestBatch:
     def test_kernel_matches_spectral_decompose(self, rng, field):
-        """The stack kernel's coefficient, top group and carrier against the
-        grouped decomposition of each matrix on its own."""
+        """The grouping kernel's labels, the retraction's coefficient, top
+        group and carrier, and the multiplicities of ``spectral_decompose``,
+        each against the independent grouping oracle."""
         cplx = field is Field.COMPLEX
         t = 1e-8  # the default grouping tolerance of a matrix of norm 1
         # gaps of 0.6 t chain three eigenvalues into the top group even
         # though the first and third are 1.2 t apart
         chain = np.diag([1.0, 1.0 - 0.6 * t, 1.0 - 1.2 * t, 0.0])[None]
         assert int(_retract_stack(chain)[2][0].sum()) == 3
+        # the same chaining in a lower group (the tolerance here is 2 t)
+        lower = np.diag([2.0, 1.0, 1.0 - 1.2 * t, 1.0 - 2.4 * t, 0.0])[None]
         stacks = [
             np.stack([random_hermitian(rng, 5, cplx) for _ in range(40)]),
             np.diag([1.0, 1.0, 0.0])[None],
             chain,
+            lower,
             np.zeros((1, 3, 3)),
         ]
         for mats in stacks:
             if not cplx:
                 mats = mats.real
+            labels = _eigh_groups(mats)[2]
             coef, vecs, top, _ = _retract_stack(mats)
             carriers = _carriers(coef, vecs, top)
             for k in range(mats.shape[0]):
-                sd = spectral_decompose(SymOp(mats[k], field))
-                want_coef = float(sd.eigenvalues[0] - sd.eigenvalues[1])
-                want = want_coef * sd.projectors[0].entries
                 scale = max(1.0, float(np.max(np.abs(mats[k]))))
+                want_w, want_labels = grouped_eigvalsh(mats[k])
+                assert labels[k, ::-1].tolist() == want_labels
+                mults = tuple(np.bincount(want_labels).tolist())
+                assert spectral_decompose(SymOp(mats[k], field)).multiplicities == mults
+                want_coef = float(want_w[0] - want_w[1])
                 assert abs(coef[k] - want_coef) <= 1e-12 * scale
-                assert int(top[k].sum()) == sd.multiplicities[0]
-                assert np.max(np.abs(carriers[k] - want)) <= 1e-12 * scale
+                assert int(top[k].sum()) == mults[0]
+                # coef times the projector onto the top group's eigenspace
+                c, r = carriers[k], mults[0]
+                spread = float(want_w[0] - want_w[r - 1])
+                assert np.max(np.abs(c @ c - want_coef * c)) <= 1e-12 * scale
+                assert abs(np.trace(c).real - want_coef * r) <= 1e-12 * scale
+                resid = mats[k] @ c - want_w[0] * c
+                assert np.max(np.abs(resid)) <= (spread + 1e-12 * scale) * max(want_coef, 1e-300)
 
     def test_ratio_is_one_row_of_the_stack_kernel(self, rng, field):
         cplx = field is Field.COMPLEX
