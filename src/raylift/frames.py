@@ -12,11 +12,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .core import Field, SymOp, Vector, _as_field_array, _check_same, _freeze, _gaussian
 
@@ -39,6 +40,10 @@ __all__ = [
 
 _SPAN_TOL = 1e-10
 _PINV_TOL = 1e-10
+# least estimated reciprocal condition number of A^T A for the Cholesky path
+# of build_lifted_map; the normal equations' relative error is then about
+# eps / 1e-6 ~ 2e-10
+_CHOL_RCOND = 1e-6
 
 NAMED_FRAMES = {
     # phase retrievable in R^2 (full spark, m = 3 = 2n - 1)
@@ -119,7 +124,8 @@ class Measurement:
 
 def _measure_stack(F: Frame, x: np.ndarray) -> np.ndarray:
     """|<x, f_k>|^2 along the last axis, for one vector or a (k, n) stack."""
-    return np.abs(x @ F.synthesis.conj().T) ** 2
+    # conjugating x, not the m x n synthesis matrix, gives the same bits
+    return np.abs(x.conj() @ F.synthesis.T) ** 2
 
 
 def measure(F: Frame, x: Vector) -> Measurement:
@@ -184,17 +190,23 @@ def sym_from_coords(c: np.ndarray, n: int, field: Field) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftedMap:
-    """Matrix of the linear map T -> (<T f_k, f_k>)_k on self-adjoint
-    operators, in the fixed real orthonormal basis, with its thresholded SVD
-    for min-norm inversion."""
+    """Matrix A of the linear map T -> (<T f_k, f_k>)_k on self-adjoint
+    operators, in the fixed real orthonormal basis, with the factors of its
+    min-norm inverse.
+
+    ``min_norm_inverse`` applies ``_left @ (right @ c)``, where ``right`` is
+    A^T on the Cholesky path (read from ``matrix``; ``_right`` is None) and
+    U_r^T on the SVD path (see ``build_lifted_map``). The singular values
+    behind ``sigma_min`` and ``sigma_max`` are computed on first use and
+    cached; the min-norm inverse never needs them.
+    """
 
     matrix: np.ndarray
     dim: int
     field: Field
     rank: int
-    _svd_u: np.ndarray
-    _svd_s: np.ndarray
-    _svd_vt: np.ndarray
+    _left: np.ndarray
+    _right: Optional[np.ndarray]
 
     @property
     def rows(self) -> int:
@@ -204,14 +216,18 @@ class LiftedMap:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
+    @cached_property
+    def _singular_values(self) -> np.ndarray:
+        return _freeze(np.linalg.svd(self.matrix, compute_uv=False))
+
     @property
     def sigma_min(self) -> float:
         """Smallest retained singular value (over the row space)."""
-        return float(self._svd_s[self.rank - 1]) if self.rank else 0.0
+        return float(self._singular_values[self.rank - 1]) if self.rank else 0.0
 
     @property
     def sigma_max(self) -> float:
-        return float(self._svd_s[0]) if self._svd_s.size else 0.0
+        return float(self._singular_values[0])
 
     def is_full_rank(self) -> bool:
         return self.rank == self.cols
@@ -222,39 +238,56 @@ class LiftedMap:
 
 
 def build_lifted_map(F: Frame) -> LiftedMap:
-    """Assemble the measurement matrix on lifted operators for a frame.
+    """Assemble the measurement matrix A on lifted operators for a frame, and
+    factor it for min-norm inversion.
 
-    Row k holds the basis coordinates of the rank-one functional of f_k; the
-    numerical rank counts singular values above ``_PINV_TOL`` times the top.
+    Row k holds the basis coordinates of the rank-one functional of f_k. The
+    input picks the factorization:
+
+    - Cholesky path: G = A^T A has a Cholesky factor and LAPACK's estimate of
+      its reciprocal condition number exceeds ``_CHOL_RCOND``. Then A has
+      full column rank, and the inverse applies G^-1 A^T. Solving the normal
+      equations squares the condition number, so the gate keeps their
+      relative error near eps * cond(A)^2 <~ 1e-10.
+    - SVD fallback, for rank-deficient and ill-conditioned frames: the thin
+      SVD A = U S V^T, whose numerical rank r counts singular values above
+      ``_PINV_TOL`` times the top; the inverse applies V_r S_r^-1 U_r^T.
     """
     fs = F.synthesis
-    outers = np.einsum("ki,kj->kij", fs, fs.conj())
-    rows = sym_coords(outers, F.field)
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > _PINV_TOL * s[0])) if s.size else 0
+    rows = sym_coords(np.einsum("ki,kj->kij", fs, fs.conj()), F.field)
+    gram = rows.T @ rows
+    factor, info = lapack.dpotrf(gram)
+    if info == 0 and lapack.dpocon(factor, np.abs(gram).sum(axis=0).max())[0] > _CHOL_RCOND:
+        inv, _ = lapack.dpotri(factor, overwrite_c=1)  # upper triangle only
+        rank, left, right = rows.shape[1], np.triu(inv) + np.triu(inv, 1).T, None
+    else:
+        u, s, vt = np.linalg.svd(rows, full_matrices=False)
+        rank = int(np.sum(s > _PINV_TOL * s[0]))
+        left, right = vt[:rank].T / s[:rank], _freeze(u[:, :rank].T)
     return LiftedMap(
         matrix=_freeze(rows),
         dim=F.dim,
         field=F.field,
         rank=rank,
-        _svd_u=_freeze(u),
-        _svd_s=_freeze(s),
-        _svd_vt=_freeze(vt),
+        _left=_freeze(left),
+        _right=right,
     )
 
 
 def min_norm_inverse(M: LiftedMap, c: Union[Measurement, np.ndarray]) -> SymOp:
-    """Minimum-Frobenius-norm self-adjoint T minimizing ||M(T) - c||_2, via
-    the singular-value-thresholded pseudoinverse.
+    """Minimum-Frobenius-norm self-adjoint T minimizing ||M(T) - c||_2.
 
-    Linear in c; exact on the measurement range whenever M has full column
-    rank.
+    One rule on both paths of ``build_lifted_map``: the coordinates of T are
+    ``_left @ (right @ c)``, i.e. G^-1 (A^T c) on the Cholesky path and the
+    singular-value-thresholded pseudoinverse V_r S_r^-1 (U_r^T c) on the SVD
+    fallback. Linear in c; exact on the measurement range whenever M has
+    full column rank.
     """
     values = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
     if values.shape != (M.rows,):
         raise ValueError(f"measurement count {values.shape} does not match m={M.rows}")
-    r = M.rank
-    coords = M._svd_vt[:r].T @ ((M._svd_u[:, :r].T @ values) / M._svd_s[:r])
+    right = M.matrix.T if M._right is None else M._right
+    coords = M._left @ (right @ values)
     return SymOp(sym_from_coords(coords, M.dim, M.field), M.field)
 
 

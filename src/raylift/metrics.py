@@ -64,8 +64,13 @@ def _canonicalize(x: Vector) -> Vector:
     if idx.size == 0:
         return x
     lead = a[idx[0]]
+    # checked before any arithmetic, so that canonicalizing is idempotent:
+    # numpy's complex division rounds conj(a) / |a| to 1 - 2^-53 for some
+    # real positive a
+    if lead.real > 0 and lead.imag == 0:
+        return x
     if x.field is Field.REAL:
-        return x if lead > 0 else Vector(-a, x.field)
+        return Vector(-a, x.field)
     phase = lead.conjugate() / abs(lead)
     out = a * phase
     # the pivot entry is now positive real by construction; store it exactly so

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own computational paths: a hand-rolled
 cyclic Jacobi eigensolver (vs LAPACK), entrywise outer products, full-matrix
-SVD norms, and dense parameter scans. They are slow and only used at small
+SVD norms, the thresholded-SVD pseudoinverse (vs the normal equations), and
+dense parameter scans. They are slow and only used at small
 sizes.
 """
 
@@ -79,6 +80,17 @@ def svd_schatten(M, p):
     if p == np.inf:
         return float(s[0]) if s.size else 0.0
     return float(np.sum(s**p) ** (1.0 / p))
+
+
+def svd_min_norm(matrix, cs, tol=1e-10):
+    """Numerical rank, singular values and the min-norm least-squares
+    solutions of ``matrix @ x = c`` for each row c of ``cs``, from one thin
+    SVD keeping the singular values above ``tol`` times the largest: the
+    lifted map's factorization before it was built from the normal
+    equations."""
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    r = int(np.sum(s > tol * s[0]))
+    return r, s, ((cs @ u[:, :r]) / s[:r]) @ vt[:r]
 
 
 def align_dist_scan(x, y, p, resolution=200_000):

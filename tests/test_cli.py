@@ -76,3 +76,20 @@ class TestOrderFlag:
         assert cli_main(argv) == 2
         assert "--q" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestRankWarning:
+    @pytest.mark.parametrize("count, warned", [(5, True), (9, False)])
+    def test_warning_iff_rank_deficient(self, tmp_path, capsys, count, warned):
+        """``reconstruct`` warns on stderr, and still exits 0, exactly when
+        the lifted map lacks full column rank: a real frame in dimension 3
+        has 6 lifted columns, so 5 vectors fall short and 9 do not."""
+        F = gen_frame("random_gaussian", 3, count, Field.REAL, seed=2)
+        write_frame(tmp_path / "f.json", F)
+        x = vec(random_vector(np.random.default_rng(2), 3, False), Field.REAL)
+        write_measurements(tmp_path / "c.json", [measure(F, x)])
+        argv = ["reconstruct", "--frame", str(tmp_path / "f.json"), "--measurements",
+                str(tmp_path / "c.json"), "--out", str(tmp_path / "out.json")]
+        assert cli_main(argv) == 0
+        err = capsys.readouterr().err
+        assert ("warning: the lifted map has rank 5 of 6 columns" in err) == warned

@@ -28,9 +28,9 @@ from raylift import (
 )
 
 from raylift.cli import main as cli_main
-from raylift.frames import _triu_pairs, dumps_json
+from raylift.frames import _triu_pairs, dumps_json, sym_coords
 
-from oracles import dumps_json_stdlib, random_hermitian, random_vector
+from oracles import dumps_json_stdlib, random_hermitian, random_vector, svd_min_norm
 
 
 def _gauss(dim, count, field, seed=0):
@@ -211,6 +211,63 @@ class TestLiftedMap:
         M = build_lifted_map(_gauss(2, 5, Field.REAL))
         with pytest.raises(ValueError):
             min_norm_inverse(M, np.zeros(4))
+
+
+def _near_duplicate_frame(field):
+    """A 3-dimensional frame with one vector fewer than the lifted map has
+    columns, plus perturbed copies (relative size 1e-5) of three of them:
+    full column rank, but cond(A) is 6e5 to 1e6, far beyond the Cholesky
+    gate."""
+    cols = 6 if field is Field.REAL else 9
+    rng = np.random.default_rng(5)
+    base = np.array([random_vector(rng, 3, field is Field.COMPLEX) for _ in range(cols - 1)])
+    nudge = np.array([random_vector(rng, 3, field is Field.COMPLEX) for _ in range(3)])
+    return Frame(np.vstack([base, base[:3] + 1e-5 * nudge]), field)
+
+
+class TestLiftedFactorization:
+    """``build_lifted_map`` against the thresholded SVD of the same matrix:
+    the rank, both extreme singular values and the min-norm solution."""
+
+    def _check_vs_svd(self, M, rng, tol):
+        noise = rng.standard_normal(M.rows)
+        in_range = M.matrix @ rng.standard_normal(M.cols)
+        rank, s, want = svd_min_norm(M.matrix, np.stack([noise, in_range]))
+        assert M.rank == rank
+        assert M.sigma_min == pytest.approx(s[rank - 1], rel=1e-10)
+        assert M.sigma_max == pytest.approx(s[0], rel=1e-10)
+        for c, w in zip((noise, in_range), want):
+            got = sym_coords(min_norm_inverse(M, c).entries, M.field)
+            assert np.linalg.norm(got - w) <= tol * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("n, m", [(3, 9), (4, 16), (8, 72), (16, 272), (32, 2048)])
+    def test_cholesky_path_matches_svd(self, rng, field, n, m):
+        M = build_lifted_map(_gauss(n, m, field, seed=n))
+        assert M._right is None  # the normal equations were used
+        assert M.is_full_rank()
+        self._check_vs_svd(M, rng, 1e-10)
+
+    def test_ill_conditioned_frame_falls_back(self, rng, field):
+        M = build_lifted_map(_near_duplicate_frame(field))
+        assert M._right is not None  # the SVD fallback ran
+        assert M.is_full_rank()
+        assert M.sigma_min < 1e-3 * M.sigma_max
+        self._check_vs_svd(M, rng, 1e-12)
+
+    def test_rank_deficient_frame_falls_back(self, rng):
+        M = build_lifted_map(_gauss(3, 5, Field.REAL, seed=2))
+        assert M._right is not None
+        assert M.rank == 5 and M.cols == 6
+        self._check_vs_svd(M, rng, 1e-12)
+
+    def test_singular_values_are_lazy(self, field):
+        """Building the map and inverting with it never computes the
+        singular values; the first ``sigma_min`` does, once."""
+        M = build_lifted_map(_gauss(3, 12, field, seed=3))
+        min_norm_inverse(M, np.ones(12))
+        assert "_singular_values" not in vars(M)
+        s = M.sigma_min
+        assert "_singular_values" in vars(M) and M.sigma_min == s
 
 
 class TestGenFrame:

@@ -51,6 +51,14 @@ class TestCanonicalization:
             r2 = ray(vec(a * x, field))
             assert np.max(np.abs(r1.rep.entries - r2.rep.entries)) <= 1e-12 * np.linalg.norm(x)
 
+    def test_idempotent_bitwise(self, rng, field):
+        """A canonical representative is its own canonical representative,
+        to the bit: a real positive pivot is not multiplied by a phase that
+        rounds below 1."""
+        for _ in range(2000):
+            r = ray(vec(random_vector(rng, 5, field is Field.COMPLEX), field)).rep
+            assert ray(r).rep.entries.tobytes() == r.entries.tobytes()
+
 
 class TestAlignDist:
     def test_same_ray_zero(self, rng, field):
