@@ -65,6 +65,24 @@ def _parse_order(text: str) -> float:
     return val
 
 
+def _flag_type(kind, valid, expected: str):
+    """An argparse type: ``kind(text)`` when ``valid`` accepts it, else a
+    usage error saying what was expected."""
+    def parse(text: str):
+        try:
+            val = kind(text)
+        except ValueError:
+            val = None
+        if val is None or not valid(val):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return val
+    return parse
+
+
+_parse_count = _flag_type(int, lambda v: v >= 1, "a positive integer")
+_parse_tol = _flag_type(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+
+
 def _parse_dims(text: str):
     try:
         dims = tuple(int(t) for t in text.split(",") if t)
@@ -95,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="phase-retrievability verdict for a frame file")
     c.add_argument("--frame", required=True)
-    c.add_argument("--starts", type=int, default=64)
+    c.add_argument("--starts", type=_parse_count, default=64)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--report", required=True)
 
@@ -103,13 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--frame", required=True)
     r.add_argument("--measurements", required=True)
     r.add_argument("--polish", choices=["on", "off"], default="off")
-    r.add_argument("--group-tol", type=float, default=None)
+    r.add_argument("--group-tol", type=_parse_tol, default=None)
     r.add_argument("--out", required=True)
 
     p = sub.add_parser("probe", help="empirical Lipschitz probes and certifications")
     p.add_argument("--what", choices=["pi", "omega", "bilipschitz", "property-k"], required=True)
     p.add_argument("--p", type=_parse_order, default=math.inf)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_parse_count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4))
     p.add_argument("--report", required=True)
@@ -301,9 +319,8 @@ def _probe_omega(args):
                           seed=args.seed + dim)
             lifted = build_lifted_map(F)
             rng = np.random.default_rng([args.seed, dim, 0 if field is Field.REAL else 1])
-            n_pairs = max(1, args.samples)
             bounds = [recovery_lip_bound(F, p, q, lifted=lifted).pipeline for p, q in pq_pairs]
-            for _ in range(n_pairs):
+            for _ in range(args.samples):
                 x, xp = _gaussian(rng, (2, dim), field)
                 c = measure(F, Vector(x, field)).values
                 cp = measure(F, Vector(xp, field)).values

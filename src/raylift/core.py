@@ -11,6 +11,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy import optimize
 
 __all__ = [
     "Field",
@@ -171,6 +172,50 @@ def _gaussian(rng: np.random.Generator, shape, field: Field) -> np.ndarray:
     if field is Field.COMPLEX:
         a = a + 1j * rng.standard_normal(shape)
     return a
+
+
+def _to_real(z: np.ndarray) -> np.ndarray:
+    """Real coordinates: a real vector as it is, a complex one as its real
+    parts followed by its imaginary parts."""
+    return np.concatenate([z.real, z.imag]) if np.iscomplexobj(z) else z
+
+
+def _to_complex(r: np.ndarray, field: Field = Field.COMPLEX) -> np.ndarray:
+    """The vector of ``field`` whose real coordinates ``_to_real`` gives as r."""
+    n = r.size // 2
+    return r if field is Field.REAL else r[:n] + 1j * r[n:]
+
+
+def _lbfgs(fun, x0: np.ndarray, ftol: float = 1e-13, gtol: float = 1e-9,
+           maxiter: int = 15000):
+    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) from x0 on fun / |fun(x0)|,
+    ``fun`` giving (value, gradient), so that ``ftol`` and ``gtol`` carry no
+    scale. Returns ``(x, value, nit, nfev, stop)``; ``nfev`` omits the start's
+    evaluation and ``stop`` is ``stationary`` (largest scaled gradient entry
+    <= gtol), ``rel_decrease`` (a step's decrease <= ftol * max(|value|,
+    |fun(x0)|)), ``max_iters`` or ``line_search``. The start itself comes back,
+    with its value, when that value is 0 or not finite (no search;
+    ``stationary``), when maxiter is 0, and when the search ends non-finite or
+    higher."""
+    f0 = fun(x0)[0]
+    if maxiter == 0 or f0 == 0.0 or not math.isfinite(f0):
+        return x0, f0, 0, 0, "max_iters" if maxiter == 0 else "stationary"
+    scale = abs(f0)
+
+    def scaled(x):
+        f, g = fun(x)
+        return f / scale, g / scale
+
+    res = optimize.minimize(scaled, x0, jac=True, method="L-BFGS-B",
+                            options={"ftol": ftol, "gtol": gtol, "maxiter": maxiter})
+    if res.status == 0:
+        stop = "stationary" if np.max(np.abs(res.jac)) <= gtol else "rel_decrease"
+    else:
+        stop = "max_iters" if res.status == 1 else "line_search"
+    value = float(res.fun) * scale
+    if not math.isfinite(value) or value > f0:
+        return x0, f0, int(res.nit), int(res.nfev), stop
+    return res.x, value, int(res.nit), int(res.nfev), stop
 
 
 def _check_same(a, b):

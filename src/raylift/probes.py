@@ -12,16 +12,16 @@ that minimum is positive. Each seeded start u0 takes one alternation of exact
 block minimization (for fixed u the objective is a quadratic form in the real
 coordinates of v, so the best partner v is a generalized smallest
 eigenvector): u0's best partner v, then v's best partner u. That screens the
-starts without converging; the best three candidates are refined jointly by
-L-BFGS-B on the ratio with its analytic gradient in the packed real
-coordinates of (u, v); the objective is divided by its start value, which
-makes the stopping rules independent of the frame's scale. n = 2 real frames
-additionally get an exhaustive angle-grid oracle.
+starts without converging; the best three candidates are refined jointly on
+the ratio, with its analytic gradient in the packed real coordinates of
+(u, v), by ``core._lbfgs``, the scale-free local minimiser that also refines
+b0 below and polishes reconstructions. n = 2 real frames additionally get an
+exhaustive angle-grid oracle.
 
 The upper stability constant has a closed form: it is the maximum over unit
-u of sum_k |<u, f_k>|^4, found by a batched multistart fixed-point ascent,
-and it is bracketed above by the largest eigenvalue of the Gram matrix
-|<f_k, f_l>|^2, which is sigma_max(lifted map)^2.
+u of sum_k |<u, f_k>|^4, found by a batched multistart fixed-point ascent
+refined by ``core._lbfgs``, and bracketed above by the largest eigenvalue of
+the Gram matrix |<f_k, f_l>|^2, which is sigma_max(lifted map)^2.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import optimize
 
-from .core import Field, Vector, _gaussian
+from .core import Field, Vector, _gaussian, _lbfgs, _to_complex, _to_real
 from .frames import Frame, _measure_stack
 from .metrics import _lift_dist_stack, align_dist, lift_dist, ray
 
@@ -93,15 +93,6 @@ def lower_lip_objective(F: Frame, u: np.ndarray, v: np.ndarray):
     return q, nu2 * nv2 - im * im
 
 
-def _to_real(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag])
-
-
-def _to_complex(r: np.ndarray) -> np.ndarray:
-    n = r.size // 2
-    return r[:n] + 1j * r[n:]
-
-
 def _orth_complement(w: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the hyperplane orthogonal to the unit vector w
     (Householder reflection mapping e1 to w, minus its first column)."""
@@ -150,17 +141,9 @@ def _alternating_min(F: Frame, u0: np.ndarray):
     return val, u, v
 
 
-def _pack_pair(F: Frame, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if F.field is Field.COMPLEX:
-        return np.concatenate([_to_real(u), _to_real(v)])
-    return np.concatenate([u, v])
-
-
 def _unpack_pair(F: Frame, rz: np.ndarray):
     half = rz.size // 2
-    if F.field is Field.COMPLEX:
-        return _to_complex(rz[:half]), _to_complex(rz[half:])
-    return rz[:half], rz[half:]
+    return _to_complex(rz[:half], F.field), _to_complex(rz[half:], F.field)
 
 
 def _ratio_and_grad(F: Frame, rz: np.ndarray):
@@ -191,37 +174,23 @@ def _ratio_and_grad(F: Frame, rz: np.ndarray):
     r = float(t @ t) / den
     gu = 2.0 * (fs.T @ (t * b) - r * du) / den
     gv = 2.0 * (fs.T @ (t * a) - r * dv) / den
-    return r, _pack_pair(F, gu, gv)
+    return r, np.concatenate([_to_real(gu), _to_real(gv)])
 
 
 def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
-    """Local gradient refinement of a candidate pair by L-BFGS-B. The ratio
-    is invariant under separate real rescaling of u and v, so the raw
+    """Local gradient refinement of a candidate pair by ``_lbfgs``. The
+    ratio is invariant under separate real rescaling of u and v, so the raw
     coordinates can be searched unconstrained; block alternation alone
-    stalls on flat valleys and at block-optimal saddles. The objective and
-    its gradient are divided by the ratio at the start, so the stopping
-    rules do not depend on the frame's scale.
+    stalls on flat valleys and at block-optimal saddles.
 
-    Returns (value, u, v, iterations, evaluations, converged); the start is
-    returned when the search ends at a non-finite or larger value."""
-    x0 = _pack_pair(F, u, v)
-    r0, _ = _ratio_and_grad(F, x0)
-    if not (0.0 < r0 < math.inf):
-        # a zero ratio is already the global minimum
-        return r0, u, v, 0, 0, True
-
-    def obj(rz):
-        r, g = _ratio_and_grad(F, rz)
-        return r / r0, g / r0
-
-    res = optimize.minimize(obj, x0, jac=True, method="L-BFGS-B",
-                            options={"ftol": 1e-13, "gtol": 1e-9})
-    stats = (int(res.nit), int(res.nfev), bool(res.success))
-    value = float(res.fun) * r0
-    if not math.isfinite(value) or value > r0:
-        return (r0, u, v) + stats
-    uu, vv = _unpack_pair(F, res.x)
-    return (value, uu / np.linalg.norm(uu), vv / np.linalg.norm(vv)) + stats
+    Returns (value, u, v, iterations, evaluations, converged); the start
+    comes back as given whenever ``_lbfgs`` keeps it."""
+    x0 = np.concatenate([_to_real(u), _to_real(v)])
+    x, value, nit, nfev, stop = _lbfgs(lambda rz: _ratio_and_grad(F, rz), x0)
+    if x is not x0:
+        u, v = _unpack_pair(F, x)
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+    return value, u, v, nit, nfev, stop in ("stationary", "rel_decrease")
 
 
 def grid_lower_lip(F: Frame, resolution: int = 2048):
@@ -280,17 +249,9 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
     if not candidates:
         raise RuntimeError("all multistarts degenerated; try more starts")
     candidates.sort(key=lambda c: c[0])
-    best = candidates[0]
-    iterations = evaluations = 0
-    converged = True
-    for r, u, v in candidates[:3]:
-        *polished, nit, nfev, ok = _polish_pair(F, u, v)
-        iterations += nit
-        evaluations += nfev
-        converged &= ok
-        if polished[0] < best[0]:
-            best = polished
-    value, u, v = best
+    refined = [_polish_pair(F, u, v) for _, u, v in candidates[:3]]
+    # min keeps the first of equal values, so a tie keeps the unrefined best
+    value, u, v = min([candidates[0]] + [r[:3] for r in refined], key=lambda c: c[0])
     method, resolution = "multistart", None
     if F.field is Field.REAL and F.dim == 2:
         gval, gu, gv = grid_lower_lip(F, resolution=2048)
@@ -311,9 +272,9 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
         starts=starts,
         grid_resolution=resolution,
         kept_starts=len(candidates),
-        refine_iterations=iterations,
-        refine_evaluations=evaluations,
-        refine_converged=converged,
+        refine_iterations=sum(r[3] for r in refined),
+        refine_evaluations=sum(r[4] for r in refined),
+        refine_converged=all(r[5] for r in refined),
     )
 
 
@@ -369,18 +330,18 @@ _ASCENT_MAX_ITERS = 1000
 _ASCENT_RTOL = 1e-13
 
 
-def _quartic_and_grad(F: Frame, rz: np.ndarray):
-    """sum_k |<u, f_k>|^4 / ||u||^4 at the packed real coordinates of u and
-    its gradient there, 4 (G - value ||u||^2 u) / ||u||^4 with
-    G = F^T (|a|^2 a) and a = conj(F) u."""
-    u = _to_complex(rz) if F.field is Field.COMPLEX else rz
+def _neg_quartic_and_grad(F: Frame, rz: np.ndarray):
+    """Minus sum_k |<u, f_k>|^4 / ||u||^4 at the packed real coordinates of
+    u, and minus its gradient there, 4 (G - value ||u||^2 u) / ||u||^4 with
+    G = F^T (|a|^2 a) and a = conj(F) u: what ``_b0_ascent`` minimises."""
+    u = _to_complex(rz, F.field)
     fs = F.synthesis
     a = fs.conj() @ u
     p = np.abs(a) ** 2
     n2 = float(np.vdot(u, u).real)
     value = float(p @ p) / (n2 * n2)
     g = 4.0 * (fs.T @ (p * a) - value * n2 * u) / (n2 * n2)
-    return value, (_to_real(g) if F.field is Field.COMPLEX else g)
+    return -value, -_to_real(g)
 
 
 def _b0_ascent(F: Frame, seed: int = 0):
@@ -393,7 +354,7 @@ def _b0_ascent(F: Frame, seed: int = 0):
     relative gain exceeds 1e-13, or after 1000 steps. At a degenerate
     maximum (one where the objective falls off at fourth order, as for
     r2_pr3) the ascent slows to a crawl, so the best start is then refined
-    by L-BFGS-B with the objective divided by its start value.
+    by ``_lbfgs``, with tolerances tight enough to move b0 there.
 
     Returns (value, iterations), iterations counting the batched steps."""
     fs = F.synthesis
@@ -414,16 +375,9 @@ def _b0_ascent(F: Frame, seed: int = 0):
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         A = U @ fs.conj().T
     i = int(np.argmax(vals))
-    v0 = vals[i]
-
-    def obj(rz):
-        value, g = _quartic_and_grad(F, rz)
-        return -value / v0, -g / v0
-
-    x0 = _to_real(U[i]) if F.field is Field.COMPLEX else U[i]
-    res = optimize.minimize(obj, x0, jac=True, method="L-BFGS-B",
-                            options={"ftol": 1e-15, "gtol": 1e-12})
-    return max(float(v0), -float(res.fun) * v0), iterations
+    refined = _lbfgs(lambda rz: _neg_quartic_and_grad(F, rz), _to_real(U[i]),
+                     ftol=1e-15, gtol=1e-12)[1]
+    return max(float(vals[i]), -refined), iterations
 
 
 def upper_lip_ceiling(F: Frame) -> float:

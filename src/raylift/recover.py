@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Vector, _check_order
+from .core import Vector, _check_order, _lbfgs, _to_complex, _to_real
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, measure, min_norm_inverse
 from .frames import _vec_to_json
 from .metrics import RayPoint, ray
@@ -35,9 +35,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolishStats:
-    """How the polish descent ended: accepted steps, residual-and-gradient
-    evaluations, and the stopping rule that fired (``rel_decrease``,
-    ``stationary``, ``line_search`` or ``max_iters``)."""
+    """How the polish search ended: its L-BFGS-B ``iterations``, its
+    residual-and-gradient ``evaluations`` (the start's included) and the
+    ``stop`` rule: ``stationary`` (scaled gradient <= 1e-9, so also an exact
+    fit), ``rel_decrease`` (a step lowered h by <= 1e-13 of h at the start),
+    ``max_iters`` or ``line_search`` (the line search failed)."""
 
     iterations: int
     evaluations: int
@@ -74,7 +76,7 @@ class RecoveryReport:
         return doc
 
 
-_POLISH_ITERS = 200  # the descent's iteration cap, as in recover(do_polish=True)
+_POLISH_ITERS = 200  # the search's iteration cap, as in recover(do_polish=True)
 
 
 def recover(
@@ -188,41 +190,24 @@ def _residual_and_grad(F: Frame, c_vals: np.ndarray, x: np.ndarray):
     return h, grad
 
 
-def _descend(F: Frame, vals: np.ndarray, x: np.ndarray, iters: int):
-    """The descent loop behind ``polish``: returns the final iterate and its
-    ``PolishStats``."""
-    h, grad = _residual_and_grad(F, vals, x)
-    evaluations = 1
-    t = None
-    for it in range(iters):
-        gnorm2 = float(np.vdot(grad, grad).real)
-        if gnorm2 == 0.0:
-            return x, PolishStats(it, evaluations, "stationary")
-        # h/||grad||^2 scales as 1/s^2 under x -> s x, like the step itself
-        t = h / gnorm2 if t is None else 2.0 * t
-        for _ in range(60):
-            xn = x - t * grad
-            hn, gn = _residual_and_grad(F, vals, xn)
-            evaluations += 1
-            if hn <= h - 1e-4 * t * gnorm2:
-                break
-            t *= 0.5
-        else:
-            return x, PolishStats(it, evaluations, "line_search")
-        x, grad, h_prev, h = xn, gn, h, hn
-        if h_prev - h <= 1e-10 * h_prev:
-            return x, PolishStats(it + 1, evaluations, "rel_decrease")
-    return x, PolishStats(iters, evaluations, "max_iters")
-
-
 def _polish(F: Frame, c, x0: RayPoint, iters: int):
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
     vals = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
     if vals.shape[0] != F.count:
         raise ValueError("measurement count does not match frame")
-    x, stats = _descend(F, vals, x0.rep.entries.copy(), iters)
-    est = ray(Vector(x, F.field))
+    scale = x0.rep.norm() or 1.0
+
+    def fun(y):
+        h, g = _residual_and_grad(F, vals, scale * _to_complex(y, F.field))
+        return h, scale * _to_real(g)
+
+    y0 = _to_real(x0.rep.entries / scale)
+    y, _, nit, nfev, stop = _lbfgs(fun, y0, maxiter=iters)
+    stats = PolishStats(nit, 1 + nfev, stop)
+    if y is y0:
+        return x0, stats
+    est = ray(Vector(scale * _to_complex(y, F.field), F.field))
     # the phase normalisation in ray() rounds; near an exact fit that alone
     # can raise the residual, so never hand back a worse fit than the start
     h0 = _residual_and_grad(F, vals, x0.rep.entries)[0]
@@ -237,20 +222,18 @@ def polish(
     x0: RayPoint,
     iters: int = _POLISH_ITERS,
 ) -> RayPoint:
-    """Refine a ray estimate by gradient descent on the squared measurement
-    residual h(x) = sum_k (|<x, f_k>|^2 - c_k)^2 (Wirtinger gradient in the
-    complex case), with an Armijo backtracking line search. Accepted steps
-    never increase the residual.
+    """Refine a ray estimate by a local L-BFGS-B search (``core._lbfgs``)
+    on the squared measurement residual h(x) = sum_k (|<x, f_k>|^2 - c_k)^2,
+    with its Wirtinger gradient in the complex case, for at most ``iters``
+    iterations.
 
-    The first trial step is h/||grad h||^2 at ``x0``; every later line search
-    starts from twice the last accepted step. Both scale as 1/s^2 under
-    x -> s x, c -> s^2 c, so the iterates scale by s and no constant of the
-    frame is needed (the former ``b0_hint`` argument is gone). The descent
-    stops when an accepted step lowers h by at most 1e-10 h, when the
-    gradient is exactly zero (which includes an exact fit), when the line
-    search fails after 60 halvings, or after ``iters`` iterations.
-    ``recover(..., do_polish=True)`` reports which rule stopped it. Should
-    the phase normalisation of the result leave a larger residual than
-    ``x0`` has (possible only at roundoff level), ``x0`` is returned.
+    The search runs on h divided by its value at ``x0`` and in coordinates
+    divided by ||x0||. Under x -> s x, c -> s^2 c both the objective and the
+    coordinates are unchanged, so the result scales by s and no constant of
+    the frame is needed. ``recover(..., do_polish=True)`` reports how the
+    search ended (see ``PolishStats``). ``x0`` is returned when the search
+    keeps its start, and also should the phase normalisation of the result
+    leave a larger residual than ``x0`` has (possible only at roundoff
+    level).
     """
     return _polish(F, c, x0, iters)[0]

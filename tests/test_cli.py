@@ -78,6 +78,31 @@ class TestOrderFlag:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestNumericFlags:
+    @pytest.mark.parametrize("flag, argv", [
+        ("--starts", ["check", "--frame", "{d}/f.json", "--starts", "0",
+                      "--report", "{d}/out.json"]),
+        ("--samples", ["probe", "--what", "bilipschitz", "--dims", "2", "--samples", "0",
+                       "--report", "{d}/out.json"]),
+        ("--samples", ["probe", "--what", "pi", "--dims", "2", "--samples", "0",
+                       "--report", "{d}/out.json"]),
+        ("--samples", ["probe", "--what", "omega", "--dims", "2", "--samples", "-3",
+                       "--report", "{d}/out.json"]),
+        ("--group-tol", ["reconstruct", "--frame", "{d}/f.json", "--measurements",
+                         "{d}/c.json", "--group-tol", "-1", "--out", "{d}/out.json"]),
+        ("--group-tol", ["reconstruct", "--frame", "{d}/f.json", "--measurements",
+                         "{d}/c.json", "--group-tol", "nan", "--out", "{d}/out.json"]),
+    ], ids=["check-starts-0", "bilipschitz-samples-0", "pi-samples-0", "omega-samples-neg",
+            "group-tol-neg", "group-tol-nan"])
+    def test_bad_value_is_usage_error(self, tmp_path, capsys, flag, argv):
+        """A count below 1 or a negative or non-finite tolerance exits 2
+        before any work, naming the flag and writing nothing."""
+        _inputs(tmp_path)
+        assert cli_main([a.format(d=tmp_path) for a in argv]) == 2
+        assert flag in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "f.json"]
+
+
 class TestRankWarning:
     @pytest.mark.parametrize("count, warned", [(5, True), (9, False)])
     def test_warning_iff_rank_deficient(self, tmp_path, capsys, count, warned):

@@ -24,6 +24,7 @@ from raylift import (
     vec,
     weyl_gap,
 )
+from raylift.core import _lbfgs
 
 from oracles import jacobi_eigvalsh, outer_sym_entrywise, random_hermitian, random_vector
 
@@ -257,3 +258,35 @@ class TestRankOnePSD:
     def test_atol_admits_grouped_output(self):
         t = RankOnePSD(carrier=SymOp(np.diag([1e-9, 1e-9]), Field.REAL), rank_atol=1e-8)
         assert t.top_eigenpair[0] == pytest.approx(1e-9)
+
+
+def _first_call_then(later):
+    """A (value, gradient) function worth 1 at its first call and
+    ``later(x)`` at every call after it."""
+    calls = [0]
+
+    def fun(x):
+        calls[0] += 1
+        return (1.0, 2.0 * x) if calls[0] == 1 else later(x)
+    return fun
+
+
+class TestLbfgsKeepsStart:
+    @pytest.mark.parametrize("make, x0", [
+        (lambda: lambda x: (float(x @ x), 2.0 * x), [0.0, 0.0]),
+        (lambda: lambda x: (math.nan, np.zeros_like(x)), [1.0, -2.0]),
+        (lambda: _first_call_then(lambda x: (2.0 + float(x @ x), 2.0 * x)), [1.0, -2.0]),
+        (lambda: _first_call_then(lambda x: (math.nan, np.full_like(x, math.nan))),
+         [1.0, -2.0]),
+    ], ids=["zero-start", "nan-start", "ends-higher", "ends-nan"])
+    def test_start_comes_back(self, make, x0):
+        """A zero or non-finite start value runs no search, and a search
+        that ends higher or non-finite hands back the start with its value;
+        polish, the a0 refinement and the b0 refinement all rely on it."""
+        fun, x0 = make(), np.array(x0)
+        f0 = make()(x0)[0]
+        x, value, nit, nfev, _ = _lbfgs(fun, x0)
+        assert x is x0
+        assert value == f0 or (math.isnan(value) and math.isnan(f0))
+        if not (f0 != 0.0 and math.isfinite(f0)):
+            assert nit == nfev == 0

@@ -353,7 +353,7 @@ class TestPolishDescent:
         the sweep shape."""
         F, M, rows = _sweep_rows()
         evals = [recover(F, c, lifted=M, do_polish=True).polish.evaluations for c in rows]
-        assert np.mean(evals) <= 400
+        assert np.mean(evals) <= 40
 
     def test_cost_at_true_ray(self, monkeypatch):
         """A noiseless row started at its true ray is already a fit to
@@ -371,7 +371,7 @@ class TestPolishDescent:
 
         monkeypatch.setattr(recover_mod, "_residual_and_grad", counted)
         out = polish(F, c, start)
-        assert count[0] <= 64
+        assert count[0] <= 32
         r0 = float(np.linalg.norm(measure(F, start.rep).values - c.values))
         r1 = float(np.linalg.norm(measure(F, out.rep).values - c.values))
         assert r1 <= r0
