@@ -175,15 +175,15 @@ def _gaussian(rng: np.random.Generator, shape, field: Field) -> np.ndarray:
 
 
 def _to_real(z: np.ndarray) -> np.ndarray:
-    """Real coordinates: a real vector as it is, a complex one as its real
-    parts followed by its imaginary parts."""
-    return np.concatenate([z.real, z.imag]) if np.iscomplexobj(z) else z
+    """Real coordinates along the last axis: a real vector as it is, a
+    complex one as its real parts followed by its imaginary parts."""
+    return np.concatenate([z.real, z.imag], axis=-1) if np.iscomplexobj(z) else z
 
 
 def _to_complex(r: np.ndarray, field: Field = Field.COMPLEX) -> np.ndarray:
-    """The vector of ``field`` whose real coordinates ``_to_real`` gives as r."""
-    n = r.size // 2
-    return r if field is Field.REAL else r[:n] + 1j * r[n:]
+    """The vectors of ``field`` whose real coordinates ``_to_real`` gives as r."""
+    n = r.shape[-1] // 2
+    return r if field is Field.REAL else r[..., :n] + 1j * r[..., n:]
 
 
 def _lbfgs(fun, x0: np.ndarray, ftol: float = 1e-13, gtol: float = 1e-9,
@@ -289,7 +289,7 @@ def _eigh_groups(mats: np.ndarray, group_tol: Optional[float] = None):
     neighbours at most the tolerance apart chain into one group even when
     its ends are further apart.
     """
-    if group_tol is not None and group_tol < 0:
+    if group_tol is not None and not group_tol >= 0:
         raise ValueError(f"group_tol must be >= 0, got {group_tol}")
     try:
         w, vecs = np.linalg.eigh(mats)

@@ -8,15 +8,19 @@ of
     Q(u, v) = sum_k |Re(<u, f_k> conj(<v, f_k>))|^2
 
 divided by ||u||^2 ||v||^2 - Im(<u, v>)^2. A frame is phase retrievable iff
-that minimum is positive. Each seeded start u0 takes one alternation of exact
-block minimization (for fixed u the objective is a quadratic form in the real
-coordinates of v, so the best partner v is a generalized smallest
-eigenvector): u0's best partner v, then v's best partner u. That screens the
-starts without converging; the best three candidates are refined jointly on
-the ratio, with its analytic gradient in the packed real coordinates of
-(u, v), by ``core._lbfgs``, the scale-free local minimiser that also refines
-b0 below and polishes reconstructions. n = 2 real frames additionally get an
-exhaustive angle-grid oracle.
+that minimum is positive. For fixed u, Q is a quadratic form in the real
+coordinates of v, so u's best partner v is that form's smallest
+eigenvector; in the complex field the form annihilates the coordinates of
+iu (Q(u, v + t iu) = Q(u, v)), and a rank-one shift by its trace deflates
+that direction so the partner keeps a unit denominator. Every seeded start
+u0 takes one alternation of this exact block minimization, u0's best
+partner v and then v's best partner u, all starts as one stack with one
+batched ``eigh`` per half-step. That screens the starts without converging;
+the best three candidates are refined jointly on the ratio, with its
+analytic gradient in the packed real coordinates of (u, v), by
+``core._lbfgs``, the scale-free local minimiser that also refines b0 below
+and polishes reconstructions. n = 2 real frames additionally get an
+exhaustive angle-grid oracle, refined the same way.
 
 The upper stability constant has a closed form: it is the maximum over unit
 u of sum_k |<u, f_k>|^4, found by a batched multistart fixed-point ascent
@@ -60,12 +64,13 @@ class LowerLipEstimate:
     """Smallest objective value found, with the witness pair that attains it.
 
     The value is an upper bound on the true constant (it is a minimum over
-    explored points); method="grid" marks values cross-checked against the
-    exhaustive n=2 angle grid. ``kept_starts`` counts the multistarts whose
-    one block alternation did not degenerate; the ``refine_*`` fields sum the
-    gradient refinement's iterations and objective evaluations over the
-    refined candidates and say whether every one of them met its stopping
-    rule.
+    explored points), reported exactly at the witnesses; method="grid" marks
+    values cross-checked against the exhaustive n=2 angle grid.
+    ``kept_starts`` counts the multistarts whose one block alternation gave
+    a pair with denominator above 1e-9; the ``refine_*`` fields sum the
+    gradient refinement's iterations and objective evaluations over the (at
+    most three) refined candidates and say whether every one of them met
+    its stopping rule.
     """
 
     value: float
@@ -80,65 +85,79 @@ class LowerLipEstimate:
     refine_converged: bool = True
 
 
+# Each row of these stacked products rounds as it does alone, so row k of a
+# stack equals the one-row case at row k bit for bit.
+
+def _analysis(F: Frame, U: np.ndarray) -> np.ndarray:
+    """conj(F) u for each row u, as a (k, m) stack."""
+    return (F.synthesis.conj() @ U[:, :, None])[:, :, 0]
+
+
+def _vdot_rows(V: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """<u, v> = sum conj(v) u for each row pair."""
+    return (V.conj()[:, None, :] @ U[:, :, None])[:, 0, 0]
+
+
+def _lower_lip_terms(F: Frame, U: np.ndarray, V: np.ndarray):
+    """(Q, denominator) of the stability objective at each row pair of two
+    (k, n) stacks."""
+    t = np.real(_analysis(F, U) * _analysis(F, V).conj())
+    nu2 = _vdot_rows(U, U).real
+    nv2 = _vdot_rows(V, V).real
+    im = _vdot_rows(V, U).imag if F.field is Field.COMPLEX else 0.0
+    return np.sum(t * t, axis=1), nu2 * nv2 - im * im
+
+
 def lower_lip_objective(F: Frame, u: np.ndarray, v: np.ndarray):
     """Return (Q, denominator) of the stability objective at a vector pair."""
+    q, den = _lower_lip_terms(F, np.asarray(u)[None], np.asarray(v)[None])
+    return float(q[0]), float(den[0])
+
+
+# starts x m x n entries per best-partner chunk: bounds the (k, m, 2n)
+# stack, so a wide frame's screen adds little to its peak memory
+_STACK_ENTRIES = 2 ** 18
+
+
+def _best_partners(F: Frame, U: np.ndarray):
+    """Each unit row u of a (k, n) stack's best partner: the unit v that
+    minimises Q(u, v), with that minimum. Returns (values, V).
+
+    Q(u, .) is the quadratic form S = L^T L in the real coordinates of v,
+    with L the rows a_k f_k (a = conj(F) u) in the real field, where S =
+    F^T diag(a^2) F, and [Re(a_k f_k), Im(a_k f_k)] in the complex one, so
+    the partner is S's smallest eigenvector. In the complex field Q(u, v + t iu) = Q(u, v):
+    S annihilates the unit coordinates w of iu, and adding trace(S) w w^T
+    moves that eigenvalue to the top, so the partner lies in w's orthogonal
+    complement, where the denominator is 1. The starts go through one
+    stacked ``eigh`` per chunk of at most ``_STACK_ENTRIES`` / (m n) rows.
+    """
     fs = F.synthesis
-    a = fs.conj() @ u
-    b = fs.conj() @ v
-    terms = np.real(a * b.conj())
-    q = float(np.sum(terms * terms))
-    nu2 = float(np.vdot(u, u).real)
-    nv2 = float(np.vdot(v, v).real)
-    im = float(np.imag(np.vdot(v, u))) if F.field is Field.COMPLEX else 0.0
-    return q, nu2 * nv2 - im * im
+    step = max(1, _STACK_ENTRIES // fs.size)
+    vals, vecs = [], []
+    for i in range(0, len(U), step):
+        u = U[i:i + step]
+        a = _analysis(F, u)
+        if F.field is Field.REAL:
+            S = (fs * (a * a)[:, :, None]).transpose(0, 2, 1) @ fs
+        else:
+            L = _to_real(a[:, :, None] * fs)
+            S = L.transpose(0, 2, 1) @ L
+            w = _to_real(1j * u)
+            S += np.trace(S, axis1=1, axis2=2)[:, None, None] * (w[:, :, None] * w[:, None, :])
+        lam, X = np.linalg.eigh(S)
+        vals.append(lam[:, 0])
+        vecs.append(X[:, :, 0])
+    return np.concatenate(vals), _to_complex(np.concatenate(vecs), F.field)
 
 
-def _orth_complement(w: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to the unit vector w
-    (Householder reflection mapping e1 to w, minus its first column)."""
-    d = w.size
-    e = np.zeros(d)
-    e[0] = 1.0
-    u = w - e
-    nu = np.linalg.norm(u)
-    if nu < 1e-12:
-        return np.eye(d)[:, 1:]
-    u = u / nu
-    H = np.eye(d) - 2.0 * np.outer(u, u)
-    return H[:, 1:]
-
-
-def _best_partner_real(F: Frame, u: np.ndarray):
-    fs = F.synthesis
-    cu = fs @ u
-    S = (fs * (cu * cu)[:, None]).T @ fs
-    w, V = np.linalg.eigh(S)
-    return float(w[0]), V[:, 0]
-
-
-def _best_partner_complex(F: Frame, u: np.ndarray):
-    fs = F.synthesis
-    a = fs.conj() @ u
-    wk = a[:, None] * fs
-    L = np.concatenate([wk.real, wk.imag], axis=1)
-    S = L.T @ L
-    # Q(u, v + t iu) = Q(u, v), so S annihilates the real coordinates of iu
-    # and the partner is searched in the hyperplane orthogonal to them
-    B = _orth_complement(_to_real(1j * u))
-    St = B.T @ (S @ B)
-    vals, vecs = np.linalg.eigh((St + St.T) / 2)
-    v = _to_complex(B @ vecs[:, 0])
-    v = v / np.linalg.norm(v)
-    return float(vals[0]), v
-
-
-def _alternating_min(F: Frame, u0: np.ndarray):
-    """One alternation of exact block minimization from u0: the best partner
-    v of u0, then the best partner u of v. Returns (value, u, v)."""
-    step = _best_partner_real if F.field is Field.REAL else _best_partner_complex
-    _, v = step(F, u0 / np.linalg.norm(u0))
-    val, u = step(F, v)
-    return val, u, v
+def _alternating_min(F: Frame, U0: np.ndarray):
+    """One alternation of exact block minimization from each row u0 of a
+    (k, n) stack: the best partner v of u0, then the best partner u of v.
+    Returns (values, U, V)."""
+    _, V = _best_partners(F, U0 / np.sqrt(_vdot_rows(U0, U0).real)[:, None])
+    vals, U = _best_partners(F, V)
+    return vals, U, V
 
 
 def _unpack_pair(F: Frame, rz: np.ndarray):
@@ -195,8 +214,9 @@ def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
 
 def grid_lower_lip(F: Frame, resolution: int = 2048):
     """Exhaustive angle-grid oracle for n = 2 real frames: evaluates the
-    stability objective on all angle pairs and locally polishes the best one.
-    Returns (value, u, v)."""
+    stability objective on all pairs of ``resolution`` angles and refines the
+    best pair by ``_polish_pair``, keeping the grid pair unless that lowers
+    it. Returns (value, u, v)."""
     if F.field is not Field.REAL or F.dim != 2:
         raise ValueError("grid oracle applies to n = 2 real frames only")
     fs = F.synthesis
@@ -205,53 +225,34 @@ def grid_lower_lip(F: Frame, resolution: int = 2048):
     S = (fs @ U) ** 2
     Q = S.T @ S
     i, j = np.unravel_index(int(np.argmin(Q)), Q.shape)
-    best = float(Q[i, j])
-    ti, tj = float(th[i]), float(th[j])
-
-    def angle_obj(ab):
-        uu = np.array([math.cos(ab[0]), math.sin(ab[0])])
-        vv = np.array([math.cos(ab[1]), math.sin(ab[1])])
-        return lower_lip_objective(F, uu, vv)[0]
-
-    # start the simplex at grid-step scale so the polish stays in the
-    # basin the exhaustive scan located
-    step = 2 * np.pi / resolution
-    x0 = np.array([ti, tj])
-    simplex = np.array([x0, x0 + [step, 0.0], x0 + [0.0, step]])
-    res = optimize.minimize(
-        angle_obj, x0, method="Nelder-Mead",
-        options={"xatol": 1e-14, "fatol": 1e-16, "maxiter": 4000,
-                 "initial_simplex": simplex},
-    )
-    if res.fun <= best:
-        best = float(res.fun)
-        ti, tj = float(res.x[0]), float(res.x[1])
-    u = np.array([math.cos(ti), math.sin(ti)])
-    v = np.array([math.cos(tj), math.sin(tj)])
-    return best, u, v
+    return _polish_pair(F, U[:, i], U[:, j])[:3]
 
 
 def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEstimate:
     """Estimate the frame's lower stability constant: one block alternation
-    from each of ``starts`` seeded starts, then L-BFGS-B refinement of the
-    three best pairs; n = 2 real frames are cross-checked against the
+    from each of ``starts`` seeded starts, all screened as one stack by
+    ``_alternating_min``; pairs whose denominator is at most 1e-9 are
+    dropped, the rest ordered by value (stable, so ties keep start order),
+    and the best three refined by ``_polish_pair``. The estimate is the
+    lowest of the best screened pair and its three refinements, the first of
+    equal values winning. n = 2 real frames are cross-checked against the
     exhaustive grid oracle (the two must agree to 1e-6)."""
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    candidates = []
-    for s in range(starts):
-        u0 = _gaussian(np.random.default_rng([seed, s]), F.dim, F.field)
-        _, u, v = _alternating_min(F, u0)
-        q, den = lower_lip_objective(F, u, v)
-        if den <= _DEN_CUTOFF:
-            continue
-        candidates.append((q / den, u, v))
-    if not candidates:
+    U0 = np.stack([_gaussian(np.random.default_rng([seed, s]), F.dim, F.field)
+                   for s in range(starts)])
+    _, U, V = _alternating_min(F, U0)
+    q, den = _lower_lip_terms(F, U, V)
+    keep = np.flatnonzero(den > _DEN_CUTOFF)
+    if keep.size == 0:
         raise RuntimeError("all multistarts degenerated; try more starts")
-    candidates.sort(key=lambda c: c[0])
-    refined = [_polish_pair(F, u, v) for _, u, v in candidates[:3]]
+    ratio = q[keep] / den[keep]
+    order = np.argsort(ratio, kind="stable")
+    top = keep[order[:3]]
+    refined = [_polish_pair(F, U[k], V[k]) for k in top]
     # min keeps the first of equal values, so a tie keeps the unrefined best
-    value, u, v = min([candidates[0]] + [r[:3] for r in refined], key=lambda c: c[0])
+    value, u, v = min([(ratio[order[0]], U[top[0]], V[top[0]])] + [r[:3] for r in refined],
+                      key=lambda c: c[0])
     method, resolution = "multistart", None
     if F.field is Field.REAL and F.dim == 2:
         gval, gu, gv = grid_lower_lip(F, resolution=2048)
@@ -271,7 +272,7 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
         method=method,
         starts=starts,
         grid_resolution=resolution,
-        kept_starts=len(candidates),
+        kept_starts=int(keep.size),
         refine_iterations=sum(r[3] for r in refined),
         refine_evaluations=sum(r[4] for r in refined),
         refine_converged=all(r[5] for r in refined),
@@ -283,19 +284,20 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
 _BLOCK = 512
 
 
-def _pair_blocks(seed: int, samples: int, dim: int, field: Field):
-    """Deterministic (x, y) sample pairs in fixed-size blocks so a longer run
-    extends a shorter one sample for sample."""
-    out = 0
-    block = 0
-    while out < samples:
+def _pair_terms(F: Frame, samples: int, seed: int):
+    """Seeded sample pairs (x, y), drawn in fixed-size blocks so that a longer
+    run extends a shorter one sample for sample. Yields per block the squared
+    measurement distance ||alpha(x) - alpha(y)||^2 and d1(x, y) of the pairs
+    that are not coincident: d1 > 1e-6 max(1, ||x||^2 + ||y||^2)."""
+    for block, out in enumerate(range(0, samples, _BLOCK)):
         rng = np.random.default_rng([seed, block])
-        x = _gaussian(rng, (_BLOCK, dim), field)
-        y = _gaussian(rng, (_BLOCK, dim), field)
-        take = min(_BLOCK, samples - out)
-        yield x[:take], y[:take]
-        out += take
-        block += 1
+        x = _gaussian(rng, (_BLOCK, F.dim), F.field)[:samples - out]
+        y = _gaussian(rng, (_BLOCK, F.dim), F.field)[:samples - out]
+        num = np.sum((_measure_stack(F, x) - _measure_stack(F, y)) ** 2, axis=1)
+        d1 = _lift_dist_stack(x, y, 1)
+        scale = np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)
+        keep = d1 > 1e-6 * np.maximum(1.0, scale)
+        yield num[keep], d1[keep]
 
 
 def estimate_upper_lip(F: Frame, samples: int = 2000, seed: int = 0, refine: bool = True) -> float:
@@ -313,13 +315,9 @@ def estimate_upper_lip(F: Frame, samples: int = 2000, seed: int = 0, refine: boo
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     best = 0.0
-    for x, y in _pair_blocks(seed, samples, F.dim, F.field):
-        num = np.sum((_measure_stack(F, x) - _measure_stack(F, y)) ** 2, axis=1)
-        den = _lift_dist_stack(x, y, 1) ** 2
-        scale4 = (np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)) ** 2
-        keep = den > 1e-12 * np.maximum(1.0, scale4)
-        if np.any(keep):
-            best = max(best, float(np.max(num[keep] / den[keep])))
+    for num, d1 in _pair_terms(F, samples, seed):
+        if d1.size:
+            best = max(best, float(np.max(num / d1 ** 2)))
     if refine:
         best = max(best, _b0_ascent(F, seed)[0])
     return best
@@ -424,14 +422,7 @@ def probe_bilipschitz(F: Frame, samples: int = 10_000, seed: int = 0) -> dict:
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    ratios = []
-    for x, y in _pair_blocks(seed, samples, F.dim, F.field):
-        num = np.sqrt(np.sum((_measure_stack(F, x) - _measure_stack(F, y)) ** 2, axis=1))
-        den = _lift_dist_stack(x, y, 1)
-        scale = np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)
-        keep = den > 1e-12 * np.maximum(1.0, scale)
-        ratios.append(num[keep] / den[keep])
-    ratios = np.concatenate(ratios)
+    ratios = np.concatenate([np.sqrt(num) / d1 for num, d1 in _pair_terms(F, samples, seed)])
     return {
         "min_ratio": float(np.min(ratios)),
         "max_ratio": float(np.max(ratios)),

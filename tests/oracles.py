@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own computational paths: a hand-rolled
 cyclic Jacobi eigensolver (vs LAPACK), entrywise outer products, full-matrix
-SVD norms, the thresholded-SVD pseudoinverse (vs the normal equations), and
-dense parameter scans. They are slow and only used at small
-sizes.
+SVD norms, the thresholded-SVD pseudoinverse (vs the normal equations),
+per-row best-partner solves on a Householder basis (vs one stacked solve
+with a rank-one deflation), and dense parameter scans. They are slow and
+only used at small sizes.
 """
 
 import json
@@ -91,6 +92,48 @@ def svd_min_norm(matrix, cs, tol=1e-10):
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     r = int(np.sum(s > tol * s[0]))
     return r, s, ((cs @ u[:, :r]) / s[:r]) @ vt[:r]
+
+
+def _orth_complement(w):
+    """Orthonormal basis of the hyperplane orthogonal to the unit vector w
+    (Householder reflection mapping e1 to w, minus its first column)."""
+    d = w.size
+    e = np.zeros(d)
+    e[0] = 1.0
+    u = w - e
+    nu = np.linalg.norm(u)
+    if nu < 1e-12:
+        return np.eye(d)[:, 1:]
+    u = u / nu
+    H = np.eye(d) - 2.0 * np.outer(u, u)
+    return H[:, 1:]
+
+
+def best_partner_real(fs, u):
+    """(min Q(u, v), argmin v) over unit real v, for unit real u and a real
+    m x n synthesis matrix: the smallest eigenpair of F^T diag(<u, f_k>^2) F."""
+    cu = fs @ u
+    S = (fs * (cu * cu)[:, None]).T @ fs
+    w, V = np.linalg.eigh(S)
+    return float(w[0]), V[:, 0]
+
+
+def best_partner_complex(fs, u):
+    """(min Q(u, v), argmin v) over unit complex v orthogonal (in real
+    coordinates) to iu, for unit complex u: the form is restricted to an
+    explicit Householder basis of that hyperplane, one row at a time."""
+    a = fs.conj() @ u
+    wk = a[:, None] * fs
+    L = np.concatenate([wk.real, wk.imag], axis=1)
+    S = L.T @ L
+    iu = 1j * u
+    B = _orth_complement(np.concatenate([iu.real, iu.imag]))
+    St = B.T @ (S @ B)
+    vals, vecs = np.linalg.eigh((St + St.T) / 2)
+    r = B @ vecs[:, 0]
+    n = u.size
+    v = r[:n] + 1j * r[n:]
+    return float(vals[0]), v / np.linalg.norm(v)
 
 
 def align_dist_scan(x, y, p, resolution=200_000):

@@ -12,7 +12,10 @@ from raylift import (
     align_dist,
     gen_frame,
     lift_dist,
+    measure,
+    rank_one_retract,
     ray,
+    recover,
     recovery_lip_bound,
     retraction_bound,
     retraction_probe,
@@ -114,6 +117,20 @@ class TestSpectralDecompose:
     def test_negative_group_tol_rejected(self, rng):
         with pytest.raises(ValueError):
             spectral_decompose(_rand_symop(rng, 3, Field.REAL), group_tol=-1.0)
+
+    @pytest.mark.parametrize("call", ["spectral_decompose", "rank_one_retract", "recover"])
+    def test_nan_group_tol_rejected(self, rng, call):
+        # NaN fails every comparison, so a `tol < 0` check let it through,
+        # and it then merged every eigenvalue into one group
+        if call == "recover":
+            F = gen_frame("random_gaussian", 3, 9, Field.REAL, seed=1)
+            c = measure(F, Vector(rng.standard_normal(3), Field.REAL)).values
+            with pytest.raises(ValueError, match="group_tol"):
+                recover(F, c, group_tol=math.nan)
+            return
+        fn = spectral_decompose if call == "spectral_decompose" else rank_one_retract
+        with pytest.raises(ValueError, match="group_tol"):
+            fn(SymOp(np.diag([1.0, 1.0, 0.5]), Field.REAL), group_tol=math.nan)
 
     def test_random_vs_jacobi_oracle(self, rng, field):
         for _ in range(25):

@@ -21,9 +21,15 @@ from raylift import (
     write_frame,
 )
 from raylift.cli import main as cli_main
-from raylift.probes import _alternating_min, _b0_ascent, _ratio_and_grad, certify_min_above
+from raylift.probes import (
+    _alternating_min,
+    _b0_ascent,
+    _best_partners,
+    _ratio_and_grad,
+    certify_min_above,
+)
 
-from oracles import quartic_max_scan
+from oracles import best_partner_complex, best_partner_real, quartic_max_scan
 
 frames_mod = importlib.import_module("raylift.frames")
 probes_mod = importlib.import_module("raylift.probes")
@@ -39,6 +45,14 @@ def _pr3():
 
 def _onb():
     return gen_frame("named", 2, 2, name="r2_onb")
+
+
+def random_start(F, seed, s):
+    """Start s of ``estimate_lower_lip``'s seeded draws: real parts, then
+    imaginary parts in the complex field."""
+    n = F.dim
+    z = np.random.default_rng([seed, s]).standard_normal(n if F.field is Field.REAL else 2 * n)
+    return z if F.field is Field.REAL else z[:n] + 1j * z[n:]
 
 
 class TestLowerLip:
@@ -168,13 +182,10 @@ class TestLowerLipRefinement:
     def test_refined_never_above_best_alternating_candidate(self, field):
         F = gen_frame("random_gaussian", 4, 16, field, seed=6)
         starts, seed = 16, 3
+        U0 = np.stack([random_start(F, seed, s) for s in range(starts)])
+        _, U, V = _alternating_min(F, U0)
         best = math.inf
-        for s in range(starts):
-            u0 = np.random.default_rng([seed, s]).standard_normal(
-                F.dim if field is Field.REAL else 2 * F.dim)
-            if field is Field.COMPLEX:
-                u0 = u0[:F.dim] + 1j * u0[F.dim:]
-            _, u, v = _alternating_min(F, u0)
+        for u, v in zip(U, V):
             q, den = lower_lip_objective(F, u, v)
             if den > 1e-9:
                 best = min(best, q / den)
@@ -183,25 +194,66 @@ class TestLowerLipRefinement:
 
     def test_one_alternation_per_start(self, monkeypatch, field):
         """Each start takes exactly one block alternation: two best-partner
-        solves, the second from the first's partner."""
+        solves of the whole stack, the second from the first's partners."""
         F = gen_frame("random_gaussian", 3, 9, field, seed=2)
-        name = "_best_partner_real" if field is Field.REAL else "_best_partner_complex"
-        solve = getattr(probes_mod, name)
+        solve = probes_mod._best_partners
         calls = []
 
-        def counting(F, u):
-            calls.append(u)
-            return solve(F, u)
+        def counting(F, U):
+            calls.append(U)
+            return solve(F, U)
 
-        monkeypatch.setattr(probes_mod, name, counting)
-        u0 = np.arange(1.0, 4.0) if field is Field.REAL else np.array([1.0, 2j, 3.0])
-        val, u, v = _alternating_min(F, u0)
+        monkeypatch.setattr(probes_mod, "_best_partners", counting)
+        U0 = np.stack([random_start(F, 0, s) for s in range(4)])
+        vals, U, V = _alternating_min(F, U0)
         assert len(calls) == 2
-        assert np.allclose(calls[0], u0 / np.linalg.norm(u0)) and calls[1] is v
-        want_val, want_u = solve(F, v)
-        assert val == want_val and np.array_equal(u, want_u)
+        assert np.allclose(calls[0], U0 / np.linalg.norm(U0, axis=1, keepdims=True))
+        assert calls[1] is V
+        want_vals, want_U = solve(F, V)
+        assert np.array_equal(vals, want_vals) and np.array_equal(U, want_U)
         estimate_lower_lip(F, starts=5, seed=0)
-        assert len(calls) == 2 + 2 * 5
+        assert len(calls) == 4 and calls[2].shape == (5, F.dim)
+
+    @pytest.mark.parametrize("n, m", [(3, 9), (4, 16), (8, 72)])
+    def test_partners_match_rowwise_oracle(self, field, n, m):
+        """The stacked, deflated solve agrees with the per-row solve on an
+        explicit Householder basis, and each partner attains its value."""
+        F = gen_frame("random_gaussian", n, m, field, seed=n)
+        U = np.stack([random_start(F, 5, s) for s in range(12)])
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        vals, V = _best_partners(F, U)
+        qs, dens = probes_mod._lower_lip_terms(F, U, V)
+        oracle = best_partner_real if field is Field.REAL else best_partner_complex
+        for u, val, v, q_row, den_row in zip(U, vals, V, qs, dens):
+            want, _ = oracle(F.synthesis, u)
+            assert val == pytest.approx(want, rel=1e-12)
+            q, den = lower_lip_objective(F, u, v)
+            # the stacked objective's row is the one-row case, bit for bit
+            assert (q, den) == (q_row, den_row)
+            assert q == pytest.approx(val, rel=1e-12)
+            assert den == pytest.approx(1.0, rel=1e-12)
+
+    def test_chunked_stack_matches_one_stack(self, monkeypatch, field):
+        F = gen_frame("random_gaussian", 4, 16, field, seed=3)
+        U = np.stack([random_start(F, 1, s) for s in range(7)])
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        vals, V = _best_partners(F, U)
+        # 3 rows per chunk: chunks of 3, 3 and 1
+        monkeypatch.setattr(probes_mod, "_STACK_ENTRIES", 3 * F.synthesis.size)
+        cvals, cV = _best_partners(F, U)
+        assert np.allclose(cvals, vals, rtol=1e-12, atol=0)
+        q, _ = probes_mod._lower_lip_terms(F, U, cV)
+        assert np.allclose(q, vals, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("starts", [1, 5, 64])
+    def test_two_eigh_calls_per_screen(self, monkeypatch, starts):
+        # one batched eigh per half-step, however many starts
+        F = gen_frame("random_gaussian", 8, 72, Field.COMPLEX, seed=4)
+        eigh = np.linalg.eigh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        estimate_lower_lip(F, starts=starts, seed=1)
+        assert calls == [(starts, 16, 16)] * 2
 
     def test_search_diagnostics(self, field):
         F = gen_frame("random_gaussian", 3, 9, field, seed=2)
