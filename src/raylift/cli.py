@@ -13,7 +13,6 @@ Exit codes: 0 success/affirmative, 1 negative verdict, 2 usage, 3 I/O,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 
@@ -22,12 +21,10 @@ import numpy as np
 from . import __version__
 from .core import Field, Vector, _check_order, _gaussian, symop
 from .frames import (
-    Frame,
     FrameFileError,
     _vec_to_json,
     build_lifted_map,
     dumps_json,
-    frame_to_dict,
     gen_frame,
     measure,
     read_frame,
@@ -144,10 +141,6 @@ def _provenance(command: str, args: argparse.Namespace) -> dict:
     return {"tool": "raylift", "version": __version__, "command": command, "flags": flags}
 
 
-def _frame_hash(F: Frame) -> str:
-    return hashlib.sha256(dumps_json(frame_to_dict(F)).encode("utf-8")).hexdigest()
-
-
 def _write_text(path, text) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -209,7 +202,7 @@ def cmd_check(args) -> int:
     verdict = pr_verdict(F, estimate=est)
     report = {
         "frame_label": F.label,
-        "frame_hash": _frame_hash(F),
+        "frame_hash": F.file_sha256,
         "a0": est.value,
         "b0": b0,
         "b0_upper": upper_lip_ceiling(F),
@@ -273,7 +266,7 @@ def cmd_reconstruct(args) -> int:
         reports.append(rep.to_dict())
     doc = {
         "frame_label": F.label,
-        "frame_hash": _frame_hash(F),
+        "frame_hash": F.file_sha256,
         "rows": reports,
         "provenance": _provenance("reconstruct", args),
     }

@@ -8,6 +8,8 @@ are bit exact.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -44,6 +46,7 @@ _PINV_TOL = 1e-10
 # of build_lifted_map; the normal equations' relative error is then about
 # eps / 1e-6 ~ 2e-10
 _CHOL_RCOND = 1e-6
+_SQRT2 = math.sqrt(2)
 
 NAMED_FRAMES = {
     # phase retrievable in R^2 (full spark, m = 3 = 2n - 1)
@@ -60,11 +63,19 @@ class FrameFileError(ValueError):
 @dataclass(frozen=True)
 class Frame:
     """An ordered spanning set of the n-dimensional Hilbert space, held as its
-    m x n synthesis matrix: row k is the frame vector f_k."""
+    m x n synthesis matrix: row k is the frame vector f_k.
+
+    ``file_sha256`` is the hex sha256 of the file ``read_frame`` parsed the
+    frame from, byte for byte as written, and ``check`` and ``reconstruct``
+    report it as ``frame_hash``: whitespace and the spelling of numbers
+    count, so two files of one frame may differ in it. It is None for a
+    frame not read from a file, and equality ignores it.
+    """
 
     synthesis: np.ndarray
     field: Field
     label: str = ""
+    file_sha256: Optional[str] = dataclasses.field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         a = _as_field_array(self.synthesis, self.field, 2, "frame")
@@ -162,9 +173,9 @@ def sym_coords(M: np.ndarray, field: Field) -> np.ndarray:
     iu, ju = _triu_pairs(n)
     diag = np.real(M[..., np.arange(n), np.arange(n)])
     off = M[..., iu, ju]
-    parts = [diag, math.sqrt(2) * np.real(off)]
+    parts = [diag, _SQRT2 * np.real(off)]
     if field is Field.COMPLEX:
-        parts.append(math.sqrt(2) * np.imag(off))
+        parts.append(_SQRT2 * np.imag(off))
     return np.concatenate(parts, axis=-1)
 
 
@@ -177,9 +188,9 @@ def sym_from_coords(c: np.ndarray, n: int, field: Field) -> np.ndarray:
     k = iu.size
     M = np.zeros((n, n), dtype=field.dtype)
     M[np.arange(n), np.arange(n)] = c[:n]
-    re = c[n : n + k] / math.sqrt(2)
+    re = c[n : n + k] / _SQRT2
     if field is Field.COMPLEX:
-        im = c[n + k :] / math.sqrt(2)
+        im = c[n + k :] / _SQRT2
         off = re + 1j * im
     else:
         off = re
@@ -237,12 +248,41 @@ class LiftedMap:
         return self.matrix @ sym_coords(T.entries, self.field)
 
 
+def _lifted_rows(F: Frame) -> np.ndarray:
+    """The (cols, m) transpose of A: column k holds ``sym_coords`` of
+    f_k f_k^*, written pair by pair from the real and imaginary parts of the
+    frame, so no m x n x n outer-product stack is formed."""
+    n = F.dim
+    re = np.ascontiguousarray(F.synthesis.real.T)
+    im = np.ascontiguousarray(F.synthesis.imag.T) if F.field is Field.COMPLEX else None
+    out = np.empty((_sym_dim(n, F.field), F.count))
+    out[:n] = re * re if im is None else re * re + im * im
+    at, k = n, n * (n - 1) // 2
+    for i in range(n - 1):  # the pairs (i, j > i), in _triu_pairs order
+        stop = at + n - 1 - i
+        if im is None:
+            out[at:stop] = _SQRT2 * (re[i] * re[i + 1:])
+        else:
+            out[at:stop] = _SQRT2 * (re[i] * re[i + 1:] + im[i] * im[i + 1:])
+            out[k + at:k + stop] = _SQRT2 * (im[i] * re[i + 1:] - re[i] * im[i + 1:])
+        at = stop
+    return out
+
+
 def build_lifted_map(F: Frame) -> LiftedMap:
     """Assemble the measurement matrix A on lifted operators for a frame, and
     factor it for min-norm inversion.
 
-    Row k holds the basis coordinates of the rank-one functional of f_k. The
-    input picks the factorization:
+    Row k holds the basis coordinates of the rank-one functional of f_k,
+    ``sym_coords(f_k f_k^*)``: the diagonal re^2 + im^2, then sqrt(2) times
+    re(f_ki conj(f_kj)) = re_i re_j + im_i im_j and, in the complex field,
+    sqrt(2) times im(f_ki conj(f_kj)) = im_i re_j - re_i im_j over the pairs
+    i < j. This real arithmetic gives the bits of the complex outer product
+    (a complex ``a * b.conj()`` or ``abs(a)**2`` would not). ``matrix`` is
+    column-major, the transpose of a C-ordered (cols, m) buffer, and
+    ``_left`` is C-ordered; the BLAS products in ``min_norm_inverse`` round
+    according to that layout, so it is part of what makes the estimates
+    reproducible bit for bit. The input picks the factorization:
 
     - Cholesky path: G = A^T A has a Cholesky factor and LAPACK's estimate of
       its reciprocal condition number exceeds ``_CHOL_RCOND``. Then A has
@@ -253,23 +293,28 @@ def build_lifted_map(F: Frame) -> LiftedMap:
       SVD A = U S V^T, whose numerical rank r counts singular values above
       ``_PINV_TOL`` times the top; the inverse applies V_r S_r^-1 U_r^T.
     """
-    fs = F.synthesis
-    rows = sym_coords(np.einsum("ki,kj->kij", fs, fs.conj()), F.field)
-    gram = rows.T @ rows
+    rows_t = _lifted_rows(F)
+    rows = rows_t.T
+    gram = rows_t @ rows
     factor, info = lapack.dpotrf(gram)
     if info == 0 and lapack.dpocon(factor, np.abs(gram).sum(axis=0).max())[0] > _CHOL_RCOND:
-        inv, _ = lapack.dpotri(factor, overwrite_c=1)  # upper triangle only
-        rank, left, right = rows.shape[1], np.triu(inv) + np.triu(inv, 1).T, None
+        # the upper triangle of G^-1, Fortran-ordered, over a zero lower one;
+        # the transpose of the symmetrised sum is C-ordered
+        inv, _ = lapack.dpotri(factor, overwrite_c=1)
+        rank, left, right = rows.shape[1], (inv + np.triu(inv, 1).T).T, None
     else:
         u, s, vt = np.linalg.svd(rows, full_matrices=False)
         rank = int(np.sum(s > _PINV_TOL * s[0]))
         left, right = vt[:rank].T / s[:rank], _freeze(u[:, :rank].T)
+    # read-only views, not copies: nothing else holds these buffers
+    rows_t.setflags(write=False)
+    left.setflags(write=False)
     return LiftedMap(
-        matrix=_freeze(rows),
+        matrix=rows,
         dim=F.dim,
         field=F.field,
         rank=rank,
-        _left=_freeze(left),
+        _left=left,
         _right=right,
     )
 
@@ -465,7 +510,9 @@ def frame_to_dict(F: Frame) -> dict:
     }
 
 
-def frame_from_dict(doc: dict, where: str = "frame") -> Frame:
+def frame_from_dict(
+    doc: dict, where: str = "frame", file_sha256: Optional[str] = None
+) -> Frame:
     if not isinstance(doc, dict):
         raise FrameFileError(f"{where}: expected an object, got {type(doc).__name__}")
     for key in ("field", "dim", "count", "vectors"):
@@ -490,7 +537,7 @@ def frame_from_dict(doc: dict, where: str = "frame") -> Frame:
         # the bits of each (re, im) pair, signed zeros included
         a = a.view(np.complex128)[..., 0]
     try:
-        return Frame(a, field, label=str(doc.get("label", "")))
+        return Frame(a, field, label=str(doc.get("label", "")), file_sha256=file_sha256)
     except ValueError as e:
         raise FrameFileError(f"{where}: {e}") from e
 
@@ -500,14 +547,28 @@ def write_frame(path, F: Frame) -> None:
         fh.write(dumps_json(frame_to_dict(F)))
 
 
-def read_frame(path) -> Frame:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _parse_json(path, data: bytes):
+    """The JSON document in the UTF-8 bytes ``data`` read from ``path``."""
     try:
-        doc = json.loads(text)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FrameFileError(f"{path}: not UTF-8 at byte offset {e.start}: {e.reason}") from e
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise FrameFileError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
-    return frame_from_dict(doc, where=str(path))
+
+
+def read_frame(path) -> Frame:
+    """Read a frame file. The frame's ``file_sha256`` is the sha256 of the
+    bytes read, so it is the digest of the file as written: re-saving the
+    same frame with other whitespace or number spellings changes it. For a
+    file written by ``write_frame`` it is the digest of
+    ``dumps_json(frame_to_dict(F))``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = _parse_json(path, data)
+    return frame_from_dict(doc, where=str(path), file_sha256=hashlib.sha256(data).hexdigest())
 
 
 def write_measurements(path, rows: Sequence[Measurement]) -> None:
@@ -525,12 +586,8 @@ def write_measurements(path, rows: Sequence[Measurement]) -> None:
 
 def read_measurements(path) -> list:
     """Read measurement rows; 'values' may be one flat row or a list of rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FrameFileError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
+    with open(path, "rb") as fh:
+        doc = _parse_json(path, fh.read())
     if not isinstance(doc, dict) or "count" not in doc or "values" not in doc:
         raise FrameFileError(f"{path}: expected object with keys 'count' and 'values'")
     count, values = doc["count"], doc["values"]

@@ -38,8 +38,10 @@ class PolishStats:
     """How the polish search ended: its L-BFGS-B ``iterations``, its
     residual-and-gradient ``evaluations`` (the start's included) and the
     ``stop`` rule: ``stationary`` (scaled gradient <= 1e-9, so also an exact
-    fit), ``rel_decrease`` (a step lowered h by <= 1e-13 of h at the start),
-    ``max_iters`` or ``line_search`` (the line search failed)."""
+    fit; a start whose residual is already <= 8 eps ||c|| ends here with 0
+    iterations and 1 evaluation), ``rel_decrease`` (a step lowered h by
+    <= 1e-13 of h at the start), ``max_iters`` or ``line_search`` (the line
+    search failed)."""
 
     iterations: int
     evaluations: int
@@ -77,6 +79,11 @@ class RecoveryReport:
 
 
 _POLISH_ITERS = 200  # the search's iteration cap, as in recover(do_polish=True)
+# a start whose residual is at most this times ||c|| fits to roundoff: the
+# residual of the exact ray of a noiseless complex row, computed in floating
+# point, reads 0.1-3.3 eps * ||c|| (Gaussian frames, n 2-32), and a search
+# from such a start only ends in a failed line search
+_FIT_FLOOR = 8 * float(np.finfo(np.float64).eps)
 
 
 def recover(
@@ -196,6 +203,10 @@ def _polish(F: Frame, c, x0: RayPoint, iters: int):
     vals = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
     if vals.shape[0] != F.count:
         raise ValueError("measurement count does not match frame")
+    h0 = _residual_and_grad(F, vals, x0.rep.entries)[0]
+    # scale-free: residual and ||c|| both scale by s^2 under x -> s x
+    if math.sqrt(h0) <= _FIT_FLOOR * float(np.linalg.norm(vals)):
+        return x0, PolishStats(0, 1, "stationary")
     scale = x0.rep.norm() or 1.0
 
     def fun(y):
@@ -210,7 +221,6 @@ def _polish(F: Frame, c, x0: RayPoint, iters: int):
     est = ray(Vector(scale * _to_complex(y, F.field), F.field))
     # the phase normalisation in ray() rounds; near an exact fit that alone
     # can raise the residual, so never hand back a worse fit than the start
-    h0 = _residual_and_grad(F, vals, x0.rep.entries)[0]
     if _residual_and_grad(F, vals, est.rep.entries)[0] > h0:
         return x0, stats
     return est, stats
@@ -231,9 +241,10 @@ def polish(
     divided by ||x0||. Under x -> s x, c -> s^2 c both the objective and the
     coordinates are unchanged, so the result scales by s and no constant of
     the frame is needed. ``recover(..., do_polish=True)`` reports how the
-    search ended (see ``PolishStats``). ``x0`` is returned when the search
-    keeps its start, and also should the phase normalisation of the result
-    leave a larger residual than ``x0`` has (possible only at roundoff
-    level).
+    search ended (see ``PolishStats``). ``x0`` is returned without a search
+    when its residual is at most 8 eps ||c|| (a fit to roundoff), when the
+    search keeps its start, and also should the phase normalisation of the
+    result leave a larger residual than ``x0`` has (possible only at
+    roundoff level).
     """
     return _polish(F, c, x0, iters)[0]

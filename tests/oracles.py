@@ -3,6 +3,7 @@
 These deliberately avoid the library's own computational paths: a hand-rolled
 cyclic Jacobi eigensolver (vs LAPACK), entrywise outer products, full-matrix
 SVD norms, the thresholded-SVD pseudoinverse (vs the normal equations),
+the lifted rows from an m x n x n outer-product stack (vs pair by pair),
 per-row best-partner solves on a Householder basis (vs one stacked solve
 with a rank-one deflation), and dense parameter scans. They are slow and
 only used at small sizes.
@@ -13,6 +14,7 @@ import json.encoder
 import math
 
 import numpy as np
+from scipy.linalg import lapack
 
 
 def jacobi_eigvalsh(A, sweeps=100, tol=1e-14):
@@ -92,6 +94,37 @@ def svd_min_norm(matrix, cs, tol=1e-10):
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     r = int(np.sum(s > tol * s[0]))
     return r, s, ((cs @ u[:, :r]) / s[:r]) @ vt[:r]
+
+
+def lifted_rows_einsum(fs, complex_field):
+    """The lifted map's matrix as it was assembled before its rows were
+    written pair by pair: the m x n x n stack of outer products f_k f_k^*
+    from ``einsum``, gathered to basis coordinates (the diagonal, then
+    sqrt(2) times the real and, in the complex field, imaginary parts over
+    the pairs i < j) and concatenated along the last axis."""
+    n = fs.shape[1]
+    outer = np.einsum("ki,kj->kij", fs, fs.conj())
+    iu, ju = np.triu_indices(n, 1)
+    parts = [np.real(outer[:, np.arange(n), np.arange(n)]),
+             math.sqrt(2) * np.real(outer[:, iu, ju])]
+    if complex_field:
+        parts.append(math.sqrt(2) * np.imag(outer[:, iu, ju]))
+    return np.concatenate(parts, axis=-1)
+
+
+def lifted_inverse_factors(matrix, cholesky, tol=1e-10):
+    """``(left, right)`` of the min-norm inverse of ``matrix``, formed as
+    they were beside ``lifted_rows_einsum``: on the Cholesky path the
+    inverse Gram mirrored from LAPACK's upper triangle by two ``triu`` calls
+    (``right`` None), else the thresholded SVD's V_r S_r^-1 and U_r^T."""
+    if cholesky:
+        factor, info = lapack.dpotrf(matrix.T @ matrix)
+        assert info == 0
+        inv, _ = lapack.dpotri(factor, overwrite_c=1)
+        return np.triu(inv) + np.triu(inv, 1).T, None
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+    r = int(np.sum(s > tol * s[0]))
+    return vt[:r].T / s[:r], u[:, :r].T
 
 
 def _orth_complement(w):

@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from raylift import Field, gen_frame, measure, vec, write_frame, write_measurements
+from raylift import Field, gen_frame, measure, read_frame, vec, write_frame, write_measurements
 from raylift.cli import main as cli_main
+from raylift.frames import dumps_json, frame_to_dict
 
 from oracles import random_vector
 
@@ -118,3 +122,67 @@ class TestRankWarning:
         assert cli_main(argv) == 0
         err = capsys.readouterr().err
         assert ("warning: the lifted map has rank 5 of 6 columns" in err) == warned
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestFrameHash:
+    def test_reported_hash_is_file_sha256(self, tmp_path, field):
+        """``check`` and ``reconstruct`` report the sha256 of the frame
+        file's bytes, which for a ``write_frame`` file is the digest of its
+        JSON re-encoding."""
+        F = gen_frame("random_gaussian", 3, 12, field, seed=5)
+        f, c = tmp_path / "f.json", tmp_path / "c.json"
+        write_frame(f, F)
+        x = vec(random_vector(np.random.default_rng(5), 3, field is Field.COMPLEX), field)
+        write_measurements(c, [measure(F, x)])
+        digest = _sha256(f.read_bytes())
+        assert digest == _sha256(dumps_json(frame_to_dict(F)).encode("utf-8"))
+        cli_main(["check", "--frame", str(f), "--starts", "2", "--report", str(tmp_path / "r.json")])
+        assert cli_main(["reconstruct", "--frame", str(f), "--measurements", str(c),
+                         "--out", str(tmp_path / "o.json")]) == 0
+        for out in ("r.json", "o.json"):
+            assert json.loads((tmp_path / out).read_text())["frame_hash"] == digest
+
+    def test_resaved_frame_hashes_as_written(self, tmp_path, field):
+        """The same frame saved without indentation, and with the stdlib's
+        shortest number spellings, reads as an equal frame but hashes as
+        the file it is."""
+        F = gen_frame("random_gaussian", 3, 12, field, seed=6)
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        write_frame(f, F)
+        with open(g, "w", encoding="utf-8") as fh:
+            json.dump(json.loads(f.read_text()), fh)
+        G = read_frame(g)
+        assert G == F
+        assert G.file_sha256 == _sha256(g.read_bytes())
+        assert G.file_sha256 != read_frame(f).file_sha256 == _sha256(f.read_bytes())
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("command, bad", [
+        ("check", "frame"), ("reconstruct", "frame"), ("reconstruct", "measurements"),
+    ])
+    def test_exits_io_with_byte_offset(self, tmp_path, capsys, command, bad):
+        """A byte that is not UTF-8 is an input error (exit 3) naming the
+        file and the byte's offset, not a traceback."""
+        _inputs(tmp_path)
+        path = tmp_path / ("f.json" if bad == "frame" else "c.json")
+        data = path.read_bytes()
+        if bad == "frame":
+            data = data.replace(b'"label": "', b'"label": "\xff', 1)
+        else:
+            data = data.replace(b'"count"', b'"\xffcount"', 1)
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        if command == "check":
+            argv = ["check", "--frame", str(path), "--report", str(tmp_path / "r.json")]
+        else:
+            argv = ["reconstruct", "--frame", str(tmp_path / "f.json"), "--measurements",
+                    str(tmp_path / "c.json"), "--out", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{command}: {path}: not UTF-8 at byte offset {offset}" in err
+        assert not (tmp_path / "r.json").exists()

@@ -28,9 +28,16 @@ from raylift import (
 )
 
 from raylift.cli import main as cli_main
-from raylift.frames import _triu_pairs, dumps_json, sym_coords
+from raylift.frames import LiftedMap, _triu_pairs, dumps_json, sym_coords
 
-from oracles import dumps_json_stdlib, random_hermitian, random_vector, svd_min_norm
+from oracles import (
+    dumps_json_stdlib,
+    lifted_inverse_factors,
+    lifted_rows_einsum,
+    random_hermitian,
+    random_vector,
+    svd_min_norm,
+)
 
 
 def _gauss(dim, count, field, seed=0):
@@ -268,6 +275,52 @@ class TestLiftedFactorization:
         assert "_singular_values" not in vars(M)
         s = M.sigma_min
         assert "_singular_values" in vars(M) and M.sigma_min == s
+
+
+def _same_bits(a, b):
+    """Equal shape and equal bits, signed zeros included."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLiftedRowsOracle:
+    """``build_lifted_map`` against the outer-product construction it
+    replaced, bit for bit: the matrix, its layout, ``_left`` and the
+    min-norm inverse of a map built from the oracle's factors."""
+
+    def _check(self, F, rng):
+        M = build_lifted_map(F)
+        rows = lifted_rows_einsum(F.synthesis, F.field is Field.COMPLEX)
+        assert _same_bits(M.matrix, rows)
+        # the layout decides how the products in min_norm_inverse round
+        assert M.matrix.flags.f_contiguous == rows.flags.f_contiguous
+        left, right = lifted_inverse_factors(rows, cholesky=M._right is None)
+        assert _same_bits(M._left, left)
+        assert M._left.flags.c_contiguous == left.flags.c_contiguous
+        if right is not None:
+            assert _same_bits(M._right, right)
+        oracle = LiftedMap(matrix=rows, dim=F.dim, field=F.field, rank=left.shape[1],
+                           _left=left, _right=right)
+        assert oracle.rank == M.rank
+        for c in (rng.standard_normal(F.count), M.matrix @ rng.standard_normal(M.cols)):
+            assert _same_bits(min_norm_inverse(M, c).entries, min_norm_inverse(oracle, c).entries)
+
+    # 2n^2 + 1 Gaussian vectors pass the Cholesky gate; for n >= 2, n
+    # vectors fall short of the n(n+1)/2 or n^2 lifted columns, so the SVD
+    # fallback runs
+    @pytest.mark.parametrize("n, m, cholesky", [
+        (1, 3, True), (2, 9, True), (3, 19, True), (8, 129, True),
+        (2, 2, False), (3, 3, False), (8, 8, False),
+    ])
+    def test_small_frames(self, rng, field, n, m, cholesky):
+        F = _gauss(n, m, field, seed=n)
+        assert (build_lifted_map(F)._right is None) == cholesky
+        self._check(F, rng)
+
+    def test_ill_conditioned_fallback(self, rng, field):
+        self._check(_near_duplicate_frame(field), rng)
+
+    def test_wide_frame(self, rng):
+        self._check(_gauss(32, 2048, Field.COMPLEX, seed=1), rng)
 
 
 class TestGenFrame:

@@ -357,7 +357,7 @@ class TestPolishDescent:
 
     def test_cost_at_true_ray(self, monkeypatch):
         """A noiseless row started at its true ray is already a fit to
-        roundoff: polish must stop quickly and not raise the residual."""
+        roundoff: polish keeps the start after its one evaluation."""
         F = _gauss(8, 128, Field.COMPLEX, seed=0)
         x = vec(random_vector(np.random.default_rng(3), 8, True), Field.COMPLEX)
         c = measure(F, x)
@@ -371,7 +371,20 @@ class TestPolishDescent:
 
         monkeypatch.setattr(recover_mod, "_residual_and_grad", counted)
         out = polish(F, c, start)
-        assert count[0] <= 32
+        assert count[0] == 1
+        assert out is start
         r0 = float(np.linalg.norm(measure(F, start.rep).values - c.values))
         r1 = float(np.linalg.norm(measure(F, out.rep).values - c.values))
         assert r1 <= r0
+
+    @pytest.mark.parametrize("s", [1.0, 1e-60, 1e60])
+    def test_exact_fit_kept_at_any_scale(self, field, s):
+        """A noiseless row whose start is its true ray is kept without a
+        search: 0 iterations, 1 evaluation, ``stationary``, at every scale
+        of x (c scales by s^2)."""
+        F = _gauss(3, 12, field, seed=4)
+        x = vec(s * random_vector(np.random.default_rng(4), 3, field is Field.COMPLEX), field)
+        start = ray(x)
+        est, stats = recover_mod._polish(F, measure(F, x), start, 200)
+        assert est is start
+        assert (stats.iterations, stats.evaluations, stats.stop) == (0, 1, "stationary")
