@@ -67,10 +67,12 @@ class LowerLipEstimate:
     explored points), reported exactly at the witnesses; method="grid" marks
     values cross-checked against the exhaustive n=2 angle grid.
     ``kept_starts`` counts the multistarts whose one block alternation gave
-    a pair with denominator above 1e-9; the ``refine_*`` fields sum the
-    gradient refinement's iterations and objective evaluations over the (at
-    most three) refined candidates and say whether every one of them met
-    its stopping rule.
+    a pair with denominator above 1e-9; ``refine_iterations`` and
+    ``refine_evaluations`` sum the gradient refinement's iterations and
+    objective evaluations over the (at most three) refined candidates, and
+    ``refine_stop`` is the stop rule (see ``core._lbfgs``) of the refinement
+    whose value is reported: for the best screened pair, the refinement
+    started from it.
     """
 
     value: float
@@ -82,7 +84,7 @@ class LowerLipEstimate:
     kept_starts: int = 0
     refine_iterations: int = 0
     refine_evaluations: int = 0
-    refine_converged: bool = True
+    refine_stop: str = "stationary"
 
 
 # Each row of these stacked products rounds as it does alone, so row k of a
@@ -202,14 +204,14 @@ def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
     coordinates can be searched unconstrained; block alternation alone
     stalls on flat valleys and at block-optimal saddles.
 
-    Returns (value, u, v, iterations, evaluations, converged); the start
-    comes back as given whenever ``_lbfgs`` keeps it."""
+    Returns (value, u, v, iterations, evaluations, stop); the start comes
+    back as given whenever ``_lbfgs`` keeps it."""
     x0 = np.concatenate([_to_real(u), _to_real(v)])
     x, value, nit, nfev, stop = _lbfgs(lambda rz: _ratio_and_grad(F, rz), x0)
     if x is not x0:
         u, v = _unpack_pair(F, x)
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-    return value, u, v, nit, nfev, stop in ("stationary", "rel_decrease")
+    return value, u, v, nit, nfev, stop
 
 
 def grid_lower_lip(F: Frame, resolution: int = 2048):
@@ -217,6 +219,11 @@ def grid_lower_lip(F: Frame, resolution: int = 2048):
     stability objective on all pairs of ``resolution`` angles and refines the
     best pair by ``_polish_pair``, keeping the grid pair unless that lowers
     it. Returns (value, u, v)."""
+    return _grid_pair(F, resolution)[:3]
+
+
+def _grid_pair(F: Frame, resolution: int):
+    """``grid_lower_lip`` with the whole ``_polish_pair`` record."""
     if F.field is not Field.REAL or F.dim != 2:
         raise ValueError("grid oracle applies to n = 2 real frames only")
     fs = F.synthesis
@@ -225,7 +232,7 @@ def grid_lower_lip(F: Frame, resolution: int = 2048):
     S = (fs @ U) ** 2
     Q = S.T @ S
     i, j = np.unravel_index(int(np.argmin(Q)), Q.shape)
-    return _polish_pair(F, U[:, i], U[:, j])[:3]
+    return _polish_pair(F, U[:, i], U[:, j])
 
 
 def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEstimate:
@@ -251,17 +258,18 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
     top = keep[order[:3]]
     refined = [_polish_pair(F, U[k], V[k]) for k in top]
     # min keeps the first of equal values, so a tie keeps the unrefined best
-    value, u, v = min([(ratio[order[0]], U[top[0]], V[top[0]])] + [r[:3] for r in refined],
-                      key=lambda c: c[0])
+    screened = (ratio[order[0]], U[top[0]], V[top[0]], refined[0][5])
+    value, u, v, stop = min([screened] + [r[:3] + r[5:] for r in refined],
+                            key=lambda c: c[0])
     method, resolution = "multistart", None
     if F.field is Field.REAL and F.dim == 2:
-        gval, gu, gv = grid_lower_lip(F, resolution=2048)
+        gval, gu, gv, _, _, gstop = _grid_pair(F, 2048)
         if abs(gval - value) > 1e-6:
             raise RuntimeError(
                 f"grid oracle ({gval:.3e}) and multistart ({value:.3e}) disagree"
             )
         if gval < value:
-            value, u, v = gval, gu, gv
+            value, u, v, stop = gval, gu, gv, gstop
         method, resolution = "grid", 2048
     # report the value exactly at the witnesses
     q, den = lower_lip_objective(F, u, v)
@@ -275,7 +283,7 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
         kept_starts=int(keep.size),
         refine_iterations=sum(r[3] for r in refined),
         refine_evaluations=sum(r[4] for r in refined),
-        refine_converged=all(r[5] for r in refined),
+        refine_stop=stop,
     )
 
 

@@ -16,8 +16,9 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .core import Vector, _check_order, _lbfgs, _to_complex, _to_real
+from .core import Field, Vector, _check_order, _lbfgs, _to_complex, _to_real
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, measure, min_norm_inverse
 from .frames import _vec_to_json
 from .metrics import RayPoint, ray
@@ -36,12 +37,15 @@ __all__ = [
 @dataclass(frozen=True)
 class PolishStats:
     """How the polish search ended: its L-BFGS-B ``iterations``, its
-    residual-and-gradient ``evaluations`` (the start's included) and the
-    ``stop`` rule: ``stationary`` (scaled gradient <= 1e-9, so also an exact
-    fit; a start whose residual is already <= 8 eps ||c|| ends here with 0
-    iterations and 1 evaluation), ``rel_decrease`` (a step lowered h by
-    <= 1e-13 of h at the start), ``max_iters`` or ``line_search`` (the line
-    search failed)."""
+    residual-and-gradient ``evaluations`` (every call: the start's, the
+    search's and the check of the result) and the ``stop`` rule. The search
+    runs in coordinates whitened by the Gauss-Newton metric at the start
+    (see ``polish``), so ``stationary`` means that the largest entry of the
+    whitened gradient of h / h0 is <= 1e-9 (an exact fit is also
+    stationary; a start whose residual is already <= 8 eps ||c|| ends here
+    with 0 iterations and 1 evaluation), ``rel_decrease`` that a step
+    lowered h by <= 1e-13 of h at the start, ``max_iters`` that the cap was
+    reached and ``line_search`` that the line search failed."""
 
     iterations: int
     evaluations: int
@@ -186,15 +190,49 @@ def recovery_lip_bound(
     )
 
 
-def _residual_and_grad(F: Frame, c_vals: np.ndarray, x: np.ndarray):
+def _residual_and_grad(F: Frame, c_vals: np.ndarray, x: np.ndarray,
+                       dx: Optional[np.ndarray] = None):
+    """h = sum_k (|<y, f_k>|^2 - c_k)^2 at y = x, or at y = x + dx, and its
+    gradient in the real coordinates of y (complex-packed)."""
     coeff = F.synthesis.conj() @ x
-    intens = np.abs(coeff) ** 2
-    diff = intens - c_vals
+    diff = np.abs(coeff) ** 2 - c_vals
     # diff @ diff is the square of np.linalg.norm(diff), bit for bit, so h
-    # orders estimates exactly as the reported residual does
+    # at x orders estimates exactly as the reported residual does
     h = float(diff @ diff)
-    grad = 4.0 * (F.synthesis.T @ (diff * coeff))
-    return h, grad
+    if dx is not None:
+        # h(x) plus its increment, so that the rounding scales with the
+        # increment: the plain sum rounds by ~1e-14 h on a noisy row, more
+        # than the decreases the line search compares near a minimiser
+        dcoeff = F.synthesis.conj() @ dx
+        rise = 2.0 * (coeff.conj() * dcoeff).real + np.abs(dcoeff) ** 2
+        h += float(rise @ (2.0 * diff + rise))
+        coeff, diff = coeff + dcoeff, diff + rise
+    return h, 4.0 * (F.synthesis.T @ (diff * coeff))
+
+
+def _whitener(F: Frame, x0: np.ndarray, scale: float, h0: float) -> np.ndarray:
+    """The 2n x 2n (n x n real) matrix P of the search coordinates z of
+    polish, x = x0 + P z in real coordinates, with P = scale * L^-T for the
+    Cholesky factor L L^T = H of the Gauss-Newton metric of h / h0 in the
+    unit-scaled coordinates x / scale at the start:
+    H = (2 scale^4 / h0) J^T J, where row k of J is 2 <xh, f_k> f_k in real
+    coordinates at xh = x0 / scale. H, so the search, does not change under
+    x -> s x or F -> t F with c scaled to match. In the complex field J
+    annihilates the phase direction i xh; adding (trace H / 2n) along it
+    makes H definite. Without a Cholesky factor (a zero start) L = I."""
+    xh = x0 / scale
+    # sqrt(2 scale^4 / h0), formed without scale^4, which can overflow
+    J = (2.0 * math.sqrt(2.0) * scale * scale / math.sqrt(h0)) * _to_real(
+        (F.synthesis.conj() @ xh)[:, None] * F.synthesis)
+    H = J.T @ J
+    if F.field is Field.COMPLEX:
+        v = _to_real(1j * xh)
+        H += (np.trace(H) / H.shape[0]) * np.outer(v, v)
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return scale * np.eye(H.shape[0])
+    return scale * solve_triangular(L, np.eye(H.shape[0]), lower=True).T
 
 
 def _polish(F: Frame, c, x0: RayPoint, iters: int):
@@ -203,24 +241,31 @@ def _polish(F: Frame, c, x0: RayPoint, iters: int):
     vals = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
     if vals.shape[0] != F.count:
         raise ValueError("measurement count does not match frame")
-    h0 = _residual_and_grad(F, vals, x0.rep.entries)[0]
+    x = x0.rep.entries
+    h0, g0 = _residual_and_grad(F, vals, x)
     # scale-free: residual and ||c|| both scale by s^2 under x -> s x
     if math.sqrt(h0) <= _FIT_FLOOR * float(np.linalg.norm(vals)):
         return x0, PolishStats(0, 1, "stationary")
-    scale = x0.rep.norm() or 1.0
+    P = _whitener(F, x, x0.rep.norm() or 1.0, h0)
+    start = (h0, P.T @ _to_real(g0))
+    evaluations = 1
 
-    def fun(y):
-        h, g = _residual_and_grad(F, vals, scale * _to_complex(y, F.field))
-        return h, scale * _to_real(g)
+    def fun(z):
+        nonlocal evaluations
+        if not z.any():  # z = 0 is x0, evaluated above
+            return start
+        evaluations += 1
+        h, g = _residual_and_grad(F, vals, x, _to_complex(P @ z, F.field))
+        return h, P.T @ _to_real(g)
 
-    y0 = _to_real(x0.rep.entries / scale)
-    y, _, nit, nfev, stop = _lbfgs(fun, y0, maxiter=iters)
-    stats = PolishStats(nit, 1 + nfev, stop)
-    if y is y0:
-        return x0, stats
-    est = ray(Vector(scale * _to_complex(y, F.field), F.field))
+    z0 = np.zeros(P.shape[0])
+    z, _, nit, _, stop = _lbfgs(fun, z0, maxiter=iters)
+    if z is z0:
+        return x0, PolishStats(nit, evaluations, stop)
+    est = ray(Vector(x + _to_complex(P @ z, F.field), F.field))
     # the phase normalisation in ray() rounds; near an exact fit that alone
     # can raise the residual, so never hand back a worse fit than the start
+    stats = PolishStats(nit, evaluations + 1, stop)
     if _residual_and_grad(F, vals, est.rep.entries)[0] > h0:
         return x0, stats
     return est, stats
@@ -237,14 +282,26 @@ def polish(
     with its Wirtinger gradient in the complex case, for at most ``iters``
     iterations.
 
-    The search runs on h divided by its value at ``x0`` and in coordinates
-    divided by ||x0||. Under x -> s x, c -> s^2 c both the objective and the
-    coordinates are unchanged, so the result scales by s and no constant of
-    the frame is needed. ``recover(..., do_polish=True)`` reports how the
-    search ended (see ``PolishStats``). ``x0`` is returned without a search
-    when its residual is at most 8 eps ||c|| (a fit to roundoff), when the
-    search keeps its start, and also should the phase normalisation of the
-    result leave a larger residual than ``x0`` has (possible only at
-    roundoff level).
+    The search runs on h / h0, h0 the value at ``x0``, in coordinates z
+    whitened by the Gauss-Newton metric of h / h0 at the start (Nocedal &
+    Wright, Numerical Optimization, 7.2 and 10.3): x = x0 + ||x0|| L^-T z,
+    L L^T = (2 ||x0||^4 / h0) J^T J for the Jacobian J of the intensities
+    at x0 / ||x0||, so that the Hessian of h / h0 in z is close to the
+    identity. ||J dy||^2 = ||A(x dy* + dy x*)||^2 for the lifted map A is
+    the form whose least ratio to its denominator is the frame's lower
+    stability constant a0, so the conditioning a0 measures leaves the
+    search. In the complex field the phase direction i x0, along which
+    h does not change, gets the mean eigenvalue of the metric. Under
+    x -> s x, c -> s^2 c and under F -> t F, c -> t^2 c the objective, the
+    metric and the coordinates are unchanged, so the result scales by s
+    under the first and stays under the second, and no constant of the
+    frame is needed. A zero start has
+    no Gauss-Newton factor and is searched in unscaled coordinates.
+
+    ``recover(..., do_polish=True)`` reports how the search ended (see
+    ``PolishStats``). ``x0`` is returned without a search when its residual
+    is at most 8 eps ||c|| (a fit to roundoff), when the search keeps its
+    start, and also should the phase normalisation of the result leave a
+    larger residual than ``x0`` has (possible only at roundoff level).
     """
     return _polish(F, c, x0, iters)[0]

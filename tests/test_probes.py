@@ -260,14 +260,30 @@ class TestLowerLipRefinement:
         est = estimate_lower_lip(F, starts=16, seed=0)
         assert 3 <= est.kept_starts <= 16
         assert 0 < est.refine_iterations <= est.refine_evaluations
-        assert est.refine_converged
+        assert est.refine_stop in ("stationary", "rel_decrease")
+
+    def test_refine_stop_names_the_reported_refinement(self, monkeypatch, field):
+        F = gen_frame("random_gaussian", 4, 16, field, seed=3)
+        inner = probes_mod._polish_pair
+        values = []
+
+        def tagged(*args):
+            r = inner(*args)
+            values.append(r[0])
+            return r[:5] + (f"run{len(values) - 1}",)
+
+        monkeypatch.setattr(probes_mod, "_polish_pair", tagged)
+        est = estimate_lower_lip(F, starts=16, seed=0)
+        best = int(np.argmin(values))
+        assert est.refine_stop == f"run{best}"
+        assert est.value == pytest.approx(values[best], rel=1e-12)
 
     def test_refinement_evaluation_guard(self):
         # the simplex search this replaced spent 24,000 evaluations here
         F = gen_frame("random_gaussian", 8, 72, Field.COMPLEX, seed=7)
         est = estimate_lower_lip(F, seed=1)
         assert est.refine_evaluations <= 1500
-        assert est.refine_converged
+        assert est.refine_stop in ("stationary", "rel_decrease")
 
 
 class TestUpperLipExact:
@@ -326,13 +342,15 @@ class TestCheckReport:
         assert built == []
         rep = json.loads(first)
         assert rep["b0_upper"] == upper_lip_ceiling(F)
+        assert rep["b0"] == _b0_ascent(F, 2)[0]
+        assert rep["sample_counts"] == {"starts": 64}
         assert 0 < rep["a0"] <= rep["b0"] <= rep["b0_upper"]
         est = estimate_lower_lip(F, starts=64, seed=2)
         assert rep["search"] == {
             "kept_starts": est.kept_starts,
             "refine_iterations": est.refine_iterations,
             "refine_evaluations": est.refine_evaluations,
-            "refine_converged": est.refine_converged,
+            "refine_stop": est.refine_stop,
             "b0_ascent_iterations": _b0_ascent(F, 2)[1],
         }
 
