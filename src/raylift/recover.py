@@ -190,15 +190,23 @@ def recovery_lip_bound(
     )
 
 
-def _residual_and_grad(F: Frame, c_vals: np.ndarray, x: np.ndarray,
-                       dx: Optional[np.ndarray] = None):
-    """h = sum_k (|<y, f_k>|^2 - c_k)^2 at y = x, or at y = x + dx, and its
-    gradient in the real coordinates of y (complex-packed)."""
+def _fit_at(F: Frame, c_vals: np.ndarray, x: np.ndarray):
+    """``(coeff, diff, h)`` at x: the coefficients <x, f_k>, the misfits
+    |<x, f_k>|^2 - c_k and h = sum_k diff_k^2."""
     coeff = F.synthesis.conj() @ x
     diff = np.abs(coeff) ** 2 - c_vals
     # diff @ diff is the square of np.linalg.norm(diff), bit for bit, so h
     # at x orders estimates exactly as the reported residual does
-    h = float(diff @ diff)
+    return coeff, diff, float(diff @ diff)
+
+
+def _residual_and_grad(F: Frame, c_vals: np.ndarray, x: np.ndarray,
+                       dx: Optional[np.ndarray] = None, at_x: Optional[tuple] = None):
+    """h = sum_k (|<y, f_k>|^2 - c_k)^2 at y = x, or at y = x + dx, and its
+    gradient in the real coordinates of y (complex-packed). ``at_x`` is
+    ``_fit_at(F, c_vals, x)`` when the caller holds it: a search around a
+    fixed x computes it once, not once per evaluation."""
+    coeff, diff, h = _fit_at(F, c_vals, x) if at_x is None else at_x
     if dx is not None:
         # h(x) plus its increment, so that the rounding scales with the
         # increment: the plain sum rounds by ~1e-14 h on a noisy row, more
@@ -242,7 +250,8 @@ def _polish(F: Frame, c, x0: RayPoint, iters: int):
     if vals.shape[0] != F.count:
         raise ValueError("measurement count does not match frame")
     x = x0.rep.entries
-    h0, g0 = _residual_and_grad(F, vals, x)
+    at_x = _fit_at(F, vals, x)
+    h0, g0 = _residual_and_grad(F, vals, x, None, at_x)
     # scale-free: residual and ||c|| both scale by s^2 under x -> s x
     if math.sqrt(h0) <= _FIT_FLOOR * float(np.linalg.norm(vals)):
         return x0, PolishStats(0, 1, "stationary")
@@ -255,7 +264,7 @@ def _polish(F: Frame, c, x0: RayPoint, iters: int):
         if not z.any():  # z = 0 is x0, evaluated above
             return start
         evaluations += 1
-        h, g = _residual_and_grad(F, vals, x, _to_complex(P @ z, F.field))
+        h, g = _residual_and_grad(F, vals, x, _to_complex(P @ z, F.field), at_x)
         return h, P.T @ _to_real(g)
 
     z0 = np.zeros(P.shape[0])

@@ -5,8 +5,10 @@ cyclic Jacobi eigensolver (vs LAPACK), entrywise outer products, full-matrix
 SVD norms, the thresholded-SVD pseudoinverse (vs the normal equations),
 the lifted rows from an m x n x n outer-product stack (vs pair by pair),
 per-row best-partner solves on a Householder basis (vs one stacked solve
-with a rank-one deflation), and dense parameter scans. They are slow and
-only used at small sizes.
+with a rank-one deflation), the retraction difference from two explicit
+carriers (vs a rank-two closed form), the n = 2 retraction as a traceless
+shift (vs an eigendecomposition), and dense parameter scans. They are slow
+and only used at small sizes.
 """
 
 import json
@@ -167,6 +169,40 @@ def best_partner_complex(fs, u):
     n = u.size
     v = r[:n] + 1j * r[n:]
     return float(vals[0]), v / np.linalg.norm(v)
+
+
+def retract_dense(m, group_tol=None):
+    """(lam1 - lam2) P1 for one self-adjoint matrix, P1 the projector onto
+    the top eigenvalues chained by gaps <= group_tol (by default 1e-8 times
+    the largest magnitude), built as a sum of outer products."""
+    w, v = np.linalg.eigh(m)
+    tol = 1e-8 * float(np.max(np.abs(w))) if group_tol is None else group_tol
+    r = 1
+    while r < len(w) and w[-r] - w[-r - 1] <= tol:
+        r += 1
+    out = np.zeros(m.shape, dtype=np.result_type(m.dtype, v.dtype))
+    for j in range(1, r + 1):
+        out += np.outer(v[:, -j], v[:, -j].conj())
+    return (w[-1] - w[-2]) * out
+
+
+def retraction_difference_eigvals(a, b, group_tol=None):
+    """Row by row, the eigenvalues of pi(a) - pi(b) for two (k, n, n)
+    stacks: both carriers in full, then ``eigvalsh`` of their difference,
+    the numerator of the retraction ratio before its rank-two closed form."""
+    return np.stack([np.linalg.eigvalsh(retract_dense(x, group_tol) - retract_dense(y, group_tol))
+                     for x, y in zip(a, b)])
+
+
+def retract_2x2(A):
+    """The retraction of a 2 x 2 self-adjoint A in closed form:
+    pi(A) = D + ||D||_op I for the traceless part D = A - (tr A / 2) I. D
+    has eigenvalues +-||D||_op = +-(lam1 - lam2) / 2, so D + ||D||_op I is
+    lam1 - lam2 on the top eigenvector and 0 on the other; with
+    D = [[x, z], [conj z, -x]], ||D||_op = sqrt(x^2 + |z|^2)."""
+    A = np.asarray(A)
+    D = A - (np.trace(A).real / 2) * np.eye(2)
+    return D + math.hypot(D[0, 0].real, abs(D[0, 1])) * np.eye(2)
 
 
 def align_dist_scan(x, y, p, resolution=200_000):
