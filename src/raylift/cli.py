@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -128,6 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4))
     p.add_argument("--report", required=True)
     return parser
+
+
+_parser = cache(build_parser)  # main's parser, built once: parsing leaves it as it was
 
 
 def _provenance(command: str, args: argparse.Namespace) -> dict:
@@ -408,9 +412,8 @@ def cmd_probe(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else EXIT_OK
     handlers = {

@@ -1,6 +1,8 @@
 """Field-generic vectors, self-adjoint operators, spectral decompositions and
 Schatten norms. Everything here is immutable after construction and pure, so
-values are safe to share across threads."""
+values are safe to share across threads. A value owns the array its
+constructor converted: fresh and read-only, never the caller's array, and
+copied once."""
 
 from __future__ import annotations
 
@@ -65,8 +67,9 @@ def _as_field_array(data, field: Field, ndim: int, name: str) -> np.ndarray:
         a = a.real.astype(np.float64)
     else:
         a = a.astype(np.complex128)
-    if not np.all(np.isfinite(a.view(np.float64) if a.dtype == np.complex128 else a)):
+    if not np.isfinite(a).all():  # complex: finite when both parts are
         raise ValueError(f"{name} has non-finite entries")
+    a.setflags(write=False)  # astype copied, so the array is ours to freeze
     return a
 
 
@@ -79,7 +82,7 @@ class Vector:
 
     def __post_init__(self):
         a = _as_field_array(self.entries, self.field, 1, "vector")
-        object.__setattr__(self, "entries", _freeze(a))
+        object.__setattr__(self, "entries", a)
 
     @property
     def dim(self) -> int:
@@ -117,7 +120,8 @@ class SymOp:
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"operator must be square, got shape {a.shape}")
         a = (a + a.conj().T) / 2
-        object.__setattr__(self, "entries", _freeze(a))
+        a.setflags(write=False)
+        object.__setattr__(self, "entries", a)
 
     @property
     def dim(self) -> int:
@@ -296,12 +300,12 @@ def _eigh_groups(mats: np.ndarray, group_tol: Optional[float] = None):
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigensolver failed: {e}") from e
     if group_tol is None:
-        tol = 1e-8 * np.max(np.abs(w), axis=-1)
+        tol = 1e-8 * np.abs(w).max(axis=-1)
     else:
         tol = np.full(w.shape[0], float(group_tol))
-    gaps = np.diff(w, axis=-1) > tol[:, None]
+    gaps = (w[:, 1:] - w[:, :-1]) > tol[:, None]
     labels = np.zeros(w.shape, dtype=np.intp)
-    labels[:, :-1] = np.cumsum(gaps[:, ::-1], axis=-1)[:, ::-1]
+    labels[:, :-1] = gaps[:, ::-1].cumsum(axis=-1)[:, ::-1]
     return w, vecs, labels, tol
 
 

@@ -86,7 +86,7 @@ class Frame:
             raise ValueError("frame vectors must have at least one entry")
         if count < dim:
             raise ValueError(f"frame needs count >= dim, got m={count} < n={dim}")
-        object.__setattr__(self, "synthesis", _freeze(a))
+        object.__setattr__(self, "synthesis", a)
         s = self.singular_values()
         if s[-1] <= _SPAN_TOL * s[0]:
             raise ValueError(
@@ -121,12 +121,13 @@ class Measurement:
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.values, dtype=np.float64)
+        a = np.array(self.values, dtype=np.float64)  # a copy, owned from here on
         if a.ndim != 1:
             raise ValueError(f"measurement must be 1-dimensional, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("measurement has non-finite entries")
-        object.__setattr__(self, "values", _freeze(a))
+        a.setflags(write=False)
+        object.__setattr__(self, "values", a)
 
     @property
     def count(self) -> int:
@@ -166,6 +167,15 @@ def _triu_pairs(n: int) -> tuple:
     return pairs
 
 
+@lru_cache(maxsize=64)
+def _sym_scatter(n: int) -> np.ndarray:
+    """Flat n x n positions of the diagonal, then of ``_triu_pairs``' (i, j) and (j, i)."""
+    iu, ju = _triu_pairs(n)
+    idx = np.concatenate([np.arange(n) * (n + 1), iu * n + ju, ju * n + iu])
+    idx.setflags(write=False)
+    return idx
+
+
 def sym_coords(M: np.ndarray, field: Field) -> np.ndarray:
     """Coordinates of self-adjoint matrices in the fixed real orthonormal
     basis of the operator space; works on stacks (..., n, n)."""
@@ -184,19 +194,14 @@ def sym_from_coords(c: np.ndarray, n: int, field: Field) -> np.ndarray:
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (_sym_dim(n, field),):
         raise ValueError(f"expected {_sym_dim(n, field)} coordinates, got shape {c.shape}")
-    iu, ju = _triu_pairs(n)
-    k = iu.size
-    M = np.zeros((n, n), dtype=field.dtype)
-    M[np.arange(n), np.arange(n)] = c[:n]
-    re = c[n : n + k] / _SQRT2
+    k = n * (n - 1) // 2
+    off = c[n : n + k] / _SQRT2
     if field is Field.COMPLEX:
-        im = c[n + k :] / _SQRT2
-        off = re + 1j * im
-    else:
-        off = re
-    M[iu, ju] = off
-    M[ju, iu] = np.conj(off)
-    return M
+        off = off + 1j * (c[n + k :] / _SQRT2)
+    # every entry is written once, so the matrix starts empty, not zeroed
+    M = np.empty(n * n, dtype=field.dtype)
+    M[_sym_scatter(n)] = np.concatenate([c[:n], off, np.conj(off)])
+    return M.reshape(n, n)
 
 
 @dataclass(frozen=True)
@@ -400,6 +405,25 @@ def _encode_array(a: np.ndarray, level: int) -> str:
 
 
 def _encode(o, level: int) -> str:
+    # containers first: no container is one of the scalar types below
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        # in containers a float leaf, the commonest, skips the recursive call
+        inner = _INDENT * (level + 1)
+        items = []
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            v = _float_repr17(v) if type(v) is float else _encode(v, level + 1)
+            items.append(encode_basestring_ascii(k) + ": " + v)
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + _INDENT * level + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = _INDENT * (level + 1)
+        items = [_float_repr17(v) if type(v) is float else _encode(v, level + 1) for v in o]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + _INDENT * level + "]"
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None:
@@ -413,24 +437,6 @@ def _encode(o, level: int) -> str:
         return _float_repr17(float(o))
     if isinstance(o, np.ndarray):
         return _encode_array(o, level)
-    # in containers a float leaf, the commonest, skips the recursive call
-    inner = _INDENT * (level + 1)
-    sep = ",\n" + inner
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = []
-        for k, v in o.items():
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            v = _float_repr17(v) if type(v) is float else _encode(v, level + 1)
-            items.append(encode_basestring_ascii(k) + ": " + v)
-        return "{\n" + inner + sep.join(items) + "\n" + _INDENT * level + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = [_float_repr17(v) if type(v) is float else _encode(v, level + 1) for v in o]
-        return "[\n" + inner + sep.join(items) + "\n" + _INDENT * level + "]"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 

@@ -74,7 +74,6 @@ def _canonicalize(x: Vector) -> Vector:
     phase = lead.conjugate() / abs(lead)
     out = a * phase
     # the pivot entry is now positive real by construction; store it exactly so
-    out = out.copy()
     out[idx[0]] = abs(lead)
     return Vector(out, x.field)
 

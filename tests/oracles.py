@@ -7,8 +7,10 @@ the lifted rows from an m x n x n outer-product stack (vs pair by pair),
 per-row best-partner solves on a Householder basis (vs one stacked solve
 with a rank-one deflation), the retraction difference from two explicit
 carriers (vs a rank-two closed form), the n = 2 retraction as a traceless
-shift (vs an eigendecomposition), and dense parameter scans. They are slow
-and only used at small sizes.
+shift (vs an eigendecomposition), eigenvalue groups by a per-row loop (vs
+stacked array operations), self-adjoint matrices from coordinates by 2-D
+assignments into a zeroed matrix (vs one flat scatter), and dense parameter
+scans. They are slow and only used at small sizes.
 """
 
 import json
@@ -55,18 +57,39 @@ def jacobi_eigvalsh(A, sweeps=100, tol=1e-14):
     return np.sort(np.diag(A).real)
 
 
-def grouped_eigvalsh(A, tol=None):
-    """Jacobi eigenvalues, descending, with one group label per eigenvalue
-    counted from the top. A loop keeps each eigenvalue in its upper
-    neighbour's group while their gap is at most tol (by default 1e-8 times
-    the largest magnitude), so groups chain."""
-    w = jacobi_eigvalsh(A)[::-1]
+def group_labels(w, tol=None):
+    """``(labels, tol)`` for the descending eigenvalues w: one group label
+    per eigenvalue counted from the top. A loop keeps each eigenvalue in its
+    upper neighbour's group while their gap is at most tol (by default 1e-8
+    times the largest magnitude), so groups chain."""
     if tol is None:
-        tol = 1e-8 * float(np.max(np.abs(w)))
+        tol = 1e-8 * max(abs(float(x)) for x in w)
     labels = [0] * len(w)
     for j in range(1, len(w)):
-        labels[j] = labels[j - 1] + int(w[j - 1] - w[j] > tol)
-    return w, labels
+        labels[j] = labels[j - 1] + int(float(w[j - 1]) - float(w[j]) > tol)
+    return labels, tol
+
+
+def grouped_eigvalsh(A, tol=None):
+    """Jacobi eigenvalues, descending, with their ``group_labels``."""
+    w = jacobi_eigvalsh(A)[::-1]
+    return w, group_labels(w, tol)[0]
+
+
+def sym_from_coords_2d(c, n, complex_field):
+    """The n x n self-adjoint matrix of ``sym_coords`` coordinates c, written
+    into a zeroed matrix by one assignment each to the diagonal, the upper
+    and the lower triangle."""
+    iu, ju = np.triu_indices(n, 1)
+    k = iu.size
+    M = np.zeros((n, n), dtype=complex if complex_field else float)
+    M[np.arange(n), np.arange(n)] = c[:n]
+    off = c[n : n + k] / math.sqrt(2)
+    if complex_field:
+        off = off + 1j * (c[n + k :] / math.sqrt(2))
+    M[iu, ju] = off
+    M[ju, iu] = np.conj(off)
+    return M
 
 
 def outer_sym_entrywise(x, y):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from raylift import Field, gen_frame, measure, read_frame, vec, write_frame, write_measurements
+from raylift import cli as cli_mod
 from raylift.cli import main as cli_main
 from raylift.frames import dumps_json, frame_to_dict
 
@@ -56,6 +57,48 @@ class TestRerun:
         assert runs[0][0] == 0
         assert len(runs[0][2]) > 2  # something beyond the two inputs was written
         assert runs[0] == runs[1]
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli_mod._parser() is cli_mod._parser()
+        assert cli_mod.build_parser() is not cli_mod.build_parser()
+
+    def test_reused_parser_matches_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        """Commands run one after another through the one parser, with
+        usage errors between good ones and a flag given once and then left
+        at its default, exit, print and write as with a fresh parser per
+        call."""
+        _inputs(tmp_path)
+        reconstruct = ["reconstruct", "--frame", "{d}/f.json", "--measurements", "{d}/c.json",
+                       "--out", "{d}/out.json"]
+        argvs = [
+            reconstruct + ["--group-tol", "0.5"],
+            ["reconstruct", "--frame", "{d}/f.json", "--polish", "maybe", "--out", "{d}/x.json"],
+            reconstruct,
+            _COMMANDS["probe-pi"],
+            ["check", "--frame", "{d}/f.json", "--starts", "0", "--report", "{d}/out.json"],
+            ["frobnicate"],
+            _COMMANDS["gen"],
+            _COMMANDS["check"],
+        ]
+        argvs = [[a.format(d=tmp_path) for a in argv] for argv in argvs]
+
+        def run_all():
+            for p in tmp_path.iterdir():
+                if p.name not in ("f.json", "c.json"):
+                    p.unlink()
+            runs = []
+            for argv in argvs:
+                code = cli_main(argv)
+                runs.append((code, capsys.readouterr(), _outputs(tmp_path)))
+            return runs
+
+        reused = run_all()
+        monkeypatch.setattr(cli_mod, "_parser", cli_mod.build_parser)
+        fresh = run_all()
+        assert [r[0] for r in reused] == [0, 2, 0, 0, 2, 2, 0, 0]
+        assert reused == fresh
 
 
 class TestOrderFlag:

@@ -5,6 +5,8 @@ import pytest
 
 from raylift import (
     Field,
+    Frame,
+    Measurement,
     RankOnePSD,
     RankOneViolation,
     SymOp,
@@ -27,9 +29,15 @@ from raylift import (
     vec,
     weyl_gap,
 )
-from raylift.core import _lbfgs
+from raylift.core import _eigh_groups, _lbfgs
 
-from oracles import jacobi_eigvalsh, outer_sym_entrywise, random_hermitian, random_vector
+from oracles import (
+    group_labels,
+    jacobi_eigvalsh,
+    outer_sym_entrywise,
+    random_hermitian,
+    random_vector,
+)
 
 
 def _rand_symop(rng, n, field):
@@ -62,6 +70,57 @@ class TestVectorSymOp:
         v = vec([1.0, 2.0])
         with pytest.raises(ValueError):
             v.entries[0] = 5.0
+
+
+# kind: (constructor from an array and a field, its array, an input shape)
+_VALUES = {
+    "Vector": (Vector, lambda v: v.entries, (3,)),
+    "SymOp": (SymOp, lambda v: v.entries, (3, 3)),
+    "Frame": (Frame, lambda v: v.synthesis, (5, 3)),
+    "Measurement": (lambda a, field: Measurement(a), lambda v: v.values, (5,)),
+}
+
+
+class TestValueOwnsItsArray:
+    """A value owns the array its constructor converted: read-only, and
+    never the caller's array, even when that already has the target dtype."""
+
+    @pytest.mark.parametrize("kind", sorted(_VALUES))
+    def test_read_only_and_not_aliased(self, rng, field, kind):
+        make, array_of, shape = _VALUES[kind]
+        cplx = field is Field.COMPLEX and kind != "Measurement"
+        a = random_vector(rng, math.prod(shape), cplx).reshape(shape)
+        if kind == "SymOp":
+            a = (a + a.conj().T) / 2  # kept as it is, up to the copy
+        value = make(a, field)
+        got = array_of(value)
+        assert got.dtype == a.dtype and not got.flags.writeable
+        assert not np.shares_memory(got, a) and a.flags.writeable
+        kept = got.copy()
+        a[...] = 7.0
+        assert np.array_equal(array_of(value), kept)
+        if kind == "SymOp":
+            assert np.array_equal(kept, (kept + kept.conj().T) / 2)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.inf),
+                                     complex(math.inf, math.nan)],
+                             ids=["nan-real", "inf-imag", "inf-real-nan-imag"])
+    @pytest.mark.parametrize("kind", ["Vector", "SymOp", "Frame"])
+    def test_non_finite_rejected(self, field, kind, bad):
+        make, _, shape = _VALUES[kind]
+        a = (np.ones(3) if len(shape) == 1 else np.eye(*shape)).astype(complex)
+        a.flat[0] = bad
+        if field is Field.REAL and bad.imag == 0:
+            a = a.real
+        # the real field refuses any nonzero imaginary part before finiteness
+        why = "imaginary" if field is Field.REAL and bad.imag != 0 else "non-finite entries"
+        with pytest.raises(ValueError, match=why):
+            make(a, field)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_measurement_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            Measurement(np.array([1.0, bad, 2.0]))
 
 
 class TestSymOuter:
@@ -154,6 +213,36 @@ class TestSpectralDecompose:
                         assert np.max(np.abs(pm @ q.entries)) <= 1e-10
             rec = sd.reconstruct().entries
             assert np.max(np.abs(rec - a.entries)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("group_tol", [None, 0.0, 1e-12, 0.01, 0.5])
+    def test_eigh_groups_match_rowwise_oracle(self, rng, field, group_tol):
+        """Labels and tolerances of the stacked grouping against a per-row
+        loop over the same eigenvalues: ties, chains whose ends lie further
+        apart than the tolerance, gaps of exactly the tolerance, zero rows
+        and random rows."""
+        cplx = field is Field.COMPLEX
+        spectra = [
+            [2.0, 2.0, 1.0, 1.0, 0.0],  # two ties
+            [1.0, 1.0, 1.0, 1.0, 1.0],
+            [1.0, 0.992, 0.984, 0.976, 0.0],  # steps of 0.008 chain at tol 0.01
+            [1.0, 1.0 - 1e-12, 1.0 - 2e-12, 0.5, 0.5 - 1e-9],
+            [1.0, 0.5, 0.0, -0.5, -1.0],  # gaps of exactly 0.5
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [3.0, -3.0, -3.0, -3.0 - 1e-8, -7.0],
+        ]
+        diag = np.stack([np.diag(d) for d in spectra]).astype(complex if cplx else float)
+        q = np.linalg.qr(random_hermitian(rng, 5, cplx))[0]
+        stacks = [diag, q @ diag @ q.conj().T,
+                  np.stack([random_hermitian(rng, 5, cplx) for _ in range(20)])]
+        for mats in stacks:
+            w, _, labels, tol = _eigh_groups(mats, group_tol)
+            assert labels.shape == w.shape
+            for k in range(mats.shape[0]):
+                want, want_tol = group_labels(w[k, ::-1], group_tol)
+                assert labels[k, ::-1].tolist() == want
+                assert tol[k] == want_tol
+        chain = _eigh_groups(diag[2:3], group_tol)[2][0, ::-1].tolist()
+        assert chain == ([0, 0, 0, 0, 1] if group_tol in (0.01, 0.5) else [0, 1, 2, 3, 4])
 
     def test_grouping_merges_near_degenerate(self):
         a = SymOp(np.diag([1.0, 1.0 - 1e-12, 0.0]), Field.REAL)

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -28,7 +29,14 @@ from raylift import (
 )
 
 from raylift.cli import main as cli_main
-from raylift.frames import LiftedMap, _triu_pairs, dumps_json, sym_coords
+from raylift.frames import (
+    LiftedMap,
+    _sym_scatter,
+    _triu_pairs,
+    dumps_json,
+    sym_coords,
+    sym_from_coords,
+)
 
 from oracles import (
     dumps_json_stdlib,
@@ -37,6 +45,7 @@ from oracles import (
     random_hermitian,
     random_vector,
     svd_min_norm,
+    sym_from_coords_2d,
 )
 
 
@@ -603,6 +612,42 @@ class TestTriuPairs:
             assert _triu_pairs(n)[0] is iu
 
 
+class TestSymFromCoords:
+    def test_round_trip_bit_for_bit(self, rng, field):
+        """sym_from_coords(sym_coords(M)) is M to the bit. Off the diagonal the coordinates carry a factor sqrt(2),
+        and fl(fl(x sqrt(2)) / sqrt(2)) is not x for about 15% of doubles, so
+        those entries are signed powers of two, for which it is."""
+        cplx = field is Field.COMPLEX
+        for n in range(1, 7):
+            for _ in range(5):
+                def dyadic():
+                    return rng.choice([-1.0, 1.0], (n, n)) * 2.0 ** rng.integers(-8, 8, (n, n))
+                M = dyadic() + 1j * dyadic() if cplx else dyadic()
+                M = np.triu(M, 1) + np.diag(rng.standard_normal(n))
+                M = M + np.triu(M, 1).conj().T
+                M[-1, -1] = -0.0  # a signed zero keeps its bit
+                got = sym_from_coords(sym_coords(M, field), n, field)
+                assert got.dtype == field.dtype and got.flags.c_contiguous
+                assert got.tobytes() == M.tobytes()
+
+    def test_matches_2d_assignment_oracle(self, rng, field):
+        """On any coordinates, the flat scatter writes the bits of a zeroed
+        matrix filled by 2-D assignments."""
+        cplx = field is Field.COMPLEX
+        for n in range(1, 7):
+            for _ in range(5):
+                c = rng.standard_normal(n * n if cplx else n * (n + 1) // 2)
+                c[rng.random(c.shape) < 0.2] = -0.0
+                got = sym_from_coords(c, n, field)
+                assert got.tobytes() == sym_from_coords_2d(c, n, cplx).tobytes()
+
+    def test_scatter_is_a_cached_read_only_permutation(self):
+        for n in range(1, 7):
+            idx = _sym_scatter(n)
+            assert sorted(idx.tolist()) == list(range(n * n))
+            assert not idx.flags.writeable and _sym_scatter(n) is idx
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1 / 3])
 _shapes = hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4)
@@ -621,11 +666,17 @@ _leaves = (
                  elements=_finite)
     | hnp.arrays(np.int64, _shapes)
 )
+class _ListSubclass(list):
+    pass
+
+
 _json_docs = st.recursive(
     _leaves,
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(), inner, max_size=4),
+    | st.lists(inner, max_size=4).map(_ListSubclass)
+    | st.dictionaries(st.text(), inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4).map(OrderedDict),
     max_leaves=20,
 )
 
