@@ -46,6 +46,8 @@ _PINV_TOL = 1e-10
 # of build_lifted_map; the normal equations' relative error is then about
 # eps / 1e-6 ~ 2e-10
 _CHOL_RCOND = 1e-6
+# columns of G^-1 mirrored per step by _mirror_upper
+_MIRROR_BLOCK = 256
 _SQRT2 = math.sqrt(2)
 
 NAMED_FRAMES = {
@@ -212,9 +214,12 @@ class LiftedMap:
 
     ``min_norm_inverse`` applies ``_left @ (right @ c)``, where ``right`` is
     A^T on the Cholesky path (read from ``matrix``; ``_right`` is None) and
-    U_r^T on the SVD path (see ``build_lifted_map``). The singular values
-    behind ``sigma_min`` and ``sigma_max`` are computed on first use and
-    cached; the min-norm inverse never needs them.
+    U_r^T on the SVD path (see ``build_lifted_map``). On the Cholesky path
+    ``_left`` is G^-1, a C-ordered view of the buffer in which G = A^T A was
+    formed, factored and inverted, so a map holds A and G and no other
+    array of G's size. The singular values behind ``sigma_min`` and ``sigma_max``
+    are computed on first use and cached; the min-norm inverse never needs
+    them.
     """
 
     matrix: np.ndarray
@@ -274,6 +279,27 @@ def _lifted_rows(F: Frame) -> np.ndarray:
     return out
 
 
+def _mirror_upper(g: np.ndarray) -> None:
+    """Make ``g``, Fortran-ordered with a symmetric matrix in its upper
+    triangle over a zero lower one (as ``dpotri`` leaves it), symmetric in
+    place, with the bits of ``np.triu(g) + np.triu(g, 1).T``: x + 0 on and
+    above the diagonal and 0 + x below it, so no -0.0 is left. The lower
+    triangle is filled in blocks of ``_MIRROR_BLOCK`` columns; the one
+    temporary is the transpose of a diagonal block."""
+    g += 0.0
+    n = g.shape[0]
+    for j0 in range(0, n, _MIRROR_BLOCK):
+        j1 = min(j0 + _MIRROR_BLOCK, n)
+        d = g[j0:j1, j0:j1]
+        # np.triu(d, 1).T without its mask: d's lower triangle is still zero
+        t = d.T.copy(order="F")
+        np.fill_diagonal(t, 0.0)
+        d += t
+        del t  # before the strip below, whose iteration buffers would add to it
+        # the source rows lie above the diagonal, the target rows below it
+        g[j1:, j0:j1] += g[j0:j1, j1:].T
+
+
 def build_lifted_map(F: Frame) -> LiftedMap:
     """Assemble the measurement matrix A on lifted operators for a frame, and
     factor it for min-norm inversion.
@@ -297,16 +323,30 @@ def build_lifted_map(F: Frame) -> LiftedMap:
     - SVD fallback, for rank-deficient and ill-conditioned frames: the thin
       SVD A = U S V^T, whose numerical rank r counts singular values above
       ``_PINV_TOL`` times the top; the inverse applies V_r S_r^-1 U_r^T.
+
+    Memory on the Cholesky path: the build peaks at A plus G, with about
+    0.6 MiB on top. G is formed once, then factored (``dpotrf``), inverted
+    (``dpotri``) and mirrored (``_mirror_upper``) inside its own n^2 x n^2
+    buffer, and ``_left`` is a view of that buffer. The parts on top are
+    one 256 x 256 diagonal block that the mirror copies and numpy's
+    iteration buffers. The 1-norm that ``dpocon`` needs comes from
+    ``dlange``, not from an ``abs`` copy of G. The factor overwrites G, so
+    anything that needs G itself, such as its eigenvalues, must read it
+    before ``dpotrf`` runs.
     """
     rows_t = _lifted_rows(F)
     rows = rows_t.T
-    gram = rows_t @ rows
-    factor, info = lapack.dpotrf(gram)
-    if info == 0 and lapack.dpocon(factor, np.abs(gram).sum(axis=0).max())[0] > _CHOL_RCOND:
-        # the upper triangle of G^-1, Fortran-ordered, over a zero lower one;
-        # the transpose of the symmetrised sum is C-ordered
-        inv, _ = lapack.dpotri(factor, overwrite_c=1)
-        rank, left, right = rows.shape[1], (inv + np.triu(inv, 1).T).T, None
+    # the product is exactly symmetric (numpy runs one syrk and copies its
+    # triangle), so its Fortran-ordered view is G, and LAPACK works in place
+    gram = (rows_t @ rows).T
+    anorm = lapack.dlange("1", gram)
+    gram, info = lapack.dpotrf(gram, overwrite_a=1)
+    if info == 0 and lapack.dpocon(gram, anorm)[0] > _CHOL_RCOND:
+        # G^-1 in the upper triangle over the lower one that dpotrf's default
+        # clean=1 zeroed, mirrored in place; its transpose is C-ordered
+        gram, _ = lapack.dpotri(gram, overwrite_c=1)
+        _mirror_upper(gram)
+        rank, left, right = rows.shape[1], gram.T, None
     else:
         u, s, vt = np.linalg.svd(rows, full_matrices=False)
         rank = int(np.sum(s > _PINV_TOL * s[0]))
@@ -553,14 +593,20 @@ def write_frame(path, F: Frame) -> None:
         fh.write(dumps_json(frame_to_dict(F)))
 
 
-def _parse_json(path, data: bytes):
-    """The JSON document in the UTF-8 bytes ``data`` read from ``path``."""
+def _read_json(path, digest: bool = False):
+    """The JSON document in the UTF-8 file at ``path``, and the hex sha256 of
+    the file's bytes if ``digest`` (else None). The bytes are dropped once
+    decoded, so ``json.loads`` runs beside one copy of the file's text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    sha256 = hashlib.sha256(data).hexdigest() if digest else None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise FrameFileError(f"{path}: not UTF-8 at byte offset {e.start}: {e.reason}") from e
+    del data
     try:
-        return json.loads(text)
+        return json.loads(text), sha256
     except json.JSONDecodeError as e:
         raise FrameFileError(f"{path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from e
 
@@ -571,10 +617,8 @@ def read_frame(path) -> Frame:
     same frame with other whitespace or number spellings changes it. For a
     file written by ``write_frame`` it is the digest of
     ``dumps_json(frame_to_dict(F))``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    doc = _parse_json(path, data)
-    return frame_from_dict(doc, where=str(path), file_sha256=hashlib.sha256(data).hexdigest())
+    doc, sha256 = _read_json(path, digest=True)
+    return frame_from_dict(doc, where=str(path), file_sha256=sha256)
 
 
 def write_measurements(path, rows: Sequence[Measurement]) -> None:
@@ -592,8 +636,7 @@ def write_measurements(path, rows: Sequence[Measurement]) -> None:
 
 def read_measurements(path) -> list:
     """Read measurement rows; 'values' may be one flat row or a list of rows."""
-    with open(path, "rb") as fh:
-        doc = _parse_json(path, fh.read())
+    doc, _ = _read_json(path)
     if not isinstance(doc, dict) or "count" not in doc or "values" not in doc:
         raise FrameFileError(f"{path}: expected object with keys 'count' and 'values'")
     count, values = doc["count"], doc["values"]

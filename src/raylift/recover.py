@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from .core import Field, Vector, _check_order, _lbfgs, _to_complex, _to_real
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, min_norm_inverse
@@ -241,7 +241,12 @@ def _whitener(F: Frame, x0: np.ndarray, scale: float, h0: float) -> np.ndarray:
         L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return scale * np.eye(H.shape[0])
-    return scale * solve_triangular(L, np.eye(H.shape[0]), lower=True).T
+    # L^-1 from LAPACK directly: numpy's factor is C-ordered, so its
+    # Fortran-ordered view is the upper triangular L^T, solved transposed
+    l_inv, info = lapack.dtrtrs(L.T, np.eye(H.shape[0]), lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+    return scale * l_inv.T
 
 
 def _polish(F: Frame, c, x0: RayPoint, iters: int):

@@ -229,3 +229,24 @@ class TestNonUtf8Input:
         err = capsys.readouterr().err
         assert f"{command}: {path}: not UTF-8 at byte offset {offset}" in err
         assert not (tmp_path / "r.json").exists()
+
+
+class TestInvalidJsonInput:
+    @pytest.mark.parametrize("bad", ["frame", "measurements"])
+    def test_exits_io_with_line_and_column(self, tmp_path, capsys, bad):
+        """A UTF-8 file that is not JSON is an input error (exit 3) naming the
+        file and where the parser stopped, not a traceback."""
+        _inputs(tmp_path)
+        path = tmp_path / ("f.json" if bad == "frame" else "c.json")
+        text = path.read_text(encoding="utf-8").replace('"count": ', '"count" ', 1)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as info:
+            json.loads(text)
+        e = info.value
+        assert e.lineno > 1
+        argv = ["reconstruct", "--frame", str(tmp_path / "f.json"), "--measurements",
+                str(tmp_path / "c.json"), "--out", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert f"reconstruct: {path}: invalid JSON at line {e.lineno} column {e.colno}: {e.msg}" in err
+        assert not (tmp_path / "r.json").exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
@@ -30,7 +31,9 @@ from raylift import (
 
 from raylift.cli import main as cli_main
 from raylift.frames import (
+    _MIRROR_BLOCK,
     LiftedMap,
+    _mirror_upper,
     _sym_scatter,
     _triu_pairs,
     dumps_json,
@@ -330,6 +333,53 @@ class TestLiftedRowsOracle:
 
     def test_wide_frame(self, rng):
         self._check(_gauss(32, 2048, Field.COMPLEX, seed=1), rng)
+
+    # lifted column counts that span several _mirror_upper blocks and end in
+    # a partial one: 289 (n=17, complex) and 300 (n=24, real)
+    @pytest.mark.parametrize("n, fld", [(17, Field.COMPLEX), (24, Field.REAL)])
+    def test_mirror_blocks(self, rng, n, fld):
+        cols = n * n if fld is Field.COMPLEX else n * (n + 1) // 2
+        assert cols > _MIRROR_BLOCK and cols % _MIRROR_BLOCK
+        F = _gauss(n, 2 * cols + 1, fld, seed=n)
+        assert build_lifted_map(F)._right is None
+        self._check(F, rng)
+
+    @pytest.mark.parametrize("size", [1, 255, 256, 300, 600])
+    def test_mirror_signed_zeros(self, size):
+        """The in-place mirror has the bits of the two-``triu`` sum: -0.0 in
+        the upper triangle becomes +0.0 on both sides, in every block."""
+        g = np.triu(np.random.default_rng(size).standard_normal((size, size)))
+        g[np.triu(np.random.default_rng(0).random((size, size)) < 0.05)] = -0.0
+        want = np.triu(g) + np.triu(g, 1).T
+        g = np.asfortranarray(g)
+        _mirror_upper(g)
+        assert g.flags.f_contiguous and _same_bits(np.ascontiguousarray(g), want)
+
+
+class TestLiftedMapMemory:
+    """``build_lifted_map`` on the Cholesky path keeps A and G and forms no
+    other array of G's size: G is factored, inverted and mirrored in its
+    own buffer, and ``_left`` is a view of it."""
+
+    def _extra_peak(self, F):
+        build_lifted_map(F)  # warm caches outside the traced call
+        tracemalloc.start()
+        try:
+            M = build_lifted_map(F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert M._right is None and M._left.flags.c_contiguous
+        return peak - M.matrix.nbytes - M._left.nbytes
+
+    def test_one_block(self):
+        # G is 256 x 256, one mirror block: its transposed copy is the only
+        # temporary of G's size
+        block = _MIRROR_BLOCK ** 2 * 8
+        assert self._extra_peak(_gauss(16, 513, Field.COMPLEX, seed=1)) <= block + 64 * 1024
+
+    def test_wide_frame(self):
+        assert self._extra_peak(_gauss(32, 2048, Field.COMPLEX, seed=1)) <= 2 ** 20
 
 
 class TestGenFrame:

@@ -439,6 +439,27 @@ class TestPolishDescent:
         assert not est.rep.entries.any()
         assert (stats.iterations, stats.stop) == (0, "stationary")
 
+    def test_whitener_matches_triangular_solve(self, field, monkeypatch):
+        """P = scale L^-T from the direct ``dtrtrs`` call has the bits of
+        ``scale * solve_triangular(L, I, lower=True).T``, for the factor L
+        that ``_whitener`` computed."""
+        from scipy.linalg import solve_triangular
+
+        F = _gauss(8, 128, field, seed=7)
+        rng = np.random.default_rng(7)
+        factors = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda H: factors.append(cholesky(H)) or factors[-1])
+        for _ in range(4):
+            x = random_vector(rng, 8, field is Field.COMPLEX)
+            c = measure(F, vec(x, field)).values * (1 + 0.05 * rng.standard_normal(128))
+            scale = float(np.linalg.norm(x))
+            h0 = recover_mod._residual_and_grad(F, c, x)[0]
+            P = recover_mod._whitener(F, x, scale, h0)
+            L = factors[-1]
+            old = scale * solve_triangular(L, np.eye(L.shape[0]), lower=True).T
+            assert P.shape == old.shape and P.tobytes() == old.tobytes()
+
     def test_cost_at_true_ray(self, monkeypatch):
         """A noiseless row started at its true ray is already a fit to
         roundoff: polish keeps the start after its one evaluation."""
