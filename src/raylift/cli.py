@@ -34,8 +34,8 @@ from .frames import (
 )
 from .metrics import lift_dist
 from .probes import (
-    _b0_ascent,
     estimate_lower_lip,
+    estimate_upper_lip,
     pr_verdict,
     probe_bilipschitz,
     upper_lip_ceiling,
@@ -160,24 +160,19 @@ def _write_csv(path, header, rows) -> None:
 
 
 def cmd_gen(args) -> int:
-    if args.kind == "named":
-        if not args.name:
-            print("gen: --kind named requires --name", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            F = gen_frame("named", args.dim, args.count, Field(args.field), name=args.name)
-        except ValueError as e:
-            print(f"gen: {e}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        if args.dim is None or args.count is None:
-            print("gen: --kind gaussian requires --dim and --count", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            F = gen_frame("random_gaussian", args.dim, args.count, Field(args.field), seed=args.seed)
-        except ValueError as e:
-            print(f"gen: {e}", file=sys.stderr)
-            return EXIT_USAGE
+    if args.kind == "named" and not args.name:
+        print("gen: --kind named requires --name", file=sys.stderr)
+        return EXIT_USAGE
+    if args.kind == "gaussian" and (args.dim is None or args.count is None):
+        print("gen: --kind gaussian requires --dim and --count", file=sys.stderr)
+        return EXIT_USAGE
+    # a named frame ignores --seed, a Gaussian one --name
+    kind = "named" if args.kind == "named" else "random_gaussian"
+    try:
+        F = gen_frame(kind, args.dim, args.count, Field(args.field), seed=args.seed, name=args.name)
+    except ValueError as e:
+        print(f"gen: {e}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         write_frame(args.out, F)
     except OSError as e:
@@ -196,9 +191,7 @@ def cmd_check(args) -> int:
         print(f"check: {e}", file=sys.stderr)
         return EXIT_IO
     est = estimate_lower_lip(F, starts=args.starts, seed=args.seed)
-    # the ascent's value is attained at a unit vector, so it is a proven
-    # lower end of b0; sampled pair ratios only read below it
-    b0, b0_iterations = _b0_ascent(F, args.seed)
+    b0, b0_iterations = estimate_upper_lip(F, args.seed)
     verdict = pr_verdict(F, estimate=est)
     report = {
         "frame_label": F.label,

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .core import Field, Vector, _gaussian, _lbfgs, _to_complex, _to_real
 from .frames import Frame, _measure_stack
@@ -287,49 +286,7 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
     )
 
 
-# --- pair sampling -------------------------------------------------------------
-
-_BLOCK = 512
-
-
-def _pair_terms(F: Frame, samples: int, seed: int):
-    """Seeded sample pairs (x, y), drawn in fixed-size blocks so that a longer
-    run extends a shorter one sample for sample. Yields per block the squared
-    measurement distance ||alpha(x) - alpha(y)||^2 and d1(x, y) of the pairs
-    that are not coincident: d1 > 1e-6 max(1, ||x||^2 + ||y||^2)."""
-    for block, out in enumerate(range(0, samples, _BLOCK)):
-        rng = np.random.default_rng([seed, block])
-        x = _gaussian(rng, (_BLOCK, F.dim), F.field)[:samples - out]
-        y = _gaussian(rng, (_BLOCK, F.dim), F.field)[:samples - out]
-        num = np.sum((_measure_stack(F, x) - _measure_stack(F, y)) ** 2, axis=1)
-        d1 = _lift_dist_stack(x, y, 1)
-        scale = np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)
-        keep = d1 > 1e-6 * np.maximum(1.0, scale)
-        yield num[keep], d1[keep]
-
-
-def estimate_upper_lip(F: Frame, samples: int = 2000, seed: int = 0, refine: bool = True) -> float:
-    """The frame's upper stability constant b0, the max over pairs of
-    ||alpha(x) - alpha(y)||^2 / d1(x, y)^2.
-
-    b0 has the closed form max over unit u of sum_k |<u, f_k>|^4 (y = 0
-    attains it; for other pairs split xx* - yy* into its two eigen-terms and
-    use the triangle inequality). The sampled pair ratios are lower bounds;
-    ``refine`` adds the exact maximiser found by a batched multistart
-    fixed-point ascent on the sphere and returns the larger of the two. The
-    value is bracketed above by ``upper_lip_ceiling(F)`` =
-    sigma_max(lifted map)^2.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    best = 0.0
-    for num, d1 in _pair_terms(F, samples, seed):
-        if d1.size:
-            best = max(best, float(np.max(num / d1 ** 2)))
-    if refine:
-        best = max(best, _b0_ascent(F, seed)[0])
-    return best
-
+# --- upper stability constant -------------------------------------------------
 
 _ASCENT_STARTS = 64
 _ASCENT_MAX_ITERS = 1000
@@ -339,7 +296,8 @@ _ASCENT_RTOL = 1e-13
 def _neg_quartic_and_grad(F: Frame, rz: np.ndarray):
     """Minus sum_k |<u, f_k>|^4 / ||u||^4 at the packed real coordinates of
     u, and minus its gradient there, 4 (G - value ||u||^2 u) / ||u||^4 with
-    G = F^T (|a|^2 a) and a = conj(F) u: what ``_b0_ascent`` minimises."""
+    G = F^T (|a|^2 a) and a = conj(F) u: what ``estimate_upper_lip``
+    minimises."""
     u = _to_complex(rz, F.field)
     fs = F.synthesis
     a = fs.conj() @ u
@@ -350,19 +308,26 @@ def _neg_quartic_and_grad(F: Frame, rz: np.ndarray):
     return -value, -_to_real(g)
 
 
-def _b0_ascent(F: Frame, seed: int = 0):
-    """max over unit u of sum_k |<u, f_k>|^4.
+def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
+    """The frame's upper stability constant b0, the max over pairs of
+    ||alpha(x) - alpha(y)||^2 / d1(x, y)^2.
 
-    Fixed-point ascent from 64 seeded starts, iterated as one batch:
-    U <- G / ||G|| per row with G = (|A|^2 A) F and A = U conj(F)^T. G is a
-    quarter of the gradient and the objective is convex, so no step lowers
-    a value (SS-HOPM, Kolda & Mayo 2011). The batch stops once no start's
-    relative gain exceeds 1e-13, or after 1000 steps. At a degenerate
-    maximum (one where the objective falls off at fourth order, as for
-    r2_pr3) the ascent slows to a crawl, so the best start is then refined
-    by ``_lbfgs``, with tolerances tight enough to move b0 there.
+    b0 has the closed form max over unit u of sum_k |<u, f_k>|^4 (y = 0
+    attains it; for other pairs split xx* - yy* into its two eigen-terms and
+    use the triangle inequality), found here by a fixed-point ascent from 64
+    seeded starts, iterated as one batch: U <- G / ||G|| per row with
+    G = (|A|^2 A) F and A = U conj(F)^T. G is a quarter of the gradient and
+    the objective is convex, so no step lowers a value (SS-HOPM, Kolda &
+    Mayo 2011). The batch stops once no start's relative gain exceeds 1e-13,
+    or after 1000 steps. At a degenerate maximum (one where the objective
+    falls off at fourth order, as for r2_pr3) the ascent slows to a crawl,
+    so the best start is then refined by ``_lbfgs``, with tolerances tight
+    enough to move b0 there.
 
-    Returns (value, iterations), iterations counting the batched steps."""
+    Returns (value, iterations), iterations counting the batched steps. The
+    value is attained at a unit vector, so it is a proven lower end of b0;
+    ``upper_lip_ceiling(F)`` = sigma_max(lifted map)^2 brackets it above.
+    """
     fs = F.synthesis
     U = _gaussian(np.random.default_rng(seed), (_ASCENT_STARTS, F.dim), F.field)
     U /= np.linalg.norm(U, axis=1, keepdims=True)
@@ -422,15 +387,31 @@ def pr_verdict(
     return "indeterminate"
 
 
+_BLOCK = 512  # sample pairs per generator block
+
+
 def probe_bilipschitz(F: Frame, samples: int = 10_000, seed: int = 0) -> dict:
     """Sample ||alpha(x) - alpha(y)|| / d1(x, y) over random ray pairs.
 
-    Coincident rays are excluded (the ratio is undefined there). The squared
-    minimum can never fall below the frame's true lower stability constant.
+    The pairs are drawn in fixed-size seeded blocks, so a longer run extends
+    a shorter one sample for sample. Coincident rays, d1 <= 1e-6 max(1,
+    ||x||^2 + ||y||^2), are excluded (the ratio is undefined there). The
+    squared minimum can never fall below the frame's true lower stability
+    constant, nor the squared maximum rise above b0.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    ratios = np.concatenate([np.sqrt(num) / d1 for num, d1 in _pair_terms(F, samples, seed)])
+    blocks = []
+    for block, out in enumerate(range(0, samples, _BLOCK)):
+        rng = np.random.default_rng([seed, block])
+        x = _gaussian(rng, (_BLOCK, F.dim), F.field)[:samples - out]
+        y = _gaussian(rng, (_BLOCK, F.dim), F.field)[:samples - out]
+        num = np.sum((_measure_stack(F, x) - _measure_stack(F, y)) ** 2, axis=1)
+        d1 = _lift_dist_stack(x, y, 1)
+        scale = np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)
+        keep = d1 > 1e-6 * np.maximum(1.0, scale)
+        blocks.append(np.sqrt(num[keep]) / d1[keep])
+    ratios = np.concatenate(blocks)
     return {
         "min_ratio": float(np.min(ratios)),
         "max_ratio": float(np.max(ratios)),
@@ -451,7 +432,6 @@ def certify_min_above(
     highs: Sequence[float],
     init_spacing: float,
     target: float,
-    descend: Optional[Callable[[np.ndarray], tuple]] = None,
 ):
     """Decide whether min over the box of a Lipschitz objective exceeds
     ``target``.
@@ -459,11 +439,13 @@ def certify_min_above(
     Adaptive bisection: a cell whose center value minus (local Lipschitz
     bound) * (half diagonal) stays above target cannot contain a point at or
     below target and is pruned; when every cell is pruned the continuum
-    minimum over the box certifiably exceeds target. A point with value <=
-    target found along the way (by the grid or by local descent from the best
-    point) decides the other way.
+    minimum over the box certifiably exceeds target. A cell center with
+    value <= target decides the other way.
 
-    Returns (above: bool, located_value, located_point).
+    Returns (above: bool, located_value, located_point): the smallest value
+    the bisection evaluated and the center where it did. That value is an
+    upper bound on the minimum over the box, reproducible bit for bit; it is
+    not the minimum, since refinement stops once every cell is pruned.
     """
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
@@ -491,12 +473,6 @@ def certify_min_above(
         lb = vals - lip_batch(centers, hd) * hd
         keep = lb <= target
         if not np.any(keep):
-            if descend is not None:
-                dv, dp = descend(best_pt)
-                if dv < best_val:
-                    best_val, best_pt = dv, dp
-                if best_val <= target:
-                    return False, best_val, best_pt
             return True, best_val, best_pt
         centers = (centers[keep][:, None, :] + half * offsets[None, :, :]).reshape(-1, d)
         half /= 2
@@ -543,18 +519,6 @@ def _lift_ball_deficit(points: np.ndarray, ys: np.ndarray, rs: np.ndarray) -> np
     return out
 
 
-def _nelder_mead(ev):
-    """Local Nelder-Mead descent from one point on a batched objective, the
-    ``descend`` step of ``certify_min_above``."""
-    def descend(p0):
-        res = optimize.minimize(lambda p: float(ev(p[None, :])[0]), p0,
-                                method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-14})
-        return float(res.fun), res.x
-
-    return descend
-
-
 def _certify_align_empty(ys, rs, target=1e-6):
     def ev(pts):
         return _align_ball_deficit(pts, ys, rs)
@@ -563,7 +527,7 @@ def _certify_align_empty(ys, rs, target=1e-6):
         return np.ones(pts.shape[0])
 
     # any ray with ||z|| > 6 misses the farthest ball by more than the target
-    return certify_min_above(ev, lip, [-6, -6], [6, 6], 0.1, target, _nelder_mead(ev))
+    return certify_min_above(ev, lip, [-6, -6], [6, 6], 0.1, target)
 
 
 def _certify_lift_empty(ys, rs, target=1e-6):
@@ -578,8 +542,7 @@ def _certify_lift_empty(ys, rs, target=1e-6):
         nz = np.sqrt(np.sum(pts * pts, axis=1))
         return 2.0 * (nz + hd)
 
-    return certify_min_above(ev, lip, [0, -hi, -hi], [hi, hi, hi], 0.125, target,
-                             _nelder_mead(ev))
+    return certify_min_above(ev, lip, [0, -hi, -hi], [hi, hi, hi], 0.125, target)
 
 
 def verify_property_k(which: str, radii: Optional[Sequence[float]] = None) -> dict:
@@ -590,6 +553,9 @@ def verify_property_k(which: str, radii: Optional[Sequence[float]] = None) -> di
     which="align_metric": three real rays under the vector metric (order 2).
     which="lift_metric": two complex rays under the lift metric (order 2).
     ``radii`` overrides the ball radii (used to sanity-check the certifier).
+    ``located_min`` is the smallest ball deficit max_i (d(z, y_i) - r_i) that
+    the certifier evaluated: an upper bound on the minimum over rays z, which
+    is above 1e-6 whenever ``y_intersection_empty`` holds.
     """
     tol = 1e-12
     if which == "align_metric":

@@ -72,7 +72,7 @@ class RecoveryReport:
         rep = self.estimate.rep
         doc = {
             "estimate": {"field": rep.field.value, "dim": rep.dim,
-                         "entries": _vec_to_json(rep.entries, rep.field).tolist()},
+                         "entries": _vec_to_json(rep.entries, rep.field)},
             "residual": self.residual,
             "pipeline_stage_norms": dict(self.pipeline_stage_norms),
             "polished": self.polished,

@@ -150,6 +150,20 @@ class TestNumericFlags:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "f.json"]
 
 
+class TestGenUsage:
+    @pytest.mark.parametrize("argv, err", [
+        (["--kind", "named"], "gen: --kind named requires --name"),
+        (["--dim", "3"], "gen: --kind gaussian requires --dim and --count"),
+        (["--kind", "named", "--name", "nope"],
+         "gen: unknown named frame 'nope'; options: ['r2_onb', 'r2_pr3']"),
+        (["--dim", "4", "--count", "2"], "gen: need count >= dim, got m=2 < n=4"),
+    ], ids=["named-without-name", "gaussian-without-count", "unknown-name", "count-below-dim"])
+    def test_exits_usage_writing_nothing(self, tmp_path, capsys, argv, err):
+        assert cli_main(["gen", *argv, "--out", str(tmp_path / "g.json")]) == 2
+        assert capsys.readouterr().err == err + "\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRankWarning:
     @pytest.mark.parametrize("count, warned", [(5, True), (9, False)])
     def test_warning_iff_rank_deficient(self, tmp_path, capsys, count, warned):

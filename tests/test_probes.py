@@ -23,7 +23,6 @@ from raylift import (
 from raylift.cli import main as cli_main
 from raylift.probes import (
     _alternating_min,
-    _b0_ascent,
     _best_partners,
     _ratio_and_grad,
     certify_min_above,
@@ -123,27 +122,13 @@ class TestLowerLip:
 
 class TestUpperLip:
     def test_onb_ratio_reaches_one(self):
-        b0 = estimate_upper_lip(_onb(), samples=500, seed=0)
+        b0, _ = estimate_upper_lip(_onb(), seed=0)
         assert b0 == pytest.approx(1.0, abs=1e-6)
-
-    def test_monotone_in_samples(self):
-        F = _pr3()
-        raw = [
-            estimate_upper_lip(F, samples=s, seed=0, refine=False)
-            for s in (100, 500, 2000)
-        ]
-        assert raw[0] <= raw[1] <= raw[2]
-
-    def test_refinement_never_decreases(self):
-        F = _pr3()
-        raw = estimate_upper_lip(F, samples=500, seed=0, refine=False)
-        ref = estimate_upper_lip(F, samples=500, seed=0, refine=True)
-        assert ref >= raw
 
     def test_ordering_with_lower_constant(self, field):
         F = gen_frame("random_gaussian", 3, 9, field, seed=7)
         a0 = estimate_lower_lip(F, starts=16).value
-        b0 = estimate_upper_lip(F, samples=500, seed=0)
+        b0, _ = estimate_upper_lip(F, seed=0)
         assert a0 <= b0 + 1e-9
 
 
@@ -290,7 +275,7 @@ class TestUpperLipExact:
     def test_pr3_matches_angle_scan(self):
         F = _pr3()
         want = quartic_max_scan(F.synthesis)
-        assert estimate_upper_lip(F, samples=100, seed=0) == pytest.approx(want, rel=1e-9)
+        assert estimate_upper_lip(F, seed=0)[0] == pytest.approx(want, rel=1e-9)
 
     def test_ceiling_is_lifted_sigma_max_squared(self, field):
         for n, m in ((3, 9), (4, 16)):
@@ -302,14 +287,15 @@ class TestUpperLipExact:
     def test_bracket(self, field, n, m):
         for seed in (4, 5):
             F = gen_frame("random_gaussian", n, m, field, seed=seed)
-            raw = estimate_upper_lip(F, samples=500, seed=1, refine=False)
-            b0 = estimate_upper_lip(F, samples=500, seed=1)
-            assert raw <= b0 <= upper_lip_ceiling(F) * (1 + 1e-12)
+            # sampled pair ratios read below the ascent's attained value
+            sampled = probe_bilipschitz(F, samples=500, seed=1)["max_ratio"] ** 2
+            b0, _ = estimate_upper_lip(F, seed=1)
+            assert sampled <= b0 * (1 + 1e-12) <= upper_lip_ceiling(F) * (1 + 1e-12)
 
     def test_onb_bracket_is_tight(self):
         F = _onb()
         assert upper_lip_ceiling(F) == pytest.approx(1.0, rel=1e-12)
-        assert _b0_ascent(F)[0] == pytest.approx(1.0, rel=1e-12)
+        assert estimate_upper_lip(F)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_refinement_makes_no_measure_calls(self, monkeypatch):
         calls = []
@@ -322,7 +308,7 @@ class TestUpperLipExact:
         monkeypatch.setattr(frames_mod, "measure", counting)
         monkeypatch.setattr(probes_mod, "measure", counting, raising=False)
         F = gen_frame("random_gaussian", 8, 72, Field.COMPLEX, seed=1)
-        estimate_upper_lip(F, samples=2000, seed=1, refine=True)
+        estimate_upper_lip(F, seed=1)
         assert calls == []
 
 
@@ -342,7 +328,8 @@ class TestCheckReport:
         assert built == []
         rep = json.loads(first)
         assert rep["b0_upper"] == upper_lip_ceiling(F)
-        assert rep["b0"] == _b0_ascent(F, 2)[0]
+        b0, b0_iterations = estimate_upper_lip(F, 2)
+        assert rep["b0"] == b0
         assert rep["sample_counts"] == {"starts": 64}
         assert 0 < rep["a0"] <= rep["b0"] <= rep["b0_upper"]
         est = estimate_lower_lip(F, starts=64, seed=2)
@@ -351,8 +338,28 @@ class TestCheckReport:
             "refine_iterations": est.refine_iterations,
             "refine_evaluations": est.refine_evaluations,
             "refine_stop": est.refine_stop,
-            "b0_ascent_iterations": _b0_ascent(F, 2)[1],
+            "b0_ascent_iterations": b0_iterations,
         }
+
+    def test_one_public_b0_call(self, tmp_path, monkeypatch):
+        """``check`` takes b0 and its iteration count from one call of the
+        public ``estimate_upper_lip``, which the layer tracer can time."""
+        F = gen_frame("random_gaussian", 3, 9, Field.REAL, seed=3)
+        write_frame(tmp_path / "f.json", F)
+        results = []
+
+        def counting(*args, **kwargs):
+            results.append(estimate_upper_lip(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli_mod, "estimate_upper_lip", counting)
+        argv = ["check", "--frame", str(tmp_path / "f.json"), "--starts", "8", "--seed", "1",
+                "--report", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 0
+        (b0, iterations), = results
+        rep = json.loads((tmp_path / "r.json").read_text())
+        assert rep["b0"] == b0
+        assert rep["search"]["b0_ascent_iterations"] == iterations
 
 
 class TestVerdict:
@@ -378,6 +385,13 @@ class TestBilipschitz:
         gval, _, _ = grid_lower_lip(F)
         res = probe_bilipschitz(F, samples=2000, seed=0)
         assert res["min_ratio"] ** 2 >= gval - 1e-6
+
+    def test_max_ratio_monotone_in_samples(self):
+        # a longer run extends a shorter one pair for pair
+        F = _pr3()
+        runs = [probe_bilipschitz(F, samples=s, seed=0) for s in (100, 500, 2000)]
+        assert runs[0]["max_ratio"] <= runs[1]["max_ratio"] <= runs[2]["max_ratio"]
+        assert np.array_equal(runs[2]["ratios"][:runs[0]["kept"]], runs[0]["ratios"])
 
     def test_running_max_monotone(self):
         res = probe_bilipschitz(_pr3(), samples=1000, seed=0)
@@ -429,10 +443,12 @@ class TestCertifier:
         def lip(p, hd):
             return 2.0 * (np.sqrt(np.sum(p * p, axis=1)) + hd)
 
-        above, located, _ = certify_min_above(ev, lip, [-1, -1], [1, 1], 0.25, 1e-6)
-        # located is only the best value seen; pruning stops refinement early
-        # when the minimum clears the target by a wide margin
+        above, located, pt = certify_min_above(ev, lip, [-1, -1], [1, 1], 0.25, 1e-6)
+        # located is only the best value seen, at the point returned; pruning
+        # stops refinement early when the minimum clears the target by a
+        # wide margin
         assert above and 0.5 <= located <= 0.55
+        assert located == ev(pt[None])[0]
 
     def test_crossing_min_detected(self):
         def ev(p):

@@ -27,6 +27,7 @@ from raylift import (
     write_measurements,
 )
 from raylift.cli import main as cli_main
+from raylift.frames import dumps_json
 
 from oracles import random_vector
 
@@ -105,7 +106,10 @@ class TestRecover:
         doc = rep.to_dict()
         assert set(doc) == {"estimate", "residual", "pipeline_stage_norms", "polished"}
         assert doc["estimate"]["field"] == "complex"
-        assert isinstance(doc["estimate"]["entries"][0], list)
+        # the entries stay a float array, written as [re, im] pairs
+        written = json.loads(dumps_json(doc))
+        assert written["estimate"]["entries"] == doc["estimate"]["entries"].tolist()
+        assert isinstance(written["estimate"]["entries"][0], list)
 
     def test_polished_dict_reports_descent(self):
         F = _gauss(2, 6, Field.COMPLEX, seed=5)
