@@ -41,7 +41,7 @@ from .probes import (
     upper_lip_ceiling,
     verify_property_k,
 )
-from .recover import recover, recovery_lip_bound
+from .recover import _polish_reports, recover, recovery_lip_bound
 from .retraction import retraction_probe, retraction_ratio
 
 EXIT_OK = 0
@@ -252,11 +252,10 @@ def cmd_reconstruct(args) -> int:
             f"this frame and estimates may be wrong even without noise",
             file=sys.stderr,
         )
-    reports = []
-    for row in rows:
-        rep = recover(F, row, group_tol=args.group_tol, lifted=lifted,
-                      do_polish=(args.polish == "on"))
-        reports.append(rep.to_dict())
+    reps = (recover(F, row, group_tol=args.group_tol, lifted=lifted) for row in rows)
+    if args.polish == "on":  # the rows' estimates polished as one stack
+        reps = _polish_reports(F, np.array([row.values for row in rows]), list(reps))
+    reports = [rep.to_dict() for rep in reps]
     doc = {
         "frame_label": F.label,
         "frame_hash": F.file_sha256,

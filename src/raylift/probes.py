@@ -18,8 +18,8 @@ partner v and then v's best partner u, all starts as one stack with one
 batched ``eigh`` per half-step. That screens the starts without converging;
 the best three candidates are refined jointly on the ratio, with its
 analytic gradient in the packed real coordinates of (u, v), by
-``core._lbfgs``, the scale-free local minimiser that also refines b0 below
-and polishes reconstructions. n = 2 real frames additionally get an
+``core._lbfgs``, the scale-free local minimiser that also refines b0
+below. n = 2 real frames additionally get an
 exhaustive angle-grid oracle, refined the same way.
 
 The upper stability constant has a closed form: it is the maximum over unit

@@ -12,13 +12,12 @@ constant) without asserting a relation between them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .core import Field, Vector, _check_order, _lbfgs, _to_complex, _to_real
+from .core import Field, Vector, _check_order
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, min_norm_inverse
 from .frames import _measure_stack, _vec_to_json
 from .metrics import RayPoint, ray
@@ -36,16 +35,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolishStats:
-    """How the polish search ended: its L-BFGS-B ``iterations``, its
-    residual-and-gradient ``evaluations`` (every call: the start's, the
-    search's and the check of the result) and the ``stop`` rule. The search
-    runs in coordinates whitened by the Gauss-Newton metric at the start
-    (see ``polish``), so ``stationary`` means that the largest entry of the
-    whitened gradient of h / h0 is <= 1e-9 (an exact fit is also
-    stationary; a start whose residual is already <= 8 eps ||c|| ends here
-    with 0 iterations and 1 evaluation), ``rel_decrease`` that a step
-    lowered h by <= 1e-13 of h at the start, ``max_iters`` that the cap was
-    reached and ``line_search`` that the line search failed."""
+    """How a polish (see ``polish``) ended: its accepted Gauss-Newton steps
+    (``iterations``), its residual evaluations (``evaluations``: the start's,
+    one per trial step, and one of the result when a step was accepted) and
+    the ``stop`` rule, each scale-free:
+
+    - ``stationary``: the residual is at most 8 eps ||c|| (a fit to
+      roundoff, at the start or after a step), the gradient is zero, or the
+      decrease the Gauss-Newton model predicts for the next step is at most
+      eps h, below the rounding of h itself;
+    - ``rel_decrease``: an accepted step lowered h by at most 1e-13 of h at
+      the start without halving it (a step that halves h is still
+      converging, as on a noiseless row, which so runs on to roundoff);
+    - ``line_search``: the damping passed its cap of 1e10 without a step that
+      lowers h;
+    - ``max_iters``: the cap on accepted steps was reached.
+    """
 
     iterations: int
     evaluations: int
@@ -82,12 +87,18 @@ class RecoveryReport:
         return doc
 
 
-_POLISH_ITERS = 200  # the search's iteration cap, as in recover(do_polish=True)
+_POLISH_ITERS = 200  # polish's cap on accepted steps, as in recover(do_polish=True)
+_EPS = float(np.finfo(np.float64).eps)
 # a start whose residual is at most this times ||c|| fits to roundoff: the
 # residual of the exact ray of a noiseless complex row, computed in floating
-# point, reads 0.1-3.3 eps * ||c|| (Gaussian frames, n 2-32), and a search
-# from such a start only ends in a failed line search
-_FIT_FLOOR = 8 * float(np.finfo(np.float64).eps)
+# point, reads 0.1-3.3 eps * ||c|| (Gaussian frames, n 2-32)
+_FIT_FLOOR = 8 * _EPS
+_DECREASE_TOL = 1e-13  # an accepted step lowering h by at most this times h0 ends
+_DAMP_START = 1e-6  # the damping at the start, in units of H's mean eigenvalue
+_DAMP_CAP = 1e10  # damping above this without a decrease ends the row
+_POLISH_BLOCK = 8  # rows per stack, which bounds the (rows, m, d) Jacobian
+_STOPS = ("stationary", "rel_decrease", "line_search", "max_iters")
+_ACTIVE, (_STATIONARY, _REL_DECREASE, _LINE_SEARCH, _MAX_ITERS) = -1, range(4)
 
 
 def recover(
@@ -122,18 +133,15 @@ def recover(
         # (lam1 - lam2) P1 has Frobenius norm coef * sqrt(rank P1)
         "retraction_fro": coef * math.sqrt(int(top[0].sum())),
     }
-    stats = None
-    if do_polish:
-        est, stats = _polish(F, c, est, _POLISH_ITERS)
     # the bits of measure(F, est.rep), without validating and copying them
     residual = float(np.linalg.norm(_measure_stack(F, est.rep.entries) - c.values))
-    return RecoveryReport(
+    rep = RecoveryReport(
         estimate=est,
         residual=residual,
         pipeline_stage_norms=stage_norms,
-        polished=stats is not None,
-        polish=stats,
+        polished=False,
     )
+    return _polish_reports(F, c.values[None], [rep])[0] if do_polish else rep
 
 
 @dataclass(frozen=True)
@@ -191,99 +199,165 @@ def recovery_lip_bound(
     )
 
 
-def _fit_at(F: Frame, c_vals: np.ndarray, x: np.ndarray):
-    """``(coeff, diff, h)`` at x: the coefficients <x, f_k>, the misfits
-    |<x, f_k>|^2 - c_k and h = sum_k diff_k^2."""
-    coeff = F.synthesis.conj() @ x
-    diff = np.abs(coeff) ** 2 - c_vals
-    # diff @ diff is the square of np.linalg.norm(diff), bit for bit, so h
-    # at x orders estimates exactly as the reported residual does
-    return coeff, diff, float(diff @ diff)
+def _conj_coeffs(F: Frame, X: np.ndarray) -> np.ndarray:
+    """conj(<x, f_k>) for each row x of a (k, n) stack, by one vector-matrix
+    product per row: the bits that ``measure`` and the reported residual
+    get from x alone, whatever the stack."""
+    return (X.conj()[:, None, :] @ F.synthesis.T)[:, 0, :]
 
 
-def _residual_and_grad(F: Frame, c_vals: np.ndarray, x: np.ndarray,
-                       dx: Optional[np.ndarray] = None, at_x: Optional[tuple] = None):
-    """h = sum_k (|<y, f_k>|^2 - c_k)^2 at y = x, or at y = x + dx, and its
-    gradient in the real coordinates of y (complex-packed). ``at_x`` is
-    ``_fit_at(F, c_vals, x)`` when the caller holds it: a search around a
-    fixed x computes it once, not once per evaluation."""
-    coeff, diff, h = _fit_at(F, c_vals, x) if at_x is None else at_x
-    if dx is not None:
-        # h(x) plus its increment, so that the rounding scales with the
-        # increment: the plain sum rounds by ~1e-14 h on a noisy row, more
-        # than the decreases the line search compares near a minimiser
-        dcoeff = F.synthesis.conj() @ dx
-        rise = 2.0 * (coeff.conj() * dcoeff).real + np.abs(dcoeff) ** 2
-        h += float(rise @ (2.0 * diff + rise))
-        coeff, diff = coeff + dcoeff, diff + rise
-    return h, 4.0 * (F.synthesis.T @ (diff * coeff))
+def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """u . v for each row pair of two real (k, d) stacks, one dot per row."""
+    return (U[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
-def _whitener(F: Frame, x0: np.ndarray, scale: float, h0: float) -> np.ndarray:
-    """The 2n x 2n (n x n real) matrix P of the search coordinates z of
-    polish, x = x0 + P z in real coordinates, with P = scale * L^-T for the
-    Cholesky factor L L^T = H of the Gauss-Newton metric of h / h0 in the
-    unit-scaled coordinates x / scale at the start:
-    H = (2 scale^4 / h0) J^T J, where row k of J is 2 <xh, f_k> f_k in real
-    coordinates at xh = x0 / scale. H, so the search, does not change under
-    x -> s x or F -> t F with c scaled to match. In the complex field J
-    annihilates the phase direction i xh; adding (trace H / 2n) along it
-    makes H definite. Without a Cholesky factor (a zero start) L = I."""
-    xh = x0 / scale
-    # sqrt(2 scale^4 / h0), formed without scale^4, which can overflow
-    J = (2.0 * math.sqrt(2.0) * scale * scale / math.sqrt(h0)) * _to_real(
-        (F.synthesis.conj() @ xh)[:, None] * F.synthesis)
-    H = J.T @ J
+def _fit_rows(F: Frame, C: np.ndarray, X: np.ndarray,
+              D: Optional[np.ndarray] = None, at: Optional[tuple] = None):
+    """``(B, R, h)`` for each row x of a (k, n) stack against its row c of C:
+    B = conj(<x, f_k>), the misfits R = |B|^2 - c and h = R . R, whose square
+    root is the reported residual bit for bit. Given steps D and ``at`` =
+    ``(B, R, h)`` at X, the same at X + D, with h as h(X) plus its increment,
+    so that the rounding scales with the increment: the plain sum rounds by
+    ~1e-14 h on a noisy row, more than the decreases compared near a
+    minimiser. Each call is one evaluation per row."""
+    if D is None:
+        B = _conj_coeffs(F, X)
+        R = np.abs(B) ** 2 - C
+        return B, R, _row_dots(R, R)
+    B, R, h = at
+    dB = _conj_coeffs(F, D)
+    rise = 2.0 * (B.conj() * dB).real + np.abs(dB) ** 2
+    return B + dB, R + rise, h + _row_dots(rise, 2.0 * R + rise)
+
+
+def _normal_eqs(F: Frame, X: np.ndarray, B: np.ndarray, R: np.ndarray):
+    """The Gauss-Newton system of each row at x: ``(H, g, mu)`` with
+    H = J^T J and g = J^T R for the Jacobian J of the misfits in the real
+    coordinates of x, each entry's real part followed by its imaginary part
+    (the ``view`` of x as float64; row k of J is those of 2 <x, f_k> f_k),
+    and mu = trace(H) / d, the mean eigenvalue. In the complex field J
+    annihilates the phase direction i x, along which h does not change; H
+    gets mu along it, so it is definite, and g, orthogonal to i x, gives a
+    step without a phase component. Rows must be nonzero."""
+    J = (B.conj()[:, :, None] * F.synthesis).view(np.float64)  # J / 2
+    Jt = J.transpose(0, 2, 1)
+    H = 4.0 * (Jt @ J)
+    g = 2.0 * (Jt @ R[:, :, None])[:, :, 0]
+    mu = np.trace(H, axis1=1, axis2=2) / H.shape[-1]
     if F.field is Field.COMPLEX:
-        v = _to_real(1j * xh)
-        H += (np.trace(H) / H.shape[0]) * np.outer(v, v)
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return scale * np.eye(H.shape[0])
-    # L^-1 from LAPACK directly: numpy's factor is C-ordered, so its
-    # Fortran-ordered view is the upper triangular L^T, solved transposed
-    l_inv, info = lapack.dtrtrs(L.T, np.eye(H.shape[0]), lower=0, trans=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
-    return scale * l_inv.T
+        v = (1j * X).view(np.float64)
+        v = v / np.sqrt(_row_dots(v, v))[:, None]
+        H += mu[:, None, None] * (v[:, :, None] * v[:, None, :])
+    return H, g, mu
 
 
-def _polish(F: Frame, c, x0: RayPoint, iters: int):
+def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray, iters: int):
+    """Damped Gauss-Newton (see ``polish``) on each row x of a (k, n) stack of
+    starts against its row of C, all rows at once, each accepted, rejected
+    and stopped on its own. Returns ``(X, h0, iterations, evaluations,
+    stops)``: each row's last accepted iterate (its start when none was), h
+    at the start, the accepted steps, the evaluations and the index of the
+    stop rule in ``_STOPS``. The Jacobian stack is (k, m, d): callers pass
+    blocks of ``_POLISH_BLOCK`` rows."""
+    k = X.shape[0]
+    X = X.copy()
+    B, R, h = _fit_rows(F, C, X)
+    h0 = h.copy()
+    # scale-free: h and ||c||^2 both scale by s^4 under x -> s x; h after a
+    # step is a sum of increments, which can round below 0 at an exact fit
+    floor = _FIT_FLOOR * _FIT_FLOOR * _row_dots(C, C)
+    iterations = np.zeros(k, np.intp)
+    evaluations = np.ones(k, np.intp)
+    stop = np.full(k, _ACTIVE)
+    stop[~X.any(axis=1)] = _STATIONARY  # x = 0 has J = 0, so g = 0
+    if iters == 0:
+        stop[:] = _MAX_ITERS
+    stop[h <= floor] = _STATIONARY
+    act = np.flatnonzero(stop == _ACTIVE)
+    d = X.view(np.float64).shape[1]
+    H, g, mu = np.empty((k, d, d)), np.empty((k, d)), np.empty(k)
+    H[act], g[act], mu[act] = _normal_eqs(F, X[act], B[act], R[act])
+    stop[act[~g[act].any(axis=1)]] = _STATIONARY
+    lam, nu = np.full(k, _DAMP_START), np.full(k, 2.0)
+    eye = np.eye(d)
+    while True:
+        act = np.flatnonzero(stop == _ACTIVE)
+        if act.size == 0:
+            break
+        damp = lam[act] * mu[act]
+        ga = g[act]
+        D = np.linalg.solve(H[act] + damp[:, None, None] * eye, -ga[:, :, None])[:, :, 0]
+        # the decrease of the Gauss-Newton model ||R + J D||^2
+        pred = damp * _row_dots(D, D) - _row_dots(ga, D)
+        flat = pred <= _EPS * h[act]
+        stop[act[flat]] = _STATIONARY
+        act, pred = act[~flat], pred[~flat]
+        if act.size == 0:
+            break
+        D = np.ascontiguousarray(D[~flat]).view(F.field.dtype)
+        Bt, Rt, ht = _fit_rows(F, C[act], X[act], D, (B[act], R[act], h[act]))
+        evaluations[act] += 1
+        ok = ht < h[act]
+        rej = act[~ok]
+        lam[rej] *= nu[rej]
+        nu[rej] *= 2.0
+        stop[rej[lam[rej] > _DAMP_CAP]] = _LINE_SEARCH
+        acc = act[ok]
+        drop = h[acc] - ht[ok]
+        rho = drop / pred[ok]
+        # gain-ratio update (Madsen, Nielsen & Tingleff 2004, 3.2), held
+        # above eps so that H + damp I stays nonsingular in floating point
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+        lam[acc] = np.maximum(lam[acc] * shrink, _EPS)
+        nu[acc] = 2.0
+        X[acc] += D[ok]
+        # h afresh from the misfits: a sum of increments keeps the absolute
+        # rounding of the largest h it passed through, ~eps h0
+        B[acc], R[acc] = Bt[ok], Rt[ok]
+        h[acc] = _row_dots(R[acc], R[acc])
+        iterations[acc] += 1
+        stop[acc[iterations[acc] >= iters]] = _MAX_ITERS
+        # a step that halves h is still converging, as on a noiseless row
+        stop[acc[(drop <= _DECREASE_TOL * h0[acc]) & (h[acc] > drop)]] = _REL_DECREASE
+        stop[acc[h[acc] <= floor[acc]]] = _STATIONARY
+        acc = acc[stop[acc] == _ACTIVE]
+        H[acc], g[acc], mu[acc] = _normal_eqs(F, X[acc], B[acc], R[acc])
+    return X, h0, iterations, evaluations, stop
+
+
+def _polish_rows(F: Frame, C: np.ndarray, starts: list, iters: int):
+    """Polish the ray ``starts[i]`` against row i of the (k, m) stack C, in
+    blocks of ``_POLISH_BLOCK`` rows. Returns ``(estimate, residual, stats)``
+    per row; a row keeps its start when no step was accepted, or when the
+    phase normalisation of the result leaves a larger residual than the
+    start has (possible only at roundoff level)."""
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
-    vals = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
-    if vals.shape[0] != F.count:
-        raise ValueError("measurement count does not match frame")
-    x = x0.rep.entries
-    at_x = _fit_at(F, vals, x)
-    h0, g0 = _residual_and_grad(F, vals, x, None, at_x)
-    # scale-free: residual and ||c|| both scale by s^2 under x -> s x
-    if math.sqrt(h0) <= _FIT_FLOOR * float(np.linalg.norm(vals)):
-        return x0, PolishStats(0, 1, "stationary")
-    P = _whitener(F, x, x0.rep.norm() or 1.0, h0)
-    start = (h0, P.T @ _to_real(g0))
-    evaluations = 1
+    X0 = np.array([s.rep.entries for s in starts])
+    out = []
+    for lo in range(0, len(starts), _POLISH_BLOCK):
+        Cb = C[lo:lo + _POLISH_BLOCK]
+        X, h, iterations, evaluations, stop = _polish_stack(F, Cb, X0[lo:lo + _POLISH_BLOCK], iters)
+        ests = starts[lo:lo + _POLISH_BLOCK]
+        moved = np.flatnonzero(iterations)
+        if moved.size:
+            cand = [ray(Vector(X[i], F.field)) for i in moved]
+            hc = _fit_rows(F, Cb[moved], np.array([e.rep.entries for e in cand]))[2]
+            evaluations[moved] += 1
+            for e, i, hi in zip(cand, moved, hc):
+                if hi <= h[i]:
+                    ests[i], h[i] = e, hi
+        out += [(e, math.sqrt(hi), PolishStats(int(it), int(ev), _STOPS[s]))
+                for e, hi, it, ev, s in zip(ests, h, iterations, evaluations, stop)]
+    return out
 
-    def fun(z):
-        nonlocal evaluations
-        if not z.any():  # z = 0 is x0, evaluated above
-            return start
-        evaluations += 1
-        h, g = _residual_and_grad(F, vals, x, _to_complex(P @ z, F.field), at_x)
-        return h, P.T @ _to_real(g)
 
-    z0 = np.zeros(P.shape[0])
-    z, _, nit, _, stop = _lbfgs(fun, z0, maxiter=iters)
-    if z is z0:
-        return x0, PolishStats(nit, evaluations, stop)
-    est = ray(Vector(x + _to_complex(P @ z, F.field), F.field))
-    # the phase normalisation in ray() rounds; near an exact fit that alone
-    # can raise the residual, so never hand back a worse fit than the start
-    stats = PolishStats(nit, evaluations + 1, stop)
-    if _residual_and_grad(F, vals, est.rep.entries)[0] > h0:
-        return x0, stats
-    return est, stats
+def _polish_reports(F: Frame, C: np.ndarray, reports: list) -> list:
+    """The reports of ``recover`` with their estimates polished against the
+    rows of C as one stack."""
+    polished = _polish_rows(F, C, [rep.estimate for rep in reports], _POLISH_ITERS)
+    return [replace(rep, estimate=est, residual=res, polished=True, polish=stats)
+            for rep, (est, res, stats) in zip(reports, polished)]
 
 
 def polish(
@@ -292,31 +366,37 @@ def polish(
     x0: RayPoint,
     iters: int = _POLISH_ITERS,
 ) -> RayPoint:
-    """Refine a ray estimate by a local L-BFGS-B search (``core._lbfgs``)
-    on the squared measurement residual h(x) = sum_k (|<x, f_k>|^2 - c_k)^2,
-    with its Wirtinger gradient in the complex case, for at most ``iters``
-    iterations.
+    """Refine a ray estimate by damped Gauss-Newton (Levenberg-Marquardt;
+    Nocedal & Wright, Numerical Optimization, 10.3) on the squared
+    measurement residual h(x) = sum_k (|<x, f_k>|^2 - c_k)^2, for at most
+    ``iters`` accepted steps; the one-row case of the stacked kernel that
+    ``reconstruct --polish on`` runs on all its rows at once.
 
-    The search runs on h / h0, h0 the value at ``x0``, in coordinates z
-    whitened by the Gauss-Newton metric of h / h0 at the start (Nocedal &
-    Wright, Numerical Optimization, 7.2 and 10.3): x = x0 + ||x0|| L^-T z,
-    L L^T = (2 ||x0||^4 / h0) J^T J for the Jacobian J of the intensities
-    at x0 / ||x0||, so that the Hessian of h / h0 in z is close to the
-    identity. ||J dy||^2 = ||A(x dy* + dy x*)||^2 for the lifted map A is
+    Each step solves (H + lam mu I) d = -g, H = J^T J and g = J^T R for the
+    Jacobian J of the misfits R in the real coordinates of x, mu the mean
+    eigenvalue of H. In the complex field J annihilates the phase direction
+    i x, along which h does not change; H gets mu along it. The damping lam
+    is what adapts: it starts at 1e-6, a step is accepted when it lowers h,
+    and the gain ratio (actual over predicted decrease) lowers lam after an
+    accepted step, while a rejected one raises it and refactors without
+    forming J again. ||J d||^2 = ||A(x d* + d x*)||^2 for the lifted map A,
     the form whose least ratio to its denominator is the frame's lower
-    stability constant a0, so the conditioning a0 measures leaves the
-    search. In the complex field the phase direction i x0, along which
-    h does not change, gets the mean eigenvalue of the metric. Under
-    x -> s x, c -> s^2 c and under F -> t F, c -> t^2 c the objective, the
-    metric and the coordinates are unchanged, so the result scales by s
-    under the first and stays under the second, and no constant of the
-    frame is needed. A zero start has
-    no Gauss-Newton factor and is searched in unscaled coordinates.
+    stability constant a0, so a0's conditioning is what the steps undo.
 
-    ``recover(..., do_polish=True)`` reports how the search ended (see
-    ``PolishStats``). ``x0`` is returned without a search when its residual
-    is at most 8 eps ||c|| (a fit to roundoff), when the search keeps its
-    start, and also should the phase normalisation of the result leave a
-    larger residual than ``x0`` has (possible only at roundoff level).
+    Every test is relative: under x -> s x, c -> s^2 c and under F -> t F,
+    c -> t^2 c the step scales by s and by 1, the damping is in units of mu,
+    and each stop (see ``PolishStats``) compares h or a decrease of h with
+    h itself, with h at the start or with ||c||^2, so the result scales by s
+    under the first and stays under the second, and no constant of the
+    frame is needed.
+
+    ``recover(..., do_polish=True)`` reports how the search ended. ``x0`` is
+    returned without a step when its residual is at most 8 eps ||c|| (a fit
+    to roundoff) or when no step lowers h, and also should the phase
+    normalisation of the result leave a larger residual than ``x0`` has
+    (possible only at roundoff level).
     """
-    return _polish(F, c, x0, iters)[0]
+    vals = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
+    if vals.shape != (F.count,):
+        raise ValueError("measurement count does not match frame")
+    return _polish_rows(F, vals[None], [x0], iters)[0][0]

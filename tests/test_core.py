@@ -388,7 +388,7 @@ class TestLbfgsKeepsStart:
     def test_start_comes_back(self, make, x0):
         """A zero or non-finite start value runs no search, and a search
         that ends higher or non-finite hands back the start with its value;
-        polish, the a0 refinement and the b0 refinement all rely on it."""
+        the a0 refinement and the b0 refinement rely on it."""
         fun, x0 = make(), np.array(x0)
         f0 = make()(x0)[0]
         x, value, nit, nfev, _ = _lbfgs(fun, x0)
