@@ -244,6 +244,10 @@ def cmd_reconstruct(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if F.dim < 2:
+        print(f"reconstruct: the retraction needs dimension >= 2, the frame has {F.dim}",
+              file=sys.stderr)
+        return EXIT_USAGE
     lifted = build_lifted_map(F)
     if lifted.rank < lifted.cols:
         print(

@@ -343,15 +343,48 @@ def _schatten_batch(vals: np.ndarray, p: float) -> np.ndarray:
     eigenvalues along the last axis."""
     a = np.abs(vals)
     if p == math.inf:
-        return np.max(a, axis=-1)
+        return np.max(a, axis=-1, initial=0.0)
     if p == 1:
         return np.sum(a, axis=-1)
     if p == 2:
         return np.sqrt(np.sum(a * a, axis=-1))
     # factor out each row's largest magnitude to avoid overflow for large p
-    top = np.max(a, axis=-1, keepdims=True)
+    top = np.max(a, axis=-1, keepdims=True, initial=0.0)
     scaled = np.divide(a, top, out=np.zeros_like(a), where=top > 0)
     return top[..., 0] * np.sum(scaled**p, axis=-1) ** (1.0 / p)
+
+
+def _rank2_norms(ca: np.ndarray, ua: np.ndarray, cb: np.ndarray, ub: np.ndarray,
+                 p: float) -> np.ndarray:
+    """Schatten p-norms of the rank-<=2 differences ca ua ua* - cb ub ub*,
+    for (k,) (or scalar) coefficients and (k, n) vectors.
+
+    The nonzero eigenvalues are (d +- sqrt(d^2 + 4 alpha beta s^2)) / 2 for
+    alpha = ca ||ua||^2, beta = cb ||ub||^2, d = alpha - beta and
+    s^2 = ||w||^2 / ||ub||^2, where w = ub - (<ub, ua> / ||ua||^2) ua is the
+    part of ub orthogonal to ua: unlike 1 - |<ua, ub>|^2 / (||ua||^2
+    ||ub||^2) it does not cancel as ub nears ua, so the norms are accurate
+    to roundoff in alpha + beta however close the two terms are. The larger
+    magnitude is taken as (|d| + root) / 2 and the smaller as alpha beta s^2
+    over it, so no sum of opposite signs is formed, and
+    t = sqrt(alpha) sqrt(beta s^2) stands for sqrt(alpha beta s^2) so that no
+    product overflows. A zero ua (or ub) leaves the single term, so the lift
+    distance from the cone point is ||y||^2.
+    """
+    na = np.sum(np.abs(ua) ** 2, axis=-1)
+    nb = np.sum(np.abs(ub) ** 2, axis=-1)
+    proj = np.sum(ua.conj() * ub, axis=-1)
+    proj = np.divide(proj, na, out=np.zeros_like(proj), where=na > 0)
+    w = ub - proj[:, None] * ua
+    ww = np.sum(np.abs(w) ** 2, axis=-1)
+    s2 = np.divide(ww, nb, out=np.zeros_like(ww), where=nb > 0)
+    alpha, beta = ca * na, cb * nb
+    d = alpha - beta
+    t = np.sqrt(alpha) * np.sqrt(beta * s2)
+    big = (np.abs(d) + np.hypot(d, 2.0 * t)) / 2
+    # t <= big, so t / big <= 1; big = 0 only where t = 0
+    small = t * np.divide(t, big, out=np.zeros_like(t), where=big > 0)
+    return _schatten_batch(np.stack([big, small], axis=-1), p)
 
 
 def schatten_norm(A: SymOp, p: float) -> float:
@@ -362,7 +395,7 @@ def schatten_norm(A: SymOp, p: float) -> float:
         s = np.abs(np.linalg.eigvalsh(A.entries))
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigensolver failed: {e}") from e
-    return float(_schatten_batch(s, p)) if s.size else 0.0
+    return float(_schatten_batch(s, p))
 
 
 def weyl_gap(A: SymOp, B: SymOp) -> float:

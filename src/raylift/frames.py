@@ -142,6 +142,22 @@ def _measure_stack(F: Frame, x: np.ndarray) -> np.ndarray:
     return np.abs(x.conj() @ F.synthesis.T) ** 2
 
 
+# Each row of these stacked products rounds as it does alone, so row k of a
+# stack equals the one-row case at row k bit for bit.
+
+def _conj_coeffs(F: Frame, X: np.ndarray) -> np.ndarray:
+    """conj(<x, f_k>) for each row x of a (k, n) stack, by one vector-matrix
+    product per row: the bits that ``measure`` and the reported residual
+    get from x alone, whatever the stack."""
+    return (X.conj()[:, None, :] @ F.synthesis.T)[:, 0, :]
+
+
+def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """<v, u> = sum conj(u) v for each row pair of two (k, d) stacks, one
+    dot per row; u . v for real stacks, whose ``conj`` is no copy."""
+    return (U.conj()[:, None, :] @ V[:, :, None])[:, 0, 0]
+
+
 def measure(F: Frame, x: Vector) -> Measurement:
     """Intensity measurements: entry k is |<x, f_k>|^2.
 

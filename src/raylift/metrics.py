@@ -15,6 +15,7 @@ from .core import (
     Vector,
     _check_order,
     _check_same,
+    _rank2_norms,
     _schatten_batch,
     sym_outer,
 )
@@ -83,29 +84,15 @@ def ray(x: Vector) -> RayPoint:
     return RayPoint(x)
 
 
-def _vector_pnorm(v: np.ndarray, p: float) -> float:
-    if p == math.inf:
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    return float(np.linalg.norm(v, ord=p))
-
-
-def _phase_objective(x: np.ndarray, y: np.ndarray, p: float):
-    def g(theta: float) -> float:
-        return _vector_pnorm(x - np.exp(1j * theta) * y, p)
-
-    return g
-
-
 def _min_over_phase(x: np.ndarray, y: np.ndarray, p: float) -> float:
     """Global minimum of ||x - e^{i theta} y||_p over the phase circle:
     dense 4096-point grid, then ternary refinement of the best brackets."""
     grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-    diffs = x[np.newaxis, :] - np.exp(1j * grid)[:, np.newaxis] * y[np.newaxis, :]
-    if p == math.inf:
-        vals = np.max(np.abs(diffs), axis=1)
-    else:
-        vals = np.sum(np.abs(diffs) ** p, axis=1) ** (1.0 / p)
-    g = _phase_objective(x, y, p)
+    vals = _schatten_batch(x - np.exp(1j * grid)[:, np.newaxis] * y, p)
+
+    def g(theta: float) -> float:
+        return float(_schatten_batch(x - np.exp(1j * theta) * y, p))
+
     step = 2 * np.pi / grid.size
     best = float(np.min(vals))
     # refine a few distinct local basins; the objective is smooth in the phase
@@ -135,57 +122,29 @@ def align_dist(x: RayPoint, y: RayPoint, p: float) -> float:
     """Vector-norm metric on rays: min over unimodular a of ||x - a y||_p.
 
     Real field minimizes over a in {+1, -1} exactly. Complex field with p = 2
-    uses the closed form sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|); other p are
+    takes a as the phase of <x, y>, the minimizer, and the norm of the one
+    difference x - a y, which does not cancel as the rays meet; other p are
     minimized over the phase circle numerically.
     """
     _check_order(p)
     _check_same(x.rep, y.rep)
     xa, ya = x.rep.entries, y.rep.entries
     if x.field is Field.REAL:
-        return min(_vector_pnorm(xa - ya, p), _vector_pnorm(xa + ya, p))
+        return float(np.min(_schatten_batch(np.stack([xa - ya, xa + ya]), p)))
     if p == 2:
-        nx2 = float(np.vdot(xa, xa).real)
-        ny2 = float(np.vdot(ya, ya).real)
-        ip = abs(complex(np.vdot(ya, xa)))
-        return math.sqrt(max(nx2 + ny2 - 2 * ip, 0.0))
+        ip = complex(np.vdot(ya, xa))
+        a = ip / abs(ip) if ip != 0 else 1.0
+        return float(_schatten_batch(xa - a * ya, p))
     return _min_over_phase(xa, ya, p)
 
 
 def _lift_dist_stack(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     """Lift distances ||[x,x] - [y,y]||_p between the rows of two
-    broadcastable (k, n) arrays.
-
-    Uses the closed forms for p in {1, 2, inf}; other p use the two (at most)
-    nonzero eigenvalues of the rank-<=2 difference. Nearly coincident rows
-    are rerouted through one batched ``eigvalsh`` of their explicit
-    difference matrices: the closed forms cancel catastrophically there
-    (absolute error ~ sqrt(eps) * scale^2, which would swamp distances below
-    ~1e-8).
-    """
+    broadcastable (k, n) arrays: norms of rank-<=2 differences, from
+    ``core._rank2_norms`` with unit coefficients."""
     _check_order(p)
     x, y = np.broadcast_arrays(x, y)
-    nx2 = np.sum(np.abs(x) ** 2, axis=-1)
-    ny2 = np.sum(np.abs(y) ** 2, axis=-1)
-    h = np.abs(np.sum(x * y.conj(), axis=-1)) ** 2
-    sigma2 = nx2 + ny2
-    s2 = sigma2 * sigma2 - 4 * h
-    d2sq = nx2 * nx2 + ny2 * ny2 - 2 * h
-    s = np.sqrt(np.maximum(s2, 0.0))
-    t = nx2 - ny2
-    if p == 1:
-        out = s
-    elif p == 2:
-        out = np.sqrt(np.maximum(d2sq, 0.0))
-    elif p == math.inf:
-        out = 0.5 * np.abs(t) + 0.5 * s
-    else:
-        out = _schatten_batch(np.stack([0.5 * (t + s), 0.5 * (t - s)], axis=-1), p)
-    near = (sigma2 > 0) & (np.minimum(s2, d2sq) < 1e-10 * sigma2 * sigma2)
-    if np.any(near):
-        xn, yn = x[near], y[near]
-        diff = np.einsum("ki,kj->kij", xn, xn.conj()) - np.einsum("ki,kj->kij", yn, yn.conj())
-        out[near] = _schatten_batch(np.linalg.eigvalsh(diff), p)
-    return out
+    return _rank2_norms(1.0, x, 1.0, y, p)
 
 
 def lift_dist(x: RayPoint, y: RayPoint, p: float) -> float:

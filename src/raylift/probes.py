@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Field, Vector, _gaussian, _lbfgs, _to_complex, _to_real
-from .frames import Frame, _measure_stack
+from .frames import Frame, _conj_coeffs, _measure_stack, _row_dots
 from .metrics import _lift_dist_stack, align_dist, lift_dist, ray
 
 __all__ = [
@@ -86,26 +86,13 @@ class LowerLipEstimate:
     refine_stop: str = "stationary"
 
 
-# Each row of these stacked products rounds as it does alone, so row k of a
-# stack equals the one-row case at row k bit for bit.
-
-def _analysis(F: Frame, U: np.ndarray) -> np.ndarray:
-    """conj(F) u for each row u, as a (k, m) stack."""
-    return (F.synthesis.conj() @ U[:, :, None])[:, :, 0]
-
-
-def _vdot_rows(V: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """<u, v> = sum conj(v) u for each row pair."""
-    return (V.conj()[:, None, :] @ U[:, :, None])[:, 0, 0]
-
-
 def _lower_lip_terms(F: Frame, U: np.ndarray, V: np.ndarray):
     """(Q, denominator) of the stability objective at each row pair of two
     (k, n) stacks."""
-    t = np.real(_analysis(F, U) * _analysis(F, V).conj())
-    nu2 = _vdot_rows(U, U).real
-    nv2 = _vdot_rows(V, V).real
-    im = _vdot_rows(V, U).imag if F.field is Field.COMPLEX else 0.0
+    t = np.real(_conj_coeffs(F, U).conj() * _conj_coeffs(F, V))
+    nu2 = _row_dots(U, U).real
+    nv2 = _row_dots(V, V).real
+    im = _row_dots(V, U).imag if F.field is Field.COMPLEX else 0.0
     return np.sum(t * t, axis=1), nu2 * nv2 - im * im
 
 
@@ -138,7 +125,7 @@ def _best_partners(F: Frame, U: np.ndarray):
     vals, vecs = [], []
     for i in range(0, len(U), step):
         u = U[i:i + step]
-        a = _analysis(F, u)
+        a = _conj_coeffs(F, u).conj()
         if F.field is Field.REAL:
             S = (fs * (a * a)[:, :, None]).transpose(0, 2, 1) @ fs
         else:
@@ -156,7 +143,7 @@ def _alternating_min(F: Frame, U0: np.ndarray):
     """One alternation of exact block minimization from each row u0 of a
     (k, n) stack: the best partner v of u0, then the best partner u of v.
     Returns (values, U, V)."""
-    _, V = _best_partners(F, U0 / np.sqrt(_vdot_rows(U0, U0).real)[:, None])
+    _, V = _best_partners(F, U0 / np.sqrt(_row_dots(U0, U0).real)[:, None])
     vals, U = _best_partners(F, V)
     return vals, U, V
 

@@ -17,9 +17,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Field, Vector, _check_order
+from .core import Field, Vector, _check_order, _check_same
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, min_norm_inverse
-from .frames import _measure_stack, _vec_to_json
+from .frames import _conj_coeffs, _measure_stack, _row_dots, _vec_to_json
 from .metrics import RayPoint, ray
 from .retraction import _retract_stack, retraction_bound
 
@@ -197,18 +197,6 @@ def recovery_lip_bound(
         retraction_factor=retraction,
         metric_factor=metric,
     )
-
-
-def _conj_coeffs(F: Frame, X: np.ndarray) -> np.ndarray:
-    """conj(<x, f_k>) for each row x of a (k, n) stack, by one vector-matrix
-    product per row: the bits that ``measure`` and the reported residual
-    get from x alone, whatever the stack."""
-    return (X.conj()[:, None, :] @ F.synthesis.T)[:, 0, :]
-
-
-def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """u . v for each row pair of two real (k, d) stacks, one dot per row."""
-    return (U[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
 def _fit_rows(F: Frame, C: np.ndarray, X: np.ndarray,
@@ -396,6 +384,7 @@ def polish(
     normalisation of the result leave a larger residual than ``x0`` has
     (possible only at roundoff level).
     """
+    _check_same(F, x0.rep)
     vals = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
     if vals.shape != (F.count,):
         raise ValueError("measurement count does not match frame")

@@ -8,14 +8,11 @@ supremum is approached near degenerate top eigenvalues, so the probe samplers
 deliberately target small spectral gaps.
 
 The probe's ratio ||pi(a) - pi(b)||_p / ||a - b||_p reads its numerator from
-the two top eigenpairs. When both top groups are simple,
-pi(a) - pi(b) = ca ua ua* - cb ub ub* has rank <= 2, with nonzero eigenvalues
-(d +- sqrt(d^2 + 4 alpha beta s^2)) / 2 for alpha = ca ||ua||^2,
-beta = cb ||ub||^2, d = alpha - beta and s^2 = ||w||^2 / ||ub||^2, where
-w = ub - (<ua, ub> / ||ua||^2) ua is the part of ub orthogonal to ua (unlike
-1 - |<ua, ub>|^2 it does not cancel as ub nears ua). Rows where a top group
-is not simple build both carriers and take the eigenvalues of their
-difference. The denominator always comes from the eigenvalues of a - b.
+the two top eigenpairs: when both top groups are simple,
+pi(a) - pi(b) = ca ua ua* - cb ub ub* has rank <= 2, and ``core._rank2_norms``
+gives its norm. Rows where a top group is not simple build both carriers and
+take the eigenvalues of their difference. The denominator always comes from
+the eigenvalues of a - b.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from .core import (
     _check_same,
     _eigh_groups,
     _gaussian,
+    _rank2_norms,
     _schatten_batch,
 )
 from .metrics import ray
@@ -109,30 +107,14 @@ def _ratio_parts(a: np.ndarray, b: np.ndarray, p: float, group_tol: Optional[flo
     """Row by row, the Schatten p-norms of pi(a) - pi(b) and of a - b for two
     (k, n, n) stacks of self-adjoint matrices.
 
-    Where both top groups are simple, the numerator comes from the top
-    eigenpairs alone (see the module docstring): the eigenvalues
-    (d +- root) / 2 of ca ua ua* - cb ub ub*, root = sqrt(d^2 + 4 alpha beta
-    s^2), with s^2 from the orthogonal residual of ub against ua. The larger
-    magnitude is taken as (|d| + root) / 2 and the smaller as
-    alpha beta s^2 over it, so no sum of opposite signs is formed, and
-    t = sqrt(alpha) sqrt(beta s^2) stands for sqrt(alpha beta s^2) so that
-    no product overflows. Rows where either top group is not simple build
+    Where both top groups are simple, the numerator is the norm of the
+    rank-<=2 difference ca ua ua* - cb ub ub* of the top eigenpairs, from
+    ``core._rank2_norms``. Rows where either top group is not simple build
     both carriers and take the eigenvalues of their difference.
     """
     ca, va, ta = _retract_stack(a, group_tol)[:3]
     cb, vb, tb = _retract_stack(b, group_tol)[:3]
-    ua, ub = va[:, :, -1], vb[:, :, -1]
-    na = np.sum(np.abs(ua) ** 2, axis=-1)
-    nb = np.sum(np.abs(ub) ** 2, axis=-1)
-    w = ub - (np.sum(ua.conj() * ub, axis=-1) / na)[:, None] * ua
-    s2 = np.sum(np.abs(w) ** 2, axis=-1) / nb
-    alpha, beta = ca * na, cb * nb
-    d = alpha - beta
-    t = np.sqrt(alpha) * np.sqrt(beta * s2)
-    big = (np.abs(d) + np.hypot(d, 2.0 * t)) / 2
-    # t <= big, so t / big <= 1; big = 0 only where t = 0
-    small = t * np.divide(t, big, out=np.zeros_like(t), where=big > 0)
-    num = _schatten_batch(np.stack([big, small], axis=-1), p)
+    num = _rank2_norms(ca, va[:, :, -1], cb, vb[:, :, -1], p)
     odd = ta[:, -2] | tb[:, -2]
     if odd.any():
         diff = _carriers(ca[odd], va[odd], ta[odd]) - _carriers(cb[odd], vb[odd], tb[odd])

@@ -181,6 +181,21 @@ class TestRankWarning:
         assert ("warning: the lifted map has rank 5 of 6 columns" in err) == warned
 
 
+class TestReconstructUsage:
+    def test_dim_one_frame_is_usage_error(self, tmp_path, capsys):
+        """A dim-1 frame passes ``gen`` and ``check``, but the retraction
+        needs dimension >= 2: one line on stderr, exit 2, no output."""
+        F = gen_frame("random_gaussian", 1, 3, Field.REAL, seed=1)
+        write_frame(tmp_path / "f.json", F)
+        write_measurements(tmp_path / "c.json", [measure(F, vec([2.0]))])
+        argv = ["reconstruct", "--frame", str(tmp_path / "f.json"), "--measurements",
+                str(tmp_path / "c.json"), "--out", str(tmp_path / "out.json")]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            "reconstruct: the retraction needs dimension >= 2, the frame has 1\n")
+        assert not (tmp_path / "out.json").exists()
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

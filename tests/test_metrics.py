@@ -91,6 +91,16 @@ class TestAlignDist:
             assert got <= want + 1e-12
             assert want - got <= 1e-4
 
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 2.1])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9])
+    def test_complex_p2_close_rays(self, phi, delta):
+        """Rays a distance delta apart, whatever the phase of the second
+        representative: sqrt(||x||^2 + ||y||^2 - 2 |<x, y>|) cancels to 0
+        at delta = 1e-9."""
+        x = ray(vec(np.array([1.0, 0.0, 0.0], dtype=complex)))
+        y = ray(vec(np.exp(1j * phi) * np.array([1.0, delta, 0.0])))
+        assert abs(align_dist(x, y, 2) - delta) <= 1e-12 * delta
+
     def test_p_validation(self):
         x = ray(vec([1.0, 0.0]))
         with pytest.raises(ValueError):
@@ -124,12 +134,22 @@ class TestLiftDist:
             assert abs(lift_dist(x, y, p) - want) <= 1e-10 * max(1.0, want)
 
 
+    @pytest.mark.parametrize("p", [1, 2, math.inf, 3.0])
+    def test_cone_point(self, rng, field, p):
+        """[0,0] - [y,y] has the one nonzero eigenvalue -||y||^2."""
+        y = _rray(rng, 4, field)
+        zero = ray(vec(np.zeros(4, dtype=field.dtype), field))
+        want = float(np.vdot(y.rep.entries, y.rep.entries).real)
+        assert lift_dist(zero, y, p) == pytest.approx(want, rel=1e-15)
+        assert lift_dist(y, zero, p) == pytest.approx(want, rel=1e-15)
+        assert lift_dist(zero, zero, p) == 0.0
+
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_batch_near_coincident_vs_svd_oracle(self, rng, field, p):
         """The batched kernel on nearly coincident rows, where the closed
         forms cancel: y = x + sep ||x|| e with e a unit vector."""
         cplx = field is Field.COMPLEX
-        for sep in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+        for sep in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
             x = np.stack([random_vector(rng, 4, cplx) for _ in range(20)])
             e = np.stack([random_vector(rng, 4, cplx) for _ in range(20)])
             e *= (sep * np.linalg.norm(x, axis=1) / np.linalg.norm(e, axis=1))[:, None]

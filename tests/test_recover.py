@@ -289,6 +289,15 @@ class TestPolish:
         with pytest.raises(ValueError):
             polish(F, np.zeros(6), ray(vec([1.0, 0.0])), iters=-1)
 
+    @pytest.mark.parametrize("start, err", [
+        (vec([1.0, 0.0, 0.0]), "field mismatch: complex vs real"),
+        (vec(np.array([1.0, 1j])), "dimension mismatch: 3 vs 2"),
+    ], ids=["field", "dimension"])
+    def test_start_of_other_space_rejected(self, start, err):
+        F = _gauss(3, 12, Field.COMPLEX, seed=15)
+        with pytest.raises(ValueError, match=err):
+            polish(F, np.ones(12), ray(start))
+
     def test_recover_with_polish_flag(self, rng):
         F = _gauss(2, 6, Field.REAL, seed=14)
         x = vec(random_vector(rng, 2, False))
