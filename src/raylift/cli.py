@@ -34,6 +34,7 @@ from .frames import (
 )
 from .metrics import lift_dist
 from .probes import (
+    _PROPERTY_K,
     estimate_lower_lip,
     estimate_upper_lip,
     pr_verdict,
@@ -366,19 +367,11 @@ def _probe_bilip(args):
 
 
 def _probe_property_k(args):
-    rec_align = verify_property_k("align_metric")
-    rec_lift = verify_property_k("lift_metric")
-    ok = all(rec_align[k] for k in
-             ("distances_ok", "x_intersection_nonempty", "y_intersection_empty"))
-    ok &= all(rec_lift[k] for k in
-              ("distances_ok", "x_intersection_nonempty", "y_intersection_empty"))
-    result = {"align_metric": rec_align, "lift_metric": rec_lift}
-    rows = [
-        ("align_metric", rec_align["distances_ok"], rec_align["x_intersection_nonempty"],
-         rec_align["y_intersection_empty"], float(rec_align["located_min"])),
-        ("lift_metric", rec_lift["distances_ok"], rec_lift["x_intersection_nonempty"],
-         rec_lift["y_intersection_empty"], float(rec_lift["located_min"])),
-    ]
+    keys = ("distances_ok", "x_intersection_nonempty", "y_intersection_empty")
+    result = {which: verify_property_k(which) for which in _PROPERTY_K}
+    ok = all(rec[k] for rec in result.values() for k in keys)
+    rows = [(which, *(rec[k] for k in keys), float(rec["located_min"]))
+            for which, rec in result.items()]
     return result, ok, ("example,distances_ok,x_nonempty,y_empty,located_min", rows)
 
 

@@ -121,7 +121,8 @@ def _min_over_phase(x: np.ndarray, y: np.ndarray, p: float) -> float:
 def align_dist(x: RayPoint, y: RayPoint, p: float) -> float:
     """Vector-norm metric on rays: min over unimodular a of ||x - a y||_p.
 
-    Real field minimizes over a in {+1, -1} exactly. Complex field with p = 2
+    Real field minimizes over a in {+1, -1} exactly, the one-row case of
+    ``_align_dist_stack``. Complex field with p = 2
     takes a as the phase of <x, y>, the minimizer, and the norm of the one
     difference x - a y, which does not cancel as the rays meet; other p are
     minimized over the phase circle numerically.
@@ -130,12 +131,18 @@ def align_dist(x: RayPoint, y: RayPoint, p: float) -> float:
     _check_same(x.rep, y.rep)
     xa, ya = x.rep.entries, y.rep.entries
     if x.field is Field.REAL:
-        return float(np.min(_schatten_batch(np.stack([xa - ya, xa + ya]), p)))
+        return float(_align_dist_stack(xa[None], ya[None], p)[0])
     if p == 2:
         ip = complex(np.vdot(ya, xa))
         a = ip / abs(ip) if ip != 0 else 1.0
         return float(_schatten_batch(xa - a * ya, p))
     return _min_over_phase(xa, ya, p)
+
+
+def _align_dist_stack(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
+    """Real align distances min(||x - y||_p, ||x + y||_p) between the rows
+    of two broadcastable (k, n) real arrays."""
+    return np.minimum(_schatten_batch(x - y, p), _schatten_batch(x + y, p))
 
 
 def _lift_dist_stack(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:

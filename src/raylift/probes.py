@@ -2,6 +2,13 @@
 bi-Lipschitz probes, phase-retrievability verdicts, and certified
 ball-intersection counterexamples for the Kirszbraun extension property.
 
+Each objective has one stacked kernel, and every caller goes through it:
+``_lower_lip_terms`` (the a0 ratio's numerator, denominator and gradient
+parts at a stack of pairs), ``_quartic_terms`` (the b0 quartic and its
+ascent direction at a stack of vectors) and, for the ball deficit of
+``verify_property_k``, the metric stack kernels ``metrics._align_dist_stack``
+and ``metrics._lift_dist_stack``.
+
 The lower stability constant of a frame is the minimum over unit pairs (u, v)
 of
 
@@ -19,8 +26,8 @@ batched ``eigh`` per half-step. That screens the starts without converging;
 the best three candidates are refined jointly on the ratio, with its
 analytic gradient in the packed real coordinates of (u, v), by
 ``core._lbfgs``, the scale-free local minimiser that also refines b0
-below. n = 2 real frames additionally get an
-exhaustive angle-grid oracle, refined the same way.
+below. n = 2 real frames additionally get an exhaustive angle-grid oracle,
+which scores all grid pairs as one Gram product and is refined the same way.
 
 The upper stability constant has a closed form: it is the maximum over unit
 u of sum_k |<u, f_k>|^4, found by a batched multistart fixed-point ascent
@@ -38,7 +45,7 @@ import numpy as np
 
 from .core import Field, Vector, _gaussian, _lbfgs, _to_complex, _to_real
 from .frames import Frame, _conj_coeffs, _measure_stack, _row_dots
-from .metrics import _lift_dist_stack, align_dist, lift_dist, ray
+from .metrics import _align_dist_stack, _lift_dist_stack
 
 __all__ = [
     "LowerLipEstimate",
@@ -87,18 +94,40 @@ class LowerLipEstimate:
 
 
 def _lower_lip_terms(F: Frame, U: np.ndarray, V: np.ndarray):
-    """(Q, denominator) of the stability objective at each row pair of two
-    (k, n) stacks."""
-    t = np.real(_conj_coeffs(F, U).conj() * _conj_coeffs(F, V))
-    nu2 = _row_dots(U, U).real
-    nv2 = _row_dots(V, V).real
-    im = _row_dots(V, U).imag if F.field is Field.COMPLEX else 0.0
-    return np.sum(t * t, axis=1), nu2 * nv2 - im * im
+    """The stability objective at each row pair (u, v) of two (k, n) stacks:
+    (Q, den, nn, DQ, Dden), with den = ||u||^2 ||v||^2 - s^2, s = Im<v, u>,
+    nn = ||u||^2 ||v||^2 and DQ, Dden (2k, n) stacks of half the real
+    gradients of Q and den, the rows for u and then those for v.
+
+    With a = conj(F) u, b = conj(F) v (the conjugates of ``_conj_coeffs``)
+    and t = Re(a conj(b)), Q = sum t^2 has half-gradient F^T (t b) in u and
+    F^T (t a) in v; den has ||v||^2 u - s (i v) in u and ||u||^2 v + s (i u)
+    in v. Every product is taken row by row, so row i of a stack is its
+    one-row call bit for bit.
+    """
+    k = len(U)
+    X = np.concatenate([U, V], dtype=F.field.dtype)
+    X2 = X.reshape(2, k, -1)
+    C = _conj_coeffs(F, X).reshape(2, k, -1)  # conj(a), conj(b)
+    A = C.conj()  # a, b; no copy in the real field
+    t = np.real(A[0] * C[1])
+    n2 = _row_dots(X, X).real
+    nn = n2[:k] * n2[k:]
+    den = nn
+    Dden = n2.reshape(2, k, 1)[::-1] * X2  # ||v||^2 u, ||u||^2 v
+    if F.field is Field.COMPLEX:
+        s = _row_dots(V, U).imag
+        den = nn - s * s
+        isx = X2[::-1] * (s * 1j)[:, None]  # s (i v), s (i u)
+        Dden[0] -= isx[0]
+        Dden[1] += isx[1]
+    DQ = (t * A[::-1]).reshape(2 * k, 1, -1) @ F.synthesis
+    return _row_dots(t, t), den, nn, DQ[:, 0, :], Dden.reshape(2 * k, -1)
 
 
 def lower_lip_objective(F: Frame, u: np.ndarray, v: np.ndarray):
     """Return (Q, denominator) of the stability objective at a vector pair."""
-    q, den = _lower_lip_terms(F, np.asarray(u)[None], np.asarray(v)[None])
+    q, den = _lower_lip_terms(F, np.asarray(u)[None], np.asarray(v)[None])[:2]
     return float(q[0]), float(den[0])
 
 
@@ -149,39 +178,21 @@ def _alternating_min(F: Frame, U0: np.ndarray):
 
 
 def _unpack_pair(F: Frame, rz: np.ndarray):
-    half = rz.size // 2
-    return _to_complex(rz[:half], F.field), _to_complex(rz[half:], F.field)
+    """The packed real coordinates of a pair (u, v) as a (2, 1, n) stack."""
+    return _to_complex(rz.reshape(2, 1, -1), F.field)
 
 
 def _ratio_and_grad(F: Frame, rz: np.ndarray):
     """The stability ratio Q/den at a packed pair and its gradient in the
-    packed real coordinates; (inf, 0) where the denominator degenerates.
-
-    With a = conj(F) u, b = conj(F) v and t = Re(a conj(b)), the real
-    gradient of Q is 2 F^T (t b) in u and 2 F^T (t a) in v; the
-    denominator ||u||^2 ||v||^2 - s^2 with s = Im<v, u> has gradient
-    2 ||v||^2 u - 2 s (i v) in u and 2 ||u||^2 v + 2 s (i u) in v.
-    """
+    packed real coordinates, from the one-row call of ``_lower_lip_terms``;
+    (inf, 0) where the denominator degenerates."""
     u, v = _unpack_pair(F, rz)
-    fs = F.synthesis
-    a = fs.conj() @ u
-    b = fs.conj() @ v
-    t = np.real(a * b.conj())
-    nu2 = float(np.vdot(u, u).real)
-    nv2 = float(np.vdot(v, v).real)
-    du, dv = nv2 * u, nu2 * v
-    den = nu2 * nv2
-    if F.field is Field.COMPLEX:
-        s = float(np.imag(np.vdot(v, u)))
-        den -= s * s
-        du = du - s * 1j * v
-        dv = dv + s * 1j * u
-    if den <= _DEN_CUTOFF * max(nu2 * nv2, 1e-30):
+    q, den, nn, DQ, Dden = _lower_lip_terms(F, u, v)
+    d = den[0]
+    if d <= _DEN_CUTOFF * max(nn[0], 1e-30):
         return math.inf, np.zeros_like(rz)
-    r = float(t @ t) / den
-    gu = 2.0 * (fs.T @ (t * b) - r * du) / den
-    gv = 2.0 * (fs.T @ (t * a) - r * dv) / den
-    return r, np.concatenate([_to_real(gu), _to_real(gv)])
+    r = q[0] / d
+    return float(r), _to_real(2.0 * (DQ - r * Dden) / d).ravel()
 
 
 def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
@@ -195,7 +206,7 @@ def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
     x0 = np.concatenate([_to_real(u), _to_real(v)])
     x, value, nit, nfev, stop = _lbfgs(lambda rz: _ratio_and_grad(F, rz), x0)
     if x is not x0:
-        u, v = _unpack_pair(F, x)
+        u, v = _unpack_pair(F, x)[:, 0]
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
     return value, u, v, nit, nfev, stop
 
@@ -235,7 +246,7 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
     U0 = np.stack([_gaussian(np.random.default_rng([seed, s]), F.dim, F.field)
                    for s in range(starts)])
     _, U, V = _alternating_min(F, U0)
-    q, den = _lower_lip_terms(F, U, V)
+    q, den = _lower_lip_terms(F, U, V)[:2]
     keep = np.flatnonzero(den > _DEN_CUTOFF)
     if keep.size == 0:
         raise RuntimeError("all multistarts degenerated; try more starts")
@@ -280,19 +291,27 @@ _ASCENT_MAX_ITERS = 1000
 _ASCENT_RTOL = 1e-13
 
 
+def _quartic_terms(F: Frame, U: np.ndarray):
+    """sum_k |<u, f_k>|^4 for each row u of a (k, n) stack, and G = F^T
+    (|a|^2 a) with a = conj(F) u, a quarter of its gradient: one product
+    each way for the whole stack (see ``frames._conj_coeffs``)."""
+    fs = F.synthesis
+    A = U @ fs.conj().T
+    P = np.abs(A) ** 2
+    return (P * P).sum(axis=1), (P * A) @ fs
+
+
 def _neg_quartic_and_grad(F: Frame, rz: np.ndarray):
     """Minus sum_k |<u, f_k>|^4 / ||u||^4 at the packed real coordinates of
-    u, and minus its gradient there, 4 (G - value ||u||^2 u) / ||u||^4 with
-    G = F^T (|a|^2 a) and a = conj(F) u: what ``estimate_upper_lip``
+    u, and minus its gradient there, 4 (G - value ||u||^2 u) / ||u||^4, from
+    the one-row call of ``_quartic_terms``: what ``estimate_upper_lip``
     minimises."""
     u = _to_complex(rz, F.field)
-    fs = F.synthesis
-    a = fs.conj() @ u
-    p = np.abs(a) ** 2
+    q, G = _quartic_terms(F, u[None])
     n2 = float(np.vdot(u, u).real)
-    value = float(p @ p) / (n2 * n2)
-    g = 4.0 * (fs.T @ (p * a) - value * n2 * u) / (n2 * n2)
-    return -value, -_to_real(g)
+    value = q[0] / (n2 * n2)
+    g = 4.0 * (G[0] - value * n2 * u) / (n2 * n2)
+    return -float(value), -_to_real(g)
 
 
 def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
@@ -302,36 +321,30 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
     b0 has the closed form max over unit u of sum_k |<u, f_k>|^4 (y = 0
     attains it; for other pairs split xx* - yy* into its two eigen-terms and
     use the triangle inequality), found here by a fixed-point ascent from 64
-    seeded starts, iterated as one batch: U <- G / ||G|| per row with
-    G = (|A|^2 A) F and A = U conj(F)^T. G is a quarter of the gradient and
-    the objective is convex, so no step lowers a value (SS-HOPM, Kolda &
-    Mayo 2011). The batch stops once no start's relative gain exceeds 1e-13,
-    or after 1000 steps. At a degenerate maximum (one where the objective
-    falls off at fourth order, as for r2_pr3) the ascent slows to a crawl,
-    so the best start is then refined by ``_lbfgs``, with tolerances tight
-    enough to move b0 there.
+    seeded starts, iterated as one batch by ``_quartic_terms``: U <- G / ||G||
+    per row. G is a quarter of the gradient and the objective is convex, so
+    no step lowers a value (SS-HOPM, Kolda & Mayo 2011). The batch stops once
+    no start's relative gain exceeds 1e-13, or after 1000 steps. At a
+    degenerate maximum (one where the objective falls off at fourth order,
+    as for r2_pr3) the ascent slows to a crawl, so the best start is then
+    refined by ``_lbfgs``, with tolerances tight enough to move b0 there.
 
     Returns (value, iterations), iterations counting the batched steps. The
     value is attained at a unit vector, so it is a proven lower end of b0;
     ``upper_lip_ceiling(F)`` = sigma_max(lifted map)^2 brackets it above.
     """
-    fs = F.synthesis
     U = _gaussian(np.random.default_rng(seed), (_ASCENT_STARTS, F.dim), F.field)
     U /= np.linalg.norm(U, axis=1, keepdims=True)
-    A = U @ fs.conj().T
     vals = np.zeros(_ASCENT_STARTS)
     iterations = 0
     while iterations < _ASCENT_MAX_ITERS:
-        P = np.abs(A) ** 2
-        new = np.sum(P * P, axis=1)
+        new, G = _quartic_terms(F, U)
         gain = np.max((new - vals) / new)
         vals = np.maximum(vals, new)
         if gain <= _ASCENT_RTOL:
             break
         iterations += 1
-        U = (P * A) @ fs
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        A = U @ fs.conj().T
+        U = G / np.linalg.norm(G, axis=1, keepdims=True)
     i = int(np.argmax(vals))
     refined = _lbfgs(lambda rz: _neg_quartic_and_grad(F, rz), _to_real(U[i]),
                      ftol=1e-15, gtol=1e-12)[1]
@@ -468,68 +481,44 @@ def certify_min_above(
 
 _SQ2 = math.sqrt(2)
 
-_ALIGN_EXAMPLE = {
-    "y": np.array([[3.0, 1.0], [-1.0, 1.0], [0.0, 1.0]]),
-    "x": np.array([[0.0, 0.0], [0.0, -2 * _SQ2], [-1.0, -2 * _SQ2]]),
-    "r": np.array([math.sqrt(6), 2 - _SQ2, math.sqrt(6) - math.sqrt(3)]),
-    "y_dists": {(0, 1): 2 * _SQ2, (1, 2): 1.0, (0, 2): 3.0},
-    # mirror image of the point usually quoted with these centers; the three
-    # ball boundaries meet it exactly
-    "common_point": np.array([1 - _SQ2, -(1 + _SQ2)]),
+# The two ball-intersection counterexamples, each with its ray centers y and
+# their metric's stack kernel, Euclidean centers x at the same pairwise
+# distances, the radii r of both families of balls, a common point of the x
+# balls, and what the certifier searches: the map from box points to rays,
+# the box (lows, highs, initial spacing) and a local Lipschitz bound of the
+# ball deficit.
+_PROPERTY_K = {
+    "align_metric": {
+        "y": np.array([[3.0, 1.0], [-1.0, 1.0], [0.0, 1.0]]),
+        "x": np.array([[0.0, 0.0], [0.0, -2 * _SQ2], [-1.0, -2 * _SQ2]]),
+        "r": np.array([math.sqrt(6), 2 - _SQ2, math.sqrt(6) - math.sqrt(3)]),
+        "dists": {(0, 1): 2 * _SQ2, (1, 2): 1.0, (0, 2): 3.0},
+        "dist": lambda z, y: _align_dist_stack(z, y, 2),
+        # mirror image of the point usually quoted with these centers; the
+        # three ball boundaries meet it exactly
+        "common_point": np.array([1 - _SQ2, -(1 + _SQ2)]),
+        "rays": lambda pts: pts,
+        # any ray with ||z|| > 6 misses the farthest ball by more than the target
+        "box": ([-6, -6], [6, 6], 0.1),
+        "lip": lambda pts, hd: np.ones(pts.shape[0]),
+    },
+    "lift_metric": {
+        "y": np.array([[1.0, 1.0 - 1.0j], [1.0 + 1.0j, 1.0]]),
+        "x": np.array([[1.0, 1.0, 1.0, 2.0], [2.0, 1.0, 1.0, 1.0]]),
+        "r": np.array([1 / _SQ2, 1 / _SQ2]),
+        "dists": {(0, 1): _SQ2},
+        "dist": lambda z, y: _lift_dist_stack(z, y, 2),
+        # the balls touch (the center gap is r1 + r2): their one common point
+        "common_point": np.array([1.5, 1.0, 1.0, 1.5]),
+        # canonical C^2 rays z = (a, b + ic)
+        "rays": lambda pts: np.stack([pts[:, 0], pts[:, 1] + 1j * pts[:, 2]], axis=1),
+        # rays with ||z||^2 > max ||y||^2 + max r + target have positive
+        # deficit because d2(z, y) >= ||z||^2 - ||y||^2; a box of radius 2
+        # covers the rest
+        "box": ([0, -2, -2], [2, 2, 2], 0.125),
+        "lip": lambda pts, hd: 2.0 * (np.sqrt(np.sum(pts * pts, axis=1)) + hd),
+    },
 }
-
-_LIFT_EXAMPLE = {
-    "y": np.array([[1.0, 1.0 - 1.0j], [1.0 + 1.0j, 1.0]]),
-    "x": np.array([[1.0, 1.0, 1.0, 2.0], [2.0, 1.0, 1.0, 1.0]]),
-    "r": np.array([1 / _SQ2, 1 / _SQ2]),
-    "d2": _SQ2,
-    "common_point": np.array([1.5, 1.0, 1.0, 1.5]),
-}
-
-
-def _align_ball_deficit(points: np.ndarray, ys: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """max_i (D2(z, y_i) - r_i) for a batch of plane points (real rays)."""
-    out = np.full(points.shape[0], -math.inf)
-    for yv, rv in zip(ys, rs):
-        d_minus = np.linalg.norm(points - yv, axis=1)
-        d_plus = np.linalg.norm(points + yv, axis=1)
-        out = np.maximum(out, np.minimum(d_minus, d_plus) - rv)
-    return out
-
-
-def _lift_ball_deficit(points: np.ndarray, ys: np.ndarray, rs: np.ndarray) -> np.ndarray:
-    """max_i (d2(z, y_i) - r_i) on canonical C^2 rays z = (a, br + i bi)."""
-    z = np.stack([points[:, 0], points[:, 1] + 1j * points[:, 2]], axis=1)
-    out = np.full(points.shape[0], -math.inf)
-    for yv, rv in zip(ys, rs):
-        out = np.maximum(out, _lift_dist_stack(z, yv, 2) - rv)
-    return out
-
-
-def _certify_align_empty(ys, rs, target=1e-6):
-    def ev(pts):
-        return _align_ball_deficit(pts, ys, rs)
-
-    def lip(pts, hd):
-        return np.ones(pts.shape[0])
-
-    # any ray with ||z|| > 6 misses the farthest ball by more than the target
-    return certify_min_above(ev, lip, [-6, -6], [6, 6], 0.1, target)
-
-
-def _certify_lift_empty(ys, rs, target=1e-6):
-    # rays with ||z||^2 > max ||y||^2 + max r + target have positive deficit
-    # because d2(z, y) >= ||z||^2 - ||y||^2; a box of radius 2 covers the rest
-    hi = 2.0
-
-    def ev(pts):
-        return _lift_ball_deficit(pts, ys, rs)
-
-    def lip(pts, hd):
-        nz = np.sqrt(np.sum(pts * pts, axis=1))
-        return 2.0 * (nz + hd)
-
-    return certify_min_above(ev, lip, [0, -hi, -hi], [hi, hi, hi], 0.125, target)
 
 
 def verify_property_k(which: str, radii: Optional[Sequence[float]] = None) -> dict:
@@ -539,53 +528,35 @@ def verify_property_k(which: str, radii: Optional[Sequence[float]] = None) -> di
 
     which="align_metric": three real rays under the vector metric (order 2).
     which="lift_metric": two complex rays under the lift metric (order 2).
-    ``radii`` overrides the ball radii (used to sanity-check the certifier).
-    ``located_min`` is the smallest ball deficit max_i (d(z, y_i) - r_i) that
-    the certifier evaluated: an upper bound on the minimum over rays z, which
-    is above 1e-6 whenever ``y_intersection_empty`` holds.
+    ``radii`` overrides the radii of both families of balls (used to
+    sanity-check the certifier). ``located_min`` is the smallest ball deficit
+    max_i (d(z, y_i) - r_i) that the certifier evaluated: an upper bound on
+    the minimum over rays z, which is above 1e-6 whenever
+    ``y_intersection_empty`` holds.
     """
+    if which not in _PROPERTY_K:
+        raise ValueError(f"unknown example {which!r}; options: {', '.join(_PROPERTY_K)}")
+    ex = _PROPERTY_K[which]
+    ys, xs, dist = ex["y"], ex["x"], ex["dist"]
+    rs = ex["r"] if radii is None else np.asarray(radii, dtype=float)
     tol = 1e-12
-    if which == "align_metric":
-        ex = _ALIGN_EXAMPLE
-        ys, xs = ex["y"], ex["x"]
-        rs = np.asarray(radii, dtype=float) if radii is not None else ex["r"]
-        rays_ = [ray(Vector(yv, Field.REAL)) for yv in ys]
-        distances_ok = True
-        for (i, j), want in ex["y_dists"].items():
-            dy = align_dist(rays_[i], rays_[j], 2)
-            dx = float(np.linalg.norm(xs[i] - xs[j]))
-            distances_ok &= abs(dy - want) <= tol and abs(dx - want) <= tol
-        z = ex["common_point"]
-        inside = all(
-            np.linalg.norm(z - xv) <= rv + tol for xv, rv in zip(xs, ex["r"] if radii is None else rs)
-        )
-        empty, located, _ = _certify_align_empty(ys, rs)
-        return {
-            "distances_ok": bool(distances_ok),
-            "x_intersection_nonempty": bool(inside),
-            "y_intersection_empty": bool(empty),
-            "located_min": located,
-        }
-    if which == "lift_metric":
-        ex = _LIFT_EXAMPLE
-        ys, xs = ex["y"], ex["x"]
-        rs = np.asarray(radii, dtype=float) if radii is not None else ex["r"]
-        r1 = ray(Vector(ys[0], Field.COMPLEX))
-        r2 = ray(Vector(ys[1], Field.COMPLEX))
-        dy = lift_dist(r1, r2, 2)
-        dx = float(np.linalg.norm(xs[0] - xs[1]))
-        distances_ok = abs(dy - ex["d2"]) <= tol and abs(dx - ex["d2"]) <= tol
-        z = ex["common_point"]
-        dists = [float(np.linalg.norm(z - xv)) for xv in xs]
-        inside = all(abs(dv - rv) <= tol for dv, rv in zip(dists, ex["r"]))
-        # the balls touch (center gap equals r1 + r2), so the common point is
-        # unique exactly when it sits on both boundaries
-        unique = abs(dx - float(ex["r"][0] + ex["r"][1])) <= tol
-        empty, located, _ = _certify_lift_empty(ys, rs)
-        return {
-            "distances_ok": bool(distances_ok),
-            "x_intersection_nonempty": bool(inside and unique),
-            "y_intersection_empty": bool(empty),
-            "located_min": located,
-        }
-    raise ValueError(f"unknown example {which!r}; options: align_metric, lift_metric")
+    distances_ok = all(
+        abs(dist(ys[i][None], ys[j])[0] - want) <= tol
+        and abs(np.linalg.norm(xs[i] - xs[j]) - want) <= tol
+        for (i, j), want in ex["dists"].items()
+    )
+    z = ex["common_point"]
+    inside = all(np.linalg.norm(z - xv) <= rv + tol for xv, rv in zip(xs, rs))
+
+    def deficit(pts):
+        rays_ = ex["rays"](pts)
+        return np.max([dist(rays_, yv) - rv for yv, rv in zip(ys, rs)], axis=0)
+
+    lows, highs, spacing = ex["box"]
+    empty, located, _ = certify_min_above(deficit, ex["lip"], lows, highs, spacing, 1e-6)
+    return {
+        "distances_ok": bool(distances_ok),
+        "x_intersection_nonempty": bool(inside),
+        "y_intersection_empty": bool(empty),
+        "located_min": located,
+    }

@@ -8,12 +8,14 @@ import pytest
 from raylift import (
     Field,
     Frame,
+    Vector,
     build_lifted_map,
     estimate_lower_lip,
     estimate_upper_lip,
     gen_frame,
     grid_lower_lip,
     lower_lip_objective,
+    measure,
     pr_verdict,
     probe_bilipschitz,
     upper_lip_ceiling,
@@ -24,6 +26,7 @@ from raylift.cli import main as cli_main
 from raylift.probes import (
     _alternating_min,
     _best_partners,
+    _neg_quartic_and_grad,
     _ratio_and_grad,
     certify_min_above,
 )
@@ -157,6 +160,20 @@ class TestLowerLipRefinement:
                            for e in np.eye(rdim)])
             assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
+    def test_stack_rows_match_one_row_calls(self, field):
+        """Row i of a stacked call of the a0 kernel is its one-row call, bit
+        for bit, in every output."""
+        F = gen_frame("random_gaussian", 4, 16, field, seed=5)
+        U = np.stack([random_start(F, 2, s) for s in range(6)])
+        V = np.stack([random_start(F, 3, s) for s in range(6)])
+        k = len(U)
+        q, den, nn, DQ, Dden = probes_mod._lower_lip_terms(F, U, V)
+        for i in range(k):
+            qi, deni, nni, DQi, Ddeni = probes_mod._lower_lip_terms(F, U[i:i + 1], V[i:i + 1])
+            assert (q[i], den[i], nn[i]) == (qi[0], deni[0], nni[0])
+            assert np.array_equal(DQ[[i, k + i]], DQi)
+            assert np.array_equal(Dden[[i, k + i]], Ddeni)
+
     def test_scale_covariance_n8(self):
         F = gen_frame("random_gaussian", 8, 72, Field.COMPLEX, seed=4)
         G = Frame(2.0 * F.synthesis, Field.COMPLEX)
@@ -207,7 +224,7 @@ class TestLowerLipRefinement:
         U = np.stack([random_start(F, 5, s) for s in range(12)])
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         vals, V = _best_partners(F, U)
-        qs, dens = probes_mod._lower_lip_terms(F, U, V)
+        qs, dens = probes_mod._lower_lip_terms(F, U, V)[:2]
         oracle = best_partner_real if field is Field.REAL else best_partner_complex
         for u, val, v, q_row, den_row in zip(U, vals, V, qs, dens):
             want, _ = oracle(F.synthesis, u)
@@ -227,7 +244,7 @@ class TestLowerLipRefinement:
         monkeypatch.setattr(probes_mod, "_STACK_ENTRIES", 3 * F.synthesis.size)
         cvals, cV = _best_partners(F, U)
         assert np.allclose(cvals, vals, rtol=1e-12, atol=0)
-        q, _ = probes_mod._lower_lip_terms(F, U, cV)
+        q = probes_mod._lower_lip_terms(F, U, cV)[0]
         assert np.allclose(q, vals, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("starts", [1, 5, 64])
@@ -291,6 +308,27 @@ class TestUpperLipExact:
             sampled = probe_bilipschitz(F, samples=500, seed=1)["max_ratio"] ** 2
             b0, _ = estimate_upper_lip(F, seed=1)
             assert sampled <= b0 * (1 + 1e-12) <= upper_lip_ceiling(F) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_gradient_matches_central_differences(self, field, n):
+        F = gen_frame("random_gaussian", n, n * n + n, field, seed=n)
+        rng = np.random.default_rng(12)
+        rdim = n if field is Field.REAL else 2 * n
+
+        def quartic(rz):
+            # packed as real parts, then imaginary parts in the complex field
+            u = rz if field is Field.REAL else rz[:n] + 1j * rz[n:]
+            c = measure(F, Vector(u, field)).values
+            return float(c @ c) / float(np.vdot(u, u).real) ** 2
+
+        for _ in range(3):
+            x = rng.standard_normal(rdim)
+            value, grad = _neg_quartic_and_grad(F, x)
+            assert -value == pytest.approx(quartic(x), rel=1e-12)
+            h = 1e-6
+            fd = np.array([(quartic(x + h * e) - quartic(x - h * e)) / (2 * h)
+                           for e in np.eye(rdim)])
+            assert np.linalg.norm(-grad - fd) <= 1e-6 * np.linalg.norm(fd)
 
     def test_onb_bracket_is_tight(self):
         F = _onb()
@@ -428,6 +466,15 @@ class TestPropertyK:
         r = [math.sqrt(6), 2 - SQ2 + 1.2, math.sqrt(6) - math.sqrt(3)]
         rec = verify_property_k("align_metric", radii=r)
         assert not rec["y_intersection_empty"]
+
+    def test_radii_apply_to_both_families_of_balls(self):
+        # ||x0 - x1|| = sqrt(2) > 0.5 + 0.5: the Euclidean balls are disjoint,
+        # and the smaller ray balls stay disjoint too
+        rec = verify_property_k("lift_metric", radii=[0.5, 0.5])
+        assert rec["distances_ok"] and rec["y_intersection_empty"]
+        assert not rec["x_intersection_nonempty"]
+        rec = verify_property_k("align_metric", radii=[1.0, 0.5, 0.5])
+        assert not rec["x_intersection_nonempty"]
 
     def test_unknown_example_rejected(self):
         with pytest.raises(ValueError):
