@@ -41,7 +41,6 @@ from .probes import (
     LowerLipEstimate,
     estimate_lower_lip,
     estimate_upper_lip,
-    grid_lower_lip,
     lower_lip_objective,
     pr_verdict,
     probe_bilipschitz,
@@ -103,7 +102,6 @@ __all__ = [
     "polish",
     "estimate_lower_lip",
     "estimate_upper_lip",
-    "grid_lower_lip",
     "lower_lip_objective",
     "pr_verdict",
     "probe_bilipschitz",

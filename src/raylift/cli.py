@@ -205,7 +205,6 @@ def cmd_check(args) -> int:
             "u": _vec_to_json(est.argmin_u.entries, F.field),
             "v": _vec_to_json(est.argmin_v.entries, F.field),
             "method": est.method,
-            "grid_resolution": est.grid_resolution,
         },
         "sample_counts": {"starts": est.starts},
         "search": {

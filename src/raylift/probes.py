@@ -9,30 +9,23 @@ ascent direction at a stack of vectors) and, for the ball deficit of
 ``verify_property_k``, the metric stack kernels ``metrics._align_dist_stack``
 and ``metrics._lift_dist_stack``.
 
-The lower stability constant of a frame is the minimum over unit pairs (u, v)
-of
+The lower stability constant a0 of a frame is the minimum over unit pairs
+(u, v) of
 
     Q(u, v) = sum_k |Re(<u, f_k> conj(<v, f_k>))|^2
 
 divided by ||u||^2 ||v||^2 - Im(<u, v>)^2. A frame is phase retrievable iff
-that minimum is positive. For fixed u, Q is a quadratic form in the real
-coordinates of v, so u's best partner v is that form's smallest
-eigenvector; in the complex field the form annihilates the coordinates of
-iu (Q(u, v + t iu) = Q(u, v)), and a rank-one shift by its trace deflates
-that direction so the partner keeps a unit denominator. Every seeded start
-u0 takes one alternation of this exact block minimization, u0's best
-partner v and then v's best partner u, all starts as one stack with one
-batched ``eigh`` per half-step. That screens the starts without converging;
-the best three candidates are refined jointly on the ratio, with its
-analytic gradient in the packed real coordinates of (u, v), by
-``core._lbfgs``, the scale-free local minimiser that also refines b0
-below. n = 2 real frames additionally get an exhaustive angle-grid oracle,
-which scores all grid pairs as one Gram product and is refined the same way.
+that minimum is positive. At n = 2, in both fields, a0 has a closed form in
+the lifted Gram matrix (``_exact_lower_lip``); for n >= 3 seeded starts
+screened by exact block minimization (``_best_partners``) are refined by
+``core._lbfgs`` (``_multistart_lower_lip``).
 
-The upper stability constant has a closed form: it is the maximum over unit
-u of sum_k |<u, f_k>|^4, found by a batched multistart fixed-point ascent
-refined by ``core._lbfgs``, and bracketed above by the largest eigenvalue of
-the Gram matrix |<f_k, f_l>|^2, which is sigma_max(lifted map)^2.
+The upper stability constant b0 is the maximum over unit u of
+sum_k |<u, f_k>|^4, found by a batched fixed-point ascent refined by
+``core._lbfgs``. The value is the quartic at a unit vector, so it is at most
+b0 up to the rounding of one evaluation of the quartic; the largest
+eigenvalue of the Gram matrix |<f_k, f_l>|^2, sigma_max(lifted map)^2,
+brackets it above.
 """
 
 from __future__ import annotations
@@ -44,13 +37,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Field, Vector, _gaussian, _lbfgs, _to_complex, _to_real
-from .frames import Frame, _conj_coeffs, _measure_stack, _row_dots
+from .frames import (Frame, _conj_coeffs, _lifted_rows, _measure_stack, _row_dots,
+                     _sym_dim, sym_from_coords)
 from .metrics import _align_dist_stack, _lift_dist_stack
 
 __all__ = [
     "LowerLipEstimate",
     "estimate_lower_lip",
-    "grid_lower_lip",
     "lower_lip_objective",
     "estimate_upper_lip",
     "upper_lip_ceiling",
@@ -67,18 +60,18 @@ _DEN_CUTOFF = 1e-9
 
 @dataclass(frozen=True)
 class LowerLipEstimate:
-    """Smallest objective value found, with the witness pair that attains it.
+    """Smallest objective value found, reported exactly at the witness pair.
 
-    The value is an upper bound on the true constant (it is a minimum over
-    explored points), reported exactly at the witnesses; method="grid" marks
-    values cross-checked against the exhaustive n=2 angle grid.
-    ``kept_starts`` counts the multistarts whose one block alternation gave
-    a pair with denominator above 1e-9; ``refine_iterations`` and
-    ``refine_evaluations`` sum the gradient refinement's iterations and
-    objective evaluations over the (at most three) refined candidates, and
-    ``refine_stop`` is the stop rule (see ``core._lbfgs``) of the refinement
-    whose value is reported: for the best screened pair, the refinement
-    started from it.
+    method="exact" (every n = 2 frame): the closed-form minimum; no search
+    runs, so ``starts``, ``kept_starts`` and both refine counts are 0 and
+    ``refine_stop`` is None. method="multistart" (n >= 3): a minimum over
+    explored points, an upper bound on the true constant. ``kept_starts``
+    counts the starts whose one block alternation gave a pair with
+    denominator above 1e-9; ``refine_iterations`` and ``refine_evaluations``
+    sum the refinement's iterations and evaluations over the (at most three)
+    refined candidates, and ``refine_stop`` is the stop rule (see
+    ``core._lbfgs``) of the refinement whose value is reported: for the best
+    screened pair, the refinement started from it.
     """
 
     value: float
@@ -86,11 +79,10 @@ class LowerLipEstimate:
     argmin_v: Vector
     method: str
     starts: int
-    grid_resolution: Optional[int] = None
     kept_starts: int = 0
     refine_iterations: int = 0
     refine_evaluations: int = 0
-    refine_stop: str = "stationary"
+    refine_stop: Optional[str] = None
 
 
 def _lower_lip_terms(F: Frame, U: np.ndarray, V: np.ndarray):
@@ -211,38 +203,57 @@ def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
     return value, u, v, nit, nfev, stop
 
 
-def grid_lower_lip(F: Frame, resolution: int = 2048):
-    """Exhaustive angle-grid oracle for n = 2 real frames: evaluates the
-    stability objective on all pairs of ``resolution`` angles and refines the
-    best pair by ``_polish_pair``, keeping the grid pair unless that lowers
-    it. Returns (value, u, v)."""
-    return _grid_pair(F, resolution)[:3]
+def _at_witnesses(F: Frame, u, v, method: str, *search) -> LowerLipEstimate:
+    """The estimate valued exactly at witnesses u, v; ``search``: ``starts`` on."""
+    q, den = lower_lip_objective(F, u, v)
+    return LowerLipEstimate(q / den, Vector(u, F.field), Vector(v, F.field), method, *search)
 
 
-def _grid_pair(F: Frame, resolution: int):
-    """``grid_lower_lip`` with the whole ``_polish_pair`` record."""
-    if F.field is not Field.REAL or F.dim != 2:
-        raise ValueError("grid oracle applies to n = 2 real frames only")
-    fs = F.synthesis
-    th = np.linspace(0.0, 2 * np.pi, resolution, endpoint=False)
-    U = np.stack([np.cos(th), np.sin(th)])
-    S = (fs @ U) ** 2
-    Q = S.T @ S
-    i, j = np.unravel_index(int(np.argmin(Q)), Q.shape)
-    return _polish_pair(F, U[:, i], U[:, j])
+def _exact_lower_lip(F: Frame) -> LowerLipEstimate:
+    """The lower stability constant of an n = 2 frame, in either field, from
+    the lifted Gram G = A^T A (rows a_k = sym_coords(f_k f_k^*), as
+    ``frames._lifted_rows`` writes them): a0 = lambda_min(S) / 2, with S =
+    P^T G P - (P^T G e)(e^T G P) / (e^T G e) the Schur complement of G off
+    e = sym_coords(I) / sqrt(2), P an orthonormal basis of e's complement.
+
+    - For T = (u v^* + v u^*) / 2, Q(u, v) = ||A sym_coords(T)||^2 and
+      den = (lam1 - lam2)^2, with T's eigenvalues lam1 >= 0 >= lam2.
+    - At n = 2, T's traceless part Z has ||Z||_F^2 = den / 2. Writing
+      sym_coords(T) = t e + P z (||z|| = ||Z||_F) and minimising over the
+      trace t gives Q >= z^T S z, so Q / den >= lambda_min(S) / 2.
+    - Equality holds because |t*| <= 1 for z, S's bottom unit eigenvector,
+      and t* = -e^T G P z / e^T G e: e^T a_k = rho_k^2 / sqrt(2) and
+      |z^T P^T a_k| = |f_k^* Z f_k| <= rho_k^2 / sqrt(2), rho_k = ||f_k||.
+      So T = t* e + P z has eigenvalues (t* +- 1) / sqrt(2), which straddle
+      0, and with its eigenpairs (lam1, e1), (lam2, e2), u = sqrt(lam1) e1 +
+      sqrt(-lam2) e2 and v = sqrt(lam1) e1 - sqrt(-lam2) e2 give T.
+
+    lambda_min(S) / 2 itself loses digits to cancellation (2.6e-7 relative
+    on a real 2/3 frame with a0 near 3e-5), so the value is read as Q / den
+    at the normalised witnesses.
+    """
+    # B = [e, P]: P is the traceless diagonal, then the off-diagonal coordinates
+    B = np.eye(_sym_dim(2, F.field))
+    B[:2, :2] = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+    X = B.T @ _lifted_rows(F)  # e^T a_k, then P^T a_k
+    H = X @ X.T
+    g = H[0, 1:] / H[0, 0]
+    z = np.linalg.eigh(H[1:, 1:] - np.outer(H[1:, 0], g))[1][:, 0]
+    lam, E = np.linalg.eigh(sym_from_coords(B @ np.concatenate([[-(g @ z)], z]), 2, F.field))
+    # sqrt(-lam2) e2, sqrt(lam1) e1: |t*| <= 1 makes both roots real up to rounding
+    W = np.sqrt(np.maximum(lam * [-1.0, 1.0], 0.0)) * E
+    u, v = W[:, 1] + W[:, 0], W[:, 1] - W[:, 0]
+    return _at_witnesses(F, u / np.linalg.norm(u), v / np.linalg.norm(v), "exact", 0)
 
 
-def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEstimate:
-    """Estimate the frame's lower stability constant: one block alternation
+def _multistart_lower_lip(F: Frame, starts: int, seed: int) -> LowerLipEstimate:
+    """The search for the lower stability constant: one block alternation
     from each of ``starts`` seeded starts, all screened as one stack by
     ``_alternating_min``; pairs whose denominator is at most 1e-9 are
     dropped, the rest ordered by value (stable, so ties keep start order),
     and the best three refined by ``_polish_pair``. The estimate is the
     lowest of the best screened pair and its three refinements, the first of
-    equal values winning. n = 2 real frames are cross-checked against the
-    exhaustive grid oracle (the two must agree to 1e-6)."""
-    if starts < 1:
-        raise ValueError(f"starts must be >= 1, got {starts}")
+    equal values winning."""
     U0 = np.stack([_gaussian(np.random.default_rng([seed, s]), F.dim, F.field)
                    for s in range(starts)])
     _, U, V = _alternating_min(F, U0)
@@ -256,32 +267,21 @@ def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEst
     refined = [_polish_pair(F, U[k], V[k]) for k in top]
     # min keeps the first of equal values, so a tie keeps the unrefined best
     screened = (ratio[order[0]], U[top[0]], V[top[0]], refined[0][5])
-    value, u, v, stop = min([screened] + [r[:3] + r[5:] for r in refined],
-                            key=lambda c: c[0])
-    method, resolution = "multistart", None
-    if F.field is Field.REAL and F.dim == 2:
-        gval, gu, gv, _, _, gstop = _grid_pair(F, 2048)
-        if abs(gval - value) > 1e-6:
-            raise RuntimeError(
-                f"grid oracle ({gval:.3e}) and multistart ({value:.3e}) disagree"
-            )
-        if gval < value:
-            value, u, v, stop = gval, gu, gv, gstop
-        method, resolution = "grid", 2048
-    # report the value exactly at the witnesses
-    q, den = lower_lip_objective(F, u, v)
-    return LowerLipEstimate(
-        value=q / den,
-        argmin_u=Vector(u, F.field),
-        argmin_v=Vector(v, F.field),
-        method=method,
-        starts=starts,
-        grid_resolution=resolution,
-        kept_starts=int(keep.size),
-        refine_iterations=sum(r[3] for r in refined),
-        refine_evaluations=sum(r[4] for r in refined),
-        refine_stop=stop,
-    )
+    _, u, v, stop = min([screened] + [r[:3] + r[5:] for r in refined],
+                        key=lambda c: c[0])
+    return _at_witnesses(F, u, v, "multistart", starts, int(keep.size),
+                         sum(r[3] for r in refined), sum(r[4] for r in refined), stop)
+
+
+def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEstimate:
+    """The frame's lower stability constant a0: exact for every n = 2 frame
+    (``_exact_lower_lip``, which ignores ``starts`` and ``seed``), else
+    searched from ``starts`` seeded starts (``_multistart_lower_lip``)."""
+    if starts < 1:
+        raise ValueError(f"starts must be >= 1, got {starts}")
+    if F.dim == 2:
+        return _exact_lower_lip(F)
+    return _multistart_lower_lip(F, starts, seed)
 
 
 # --- upper stability constant -------------------------------------------------
@@ -330,7 +330,8 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
     refined by ``_lbfgs``, with tolerances tight enough to move b0 there.
 
     Returns (value, iterations), iterations counting the batched steps. The
-    value is attained at a unit vector, so it is a proven lower end of b0;
+    value is the quartic at a unit vector, so at most b0 up to the rounding
+    of one evaluation (r2_pr3, seed 3: 4 ulps above 3/2);
     ``upper_lip_ceiling(F)`` = sigma_max(lifted map)^2 brackets it above.
     """
     U = _gaussian(np.random.default_rng(seed), (_ASCENT_STARTS, F.dim), F.field)
@@ -368,21 +369,22 @@ def pr_verdict(
     starts: int = 64,
     seed: int = 0,
 ) -> str:
-    """Phase-retrievability verdict for a frame.
+    """Phase-retrievability verdict for a frame, the same at every scaling of
+    it: a0 and Q scale as r = (max_k ||f_k||^2)^2 and are compared relative to r.
 
-    "retrievable" when the estimated lower stability constant clears the
-    threshold; "not_retrievable" only with an explicit witness pair whose
-    objective vanishes while its denominator does not (estimates alone never
-    condemn a frame); "indeterminate" otherwise.
+    "retrievable" when the estimated a0 is at least threshold * r;
+    "not_retrievable" only with an explicit witness pair whose Q is at most
+    1e-12 * r while its (scale-free) denominator exceeds the threshold:
+    estimates alone never condemn a frame; "indeterminate" otherwise.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
     est = estimate if estimate is not None else estimate_lower_lip(F, starts=starts, seed=seed)
-    if est.value >= threshold:
+    norms4 = float(np.sum(np.abs(F.synthesis) ** 2, axis=1).max()) ** 2
+    if est.value >= threshold * norms4:
         return "retrievable"
     q, den = lower_lip_objective(F, est.argmin_u.entries, est.argmin_v.entries)
-    norms4 = float(np.sum(np.abs(F.synthesis) ** 2, axis=1).max()) ** 2
-    if q <= 1e-12 * max(1.0, norms4) and den > threshold:
+    if q <= 1e-12 * norms4 and den > threshold:
         return "not_retrievable"
     return "indeterminate"
 

@@ -10,7 +10,8 @@ carriers (vs a rank-two closed form), the n = 2 retraction as a traceless
 shift (vs an eigendecomposition), eigenvalue groups by a per-row loop (vs
 stacked array operations), self-adjoint matrices from coordinates by 2-D
 assignments into a zeroed matrix (vs one flat scatter), and dense parameter
-scans. They are slow and only used at small sizes.
+scans (the n = 2 a0 over angle pairs vs its closed form from the lifted
+Gram). They are slow and only used at small sizes.
 """
 
 import json
@@ -267,6 +268,26 @@ def quartic_max_scan(vectors, resolution=20_000, rounds=4):
         best = max(best, float(vals[i]))
         step = th[1] - th[0]
         lo, hi = th[i] - step, th[i] + step
+    return best
+
+
+def lower_lip_scan(vectors, resolution=1024, rounds=4):
+    """min over unit u, v in R^2 of sum_k (<u, f_k> <v, f_k>)^2 (the a0
+    ratio of a real n = 2 frame, whose denominator is 1 at unit pairs) by a
+    scan of all pairs of angles in [0, pi) (u and -u give the same value),
+    zoomed in ``rounds`` times onto the two grid steps around the best pair
+    in each angle."""
+    fs = np.asarray(vectors, dtype=float)
+    lo, hi = np.zeros(2), np.full(2, np.pi)
+    best = np.inf
+    for _ in range(rounds):
+        th = np.linspace(lo, hi, resolution)  # one column per angle
+        a, b = ((fs @ np.stack([np.cos(t), np.sin(t)])) ** 2 for t in th.T)
+        Q = a.T @ b
+        i, j = np.unravel_index(int(np.argmin(Q)), Q.shape)
+        best = min(best, float(Q[i, j]))
+        step = th[1] - th[0]
+        lo, hi = th[[i, j], [0, 1]] - step, th[[i, j], [0, 1]] + step
     return best
 
 

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from raylift import (
     estimate_lower_lip,
     estimate_upper_lip,
     gen_frame,
-    grid_lower_lip,
     lower_lip_objective,
     measure,
     pr_verdict,
@@ -26,12 +26,19 @@ from raylift.cli import main as cli_main
 from raylift.probes import (
     _alternating_min,
     _best_partners,
+    _multistart_lower_lip,
     _neg_quartic_and_grad,
     _ratio_and_grad,
     certify_min_above,
 )
 
-from oracles import best_partner_complex, best_partner_real, quartic_max_scan
+from oracles import (
+    best_partner_complex,
+    best_partner_real,
+    lower_lip_scan,
+    quartic_max_scan,
+    random_vector,
+)
 
 frames_mod = importlib.import_module("raylift.frames")
 probes_mod = importlib.import_module("raylift.probes")
@@ -49,6 +56,11 @@ def _onb():
     return gen_frame("named", 2, 2, name="r2_onb")
 
 
+def _norms4(F):
+    """(max_k ||f_k||^2)^2: how a0 and Q scale with the frame."""
+    return float(np.sum(np.abs(F.synthesis) ** 2, axis=1).max()) ** 2
+
+
 def random_start(F, seed, s):
     """Start s of ``estimate_lower_lip``'s seeded draws: real parts, then
     imaginary parts in the complex field."""
@@ -60,7 +72,7 @@ def random_start(F, seed, s):
 class TestLowerLip:
     def test_onb_value_zero_with_witness(self):
         est = estimate_lower_lip(_onb(), starts=16)
-        assert est.value <= 1e-12
+        assert est.value == 0.0
         q, den = lower_lip_objective(_onb(), est.argmin_u.entries, est.argmin_v.entries)
         assert q <= 1e-12 and den > 1e-3
 
@@ -70,16 +82,11 @@ class TestLowerLip:
         assert q == 0.0 and den == 1.0
 
     def test_pr3_value_is_one_sixth(self):
-        # oracle-derived: the angle-grid scan plus local polish converges to
-        # 1/6 for this fixture
-        est = estimate_lower_lip(_pr3())
-        assert est.method == "grid" and est.grid_resolution == 2048
-        assert est.value == pytest.approx(1 / 6, abs=1e-9)
-
-    def test_grid_oracle_matches_multistart(self):
-        gval, gu, gv = grid_lower_lip(_pr3())
-        est = estimate_lower_lip(_pr3())
-        assert abs(gval - est.value) <= 1e-6
+        # the closed form gives 1/6 for this fixture, whatever the seed
+        values = {estimate_lower_lip(_pr3(), seed=seed).value for seed in range(4)}
+        assert len(values) == 1
+        assert abs(values.pop() - 1 / 6) <= 1e-15
+        assert estimate_lower_lip(_pr3()).method == "exact"
 
     def test_value_equals_objective_at_witnesses(self, field):
         F = gen_frame("random_gaussian", 3, 9, field, seed=1)
@@ -115,12 +122,91 @@ class TestLowerLip:
         assert b == pytest.approx(16 * a, rel=1e-6)
 
     def test_starts_validation(self):
-        with pytest.raises(ValueError):
-            estimate_lower_lip(_pr3(), starts=0)
+        # n = 2 frames run no search, yet their starts are still validated
+        for F in (_pr3(), gen_frame("random_gaussian", 3, 9, Field.REAL, seed=6)):
+            with pytest.raises(ValueError):
+                estimate_lower_lip(F, starts=0)
 
-    def test_grid_needs_n2_real(self):
-        with pytest.raises(ValueError):
-            grid_lower_lip(gen_frame("random_gaussian", 3, 9, Field.REAL, seed=6))
+
+def _real_n2_frames():
+    return [_pr3()] + [gen_frame("random_gaussian", 2, m, Field.REAL, seed=s)
+                       for m in (3, 4, 6) for s in range(4)]
+
+
+class TestLowerLipExact:
+    """The n = 2 closed form against independent checks: an angle-pair
+    scan, random pairs, the bi-Lipschitz sampler and the multistart search
+    it replaced."""
+
+    def test_matches_angle_scan(self):
+        for F in _real_n2_frames():
+            want = lower_lip_scan(F.synthesis)
+            assert estimate_lower_lip(F).value == pytest.approx(want, rel=1e-10)
+
+    def test_no_random_pair_below(self, field):
+        rng = np.random.default_rng(3)
+        for m in (3, 5, 8):
+            F = gen_frame("random_gaussian", 2, m, field, seed=m)
+            a0 = estimate_lower_lip(F).value
+            U, V = (random_vector(rng, (10_000, 2), field is Field.COMPLEX) for _ in "uv")
+            # Q and den from scratch: Re(<u, f_k> conj(<v, f_k>)), unit pairs
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            V /= np.linalg.norm(V, axis=1, keepdims=True)
+            t = np.real((U @ F.synthesis.conj().T) * (V @ F.synthesis.conj().T).conj())
+            den = 1.0 - np.imag(np.sum(U.conj() * V, axis=1)) ** 2
+            assert np.min(np.sum(t * t, axis=1) / den) >= a0 * (1 - 1e-12)
+
+    def test_multistart_lands_on_exact(self, field):
+        """The closed form is an oracle for the a0 search: run at n = 2 on
+        every frame with a0 clear of 0, the multistart reaches it."""
+        checked = 0
+        for m in range(3, 11):
+            for seed in range(7):
+                F = gen_frame("random_gaussian", 2, m, field, seed=seed)
+                a0 = estimate_lower_lip(F).value
+                if a0 <= 1e-8 * _norms4(F):
+                    continue
+                found = _multistart_lower_lip(F, 64, 0)
+                assert found.method == "multistart"
+                assert found.value == pytest.approx(a0, rel=1e-9)
+                checked += 1
+        assert checked >= 40
+
+    def test_exact_runs_no_search(self, monkeypatch, field):
+        monkeypatch.setattr(probes_mod, "_alternating_min", None)
+        F = gen_frame("random_gaussian", 2, 5, field, seed=1)
+        est = estimate_lower_lip(F, starts=8, seed=0)
+        assert est.method == "exact" and est.starts == est.kept_starts == 0
+        assert est.refine_iterations == est.refine_evaluations == 0
+        assert est.refine_stop is None
+        assert estimate_lower_lip(F, starts=64, seed=9) == est
+        q, den = lower_lip_objective(F, est.argmin_u.entries, est.argmin_v.entries)
+        assert est.value == q / den and den == pytest.approx(1.0, rel=1e-12)
+
+    def test_method_by_dimension(self, field):
+        # n >= 3 keeps the search
+        F = gen_frame("random_gaussian", 3, 9, field, seed=6)
+        est = estimate_lower_lip(F, starts=8, seed=0)
+        assert est.method == "multistart" and est.starts == 8
+        assert est == _multistart_lower_lip(F, 8, 0)
+
+    def test_complex_below_4n_minus_4_not_retrievable(self):
+        # m = 3 < 4n - 4 complex vectors cannot give phase retrieval at n = 2
+        for seed in range(10):
+            F = gen_frame("random_gaussian", 2, 3, Field.COMPLEX, seed=seed)
+            est = estimate_lower_lip(F)
+            q, _ = lower_lip_objective(F, est.argmin_u.entries, est.argmin_v.entries)
+            assert q <= 1e-24 * _norms4(F)
+            assert pr_verdict(F, estimate=est) == "not_retrievable"
+
+    def test_peak_memory(self):
+        tracemalloc.start()
+        try:
+            estimate_lower_lip(_pr3())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
 
 class TestUpperLip:
@@ -294,6 +380,12 @@ class TestUpperLipExact:
         want = quartic_max_scan(F.synthesis)
         assert estimate_upper_lip(F, seed=0)[0] == pytest.approx(want, rel=1e-9)
 
+    def test_pr3_within_rounding_of_three_halves(self):
+        # the value is the quartic at a unit vector: at most b0 = 3/2 up to
+        # the rounding of one evaluation, so it may land a few ulps above
+        for seed in range(4):
+            assert abs(estimate_upper_lip(_pr3(), seed=seed)[0] - 1.5) <= 8 * math.ulp(1.5)
+
     def test_ceiling_is_lifted_sigma_max_squared(self, field):
         for n, m in ((3, 9), (4, 16)):
             F = gen_frame("random_gaussian", n, m, field, seed=n)
@@ -379,6 +471,26 @@ class TestCheckReport:
             "b0_ascent_iterations": b0_iterations,
         }
 
+    def test_n2_report_is_exact(self, tmp_path):
+        F = gen_frame("random_gaussian", 2, 5, Field.COMPLEX, seed=1)
+        write_frame(tmp_path / "f.json", F)
+        reps = []
+        for seed in ("0", "3"):
+            argv = ["check", "--frame", str(tmp_path / "f.json"), "--seed", seed,
+                    "--report", str(tmp_path / "r.json")]
+            assert cli_main(argv) == 0
+            reps.append(json.loads((tmp_path / "r.json").read_text()))
+        rep = reps[0]
+        assert rep["witnesses"]["method"] == "exact" and "grid_resolution" not in rep["witnesses"]
+        assert rep["sample_counts"] == {"starts": 0}
+        search = dict(rep["search"])
+        del search["b0_ascent_iterations"]
+        assert search == {"kept_starts": 0, "refine_iterations": 0,
+                          "refine_evaluations": 0, "refine_stop": None}
+        # a0 and its witnesses do not depend on the seed
+        assert (reps[1]["a0"], reps[1]["witnesses"]) == (rep["a0"], rep["witnesses"])
+        assert 0 < rep["a0"] <= rep["b0"] <= rep["b0_upper"]
+
     def test_one_public_b0_call(self, tmp_path, monkeypatch):
         """``check`` takes b0 and its iteration count from one call of the
         public ``estimate_upper_lip``, which the layer tracer can time."""
@@ -416,13 +528,25 @@ class TestVerdict:
         with pytest.raises(ValueError):
             pr_verdict(_pr3(), threshold=0.0)
 
+    def test_scale_invariant(self):
+        frames = [(_pr3(), 64), (_onb(), 64),
+                  (gen_frame("random_gaussian", 4, 16, Field.COMPLEX, seed=1), 16)]
+        for F, starts in frames:
+            want = pr_verdict(F, starts=starts)
+            for e in range(-4, 5):
+                G = Frame(10.0 ** e * F.synthesis, F.field)
+                assert pr_verdict(G, starts=starts) == want, (F.label, e)
+
 
 class TestBilipschitz:
-    def test_min_ratio_consistent_with_grid(self):
-        F = _pr3()
-        gval, _, _ = grid_lower_lip(F)
-        res = probe_bilipschitz(F, samples=2000, seed=0)
-        assert res["min_ratio"] ** 2 >= gval - 1e-6
+    def test_min_ratio_above_exact_a0(self, field):
+        frames = [gen_frame("random_gaussian", 2, m, field, seed=m) for m in (4, 6)]
+        if field is Field.REAL:
+            frames.append(_pr3())
+        for F in frames:
+            a0 = estimate_lower_lip(F).value
+            res = probe_bilipschitz(F, samples=2000, seed=0)
+            assert res["min_ratio"] ** 2 >= a0 - 1e-12 * _norms4(F)
 
     def test_max_ratio_monotone_in_samples(self):
         # a longer run extends a shorter one pair for pair
