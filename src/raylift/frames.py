@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .core import Field, SymOp, Vector, _as_field_array, _check_same, _freeze, _gaussian
 
@@ -46,8 +46,6 @@ _PINV_TOL = 1e-10
 # of build_lifted_map; the normal equations' relative error is then about
 # eps / 1e-6 ~ 2e-10
 _CHOL_RCOND = 1e-6
-# columns of G^-1 mirrored per step by _mirror_upper
-_MIRROR_BLOCK = 256
 _SQRT2 = math.sqrt(2)
 
 NAMED_FRAMES = {
@@ -234,14 +232,13 @@ class LiftedMap:
     operators, in the fixed real orthonormal basis, with the factors of its
     min-norm inverse.
 
-    ``min_norm_inverse`` applies ``_left @ (right @ c)``, where ``right`` is
-    A^T on the Cholesky path (read from ``matrix``; ``_right`` is None) and
-    U_r^T on the SVD path (see ``build_lifted_map``). On the Cholesky path
-    ``_left`` is G^-1, a C-ordered view of the buffer in which G = A^T A was
-    formed, factored and inverted, so a map holds A and G and no other
-    array of G's size. The singular values behind ``sigma_min`` and ``sigma_max``
-    are computed on first use and cached; the min-norm inverse never needs
-    them.
+    On the Cholesky path (``_right`` is None) ``_left`` is the upper
+    Cholesky factor R of G = A^T A over a zeroed lower triangle, Fortran
+    ordered in the buffer in which G was formed, so a map holds A and R and
+    no other array of G's size. On the SVD path ``_left`` is V_r S_r^-1 and
+    ``_right`` is U_r^T (see ``build_lifted_map``). The singular values
+    behind ``sigma_min`` and ``sigma_max`` are computed on first use and
+    cached; the min-norm inverse never needs them.
     """
 
     matrix: np.ndarray
@@ -301,27 +298,6 @@ def _lifted_rows(F: Frame) -> np.ndarray:
     return out
 
 
-def _mirror_upper(g: np.ndarray) -> None:
-    """Make ``g``, Fortran-ordered with a symmetric matrix in its upper
-    triangle over a zero lower one (as ``dpotri`` leaves it), symmetric in
-    place, with the bits of ``np.triu(g) + np.triu(g, 1).T``: x + 0 on and
-    above the diagonal and 0 + x below it, so no -0.0 is left. The lower
-    triangle is filled in blocks of ``_MIRROR_BLOCK`` columns; the one
-    temporary is the transpose of a diagonal block."""
-    g += 0.0
-    n = g.shape[0]
-    for j0 in range(0, n, _MIRROR_BLOCK):
-        j1 = min(j0 + _MIRROR_BLOCK, n)
-        d = g[j0:j1, j0:j1]
-        # np.triu(d, 1).T without its mask: d's lower triangle is still zero
-        t = d.T.copy(order="F")
-        np.fill_diagonal(t, 0.0)
-        d += t
-        del t  # before the strip below, whose iteration buffers would add to it
-        # the source rows lie above the diagonal, the target rows below it
-        g[j1:, j0:j1] += g[j0:j1, j1:].T
-
-
 def build_lifted_map(F: Frame) -> LiftedMap:
     """Assemble the measurement matrix A on lifted operators for a frame, and
     factor it for min-norm inversion.
@@ -333,28 +309,26 @@ def build_lifted_map(F: Frame) -> LiftedMap:
     i < j. This real arithmetic gives the bits of the complex outer product
     (a complex ``a * b.conj()`` or ``abs(a)**2`` would not). ``matrix`` is
     column-major, the transpose of a C-ordered (cols, m) buffer, and
-    ``_left`` is C-ordered; the BLAS products in ``min_norm_inverse`` round
-    according to that layout, so it is part of what makes the estimates
-    reproducible bit for bit. The input picks the factorization:
+    ``_left`` keeps the layout LAPACK gives it; the BLAS calls in
+    ``min_norm_inverse`` round according to that layout, so it is part of
+    what makes the estimates reproducible bit for bit. The input picks the
+    factorization:
 
     - Cholesky path: G = A^T A has a Cholesky factor and LAPACK's estimate of
       its reciprocal condition number exceeds ``_CHOL_RCOND``. Then A has
-      full column rank, and the inverse applies G^-1 A^T. Solving the normal
-      equations squares the condition number, so the gate keeps their
-      relative error near eps * cond(A)^2 <~ 1e-10.
+      full column rank, and the inverse solves G t = A^T c through the
+      factor. Solving the normal equations squares the condition number, so
+      the gate keeps their relative error near eps * cond(A)^2 <~ 1e-10.
     - SVD fallback, for rank-deficient and ill-conditioned frames: the thin
       SVD A = U S V^T, whose numerical rank r counts singular values above
       ``_PINV_TOL`` times the top; the inverse applies V_r S_r^-1 U_r^T.
 
-    Memory on the Cholesky path: the build peaks at A plus G, with about
-    0.6 MiB on top. G is formed once, then factored (``dpotrf``), inverted
-    (``dpotri``) and mirrored (``_mirror_upper``) inside its own n^2 x n^2
-    buffer, and ``_left`` is a view of that buffer. The parts on top are
-    one 256 x 256 diagonal block that the mirror copies and numpy's
-    iteration buffers. The 1-norm that ``dpocon`` needs comes from
-    ``dlange``, not from an ``abs`` copy of G. The factor overwrites G, so
-    anything that needs G itself, such as its eigenvalues, must read it
-    before ``dpotrf`` runs.
+    Memory on the Cholesky path: the build peaks at A plus G, with a few
+    KiB on top. G is formed once and factored (``dpotrf``) inside its own
+    Fortran-ordered buffer, and ``_left`` is that buffer. The 1-norm that
+    ``dpocon`` needs comes from ``dlange``, not from an ``abs`` copy of G.
+    The factor overwrites G, so anything that needs G itself, such as its
+    eigenvalues, must read it before ``dpotrf`` runs.
     """
     rows_t = _lifted_rows(F)
     rows = rows_t.T
@@ -364,11 +338,9 @@ def build_lifted_map(F: Frame) -> LiftedMap:
     anorm = lapack.dlange("1", gram)
     gram, info = lapack.dpotrf(gram, overwrite_a=1)
     if info == 0 and lapack.dpocon(gram, anorm)[0] > _CHOL_RCOND:
-        # G^-1 in the upper triangle over the lower one that dpotrf's default
-        # clean=1 zeroed, mirrored in place; its transpose is C-ordered
-        gram, _ = lapack.dpotri(gram, overwrite_c=1)
-        _mirror_upper(gram)
-        rank, left, right = rows.shape[1], gram.T, None
+        # R in the upper triangle, over the lower one that dpotrf's default
+        # clean=1 zeroed
+        rank, left, right = rows.shape[1], gram, None
     else:
         u, s, vt = np.linalg.svd(rows, full_matrices=False)
         rank = int(np.sum(s > _PINV_TOL * s[0]))
@@ -389,17 +361,26 @@ def build_lifted_map(F: Frame) -> LiftedMap:
 def min_norm_inverse(M: LiftedMap, c: Union[Measurement, np.ndarray]) -> SymOp:
     """Minimum-Frobenius-norm self-adjoint T minimizing ||M(T) - c||_2.
 
-    One rule on both paths of ``build_lifted_map``: the coordinates of T are
-    ``_left @ (right @ c)``, i.e. G^-1 (A^T c) on the Cholesky path and the
-    singular-value-thresholded pseudoinverse V_r S_r^-1 (U_r^T c) on the SVD
-    fallback. Linear in c; exact on the measurement range whenever M has
-    full column rank.
+    On the Cholesky path of ``build_lifted_map`` the coordinates of T solve
+    G t = A^T c: two triangular solves with the factor, R^T y = A^T c and
+    then R t = y, which are cheaper and more accurate than a product with an
+    explicit G^-1 (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 14.1). On the SVD fallback they are the singular-value-thresholded
+    pseudoinverse V_r S_r^-1 (U_r^T c). Linear in c; exact on the
+    measurement range whenever M has full column rank.
     """
     values = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
     if values.shape != (M.rows,):
         raise ValueError(f"measurement count {values.shape} does not match m={M.rows}")
-    right = M.matrix.T if M._right is None else M._right
-    coords = M._left @ (right @ values)
+    if M._right is None:
+        # the factor goes to BLAS in its own Fortran order: f2py would copy
+        # a C-ordered one on every call. The flags are positional (incx,
+        # offx, lower, trans, diag, overwrite_x), which f2py parses faster
+        # than keywords: the two calls are most of a small solve's cost.
+        y = blas.dtrsv(M._left, M.matrix.T @ values, 1, 0, 0, 1, 0, 1)
+        coords = blas.dtrsv(M._left, y, 1, 0, 0, 0, 0, 1)
+    else:
+        coords = M._left @ (M._right @ values)
     return SymOp(sym_from_coords(coords, M.dim, M.field), M.field)
 
 
@@ -530,24 +511,22 @@ def _entry_error(e, where: str) -> Optional[str]:
 
 def _bulk_numbers(nested: list, shape: tuple) -> Optional[np.ndarray]:
     """``nested``, as ``json.loads`` returns it, as a float64 array of
-    ``shape``; None unless every container is a list and every leaf a
-    finite int or float (no bool)."""
-    if not nested:  # np.array([]) has shape (0,), whatever shape is wanted
-        return np.zeros(shape)
-    try:
-        a = np.array(nested, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if a.shape != shape or not np.isfinite(a).all():
-        return None
-    level = nested
-    for _ in range(len(shape) - 1):
-        if not set(map(type, level)) <= {list}:
+    ``shape``; None unless every container is a list of the length ``shape``
+    wants and every leaf a finite int or float (no bool). The checks walk
+    the levels, then the flattened leaves convert in one ``np.array`` call,
+    with the bits that one call on the nested lists gives."""
+    level = [nested]
+    for d in shape:
+        if set(map(type, level)) - {list} or set(map(len, level)) - {d}:
             return None
         level = list(itertools.chain.from_iterable(level))
-    if not set(map(type, level)) <= {int, float}:
+    if set(map(type, level)) - {int, float}:
         return None
-    return a
+    try:
+        a = np.array(level, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return a.reshape(shape) if np.isfinite(a).all() else None
 
 
 def _frame_entries_error(rows: list, dim: int, field: Field, where: str) -> str:

@@ -353,12 +353,19 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
 
 
 def upper_lip_ceiling(F: Frame) -> float:
-    """Certified upper end of the b0 bracket: the largest eigenvalue of the
-    m x m Gram matrix |<f_k, f_l>|^2, which equals sigma_max(lifted map)^2
-    because the lifted map A satisfies A A* = that matrix. No lifted map is
-    built; the cost is one O(m^3) symmetric eigenvalue solve."""
-    fs = F.synthesis
-    gram = np.abs(fs.conj() @ fs.T) ** 2
+    """Certified upper end of the b0 bracket: sigma_max(lifted map)^2, the
+    largest eigenvalue of A^T A and of A A^T, which is the m x m Gram
+    matrix |<f_k, f_l>|^2. One symmetric eigenvalue solve on the cheaper of
+    the two: the cols x cols product of ``_lifted_rows`` when forming and
+    solving it (m cols^2 + cols^3) costs less than the m x m solve (m^3),
+    else the m x m Gram. No lifted map is built."""
+    m, cols = F.count, _sym_dim(F.dim, F.field)
+    if m * cols ** 2 + cols ** 3 < m ** 3:
+        rows_t = _lifted_rows(F)
+        gram = rows_t @ rows_t.T
+    else:
+        fs = F.synthesis
+        gram = np.abs(fs.conj() @ fs.T) ** 2
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
@@ -530,6 +537,8 @@ def verify_property_k(which: str, radii: Optional[Sequence[float]] = None) -> di
 
     which="align_metric": three real rays under the vector metric (order 2).
     which="lift_metric": two complex rays under the lift metric (order 2).
+    ``x_intersection_nonempty`` holds when the record's common point, or one
+    found by search, lies within 1e-12 of every Euclidean ball.
     ``radii`` overrides the radii of both families of balls (used to
     sanity-check the certifier). ``located_min`` is the smallest ball deficit
     max_i (d(z, y_i) - r_i) that the certifier evaluated: an upper bound on
@@ -547,8 +556,17 @@ def verify_property_k(which: str, radii: Optional[Sequence[float]] = None) -> di
         and abs(np.linalg.norm(xs[i] - xs[j]) - want) <= tol
         for (i, j), want in ex["dists"].items()
     )
-    z = ex["common_point"]
-    inside = all(np.linalg.norm(z - xv) <= rv + tol for xv, rv in zip(xs, rs))
+
+    def x_deficit(pts):
+        return np.max([np.linalg.norm(pts - xv, axis=1) - rv for xv, rv in zip(xs, rs)], axis=0)
+
+    # failing the record's common point, search the box of the smallest ball,
+    # which holds the whole intersection (the deficit is 1-Lipschitz)
+    i = int(np.argmin(rs))
+    reach = abs(rs[i]) + tol
+    inside = x_deficit(ex["common_point"][None])[0] <= tol or not certify_min_above(
+        x_deficit, lambda pts, hd: np.ones(pts.shape[0]), xs[i] - reach, xs[i] + reach,
+        reach / 4, tol)[0]
 
     def deficit(pts):
         rays_ = ex["rays"](pts)

@@ -139,15 +139,14 @@ def lifted_rows_einsum(fs, complex_field):
 
 
 def lifted_inverse_factors(matrix, cholesky, tol=1e-10):
-    """``(left, right)`` of the min-norm inverse of ``matrix``, formed as
-    they were beside ``lifted_rows_einsum``: on the Cholesky path the
-    inverse Gram mirrored from LAPACK's upper triangle by two ``triu`` calls
-    (``right`` None), else the thresholded SVD's V_r S_r^-1 and U_r^T."""
+    """``(left, right)`` of the min-norm inverse of ``matrix``, formed beside
+    ``lifted_rows_einsum``: on the Cholesky path ``dpotrf``'s upper factor of
+    the Gram matrix, Fortran-ordered over a zeroed lower triangle (``right``
+    None), else the thresholded SVD's V_r S_r^-1 and U_r^T."""
     if cholesky:
         factor, info = lapack.dpotrf(matrix.T @ matrix)
         assert info == 0
-        inv, _ = lapack.dpotri(factor, overwrite_c=1)
-        return np.triu(inv) + np.triu(inv, 1).T, None
+        return factor, None
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     r = int(np.sum(s > tol * s[0]))
     return vt[:r].T / s[:r], u[:, :r].T

@@ -5,6 +5,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -31,9 +32,7 @@ from raylift import (
 
 from raylift.cli import main as cli_main
 from raylift.frames import (
-    _MIRROR_BLOCK,
     LiftedMap,
-    _mirror_upper,
     _sym_scatter,
     _triu_pairs,
     dumps_json,
@@ -296,8 +295,9 @@ def _same_bits(a, b):
 
 class TestLiftedRowsOracle:
     """``build_lifted_map`` against the outer-product construction it
-    replaced, bit for bit: the matrix, its layout, ``_left`` and the
-    min-norm inverse of a map built from the oracle's factors."""
+    replaced, bit for bit: the matrix, its layout, ``_left`` (the Cholesky
+    factor or the SVD's V_r S_r^-1) and the min-norm inverse of a map built
+    from the oracle's factors."""
 
     def _check(self, F, rng):
         M = build_lifted_map(F)
@@ -307,7 +307,7 @@ class TestLiftedRowsOracle:
         assert M.matrix.flags.f_contiguous == rows.flags.f_contiguous
         left, right = lifted_inverse_factors(rows, cholesky=M._right is None)
         assert _same_bits(M._left, left)
-        assert M._left.flags.c_contiguous == left.flags.c_contiguous
+        assert M._left.flags.f_contiguous == left.flags.f_contiguous
         if right is not None:
             assert _same_bits(M._right, right)
         oracle = LiftedMap(matrix=rows, dim=F.dim, field=F.field, rank=left.shape[1],
@@ -334,32 +334,35 @@ class TestLiftedRowsOracle:
     def test_wide_frame(self, rng):
         self._check(_gauss(32, 2048, Field.COMPLEX, seed=1), rng)
 
-    # lifted column counts that span several _mirror_upper blocks and end in
-    # a partial one: 289 (n=17, complex) and 300 (n=24, real)
-    @pytest.mark.parametrize("n, fld", [(17, Field.COMPLEX), (24, Field.REAL)])
-    def test_mirror_blocks(self, rng, n, fld):
-        cols = n * n if fld is Field.COMPLEX else n * (n + 1) // 2
-        assert cols > _MIRROR_BLOCK and cols % _MIRROR_BLOCK
-        F = _gauss(n, 2 * cols + 1, fld, seed=n)
-        assert build_lifted_map(F)._right is None
-        self._check(F, rng)
 
-    @pytest.mark.parametrize("size", [1, 255, 256, 300, 600])
-    def test_mirror_signed_zeros(self, size):
-        """The in-place mirror has the bits of the two-``triu`` sum: -0.0 in
-        the upper triangle becomes +0.0 on both sides, in every block."""
-        g = np.triu(np.random.default_rng(size).standard_normal((size, size)))
-        g[np.triu(np.random.default_rng(0).random((size, size)) < 0.05)] = -0.0
-        want = np.triu(g) + np.triu(g, 1).T
-        g = np.asfortranarray(g)
-        _mirror_upper(g)
-        assert g.flags.f_contiguous and _same_bits(np.ascontiguousarray(g), want)
+class TestCholeskyAccuracy:
+    """The two triangular solves against ``np.linalg.lstsq`` and against the
+    product with the explicit inverse G^-1 that they replaced."""
+
+    @pytest.mark.parametrize("n", [3, 8, 16, 32])
+    def test_against_lstsq(self, field, n):
+        cols = n * n if field is Field.COMPLEX else n * (n + 1) // 2
+        F = _gauss(n, 2 * cols + 1, field, seed=n)
+        M = build_lifted_map(F)
+        assert M._right is None
+        # G^-1 from the factor, mirrored from LAPACK's upper triangle
+        inv = lapack.dpotri(M._left)[0]
+        inv = np.triu(inv) + np.triu(inv, 1).T
+        rng = np.random.default_rng(n)
+        for c in (rng.standard_normal(F.count), M.matrix @ rng.standard_normal(cols)):
+            want = np.linalg.lstsq(M.matrix, c, rcond=None)[0]
+            got = sym_coords(min_norm_inverse(M, c).entries, field)
+            old = inv @ (M.matrix.T @ c)
+            scale = np.linalg.norm(want)
+            assert np.linalg.norm(got - old) <= 1e-12 * np.linalg.norm(old)
+            assert np.linalg.norm(got - want) <= 2 * np.linalg.norm(old - want)
+            assert np.linalg.norm(got - want) <= 1e-13 * scale
 
 
 class TestLiftedMapMemory:
-    """``build_lifted_map`` on the Cholesky path keeps A and G and forms no
-    other array of G's size: G is factored, inverted and mirrored in its
-    own buffer, and ``_left`` is a view of it."""
+    """``build_lifted_map`` on the Cholesky path keeps A and the factor of G
+    and forms no other array of G's size: G is factored in its own buffer,
+    and ``_left`` is that buffer."""
 
     def _extra_peak(self, F):
         build_lifted_map(F)  # warm caches outside the traced call
@@ -369,17 +372,15 @@ class TestLiftedMapMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert M._right is None and M._left.flags.c_contiguous
+        assert M._right is None and M._left.flags.f_contiguous
         return peak - M.matrix.nbytes - M._left.nbytes
 
     def test_one_block(self):
-        # G is 256 x 256, one mirror block: its transposed copy is the only
-        # temporary of G's size
-        block = _MIRROR_BLOCK ** 2 * 8
-        assert self._extra_peak(_gauss(16, 513, Field.COMPLEX, seed=1)) <= block + 64 * 1024
+        # G is 256 x 256
+        assert self._extra_peak(_gauss(16, 513, Field.COMPLEX, seed=1)) <= 64 * 1024
 
     def test_wide_frame(self):
-        assert self._extra_peak(_gauss(32, 2048, Field.COMPLEX, seed=1)) <= 2 ** 20
+        assert self._extra_peak(_gauss(32, 2048, Field.COMPLEX, seed=1)) <= 64 * 1024
 
 
 class TestGenFrame:
@@ -478,6 +479,75 @@ class TestFrameIO:
         p.write_text(json.dumps({"count": 2, "values": [1.0, 2.0]}))
         back = read_measurements(p)
         assert len(back) == 1 and np.array_equal(back[0].values, [1.0, 2.0])
+
+
+def _frame_text(field, vectors):
+    return f'{{"field": "{field}", "dim": 2, "count": 3, "vectors": {vectors}}}'
+
+
+# A JSON token that is not a finite number, with the message text after
+# the entry's position; 10**400 is an int beyond the float range and 1e999
+# parses to inf.
+_BAD_TOKENS = [
+    ("true", "true", "expected number, got True"),
+    ("string", '"1.5"', "expected number, got '1.5'"),
+    ("null", "null", "expected number, got None"),
+    ("10**400", "1" + "0" * 400, f"expected a finite number, got {10 ** 400}"),
+    ("1e999", "1e999", "expected a finite number, got inf"),
+]
+_REAL_ROWS = "[[1.0, 0.0], [0.0, {}], [0.5, 0.5]]"
+_COMPLEX_ROWS = "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, {}]], [[0.5, 0.5], [0.5, -0.5]]]"
+# (id, reader, file text, message after the path)
+_READER_CASES = [
+    case
+    for name, token, why in _BAD_TOKENS
+    for case in [
+        (f"real-{name}", read_frame, _frame_text("real", _REAL_ROWS.format(token)),
+         f".vectors[1][1]: {why}"),
+        (f"complex-{name}", read_frame, _frame_text("complex", _COMPLEX_ROWS.format(token)),
+         f".vectors[1][1][1]: {why}"),
+        (f"flat-{name}", read_measurements,
+         f'{{"count": 3, "values": [1.0, {token}, 2.0]}}', f".values[0][1]: {why}"),
+        (f"rows-{name}", read_measurements,
+         f'{{"count": 3, "values": [[1.0, 2.0, 3.0], [1.0, {token}, 2.0]]}}',
+         f".values[1][1]: {why}"),
+    ]
+] + [
+    ("real-ragged-0", read_frame, _frame_text("real", "[[1.0, 0.0], [0.0, 1.0]]"),
+     ".vectors: expected 3 vectors"),
+    ("real-ragged-1", read_frame, _frame_text("real", "[[1.0, 0.0], [0.0, 1.0, 2.0], [0.5, 0.5]]"),
+     ".vectors[1]: expected 2 entries"),
+    ("real-deep", read_frame, _frame_text("real", _REAL_ROWS.format("[1.0]")),
+     ".vectors[1][1]: expected number, got [1.0]"),
+    ("real-shallow", read_frame, _frame_text("real", "[[1.0, 0.0], 1.0, [0.5, 0.5]]"),
+     ".vectors[1]: expected 2 entries"),
+    ("complex-ragged-0", read_frame,
+     _frame_text("complex", "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]"),
+     ".vectors: expected 3 vectors"),
+    ("complex-ragged-1", read_frame,
+     _frame_text("complex", "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]], [[0.5, 0.5], [0.5, -0.5]]]"),
+     ".vectors[1]: expected 2 entries"),
+    ("complex-ragged-2", read_frame, _frame_text("complex", _COMPLEX_ROWS.format("0.0, 2.0")),
+     ".vectors[1][1]: expected [re, im] pair, got [1.0, 0.0, 2.0]"),
+    ("complex-deep", read_frame, _frame_text("complex", _COMPLEX_ROWS.format("[0.0]")),
+     ".vectors[1][1][1]: expected number, got [0.0]"),
+    ("complex-shallow", read_frame, _frame_text("complex", _REAL_ROWS.format("1.0")),
+     ".vectors[0][0]: expected [re, im] pair, got 1.0"),
+    ("complex-shallow-2", read_frame,
+     _frame_text("complex", "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], 1.0], [[0.5, 0.5], [0.5, -0.5]]]"),
+     ".vectors[1][1]: expected [re, im] pair, got 1.0"),
+    ("flat-ragged", read_measurements, '{"count": 3, "values": [1.0, 2.0]}',
+     ".values[0]: expected 3 numbers"),
+    ("flat-deep", read_measurements, '{"count": 3, "values": [1.0, [2.0], 3.0]}',
+     ".values[0][1]: expected number, got [2.0]"),
+    ("rows-ragged", read_measurements, '{"count": 3, "values": [[1.0, 2.0, 3.0], [1.0, 2.0]]}',
+     ".values[1]: expected 3 numbers"),
+    ("rows-deep", read_measurements,
+     '{"count": 3, "values": [[1.0, 2.0, 3.0], [1.0, [2.0], 3.0]]}',
+     ".values[1][1]: expected number, got [2.0]"),
+    ("rows-shallow", read_measurements, '{"count": 3, "values": [[1.0, 2.0, 3.0], 1.0]}',
+     ".values[1]: expected 3 numbers"),
+]
 
 
 class TestFrameFileErrors:
@@ -600,6 +670,18 @@ class TestFrameFileErrors:
         err = capsys.readouterr().err
         assert f"{command}: {p}.vectors[1][0]: expected a finite number, got nan" in err
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("reader,text,message", [case[1:] for case in _READER_CASES],
+                             ids=[case[0] for case in _READER_CASES])
+    def test_malformed_entry_message(self, tmp_path, reader, text, message):
+        """The level-by-level checks in front of the one flat conversion
+        name each kind of bad entry, at each nesting level, in each file
+        layout, with the same text as the entry walk alone gives."""
+        p = tmp_path / "x.json"
+        p.write_text(text)
+        with pytest.raises(FrameFileError) as info:
+            reader(p)
+        assert str(info.value) == f"{p}{message}"
 
     @pytest.mark.parametrize("key", ["dim", "count"])
     def test_bool_dim_or_count_rejected(self, tmp_path, key):

@@ -392,6 +392,26 @@ class TestUpperLipExact:
             want = build_lifted_map(F).sigma_max ** 2
             assert upper_lip_ceiling(F) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("fld, n, m, lifted", [
+        (Field.COMPLEX, 8, 72, False), (Field.REAL, 8, 72, True),
+        (Field.COMPLEX, 3, 9, False), (Field.REAL, 3, 9, True),
+        (Field.COMPLEX, 16, 513, True), (Field.REAL, 4, 400, True),
+    ], ids=["complex-8-72", "real-8-72", "complex-3-9", "real-3-9", "complex-16-513",
+            "real-4-400"])
+    def test_ceiling_picks_the_cheaper_gram(self, fld, n, m, lifted):
+        """When m cols^2 + cols^3 < m^3 the ceiling reads the cols x cols
+        Gram, to within a few ulps of the m x m one; otherwise it has the
+        m x m Gram's bits."""
+        cols = n * n if fld is Field.COMPLEX else n * (n + 1) // 2
+        assert (m * cols ** 2 + cols ** 3 < m ** 3) == lifted
+        F = gen_frame("random_gaussian", n, m, fld, seed=1)
+        fs = F.synthesis
+        want = float(np.linalg.eigvalsh(np.abs(fs.conj() @ fs.T) ** 2)[-1])
+        if lifted:
+            assert upper_lip_ceiling(F) == pytest.approx(want, rel=1e-14)
+        else:
+            assert upper_lip_ceiling(F) == want
+
     @pytest.mark.parametrize("n, m", [(3, 9), (4, 16), (8, 72)])
     def test_bracket(self, field, n, m):
         for seed in (4, 5):
@@ -598,6 +618,23 @@ class TestPropertyK:
         assert rec["distances_ok"] and rec["y_intersection_empty"]
         assert not rec["x_intersection_nonempty"]
         rec = verify_property_k("align_metric", radii=[1.0, 0.5, 0.5])
+        assert not rec["x_intersection_nonempty"]
+
+    def test_x_intersection_found_away_from_common_point(self):
+        # the grown balls miss the record's common point, yet all three hold
+        # (0, -2.83), so the search must find some common point
+        r = np.array([math.sqrt(6), 2 - SQ2, math.sqrt(6) - math.sqrt(3)]) + [1, -0.1, 1]
+        xs = np.array([[0.0, 0.0], [0.0, -2 * SQ2], [-1.0, -2 * SQ2]])
+        common = np.array([1 - SQ2, -(1 + SQ2)])
+        assert np.linalg.norm(common - xs[1]) > r[1]
+        assert all(np.linalg.norm([0.0, -2.83] - x) < rv for x, rv in zip(xs, r))
+        assert verify_property_k("align_metric", radii=r)["x_intersection_nonempty"]
+
+    def test_x_intersection_of_overlapping_and_parted_balls(self):
+        # the lift example's x centers are sqrt(2) apart
+        rec = verify_property_k("lift_metric", radii=[0.70, 0.72])
+        assert rec["x_intersection_nonempty"]
+        rec = verify_property_k("lift_metric", radii=[0.70, 0.71])
         assert not rec["x_intersection_nonempty"]
 
     def test_unknown_example_rejected(self):
