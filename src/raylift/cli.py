@@ -20,7 +20,7 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .core import Field, Vector, _check_order, _gaussian, symop
+from .core import Field, Vector, _gaussian, symop
 from .frames import (
     FrameFileError,
     _vec_to_json,
@@ -53,16 +53,6 @@ EXIT_INDETERMINATE = 4
 EXIT_VIOLATION = 5
 
 
-def _parse_order(text: str) -> float:
-    """A norm order: a number >= 1, or 'inf'."""
-    try:
-        val = float(text)
-        _check_order(val)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number >= 1 or 'inf', got {text!r}")
-    return val
-
-
 def _flag_type(kind, valid, expected: str):
     """An argparse type: ``kind(text)`` when ``valid`` accepts it, else a
     usage error saying what was expected."""
@@ -79,16 +69,11 @@ def _flag_type(kind, valid, expected: str):
 
 _parse_count = _flag_type(int, lambda v: v >= 1, "a positive integer")
 _parse_tol = _flag_type(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
-
-
-def _parse_dims(text: str):
-    try:
-        dims = tuple(int(t) for t in text.split(",") if t)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not dims or any(d < 2 for d in dims):
-        raise argparse.ArgumentTypeError("dims must be integers >= 2")
-    return dims
+# a norm order; NaN fails the comparison
+_parse_order = _flag_type(float, lambda v: v >= 1, "a number >= 1 or 'inf'")
+_parse_dims = _flag_type(lambda text: tuple(int(t) for t in text.split(",") if t),
+                         lambda dims: bool(dims) and min(dims) >= 2,
+                         "comma-separated integers >= 2")
 
 
 def build_parser() -> argparse.ArgumentParser:

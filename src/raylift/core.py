@@ -1,8 +1,10 @@
 """Field-generic vectors, self-adjoint operators, spectral decompositions and
 Schatten norms. Everything here is immutable after construction and pure, so
 values are safe to share across threads. A value owns the array its
-constructor converted: fresh and read-only, never the caller's array, and
-copied once."""
+constructor converted: fresh, C-ordered and read-only, never the caller's
+array, and copied once. C order keeps the last axis contiguous, so a complex
+array's float64 view, the real layout of C^n (each entry's real part, then
+its imaginary part), is always a view."""
 
 from __future__ import annotations
 
@@ -64,9 +66,9 @@ def _as_field_array(data, field: Field, ndim: int, name: str) -> np.ndarray:
     if field is Field.REAL:
         if np.iscomplexobj(a) and np.any(a.imag != 0):
             raise ValueError(f"{name} tagged real but has nonzero imaginary part")
-        a = a.real.astype(np.float64)
+        a = a.real.astype(np.float64, order="C")
     else:
-        a = a.astype(np.complex128)
+        a = a.astype(np.complex128, order="C")
     if not np.isfinite(a).all():  # complex: finite when both parts are
         raise ValueError(f"{name} has non-finite entries")
     a.setflags(write=False)  # astype copied, so the array is ours to freeze
@@ -178,40 +180,30 @@ def _gaussian(rng: np.random.Generator, shape, field: Field) -> np.ndarray:
     return a
 
 
-def _to_real(z: np.ndarray) -> np.ndarray:
-    """Real coordinates along the last axis: a real vector as it is, a
-    complex one as its real parts followed by its imaginary parts."""
-    return np.concatenate([z.real, z.imag], axis=-1) if np.iscomplexobj(z) else z
+_LBFGS_MAX_ITERS = 15000  # ``_lbfgs``'s cap on iterations
 
 
-def _to_complex(r: np.ndarray, field: Field = Field.COMPLEX) -> np.ndarray:
-    """The vectors of ``field`` whose real coordinates ``_to_real`` gives as r."""
-    n = r.shape[-1] // 2
-    return r if field is Field.REAL else r[..., :n] + 1j * r[..., n:]
-
-
-def _lbfgs(fun, x0: np.ndarray, ftol: float = 1e-13, gtol: float = 1e-9,
-           maxiter: int = 15000):
+def _lbfgs(fun, x0: np.ndarray, ftol: float = 1e-13, gtol: float = 1e-9):
     """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) from x0 on fun / |fun(x0)|,
     ``fun`` giving (value, gradient), so that ``ftol`` and ``gtol`` carry no
     scale. Returns ``(x, value, nit, nfev, stop)``; ``nfev`` omits the start's
     evaluation and ``stop`` is ``stationary`` (largest scaled gradient entry
     <= gtol), ``rel_decrease`` (a step's decrease <= ftol * max(|value|,
-    |fun(x0)|)), ``max_iters`` or ``line_search``. The start itself comes back,
-    with its value, when that value is 0 or not finite (no search;
-    ``stationary``), when maxiter is 0, and when the search ends non-finite or
+    |fun(x0)|)), ``max_iters`` (15,000 iterations) or ``line_search``. The
+    start itself comes back, with its value, when that value is 0 or not
+    finite (no search; ``stationary``) and when the search ends non-finite or
     higher."""
     f0 = fun(x0)[0]
-    if maxiter == 0 or f0 == 0.0 or not math.isfinite(f0):
-        return x0, f0, 0, 0, "max_iters" if maxiter == 0 else "stationary"
+    if f0 == 0.0 or not math.isfinite(f0):
+        return x0, f0, 0, 0, "stationary"
     scale = abs(f0)
 
     def scaled(x):
         f, g = fun(x)
         return f / scale, g / scale
 
-    res = optimize.minimize(scaled, x0, jac=True, method="L-BFGS-B",
-                            options={"ftol": ftol, "gtol": gtol, "maxiter": maxiter})
+    opts = {"ftol": ftol, "gtol": gtol, "maxiter": _LBFGS_MAX_ITERS}
+    res = optimize.minimize(scaled, x0, jac=True, method="L-BFGS-B", options=opts)
     if res.status == 0:
         stop = "stationary" if np.max(np.abs(res.jac)) <= gtol else "rel_decrease"
     else:

@@ -162,6 +162,25 @@ def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (U.conj()[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
+def _phase_fill(S: np.ndarray, X: np.ndarray, weight: np.ndarray) -> None:
+    """Add weight w w^T in place to each matrix of a (k, d, d) stack S, with
+    w the unit float64 view of i x for the row x of a (k, n) complex stack:
+    the phase direction, along which |<x, f_k>|^2 does not change, so the
+    real forms of polish and of the a0 screen annihilate it. Nothing is
+    added for a real stack, which has no phase direction."""
+    if np.iscomplexobj(X):
+        w = (1j * X).view(np.float64)
+        w = w / np.sqrt(_row_dots(w, w))[:, None]
+        S += weight[:, None, None] * (w[:, :, None] * w[:, None, :])
+
+
+# rows x m x n entries per block of a stacked (k, m, n) product of the rows
+# with the frame vectors: the a0 screen (``probes._best_partners``) and
+# polish's Jacobian (``recover._polish_rows``) take at most this many rows
+# at a time, so a wide frame adds little to either's peak memory
+_STACK_ENTRIES = 2 ** 18
+
+
 def measure(F: Frame, x: Vector) -> Measurement:
     """Intensity measurements: entry k is |<x, f_k>|^2.
 
@@ -492,9 +511,9 @@ def dumps_json(obj) -> str:
 
 def _vec_to_json(entries: np.ndarray, field: Field) -> np.ndarray:
     """JSON form of a vector, or of a stack of them, as a float array:
-    numbers, or [re, im] pairs in the complex field."""
+    numbers, or [re, im] pairs in the complex field (the float64 view)."""
     if field is Field.COMPLEX:
-        return np.stack([entries.real, entries.imag], axis=-1)
+        return entries.view(np.float64).reshape(entries.shape + (2,))
     return entries
 
 

@@ -36,9 +36,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Field, Vector, _gaussian, _lbfgs, _to_complex, _to_real
-from .frames import (Frame, _conj_coeffs, _lifted_rows, _measure_stack, _row_dots,
-                     _sym_dim, sym_from_coords)
+from .core import Field, Vector, _gaussian, _lbfgs
+from .frames import (_STACK_ENTRIES, Frame, _conj_coeffs, _lifted_rows, _measure_stack,
+                     _phase_fill, _row_dots, _sym_dim, sym_from_coords)
 from .metrics import _align_dist_stack, _lift_dist_stack
 
 __all__ = [
@@ -123,23 +123,18 @@ def lower_lip_objective(F: Frame, u: np.ndarray, v: np.ndarray):
     return float(q[0]), float(den[0])
 
 
-# starts x m x n entries per best-partner chunk: bounds the (k, m, 2n)
-# stack, so a wide frame's screen adds little to its peak memory
-_STACK_ENTRIES = 2 ** 18
-
-
 def _best_partners(F: Frame, U: np.ndarray):
     """Each unit row u of a (k, n) stack's best partner: the unit v that
     minimises Q(u, v), with that minimum. Returns (values, V).
 
-    Q(u, .) is the quadratic form S = L^T L in the real coordinates of v,
-    with L the rows a_k f_k (a = conj(F) u) in the real field, where S =
-    F^T diag(a^2) F, and [Re(a_k f_k), Im(a_k f_k)] in the complex one, so
-    the partner is S's smallest eigenvector. In the complex field Q(u, v + t iu) = Q(u, v):
-    S annihilates the unit coordinates w of iu, and adding trace(S) w w^T
-    moves that eigenvalue to the top, so the partner lies in w's orthogonal
-    complement, where the denominator is 1. The starts go through one
-    stacked ``eigh`` per chunk of at most ``_STACK_ENTRIES`` / (m n) rows.
+    Q(u, .) is the quadratic form S = L^T L in the real coordinates of v
+    (the float64 view, in both fields), with L the float64 view of the rows
+    a_k f_k (a = conj(F) u), so the partner is S's smallest eigenvector. In
+    the complex field Q(u, v + t iu) = Q(u, v): S annihilates the unit view
+    w of iu, and adding trace(S) w w^T (``frames._phase_fill``) moves that
+    eigenvalue to the top, so the partner lies in w's orthogonal complement,
+    where the denominator is 1. The starts go through one stacked ``eigh``
+    per chunk of at most ``_STACK_ENTRIES`` / (m n) rows.
     """
     fs = F.synthesis
     step = max(1, _STACK_ENTRIES // fs.size)
@@ -147,17 +142,13 @@ def _best_partners(F: Frame, U: np.ndarray):
     for i in range(0, len(U), step):
         u = U[i:i + step]
         a = _conj_coeffs(F, u).conj()
-        if F.field is Field.REAL:
-            S = (fs * (a * a)[:, :, None]).transpose(0, 2, 1) @ fs
-        else:
-            L = _to_real(a[:, :, None] * fs)
-            S = L.transpose(0, 2, 1) @ L
-            w = _to_real(1j * u)
-            S += np.trace(S, axis1=1, axis2=2)[:, None, None] * (w[:, :, None] * w[:, None, :])
+        L = (a[:, :, None] * fs).view(np.float64)
+        S = L.transpose(0, 2, 1) @ L
+        _phase_fill(S, u, np.trace(S, axis1=1, axis2=2))
         lam, X = np.linalg.eigh(S)
         vals.append(lam[:, 0])
         vecs.append(X[:, :, 0])
-    return np.concatenate(vals), _to_complex(np.concatenate(vecs), F.field)
+    return np.concatenate(vals), np.concatenate(vecs).view(F.field.dtype)
 
 
 def _alternating_min(F: Frame, U0: np.ndarray):
@@ -169,22 +160,18 @@ def _alternating_min(F: Frame, U0: np.ndarray):
     return vals, U, V
 
 
-def _unpack_pair(F: Frame, rz: np.ndarray):
-    """The packed real coordinates of a pair (u, v) as a (2, 1, n) stack."""
-    return _to_complex(rz.reshape(2, 1, -1), F.field)
-
-
 def _ratio_and_grad(F: Frame, rz: np.ndarray):
-    """The stability ratio Q/den at a packed pair and its gradient in the
-    packed real coordinates, from the one-row call of ``_lower_lip_terms``;
-    (inf, 0) where the denominator degenerates."""
-    u, v = _unpack_pair(F, rz)
+    """The stability ratio Q/den at a pair (u, v) packed as the float64 view
+    of their concatenation, and its gradient in those coordinates, from the
+    one-row call of ``_lower_lip_terms``; (inf, 0) where the denominator
+    degenerates."""
+    u, v = rz.view(F.field.dtype).reshape(2, 1, -1)
     q, den, nn, DQ, Dden = _lower_lip_terms(F, u, v)
     d = den[0]
     if d <= _DEN_CUTOFF * max(nn[0], 1e-30):
         return math.inf, np.zeros_like(rz)
     r = q[0] / d
-    return float(r), _to_real(2.0 * (DQ - r * Dden) / d).ravel()
+    return float(r), (2.0 * (DQ - r * Dden) / d).view(np.float64).ravel()
 
 
 def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
@@ -195,10 +182,10 @@ def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
 
     Returns (value, u, v, iterations, evaluations, stop); the start comes
     back as given whenever ``_lbfgs`` keeps it."""
-    x0 = np.concatenate([_to_real(u), _to_real(v)])
+    x0 = np.concatenate([u, v]).view(np.float64)
     x, value, nit, nfev, stop = _lbfgs(lambda rz: _ratio_and_grad(F, rz), x0)
     if x is not x0:
-        u, v = _unpack_pair(F, x)[:, 0]
+        u, v = x.view(F.field.dtype).reshape(2, -1)
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
     return value, u, v, nit, nfev, stop
 
@@ -302,16 +289,16 @@ def _quartic_terms(F: Frame, U: np.ndarray):
 
 
 def _neg_quartic_and_grad(F: Frame, rz: np.ndarray):
-    """Minus sum_k |<u, f_k>|^4 / ||u||^4 at the packed real coordinates of
-    u, and minus its gradient there, 4 (G - value ||u||^2 u) / ||u||^4, from
-    the one-row call of ``_quartic_terms``: what ``estimate_upper_lip``
-    minimises."""
-    u = _to_complex(rz, F.field)
+    """Minus sum_k |<u, f_k>|^4 / ||u||^4 at the real coordinates rz of u
+    (its float64 view), and minus its gradient there, 4 (G - value ||u||^2
+    u) / ||u||^4, from the one-row call of ``_quartic_terms``: what
+    ``estimate_upper_lip`` minimises."""
+    u = rz.view(F.field.dtype)
     q, G = _quartic_terms(F, u[None])
     n2 = float(np.vdot(u, u).real)
     value = q[0] / (n2 * n2)
     g = 4.0 * (G[0] - value * n2 * u) / (n2 * n2)
-    return -float(value), -_to_real(g)
+    return -float(value), -g.view(np.float64)
 
 
 def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
@@ -347,7 +334,7 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
         iterations += 1
         U = G / np.linalg.norm(G, axis=1, keepdims=True)
     i = int(np.argmax(vals))
-    refined = _lbfgs(lambda rz: _neg_quartic_and_grad(F, rz), _to_real(U[i]),
+    refined = _lbfgs(lambda rz: _neg_quartic_and_grad(F, rz), U[i].view(np.float64),
                      ftol=1e-15, gtol=1e-12)[1]
     return max(float(vals[i]), -refined), iterations
 

@@ -17,9 +17,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import Field, Vector, _check_order, _check_same
+from .core import Vector, _check_order, _check_same
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, min_norm_inverse
-from .frames import _conj_coeffs, _measure_stack, _row_dots, _vec_to_json
+from .frames import (_STACK_ENTRIES, _conj_coeffs, _measure_stack, _phase_fill, _row_dots,
+                     _vec_to_json)
 from .metrics import RayPoint, ray
 from .retraction import _retract_stack, retraction_bound
 
@@ -96,7 +97,6 @@ _FIT_FLOOR = 8 * _EPS
 _DECREASE_TOL = 1e-13  # an accepted step lowering h by at most this times h0 ends
 _DAMP_START = 1e-6  # the damping at the start, in units of H's mean eigenvalue
 _DAMP_CAP = 1e10  # damping above this without a decrease ends the row
-_POLISH_BLOCK = 8  # rows per stack, which bounds the (rows, m, d) Jacobian
 _STOPS = ("stationary", "rel_decrease", "line_search", "max_iters")
 _ACTIVE, (_STATIONARY, _REL_DECREASE, _LINE_SEARCH, _MAX_ITERS) = -1, range(4)
 
@@ -222,20 +222,18 @@ def _normal_eqs(F: Frame, X: np.ndarray, B: np.ndarray, R: np.ndarray):
     """The Gauss-Newton system of each row at x: ``(H, g, mu)`` with
     H = J^T J and g = J^T R for the Jacobian J of the misfits in the real
     coordinates of x, each entry's real part followed by its imaginary part
-    (the ``view`` of x as float64; row k of J is those of 2 <x, f_k> f_k),
-    and mu = trace(H) / d, the mean eigenvalue. In the complex field J
+    (the float64 view of x; row k of J is the view of 2 <x, f_k> f_k), and
+    mu = trace(H) / d, the mean eigenvalue. In the complex field J
     annihilates the phase direction i x, along which h does not change; H
-    gets mu along it, so it is definite, and g, orthogonal to i x, gives a
-    step without a phase component. Rows must be nonzero."""
+    gets mu along it (``frames._phase_fill``), so it is definite, and g,
+    orthogonal to i x, gives a step without a phase component. Rows must be
+    nonzero."""
     J = (B.conj()[:, :, None] * F.synthesis).view(np.float64)  # J / 2
     Jt = J.transpose(0, 2, 1)
     H = 4.0 * (Jt @ J)
     g = 2.0 * (Jt @ R[:, :, None])[:, :, 0]
     mu = np.trace(H, axis1=1, axis2=2) / H.shape[-1]
-    if F.field is Field.COMPLEX:
-        v = (1j * X).view(np.float64)
-        v = v / np.sqrt(_row_dots(v, v))[:, None]
-        H += mu[:, None, None] * (v[:, :, None] * v[:, None, :])
+    _phase_fill(H, X, mu)
     return H, g, mu
 
 
@@ -246,7 +244,7 @@ def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray, iters: int):
     stops)``: each row's last accepted iterate (its start when none was), h
     at the start, the accepted steps, the evaluations and the index of the
     stop rule in ``_STOPS``. The Jacobian stack is (k, m, d): callers pass
-    blocks of ``_POLISH_BLOCK`` rows."""
+    blocks of at most ``_STACK_ENTRIES`` / (m n) rows."""
     k = X.shape[0]
     X = X.copy()
     B, R, h = _fit_rows(F, C, X)
@@ -315,18 +313,19 @@ def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray, iters: int):
 
 def _polish_rows(F: Frame, C: np.ndarray, starts: list, iters: int):
     """Polish the ray ``starts[i]`` against row i of the (k, m) stack C, in
-    blocks of ``_POLISH_BLOCK`` rows. Returns ``(estimate, residual, stats)``
-    per row; a row keeps its start when no step was accepted, or when the
-    phase normalisation of the result leaves a larger residual than the
-    start has (possible only at roundoff level)."""
+    blocks of at most ``_STACK_ENTRIES`` / (m n) rows. Returns
+    ``(estimate, residual, stats)`` per row; a row keeps its start when no
+    step was accepted, or when the phase normalisation of the result leaves
+    a larger residual than the start has (possible only at roundoff level)."""
     if iters < 0:
         raise ValueError(f"iters must be >= 0, got {iters}")
     X0 = np.array([s.rep.entries for s in starts])
+    step = max(1, _STACK_ENTRIES // F.synthesis.size)
     out = []
-    for lo in range(0, len(starts), _POLISH_BLOCK):
-        Cb = C[lo:lo + _POLISH_BLOCK]
-        X, h, iterations, evaluations, stop = _polish_stack(F, Cb, X0[lo:lo + _POLISH_BLOCK], iters)
-        ests = starts[lo:lo + _POLISH_BLOCK]
+    for lo in range(0, len(starts), step):
+        Cb = C[lo:lo + step]
+        X, h, iterations, evaluations, stop = _polish_stack(F, Cb, X0[lo:lo + step], iters)
+        ests = starts[lo:lo + step]
         moved = np.flatnonzero(iterations)
         if moved.size:
             cand = [ray(Vector(X[i], F.field)) for i in moved]

@@ -125,6 +125,24 @@ class TestOrderFlag:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestFlagText:
+    @pytest.mark.parametrize("flag, value, text", [
+        ("--p", "0.5", "expected a number >= 1 or 'inf', got '0.5'"),
+        ("--p", "nan", "expected a number >= 1 or 'inf', got 'nan'"),
+        ("--dims", "1,3", "expected comma-separated integers >= 2, got '1,3'"),
+        ("--dims", "a", "expected comma-separated integers >= 2, got 'a'"),
+    ], ids=["p-half", "p-nan", "dims-1", "dims-a"])
+    def test_rejected_value_message(self, tmp_path, capsys, flag, value, text):
+        """Every value flag reports a rejected value by one rule: exit 2 and
+        the message ``argument FLAG: expected ..., got 'VALUE'``."""
+        argv = ["probe", "--what", "pi", "--dims", "2", "--samples", "10",
+                flag, value, "--report", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {flag}: {text}\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNumericFlags:
     @pytest.mark.parametrize("flag, argv", [
         ("--starts", ["check", "--frame", "{d}/f.json", "--starts", "0",

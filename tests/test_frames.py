@@ -19,11 +19,13 @@ from raylift import (
     Vector,
     amplitudes,
     build_lifted_map,
+    estimate_lower_lip,
     gen_frame,
     measure,
     min_norm_inverse,
     read_frame,
     read_measurements,
+    recover,
     sym_outer,
     vec,
     write_frame,
@@ -33,9 +35,11 @@ from raylift import (
 from raylift.cli import main as cli_main
 from raylift.frames import (
     LiftedMap,
+    _phase_fill,
     _sym_scatter,
     _triu_pairs,
     dumps_json,
+    frame_to_dict,
     sym_coords,
     sym_from_coords,
 )
@@ -89,6 +93,20 @@ class TestFrameType:
         a[0, 0] = 5.0
         assert F.synthesis[0, 0] == 1.0
 
+    def test_fortran_ordered_input(self, field):
+        """A Fortran-ordered synthesis matrix is stored C-ordered, so its
+        float64 view exists: it writes, screens and polishes as the
+        C-ordered frame does, bit for bit."""
+        F = _gauss(3, 12, field, seed=4)
+        G = Frame(np.asfortranarray(F.synthesis), field, label=F.label)
+        assert G.synthesis.flags.c_contiguous and G == F
+        assert dumps_json(frame_to_dict(G)) == dumps_json(frame_to_dict(F))
+        assert estimate_lower_lip(G, starts=4) == estimate_lower_lip(F, starts=4)
+        x = vec(random_vector(np.random.default_rng(4), 3, field is Field.COMPLEX), field)
+        c = measure(F, x).values * (1 + 0.05 * np.random.default_rng(5).standard_normal(12))
+        want = recover(F, c, do_polish=True).to_dict()
+        assert dumps_json(recover(G, c, do_polish=True).to_dict()) == dumps_json(want)
+
     def test_equality(self, tmp_path, field):
         F = _gauss(3, 7, field, seed=12)
         write_frame(tmp_path / "f.json", F)
@@ -118,6 +136,28 @@ class TestFrameType:
         assert built == []
         vec([1.0, 2.0])
         assert len(built) == 1
+
+
+class TestPhaseFill:
+    def test_real_stack_unchanged(self):
+        rng = np.random.default_rng(1)
+        S = rng.standard_normal((3, 4, 4))
+        want = S.copy()
+        _phase_fill(S, rng.standard_normal((3, 4)), np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(S, want)
+
+    def test_adds_weight_along_phase_direction(self):
+        """On a complex stack the fill is weight w w^T, w the unit float64
+        view of i x, which is orthogonal to the view of x."""
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        weight = np.array([1.0, 2.0, 3.0])
+        S = np.zeros((3, 8, 8))
+        _phase_fill(S, X, weight)
+        for Si, x, wt in zip(S, X, weight):
+            w = (1j * x).view(np.float64) / np.linalg.norm(x)
+            assert np.allclose(Si, wt * np.outer(w, w), rtol=0, atol=1e-15 * wt)
+            assert abs(x.view(np.float64) @ Si @ x.view(np.float64)) <= 1e-14 * wt
 
 
 class TestMeasure:

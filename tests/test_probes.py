@@ -229,12 +229,9 @@ class TestLowerLipRefinement:
         rdim = 2 * n if field is Field.REAL else 4 * n
 
         def ratio(rz):
-            # packed as (u, v), complex entries as (real parts, imag parts)
-            if field is Field.REAL:
-                u, v = rz[:n], rz[n:]
-            else:
-                u, v = rz[:n] + 1j * rz[n:2 * n], rz[2 * n:3 * n] + 1j * rz[3 * n:]
-            q, den = lower_lip_objective(F, u, v)
+            # packed as (u, v), complex entries as interleaved (re, im) pairs
+            z = rz if field is Field.REAL else rz[0::2] + 1j * rz[1::2]
+            q, den = lower_lip_objective(F, z[:n], z[n:])
             return q / den
 
         for _ in range(3):
@@ -245,6 +242,16 @@ class TestLowerLipRefinement:
             fd = np.array([(ratio(x + h * e) - ratio(x - h * e)) / (2 * h)
                            for e in np.eye(rdim)])
             assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    def test_ratio_at_packed_pair_is_objective_ratio(self, field):
+        """At the float64 view of the concatenated pair, the refined ratio
+        is ``lower_lip_objective``'s Q / den, bit for bit."""
+        F = gen_frame("random_gaussian", 4, 16, field, seed=3)
+        for s in range(4):
+            u, v = random_start(F, 7, s), random_start(F, 8, s)
+            q, den = lower_lip_objective(F, u, v)
+            value, _ = _ratio_and_grad(F, np.concatenate([u, v]).view(np.float64))
+            assert value == q / den
 
     def test_stack_rows_match_one_row_calls(self, field):
         """Row i of a stacked call of the a0 kernel is its one-row call, bit
@@ -322,15 +329,17 @@ class TestLowerLipRefinement:
             assert den == pytest.approx(1.0, rel=1e-12)
 
     def test_chunked_stack_matches_one_stack(self, monkeypatch, field):
+        """The screen gives each row the same bits in chunks of 1, 3 and 5
+        rows as in one stack of 7."""
         F = gen_frame("random_gaussian", 4, 16, field, seed=3)
         U = np.stack([random_start(F, 1, s) for s in range(7)])
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         vals, V = _best_partners(F, U)
-        # 3 rows per chunk: chunks of 3, 3 and 1
-        monkeypatch.setattr(probes_mod, "_STACK_ENTRIES", 3 * F.synthesis.size)
-        cvals, cV = _best_partners(F, U)
-        assert np.allclose(cvals, vals, rtol=1e-12, atol=0)
-        q = probes_mod._lower_lip_terms(F, U, cV)[0]
+        for rows in (1, 3, 5):
+            monkeypatch.setattr(probes_mod, "_STACK_ENTRIES", rows * F.synthesis.size)
+            cvals, cV = _best_partners(F, U)
+            assert np.array_equal(cvals, vals) and np.array_equal(cV, V)
+        q = probes_mod._lower_lip_terms(F, U, V)[0]
         assert np.allclose(q, vals, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("starts", [1, 5, 64])
@@ -428,8 +437,8 @@ class TestUpperLipExact:
         rdim = n if field is Field.REAL else 2 * n
 
         def quartic(rz):
-            # packed as real parts, then imaginary parts in the complex field
-            u = rz if field is Field.REAL else rz[:n] + 1j * rz[n:]
+            # interleaved (re, im) pairs in the complex field
+            u = rz if field is Field.REAL else rz[0::2] + 1j * rz[1::2]
             c = measure(F, Vector(u, field)).values
             return float(c @ c) / float(np.vdot(u, u).real) ** 2
 

@@ -497,7 +497,7 @@ class TestPolishDescent:
         errs = [lift_dist(est, ray(x), 2) / x.norm() ** 2 for (est, _, _), x in zip(out, X)]
         assert sum(e <= 1e-10 for e in errs) >= 39
 
-    def test_stack_rows_are_independent(self, field):
+    def test_stack_rows_are_independent(self, monkeypatch, field):
         """Polishing rows as one stack gives each row what polishing it
         alone gives: an exact-fit row, a zero start, a zero row, noisy rows
         and a noisy row started a hundred times too short, whose first
@@ -515,7 +515,8 @@ class TestPolishDescent:
         starts += [recover(F, c, lifted=M).estimate for c in C[2:-1]]
         starts.append(ray(vec(0.01 * random_vector(rng, n, field is Field.COMPLEX), field)))
         C = np.array(C)
-        assert len(C) > recover_mod._POLISH_BLOCK
+        # 3 rows per block: the 12 rows take four blocks
+        monkeypatch.setattr(recover_mod, "_STACK_ENTRIES", 3 * F.synthesis.size)
         stacked = recover_mod._polish_rows(F, C, starts, 200)
         stops = set()
         for c, start, (est, res, stats) in zip(C, starts, stacked):
