@@ -8,6 +8,7 @@ are bit exact.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -116,22 +117,29 @@ class Frame:
 @dataclass(frozen=True)
 class Measurement:
     """A real measurement vector; genuine intensities are nonnegative but
-    noisy inputs may dip below zero."""
+    noisy inputs may dip below zero. The values are a finite 1-dimensional
+    real array: complex input with a nonzero imaginary part is refused, not
+    cast."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.values, dtype=np.float64)  # a copy, owned from here on
-        if a.ndim != 1:
-            raise ValueError(f"measurement must be 1-dimensional, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("measurement has non-finite entries")
-        a.setflags(write=False)
+        a = _as_field_array(self.values, Field.REAL, 1, "measurement")
         object.__setattr__(self, "values", a)
 
     @property
     def count(self) -> int:
         return self.values.shape[0]
+
+
+def _measurement(c: Union[Measurement, np.ndarray], count: int) -> Measurement:
+    """``c`` as a Measurement of ``count`` entries: the rule for every
+    measurement argument of the inversion API."""
+    if not isinstance(c, Measurement):
+        c = Measurement(c)
+    if c.count != count:
+        raise ValueError(f"measurement count {c.count} does not match frame count {count}")
+    return c
 
 
 def _measure_stack(F: Frame, x: np.ndarray) -> np.ndarray:
@@ -230,18 +238,18 @@ def sym_coords(M: np.ndarray, field: Field) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def sym_from_coords(c: np.ndarray, n: int, field: Field) -> np.ndarray:
+def sym_from_coords(t: np.ndarray, n: int, field: Field) -> np.ndarray:
     """Inverse of sym_coords for a single coordinate vector."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.shape != (_sym_dim(n, field),):
-        raise ValueError(f"expected {_sym_dim(n, field)} coordinates, got shape {c.shape}")
+    t = np.asarray(t, dtype=np.float64)
+    if t.shape != (_sym_dim(n, field),):
+        raise ValueError(f"expected {_sym_dim(n, field)} coordinates, got shape {t.shape}")
     k = n * (n - 1) // 2
-    off = c[n : n + k] / _SQRT2
+    off = t[n : n + k] / _SQRT2
     if field is Field.COMPLEX:
-        off = off + 1j * (c[n + k :] / _SQRT2)
+        off = off + 1j * (t[n + k :] / _SQRT2)
     # every entry is written once, so the matrix starts empty, not zeroed
     M = np.empty(n * n, dtype=field.dtype)
-    M[_sym_scatter(n)] = np.concatenate([c[:n], off, np.conj(off)])
+    M[_sym_scatter(n)] = np.concatenate([t[:n], off, np.conj(off)])
     return M.reshape(n, n)
 
 
@@ -388,9 +396,7 @@ def min_norm_inverse(M: LiftedMap, c: Union[Measurement, np.ndarray]) -> SymOp:
     pseudoinverse V_r S_r^-1 (U_r^T c). Linear in c; exact on the
     measurement range whenever M has full column rank.
     """
-    values = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
-    if values.shape != (M.rows,):
-        raise ValueError(f"measurement count {values.shape} does not match m={M.rows}")
+    values = _measurement(c, M.rows).values
     if M._right is None:
         # the factor goes to BLAS in its own Fortran order: f2py would copy
         # a C-ordered one on every call. The flags are positional (incx,
@@ -517,53 +523,44 @@ def _vec_to_json(entries: np.ndarray, field: Field) -> np.ndarray:
     return entries
 
 
-def _entry_error(e, where: str) -> Optional[str]:
-    """Why a parsed JSON leaf is not a finite number, or None if it is."""
-    if not isinstance(e, (int, float)) or isinstance(e, bool):
-        return f"{where}: expected number, got {e!r}"
-    try:
-        finite = math.isfinite(e)
-    except OverflowError:
-        finite = False
-    return None if finite else f"{where}: expected a finite number, got {e!r}"
-
-
-def _bulk_numbers(nested: list, shape: tuple) -> Optional[np.ndarray]:
+def _numbers(nested, shape: tuple, where: str, wants: tuple) -> np.ndarray:
     """``nested``, as ``json.loads`` returns it, as a float64 array of
-    ``shape``; None unless every container is a list of the length ``shape``
-    wants and every leaf a finite int or float (no bool). The checks walk
-    the levels, then the flattened leaves convert in one ``np.array`` call,
-    with the bits that one call on the nested lists gives."""
+    ``shape``: every container at depth i a list of length ``shape[i]`` and
+    every leaf a finite int or float (no bool). The checks walk the levels,
+    then the flattened leaves convert in one ``np.array`` call, with the bits
+    that one call on the nested lists gives. Otherwise a ``FrameFileError``
+    names the first bad entry in row order, at ``where`` and its indices:
+    ``wants[i]``, formatted with the entry, says what depth i expected."""
     level = [nested]
     for d in shape:
         if set(map(type, level)) - {list} or set(map(len, level)) - {d}:
-            return None
+            break
         level = list(itertools.chain.from_iterable(level))
-    if set(map(type, level)) - {int, float}:
-        return None
-    try:
-        a = np.array(level, dtype=np.float64)
-    except OverflowError:  # an int beyond the float range
-        return None
-    return a.reshape(shape) if np.isfinite(a).all() else None
+    else:
+        with contextlib.suppress(OverflowError):  # an int beyond the float range
+            if not set(map(type, level)) - {int, float}:
+                a = np.array(level, dtype=np.float64)
+                if np.isfinite(a).all():
+                    return a.reshape(shape)
 
+    def walk(e, at: str, depth: int) -> None:
+        if depth < len(shape):
+            if type(e) is not list or len(e) != shape[depth]:
+                raise FrameFileError(f"{at}: " + wants[depth].format(e))
+            for i, x in enumerate(e):
+                walk(x, f"{at}[{i}]", depth + 1)
+            return
+        if type(e) not in (int, float):  # not isinstance: that admits bool
+            raise FrameFileError(f"{at}: expected number, got {e!r}")
+        try:
+            finite = math.isfinite(e)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise FrameFileError(f"{at}: expected a finite number, got {e!r}")
 
-def _frame_entries_error(rows: list, dim: int, field: Field, where: str) -> str:
-    """The first entry of a frame's vectors that is not well formed."""
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            return f"{where}.vectors[{i}]: expected {dim} entries"
-        for j, e in enumerate(row):
-            at = f"{where}.vectors[{i}][{j}]"
-            if field is Field.COMPLEX:
-                if not (isinstance(e, list) and len(e) == 2):
-                    return f"{at}: expected [re, im] pair, got {e!r}"
-                err = _entry_error(e[0], f"{at}[0]") or _entry_error(e[1], f"{at}[1]")
-            else:
-                err = _entry_error(e, at)
-            if err:
-                return err
-    return f"{where}.vectors: malformed entries"
+    walk(nested, where, 0)
+    raise AssertionError("the fast path refused what the walk accepts")
 
 
 def frame_to_dict(F: Frame) -> dict:
@@ -592,13 +589,12 @@ def frame_from_dict(
     # type, not isinstance: JSON true and false parse to bool, a subclass of int
     if type(dim) is not int or type(count) is not int:
         raise FrameFileError(f"{where}: dim and count must be integers")
-    rows = doc["vectors"]
-    if not isinstance(rows, list) or len(rows) != count:
-        raise FrameFileError(f"{where}.vectors: expected {count} vectors")
+    if dim < 0 or count < 0:  # a negative length would pass as numpy's "infer"
+        raise FrameFileError(f"{where}: dim and count must be nonnegative, got {dim} and {count}")
     shape = (count, dim, 2) if field is Field.COMPLEX else (count, dim)
-    a = _bulk_numbers(rows, shape)
-    if a is None:
-        raise FrameFileError(_frame_entries_error(rows, dim, field, where))
+    wants = (f"expected {count} vectors", f"expected {dim} entries",
+             "expected [re, im] pair, got {!r}")
+    a = _numbers(doc["vectors"], shape, f"{where}.vectors", wants)
     if field is Field.COMPLEX:
         # the bits of each (re, im) pair, signed zeros included
         a = a.view(np.complex128)[..., 0]
@@ -665,14 +661,6 @@ def read_measurements(path) -> list:
     if not isinstance(values, list) or not values:
         raise FrameFileError(f"{path}.values: expected a nonempty list")
     rows = values if isinstance(values[0], list) else [values]
-    a = _bulk_numbers(rows, (len(rows), count))
-    if a is None:
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != count:
-                raise FrameFileError(f"{path}.values[{i}]: expected {count} numbers")
-            for j, e in enumerate(row):
-                err = _entry_error(e, f"{path}.values[{i}][{j}]")
-                if err:
-                    raise FrameFileError(err)
-        raise FrameFileError(f"{path}.values: malformed entries")
+    wants = ("expected a nonempty list", f"expected {count} numbers")
+    a = _numbers(rows, (len(rows), count), f"{path}.values", wants)
     return [Measurement(row) for row in a]

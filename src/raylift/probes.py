@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Field, Vector, _gaussian, _lbfgs
+from .core import Field, Vector, _as_field_array, _gaussian, _lbfgs
 from .frames import (_STACK_ENTRIES, Frame, _conj_coeffs, _lifted_rows, _measure_stack,
                      _phase_fill, _row_dots, _sym_dim, sym_from_coords)
 from .metrics import _align_dist_stack, _lift_dist_stack
@@ -527,16 +527,20 @@ def verify_property_k(which: str, radii: Optional[Sequence[float]] = None) -> di
     ``x_intersection_nonempty`` holds when the record's common point, or one
     found by search, lies within 1e-12 of every Euclidean ball.
     ``radii`` overrides the radii of both families of balls (used to
-    sanity-check the certifier). ``located_min`` is the smallest ball deficit
-    max_i (d(z, y_i) - r_i) that the certifier evaluated: an upper bound on
-    the minimum over rays z, which is above 1e-6 whenever
-    ``y_intersection_empty`` holds.
+    sanity-check the certifier): one finite radius per ball, or ValueError.
+    ``located_min`` is the smallest ball deficit max_i (d(z, y_i) - r_i)
+    that the certifier evaluated: an upper bound on the minimum over rays
+    z, which is above 1e-6 whenever ``y_intersection_empty`` holds.
     """
     if which not in _PROPERTY_K:
         raise ValueError(f"unknown example {which!r}; options: {', '.join(_PROPERTY_K)}")
     ex = _PROPERTY_K[which]
     ys, xs, dist = ex["y"], ex["x"], ex["dist"]
-    rs = ex["r"] if radii is None else np.asarray(radii, dtype=float)
+    rs = ex["r"]
+    if radii is not None:
+        rs = _as_field_array(radii, Field.REAL, 1, "radii")
+        if rs.shape != ex["r"].shape:
+            raise ValueError(f"radii: expected {len(ex['r'])} entries, got {len(rs)}")
     tol = 1e-12
     distances_ok = all(
         abs(dist(ys[i][None], ys[j])[0] - want) <= tol

@@ -19,8 +19,8 @@ import numpy as np
 
 from .core import Vector, _check_order, _check_same
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, min_norm_inverse
-from .frames import (_STACK_ENTRIES, _conj_coeffs, _measure_stack, _phase_fill, _row_dots,
-                     _vec_to_json)
+from .frames import (_STACK_ENTRIES, _conj_coeffs, _measure_stack, _measurement, _phase_fill,
+                     _row_dots, _vec_to_json)
 from .metrics import RayPoint, ray
 from .retraction import _retract_stack, retraction_bound
 
@@ -118,11 +118,8 @@ def recover(
     The retraction and the un-lift read the same top eigenpair, so one
     ``eigh`` serves both: the estimate is the ray of sqrt(lam1 - lam2) u1.
     """
-    if not isinstance(c, Measurement):
-        c = Measurement(np.asarray(c, dtype=np.float64))
+    c = _measurement(c, F.count)
     M = lifted if lifted is not None else build_lifted_map(F)
-    if c.count != M.rows:
-        raise ValueError(f"measurement count {c.count} does not match frame count {M.rows}")
     T = min_norm_inverse(M, c)
     coef, vecs, top, _ = _retract_stack(T.entries[None], group_tol)
     coef = float(coef[0])
@@ -186,8 +183,8 @@ def recovery_lip_bound(
     pipeline = measurement * (1.0 / sigma) * retraction * metric
     theory = None
     if a0 is not None:
-        if a0 <= 0:
-            raise ValueError(f"a0 must be positive, got {a0}")
+        if not 0 < a0 < math.inf:
+            raise ValueError(f"a0 must be positive and finite, got {a0}")
         theory = measurement * (1.0 / math.sqrt(a0)) * retraction * metric
     return LipBound(
         pipeline=pipeline,
@@ -384,7 +381,4 @@ def polish(
     (possible only at roundoff level).
     """
     _check_same(F, x0.rep)
-    vals = c.values if isinstance(c, Measurement) else np.asarray(c, dtype=np.float64)
-    if vals.shape != (F.count,):
-        raise ValueError("measurement count does not match frame")
-    return _polish_rows(F, vals[None], [x0], iters)[0][0]
+    return _polish_rows(F, _measurement(c, F.count).values[None], [x0], iters)[0][0]

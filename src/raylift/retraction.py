@@ -203,6 +203,10 @@ def retraction_probe(
     """
     for p in ps:
         _check_order(p)
+    # the adversarial samplers split n_adversarial, the gap sampler taking
+    # the odd pair
+    half = n_adversarial // 2
+    totals = {"random": n_random, "gap": n_adversarial - half, "rank_one": half}
     combos = []
     violations = 0
     for pi, p in enumerate(ps):
@@ -211,7 +215,7 @@ def retraction_probe(
             for fi, field in enumerate(fields):
                 best = 0.0
                 for si, (sampler_name, sampler) in enumerate(_SAMPLERS):
-                    total = n_random if sampler_name == "random" else n_adversarial // 2
+                    total = totals[sampler_name]
                     done = 0
                     part = 0
                     while done < total:

@@ -587,6 +587,26 @@ _READER_CASES = [
      ".values[1][1]: expected number, got [2.0]"),
     ("rows-shallow", read_measurements, '{"count": 3, "values": [[1.0, 2.0, 3.0], 1.0]}',
      ".values[1]: expected 3 numbers"),
+    # two defects in one file: the first in row order is named, whether it
+    # is a bad leaf before a short row or a short row before a bad leaf
+    ("real-leaf-then-short", read_frame,
+     _frame_text("real", "[[1.0, null], [0.0], [0.5, 0.5]]"),
+     ".vectors[0][1]: expected number, got None"),
+    ("real-short-then-leaf", read_frame,
+     _frame_text("real", "[[1.0, 0.0], [0.0], [0.5, null]]"),
+     ".vectors[1]: expected 2 entries"),
+    ("complex-leaf-then-short", read_frame,
+     _frame_text("complex", "[[[1.0, 0.0], [0.0, true]], [[0.0, 0.0]], [[0.5, 0.5], [0.5, -0.5]]]"),
+     ".vectors[0][1][1]: expected number, got True"),
+    ("complex-short-then-leaf", read_frame,
+     _frame_text("complex", "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]], [[0.5, 0.5], [0.5, true]]]"),
+     ".vectors[1]: expected 2 entries"),
+    ("rows-leaf-then-short", read_measurements,
+     '{"count": 3, "values": [[1.0, "2", 3.0], [1.0, 2.0]]}',
+     ".values[0][1]: expected number, got '2'"),
+    ("rows-short-then-leaf", read_measurements,
+     '{"count": 3, "values": [[1.0, 2.0], [1.0, "2", 3.0]]}',
+     ".values[0]: expected 3 numbers"),
 ]
 
 
@@ -730,6 +750,15 @@ class TestFrameFileErrors:
         doc[key] = True
         p.write_text(json.dumps(doc))
         with pytest.raises(FrameFileError, match=r"f\.json: dim and count must be integers$"):
+            read_frame(p)
+
+    @pytest.mark.parametrize("dim,count", [(-1, 0), (2, -1)])
+    def test_negative_dim_or_count_rejected(self, tmp_path, dim, count):
+        # dim -1 with no vectors once escaped as numpy's reshape error
+        p = tmp_path / "f.json"
+        p.write_text(json.dumps({"field": "complex", "dim": dim, "count": count, "vectors": []}))
+        message = rf"f\.json: dim and count must be nonnegative, got {dim} and {count}$"
+        with pytest.raises(FrameFileError, match=message):
             read_frame(p)
 
     def test_bool_measurement_count_rejected(self, tmp_path):

@@ -650,6 +650,17 @@ class TestPropertyK:
         with pytest.raises(ValueError):
             verify_property_k("other")
 
+    @pytest.mark.parametrize("which,radii,message", [
+        ("align_metric", [10.0], r"^radii: expected 3 entries, got 1$"),
+        ("lift_metric", [0.5, 0.5, 0.5], r"^radii: expected 2 entries, got 3$"),
+        ("align_metric", [1.0, math.nan, 1.0], r"^radii has non-finite entries$"),
+        ("lift_metric", [math.inf, 0.5], r"^radii has non-finite entries$"),
+    ], ids=["short", "long", "nan", "inf"])
+    def test_radii_one_finite_per_ball(self, which, radii, message):
+        # a short list once checked only the balls it reached
+        with pytest.raises(ValueError, match=message):
+            verify_property_k(which, radii=radii)
+
 
 class TestCertifier:
     def test_positive_min_certified(self):

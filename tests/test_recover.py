@@ -180,6 +180,37 @@ class TestRecover:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
+# every measurement argument passes one rule, that of ``Measurement``
+_MEASUREMENT_TAKERS = {
+    "Measurement": lambda F, c: Measurement(c),
+    "recover": lambda F, c: recover(F, c),
+    "min_norm_inverse": lambda F, c: min_norm_inverse(build_lifted_map(F), c),
+    "polish": lambda F, c: polish(F, c, ray(vec(np.ones(F.dim)))),
+}
+
+
+class TestMeasurementArgument:
+    @pytest.mark.parametrize("bad,message", [
+        (1j, "measurement tagged real but has nonzero imaginary part"),
+        (math.nan, "measurement has non-finite entries"),
+    ], ids=["complex", "nan"])
+    @pytest.mark.parametrize("taker", sorted(_MEASUREMENT_TAKERS))
+    def test_bad_entry_refused(self, taker, bad, message):
+        """A complex c was cast to its real part, and polish returned its
+        start for a c with a NaN."""
+        F = _gauss(3, 12, Field.REAL, seed=1)
+        c = measure(F, vec([1.0, 2.0, 3.0])).values + np.where(np.arange(12) == 2, bad, 0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _MEASUREMENT_TAKERS[taker](F, c)
+
+    @pytest.mark.parametrize("taker", ["recover", "min_norm_inverse", "polish"])
+    def test_count_message(self, taker):
+        F = _gauss(3, 12, Field.REAL, seed=1)
+        with pytest.raises(ValueError,
+                           match=r"^measurement count 11 does not match frame count 12$"):
+            _MEASUREMENT_TAKERS[taker](F, np.ones(11))
+
+
 class TestStageDecomposition:
     def test_factored_chain(self, rng, field):
         """Output distances factor through the pseudoinverse stage: the
@@ -230,8 +261,10 @@ class TestLipBound:
         F = _gauss(2, 6, Field.REAL, seed=9)
         with pytest.raises(ValueError):
             recovery_lip_bound(F, 0.5, 1)
-        with pytest.raises(ValueError):
-            recovery_lip_bound(F, 2, 1, a0=0.0)
+        # a0 must be finite: nan once gave theory = nan and inf gave 0.0
+        for a0 in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^a0 must be positive and finite"):
+                recovery_lip_bound(F, 2, 1, a0=a0)
 
     def test_theory_none_without_a0(self):
         F = _gauss(2, 6, Field.REAL, seed=9)

@@ -196,6 +196,25 @@ class TestBatch:
         assert res["max_ratio_inf"] <= 5.0 + 1e-8
         assert all(c["max_ratio"] <= c["bound"] + 1e-8 for c in res["combos"])
 
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_probe_draws_the_pairs_it_reports(self, monkeypatch, n):
+        """The adversarial samplers draw ``samples_adversarial`` pairs in
+        all, the gap sampler taking the odd one."""
+        drawn = {}
+
+        def counting(name, sampler):
+            def counted(rng, k, dim, field):
+                drawn[name] = drawn.get(name, 0) + k
+                return sampler(rng, k, dim, field)
+            return name, counted
+
+        monkeypatch.setattr(retraction_mod, "_SAMPLERS",
+                            tuple(counting(*s) for s in _SAMPLERS))
+        res = retraction_probe(dims=(2,), fields=(Field.REAL,), ps=(2,), n_random=2,
+                               n_adversarial=n, seed=1)
+        assert drawn.get("gap", 0) + drawn.get("rank_one", 0) == res["samples_adversarial"] == n
+        assert drawn.get("gap", 0) == n - n // 2 and drawn["random"] == 2
+
     def test_probe_deterministic(self):
         r1 = retraction_probe(dims=(2,), ps=(2,), n_random=200, n_adversarial=400, seed=9)
         r2 = retraction_probe(dims=(2,), ps=(2,), n_random=200, n_adversarial=400, seed=9)
