@@ -68,7 +68,6 @@ def _flag_type(kind, valid, expected: str):
 
 
 _parse_count = _flag_type(int, lambda v: v >= 1, "a positive integer")
-_parse_tol = _flag_type(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 # a norm order; NaN fails the comparison
 _parse_order = _flag_type(float, lambda v: v >= 1, "a number >= 1 or 'inf'")
 _parse_dims = _flag_type(lambda text: tuple(int(t) for t in text.split(",") if t),
@@ -104,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--frame", required=True)
     r.add_argument("--measurements", required=True)
     r.add_argument("--polish", choices=["on", "off"], default="off")
-    r.add_argument("--group-tol", type=_parse_tol, default=None)
     r.add_argument("--out", required=True)
 
     p = sub.add_parser("probe", help="empirical Lipschitz probes and certifications")
@@ -241,7 +239,7 @@ def cmd_reconstruct(args) -> int:
             f"this frame and estimates may be wrong even without noise",
             file=sys.stderr,
         )
-    reps = (recover(F, row, group_tol=args.group_tol, lifted=lifted) for row in rows)
+    reps = (recover(F, row, lifted=lifted) for row in rows)
     if args.polish == "on":  # the rows' estimates polished as one stack
         reps = _polish_reports(F, np.array([row.values for row in rows]), list(reps))
     reports = [rep.to_dict() for rep in reps]

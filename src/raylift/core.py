@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -404,11 +403,15 @@ def weyl_gap(A: SymOp, B: SymOp) -> float:
 
 @dataclass(frozen=True)
 class RankOnePSD:
-    """A non-negative self-adjoint operator of rank at most one.
+    """A non-negative self-adjoint operator T = [x,x] of rank at most one,
+    checked once against the allowance max(rank_tol * top, rank_atol).
 
-    ``rank_tol`` is relative to max(1, top eigenvalue); ``rank_atol`` is an
-    absolute allowance needed by the spectral retraction, whose output near a
-    degenerate top eigenvalue is only rank-one up to the grouping tolerance.
+    Given a generator x, ||T - [x,x]||_F <= allow, with top = ||x||^2: by
+    Weyl's inequality that bounds every eigenvalue but the top. Without one,
+    one ``eigh`` checks the second and the smallest eigenvalue, and its top
+    pair gives the generator sqrt(lam1) u1 (zero when lam1 <= 0) in
+    ``eigh``'s phase. ``rank_atol`` admits the retraction's output near a
+    degenerate top eigenvalue, rank-one only up to the grouping tolerance.
     """
 
     carrier: SymOp
@@ -417,9 +420,19 @@ class RankOnePSD:
     rank_atol: float = 0.0
 
     def __post_init__(self):
-        w = np.linalg.eigvalsh(self.carrier.entries)
+        g = self.generator
+        if g is not None:
+            _check_same(g, self.carrier)
+            allow = max(self.rank_tol * g.norm() ** 2, self.rank_atol)
+            err = np.linalg.norm(self.carrier.entries - sym_outer(g, g).entries)
+            if err > allow:
+                raise RankOneViolation(
+                    f"generator does not reproduce carrier: ||T - [x,x]|| = {err:.3e}"
+                )
+            return
+        w, V = np.linalg.eigh(self.carrier.entries)
         top = float(w[-1]) if w.size else 0.0
-        allow = max(self.rank_tol * max(1.0, top), self.rank_atol)
+        allow = max(self.rank_tol * top, self.rank_atol)
         second = float(w[-2]) if w.size > 1 else 0.0
         bottom = float(w[0]) if w.size else 0.0
         if second > allow or bottom < -allow:
@@ -427,15 +440,8 @@ class RankOnePSD:
                 f"not rank-one PSD within tolerance {allow:.3e}: "
                 f"second eigenvalue {second:.3e}, smallest {bottom:.3e}"
             )
-        if self.generator is not None:
-            g = self.generator
-            _check_same(g, self.carrier)
-            ref = sym_outer(g, g).entries
-            err = np.linalg.norm(self.carrier.entries - ref)
-            if err > max(allow, 1e-10 * max(1.0, float(np.linalg.norm(ref)))):
-                raise RankOneViolation(
-                    f"generator does not reproduce carrier: ||T - [x,x]|| = {err:.3e}"
-                )
+        x = math.sqrt(top) * V[:, -1] if top > 0.0 else np.zeros(self.dim, self.field.dtype)
+        object.__setattr__(self, "generator", Vector(x, self.field))
 
     @property
     def dim(self) -> int:
@@ -444,10 +450,3 @@ class RankOnePSD:
     @property
     def field(self) -> Field:
         return self.carrier.field
-
-    @cached_property
-    def top_eigenpair(self):
-        """The top eigenvalue and a unit eigenvector of it, with the phase
-        ``np.linalg.eigh`` gives; ``unlift`` makes it canonical."""
-        w, V = np.linalg.eigh(self.carrier.entries)
-        return float(w[-1]), Vector(V[:, -1], self.field)

@@ -346,7 +346,8 @@ def build_lifted_map(F: Frame) -> LiftedMap:
       full column rank, and the inverse solves G t = A^T c through the
       factor. Solving the normal equations squares the condition number, so
       the gate keeps their relative error near eps * cond(A)^2 <~ 1e-10.
-    - SVD fallback, for rank-deficient and ill-conditioned frames: the thin
+    - SVD fallback, for rank-deficient and ill-conditioned frames, and at
+      once, without forming G, when A has fewer rows than columns: the thin
       SVD A = U S V^T, whose numerical rank r counts singular values above
       ``_PINV_TOL`` times the top; the inverse applies V_r S_r^-1 U_r^T.
 
@@ -359,16 +360,17 @@ def build_lifted_map(F: Frame) -> LiftedMap:
     """
     rows_t = _lifted_rows(F)
     rows = rows_t.T
-    # the product is exactly symmetric (numpy runs one syrk and copies its
-    # triangle), so its Fortran-ordered view is G, and LAPACK works in place
-    gram = (rows_t @ rows).T
-    anorm = lapack.dlange("1", gram)
-    gram, info = lapack.dpotrf(gram, overwrite_a=1)
-    if info == 0 and lapack.dpocon(gram, anorm)[0] > _CHOL_RCOND:
-        # R in the upper triangle, over the lower one that dpotrf's default
-        # clean=1 zeroed
-        rank, left, right = rows.shape[1], gram, None
-    else:
+    rank, left, right = rows.shape[1], None, None
+    # with fewer rows than columns, G has rank <= m < cols: no Cholesky factor
+    if rows.shape[0] >= rank:
+        # exactly symmetric (numpy runs one syrk and copies its triangle), so
+        # the product's Fortran-ordered view is G, and LAPACK works in place
+        gram = (rows_t @ rows).T
+        anorm = lapack.dlange("1", gram)
+        gram, info = lapack.dpotrf(gram, overwrite_a=1)
+        if info == 0 and lapack.dpocon(gram, anorm)[0] > _CHOL_RCOND:
+            left = gram  # R in the upper triangle; dpotrf's clean=1 zeroed the lower
+    if left is None:
         u, s, vt = np.linalg.svd(rows, full_matrices=False)
         rank = int(np.sum(s > _PINV_TOL * s[0]))
         left, right = vt[:rank].T / s[:rank], _freeze(u[:, :rank].T)

@@ -4,7 +4,6 @@ operators."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,9 +167,6 @@ def lift(x: RayPoint) -> RankOnePSD:
 
 
 def unlift(T: RankOnePSD) -> RayPoint:
-    """Inverse of the isometry: recover the ray of sqrt(lam1) * u1 from the
-    top eigenpair."""
-    lam1, u1 = T.top_eigenpair
-    if lam1 <= 0.0:
-        return ray(Vector(np.zeros(T.dim, dtype=T.field.dtype), T.field))
-    return ray(Vector(math.sqrt(lam1) * u1.entries, T.field))
+    """Inverse of the isometry: the ray of T's generator, which is
+    sqrt(lam1) u1 for T's top eigenpair; no eigensolve of its own."""
+    return ray(T.generator)

@@ -371,8 +371,8 @@ def pr_verdict(
     1e-12 * r while its (scale-free) denominator exceeds the threshold:
     estimates alone never condemn a frame; "indeterminate" otherwise.
     """
-    if threshold <= 0:
-        raise ValueError(f"threshold must be > 0, got {threshold}")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     est = estimate if estimate is not None else estimate_lower_lip(F, starts=starts, seed=seed)
     norms4 = float(np.sum(np.abs(F.synthesis) ** 2, axis=1).max()) ** 2
     if est.value >= threshold * norms4:

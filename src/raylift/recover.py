@@ -104,7 +104,6 @@ _ACTIVE, (_STATIONARY, _REL_DECREASE, _LINE_SEARCH, _MAX_ITERS) = -1, range(4)
 def recover(
     F: Frame,
     c: Union[Measurement, np.ndarray],
-    group_tol: Optional[float] = None,
     lifted: Optional[LiftedMap] = None,
     do_polish: bool = False,
 ) -> RecoveryReport:
@@ -121,7 +120,7 @@ def recover(
     c = _measurement(c, F.count)
     M = lifted if lifted is not None else build_lifted_map(F)
     T = min_norm_inverse(M, c)
-    coef, vecs, top, _ = _retract_stack(T.entries[None], group_tol)
+    coef, vecs, top, _ = _retract_stack(T.entries[None])
     coef = float(coef[0])
     x = math.sqrt(coef) * vecs[0, :, -1] if coef > 0.0 else np.zeros(F.dim, F.field.dtype)
     est = ray(Vector(x, F.field))

@@ -203,6 +203,9 @@ def retraction_probe(
     """
     for p in ps:
         _check_order(p)
+    if n_random < 0 or n_adversarial < 0:
+        raise ValueError(f"sample counts must be >= 0, got n_random={n_random}, "
+                         f"n_adversarial={n_adversarial}")
     # the adversarial samplers split n_adversarial, the gap sampler taking
     # the odd pair
     half = n_adversarial // 2

@@ -73,7 +73,7 @@ class TestParserReuse:
         reconstruct = ["reconstruct", "--frame", "{d}/f.json", "--measurements", "{d}/c.json",
                        "--out", "{d}/out.json"]
         argvs = [
-            reconstruct + ["--group-tol", "0.5"],
+            reconstruct + ["--polish", "on"],
             ["reconstruct", "--frame", "{d}/f.json", "--polish", "maybe", "--out", "{d}/x.json"],
             reconstruct,
             _COMMANDS["probe-pi"],
@@ -153,15 +153,10 @@ class TestNumericFlags:
                        "--report", "{d}/out.json"]),
         ("--samples", ["probe", "--what", "omega", "--dims", "2", "--samples", "-3",
                        "--report", "{d}/out.json"]),
-        ("--group-tol", ["reconstruct", "--frame", "{d}/f.json", "--measurements",
-                         "{d}/c.json", "--group-tol", "-1", "--out", "{d}/out.json"]),
-        ("--group-tol", ["reconstruct", "--frame", "{d}/f.json", "--measurements",
-                         "{d}/c.json", "--group-tol", "nan", "--out", "{d}/out.json"]),
-    ], ids=["check-starts-0", "bilipschitz-samples-0", "pi-samples-0", "omega-samples-neg",
-            "group-tol-neg", "group-tol-nan"])
+    ], ids=["check-starts-0", "bilipschitz-samples-0", "pi-samples-0", "omega-samples-neg"])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, flag, argv):
-        """A count below 1 or a negative or non-finite tolerance exits 2
-        before any work, naming the flag and writing nothing."""
+        """A count below 1 exits 2 before any work, naming the flag and
+        writing nothing."""
         _inputs(tmp_path)
         assert cli_main([a.format(d=tmp_path) for a in argv]) == 2
         assert flag in capsys.readouterr().err

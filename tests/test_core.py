@@ -14,10 +14,8 @@ from raylift import (
     align_dist,
     gen_frame,
     lift_dist,
-    measure,
     rank_one_retract,
     ray,
-    recover,
     recovery_lip_bound,
     retraction_bound,
     retraction_probe,
@@ -177,16 +175,10 @@ class TestSpectralDecompose:
         with pytest.raises(ValueError):
             spectral_decompose(_rand_symop(rng, 3, Field.REAL), group_tol=-1.0)
 
-    @pytest.mark.parametrize("call", ["spectral_decompose", "rank_one_retract", "recover"])
-    def test_nan_group_tol_rejected(self, rng, call):
+    @pytest.mark.parametrize("call", ["spectral_decompose", "rank_one_retract"])
+    def test_nan_group_tol_rejected(self, call):
         # NaN fails every comparison, so a `tol < 0` check let it through,
         # and it then merged every eigenvalue into one group
-        if call == "recover":
-            F = gen_frame("random_gaussian", 3, 9, Field.REAL, seed=1)
-            c = measure(F, Vector(rng.standard_normal(3), Field.REAL)).values
-            with pytest.raises(ValueError, match="group_tol"):
-                recover(F, c, group_tol=math.nan)
-            return
         fn = spectral_decompose if call == "spectral_decompose" else rank_one_retract
         with pytest.raises(ValueError, match="group_tol"):
             fn(SymOp(np.diag([1.0, 1.0, 0.5]), Field.REAL), group_tol=math.nan)
@@ -347,23 +339,51 @@ class TestRankOnePSD:
         assert t.dim == 4
 
     def test_rank_two_rejected(self):
-        with pytest.raises(RankOneViolation):
-            RankOnePSD(carrier=SymOp(np.diag([1.0, 1.0]), Field.REAL))
+        # the allowance scales with the top eigenvalue: diag(2e-11, 1e-11)
+        # passed under a floor of rank_tol * max(1, top)
+        for diag in ([1.0, 1.0], [2.0, 1.0], [2e-11, 1e-11]):
+            with pytest.raises(RankOneViolation, match="not rank-one PSD"):
+                RankOnePSD(carrier=SymOp(np.diag(diag), Field.REAL))
 
     def test_negative_rejected(self):
         with pytest.raises(RankOneViolation):
             RankOnePSD(carrier=SymOp(np.diag([1.0, -0.5]), Field.REAL))
 
     def test_bad_generator_rejected(self):
-        with pytest.raises(RankOneViolation):
-            RankOnePSD(
-                carrier=SymOp(np.diag([1.0, 0.0]), Field.REAL),
-                generator=vec([0.0, 1.0]),
-            )
+        # diag(1, 1) scaled by 1e-20 misses [x, x] for x = 1e-10 e1 by 1e-20,
+        # below the old floor of 1e-10 * max(1, ||[x, x]||)
+        for diag, x in (([1.0, 0.0], [0.0, 1.0]), ([1e-20, 1e-20], [1e-10, 0.0])):
+            with pytest.raises(RankOneViolation, match="generator does not reproduce carrier"):
+                RankOnePSD(carrier=SymOp(np.diag(diag), Field.REAL), generator=vec(x))
 
     def test_atol_admits_grouped_output(self):
         t = RankOnePSD(carrier=SymOp(np.diag([1e-9, 1e-9]), Field.REAL), rank_atol=1e-8)
-        assert t.top_eigenpair[0] == pytest.approx(1e-9)
+        assert t.generator.norm() ** 2 == pytest.approx(1e-9)
+
+    def test_generator_from_top_pair(self, rng, field):
+        """Without a generator, the top pair of the one ``eigh`` supplies
+        sqrt(lam1) u1, and zero when lam1 <= 0."""
+        x = vec(random_vector(rng, 4, field is Field.COMPLEX), field)
+        t = RankOnePSD(carrier=sym_outer(x, x))
+        w, V = np.linalg.eigh(sym_outer(x, x).entries)
+        assert np.array_equal(t.generator.entries, math.sqrt(w[-1]) * V[:, -1])
+        zero = RankOnePSD(carrier=SymOp(np.zeros((3, 3)), field))
+        assert zero.generator == Vector(np.zeros(3), field)
+
+    def test_scale_invariant(self, rng, field):
+        """``lift`` and ``rank_one_retract`` outputs pass at every scale,
+        from 1e-20 to 1e20."""
+        cplx = field is Field.COMPLEX
+        x = random_vector(rng, 4, cplx)
+        a = random_hermitian(rng, 4, cplx)
+        for e in range(-20, 21, 4):
+            s = 10.0 ** e
+            xs = vec(math.sqrt(s) * x, field)
+            RankOnePSD(carrier=sym_outer(xs, xs), generator=xs)
+            RankOnePSD(carrier=sym_outer(xs, xs))
+            t = rank_one_retract(SymOp(s * a, field))
+            RankOnePSD(carrier=t.carrier, generator=t.generator)
+            RankOnePSD(carrier=t.carrier)
 
 
 def _first_call_then(later):

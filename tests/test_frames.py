@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import tracemalloc
@@ -53,6 +54,9 @@ from oracles import (
     svd_min_norm,
     sym_from_coords_2d,
 )
+
+
+frames_mod = importlib.import_module("raylift.frames")
 
 
 def _gauss(dim, count, field, seed=0):
@@ -370,6 +374,20 @@ class TestLiftedRowsOracle:
 
     def test_ill_conditioned_fallback(self, rng, field):
         self._check(_near_duplicate_frame(field), rng)
+
+    @pytest.mark.parametrize("n, m", [(3, 5), (4, 9), (5, 14), (8, 32)])
+    def test_fewer_rows_than_columns_skip_gram(self, rng, monkeypatch, field, n, m):
+        """With m < cols, G = A^T A has rank <= m < cols, so the build goes
+        straight to the SVD: ``dpotrf`` never runs, and the factors are the
+        SVD path's."""
+        calls = []
+        dpotrf = frames_mod.lapack.dpotrf
+        monkeypatch.setattr(frames_mod.lapack, "dpotrf",
+                            lambda *args, **kwargs: calls.append(1) or dpotrf(*args, **kwargs))
+        F = _gauss(n, m, field, seed=n)
+        assert m < build_lifted_map(F).cols
+        self._check(F, rng)
+        assert calls == []
 
     def test_wide_frame(self, rng):
         self._check(_gauss(32, 2048, Field.COMPLEX, seed=1), rng)

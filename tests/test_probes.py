@@ -554,8 +554,10 @@ class TestVerdict:
         assert pr_verdict(F, starts=24) in ("not_retrievable", "indeterminate")
 
     def test_threshold_validated(self):
-        with pytest.raises(ValueError):
-            pr_verdict(_pr3(), threshold=0.0)
+        # nan and inf gave "indeterminate" where 1e-8 gives "retrievable"
+        for threshold in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="threshold must be positive and finite"):
+                pr_verdict(_pr3(), threshold=threshold)
 
     def test_scale_invariant(self):
         frames = [(_pr3(), 64), (_onb(), 64),

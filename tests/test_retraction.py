@@ -215,6 +215,14 @@ class TestBatch:
         assert drawn.get("gap", 0) + drawn.get("rank_one", 0) == res["samples_adversarial"] == n
         assert drawn.get("gap", 0) == n - n // 2 and drawn["random"] == 2
 
+    @pytest.mark.parametrize("n_random, n_adversarial", [(-5, -3), (-1, 4), (2, -1)])
+    def test_probe_refuses_negative_counts(self, n_random, n_adversarial):
+        """A negative count drew no pair and was reported as the count."""
+        with pytest.raises(ValueError, match=f"n_random={n_random}, "
+                                             f"n_adversarial={n_adversarial}"):
+            retraction_probe(dims=(2,), ps=(2,), n_random=n_random,
+                             n_adversarial=n_adversarial)
+
     def test_probe_deterministic(self):
         r1 = retraction_probe(dims=(2,), ps=(2,), n_random=200, n_adversarial=400, seed=9)
         r2 = retraction_probe(dims=(2,), ps=(2,), n_random=200, n_adversarial=400, seed=9)
