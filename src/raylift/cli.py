@@ -281,35 +281,38 @@ def _probe_pi(args):
     return result, held, csv
 
 
+def _probe_frames(args):
+    """For each n in --dims, a real then a complex Gaussian n^2 + n frame, seed --seed + n."""
+    return (gen_frame("random_gaussian", n, n * n + n, field, seed=args.seed + n)
+            for n in args.dims for field in (Field.REAL, Field.COMPLEX))
+
+
 def _probe_omega(args):
     checks = []
     violations = 0
     pq_pairs = ((2.0, 1.0), (2.0, 2.0), (math.inf, 1.0))
-    for dim in args.dims:
-        for field in (Field.REAL, Field.COMPLEX):
-            F = gen_frame("random_gaussian", dim, dim * dim + dim, field,
-                          seed=args.seed + dim)
-            lifted = build_lifted_map(F)
-            rng = np.random.default_rng([args.seed, dim, 0 if field is Field.REAL else 1])
-            bounds = [recovery_lip_bound(F, p, q, lifted=lifted).pipeline for p, q in pq_pairs]
-            for _ in range(args.samples):
-                x, xp = _gaussian(rng, (2, dim), field)
-                c = measure(F, Vector(x, field)).values
-                cp = measure(F, Vector(xp, field)).values
-                c = c + 0.05 * rng.standard_normal(c.shape) * max(1.0, float(np.max(c)))
-                cp = cp + 0.05 * rng.standard_normal(cp.shape) * max(1.0, float(np.max(cp)))
-                ra = recover(F, c, lifted=lifted).estimate
-                rb = recover(F, cp, lifted=lifted).estimate
-                for (p, q), bound in zip(pq_pairs, bounds):
-                    dq = lift_dist(ra, rb, q)
-                    dp = float(np.linalg.norm(c - cp, ord=p))
-                    ok = dq <= bound * dp + 1e-8
-                    violations += 0 if ok else 1
-                    checks.append({
-                        "dim": dim, "field": field.value,
-                        "p": "inf" if p == math.inf else p, "q": q,
-                        "dq": dq, "ceiling": bound * dp + 1e-8,
-                    })
+    for F in _probe_frames(args):
+        lifted = build_lifted_map(F)
+        rng = np.random.default_rng([args.seed, F.dim, 0 if F.field is Field.REAL else 1])
+        bounds = [recovery_lip_bound(F, p, q, lifted=lifted).pipeline for p, q in pq_pairs]
+        for _ in range(args.samples):
+            x, xp = _gaussian(rng, (2, F.dim), F.field)
+            c = measure(F, Vector(x, F.field)).values
+            cp = measure(F, Vector(xp, F.field)).values
+            c = c + 0.05 * rng.standard_normal(c.shape) * max(1.0, float(np.max(c)))
+            cp = cp + 0.05 * rng.standard_normal(cp.shape) * max(1.0, float(np.max(cp)))
+            ra = recover(F, c, lifted=lifted).estimate
+            rb = recover(F, cp, lifted=lifted).estimate
+            for (p, q), bound in zip(pq_pairs, bounds):
+                dq = lift_dist(ra, rb, q)
+                dp = float(np.linalg.norm(c - cp, ord=p))
+                ok = dq <= bound * dp + 1e-8
+                violations += 0 if ok else 1
+                checks.append({
+                    "dim": F.dim, "field": F.field.value,
+                    "p": "inf" if p == math.inf else p, "q": q,
+                    "dq": dq, "ceiling": bound * dp + 1e-8,
+                })
     result = {
         "checks": len(checks),
         "violations": violations,
@@ -325,25 +328,20 @@ def _probe_bilip(args):
     per_frame = []
     violations = 0
     all_rows = []
-    for dim in args.dims:
-        for field in (Field.REAL, Field.COMPLEX):
-            F = gen_frame("random_gaussian", dim, dim * dim + dim, field,
-                          seed=args.seed + dim)
-            est = estimate_lower_lip(F, starts=32, seed=args.seed)
-            res = probe_bilipschitz(F, samples=args.samples, seed=args.seed)
-            ok = res["min_ratio"] ** 2 >= est.value - 1e-6
-            violations += 0 if ok else 1
-            per_frame.append({
-                "frame_label": F.label,
-                "a0": est.value,
-                "min_ratio": res["min_ratio"],
-                "max_ratio": res["max_ratio"],
-                "kept": res["kept"],
-                "consistent": ok,
-            })
-            all_rows.extend(
-                (F.label, float(r)) for r in res["ratios"][:1000]
-            )
+    for F in _probe_frames(args):
+        est = estimate_lower_lip(F, starts=32, seed=args.seed)
+        res = probe_bilipschitz(F, samples=args.samples, seed=args.seed)
+        ok = res["min_ratio"] ** 2 >= est.value - 1e-6
+        violations += 0 if ok else 1
+        per_frame.append({
+            "frame_label": F.label,
+            "a0": est.value,
+            "min_ratio": res["min_ratio"],
+            "max_ratio": res["max_ratio"],
+            "kept": res["kept"],
+            "consistent": ok,
+        })
+        all_rows.extend((F.label, float(r)) for r in res["ratios"][:1000])
     result = {"frames": per_frame, "violations": violations}
     return result, violations == 0, ("frame_label,ratio", all_rows)
 

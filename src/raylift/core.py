@@ -58,7 +58,8 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _as_field_array(data, field: Field, ndim: int, name: str) -> np.ndarray:
+def _as_field_array(data, field: Field, ndim: int, name: str,
+                    length: Optional[int] = None) -> np.ndarray:
     a = np.asarray(data)
     if a.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got shape {a.shape}")
@@ -70,6 +71,8 @@ def _as_field_array(data, field: Field, ndim: int, name: str) -> np.ndarray:
         a = a.astype(np.complex128, order="C")
     if not np.isfinite(a).all():  # complex: finite when both parts are
         raise ValueError(f"{name} has non-finite entries")
+    if length is not None and a.shape[0] != length:
+        raise ValueError(f"{name}: expected {length} entries, got {a.shape[0]}")
     a.setflags(write=False)  # astype copied, so the array is ours to freeze
     return a
 

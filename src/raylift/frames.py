@@ -142,26 +142,22 @@ def _measurement(c: Union[Measurement, np.ndarray], count: int) -> Measurement:
     return c
 
 
-def _measure_stack(F: Frame, x: np.ndarray) -> np.ndarray:
-    """|<x, f_k>|^2 along the last axis, for one vector or a (k, n) stack."""
-    # conjugating x, not the m x n synthesis matrix, gives the same bits
-    return np.abs(x.conj() @ F.synthesis.T) ** 2
-
-
-# Each row of these stacked products rounds as it does alone, so row k of a
-# stack equals the one-row case at row k bit for bit. Use them where a row's
-# bits must not depend on the stack it came in: reported values, and the
-# a0 kernel, whose one-row calls refine what its stacked call screens. Use
-# one product for the whole stack (``_measure_stack``, the b0 ascent's
-# ``probes._quartic_terms``) where a fixed stack is only iterated or
-# sampled: a single gemm over 64 complex starts ran 2.4x (n=8, m=72) to
-# 3.4x (n=32, m=2048) faster than the per-row form (one BLAS thread, Xeon).
+# Rows round independently of their stack: row i is its one-row call bit for bit.
 
 def _conj_coeffs(F: Frame, X: np.ndarray) -> np.ndarray:
-    """conj(<x, f_k>) for each row x of a (k, n) stack, by one vector-matrix
-    product per row: the bits that ``measure`` and the reported residual
-    get from x alone, whatever the stack."""
+    """conj(<x, f_k>) for each row x of a (k, n) stack, one product per row."""
     return (X.conj()[:, None, :] @ F.synthesis.T)[:, 0, :]
+
+
+def _synthesize(F: Frame, W: np.ndarray) -> np.ndarray:
+    """F^T w = sum_k w_k f_k for each row w of a (k, m) stack, one product per row."""
+    return (W[:, None, :] @ F.synthesis)[:, 0, :]
+
+
+def _coeff_rows(F: Frame, B: np.ndarray) -> np.ndarray:
+    """The (k, m, d) float64 view of the rows <x, f_k> f_k, given B =
+    ``_conj_coeffs(F, X)``: the a0 screen's L and polish's J / 2."""
+    return (B.conj()[:, :, None] * F.synthesis).view(np.float64)
 
 
 def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -182,10 +178,9 @@ def _phase_fill(S: np.ndarray, X: np.ndarray, weight: np.ndarray) -> None:
         S += weight[:, None, None] * (w[:, :, None] * w[:, None, :])
 
 
-# rows x m x n entries per block of a stacked (k, m, n) product of the rows
-# with the frame vectors: the a0 screen (``probes._best_partners``) and
-# polish's Jacobian (``recover._polish_rows``) take at most this many rows
-# at a time, so a wide frame adds little to either's peak memory
+# rows x m x n entries per block of a ``_coeff_rows`` stack: the a0 screen and
+# polish's Jacobian take at most this many at a time, so a wide frame adds
+# little to either's peak memory
 _STACK_ENTRIES = 2 ** 18
 
 
@@ -195,7 +190,7 @@ def measure(F: Frame, x: Vector) -> Measurement:
     Invariant under multiplying x by any unimodular scalar.
     """
     _check_same(F, x)
-    return Measurement(_measure_stack(F, x.entries))
+    return Measurement(np.abs(_conj_coeffs(F, x.entries[None])[0]) ** 2)
 
 
 def amplitudes(F: Frame, x: Vector) -> Measurement:

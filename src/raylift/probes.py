@@ -22,10 +22,10 @@ screened by exact block minimization (``_best_partners``) are refined by
 
 The upper stability constant b0 is the maximum over unit u of
 sum_k |<u, f_k>|^4, found by a batched fixed-point ascent refined by
-``core._lbfgs``. The value is the quartic at a unit vector, so it is at most
-b0 up to the rounding of one evaluation of the quartic; the largest
-eigenvalue of the Gram matrix |<f_k, f_l>|^2, sigma_max(lifted map)^2,
-brackets it above.
+``core._lbfgs``. The value is the quartic at a unit vector, whose bits do not
+depend on the batch, so it is at most b0 up to the rounding of one
+evaluation; the largest eigenvalue of the Gram matrix |<f_k, f_l>|^2,
+sigma_max(lifted map)^2, brackets it above.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Field, Vector, _as_field_array, _gaussian, _lbfgs
-from .frames import (_STACK_ENTRIES, Frame, _conj_coeffs, _lifted_rows, _measure_stack,
-                     _phase_fill, _row_dots, _sym_dim, sym_from_coords)
+from .frames import (_STACK_ENTRIES, Frame, _coeff_rows, _conj_coeffs, _lifted_rows,
+                     _phase_fill, _row_dots, _sym_dim, _synthesize, sym_from_coords)
 from .metrics import _align_dist_stack, _lift_dist_stack
 
 __all__ = [
@@ -113,13 +113,15 @@ def _lower_lip_terms(F: Frame, U: np.ndarray, V: np.ndarray):
         isx = X2[::-1] * (s * 1j)[:, None]  # s (i v), s (i u)
         Dden[0] -= isx[0]
         Dden[1] += isx[1]
-    DQ = (t * A[::-1]).reshape(2 * k, 1, -1) @ F.synthesis
-    return _row_dots(t, t), den, nn, DQ[:, 0, :], Dden.reshape(2 * k, -1)
+    DQ = _synthesize(F, (t * A[::-1]).reshape(2 * k, -1))
+    return _row_dots(t, t), den, nn, DQ, Dden.reshape(2 * k, -1)
 
 
 def lower_lip_objective(F: Frame, u: np.ndarray, v: np.ndarray):
-    """Return (Q, denominator) of the stability objective at a vector pair."""
-    q, den = _lower_lip_terms(F, np.asarray(u)[None], np.asarray(v)[None])[:2]
+    """Return (Q, denominator) of the stability objective at a pair of F's vectors."""
+    u = _as_field_array(u, F.field, 1, "u", F.dim)
+    v = _as_field_array(v, F.field, 1, "v", F.dim)
+    q, den = _lower_lip_terms(F, u[None], v[None])[:2]
     return float(q[0]), float(den[0])
 
 
@@ -129,20 +131,19 @@ def _best_partners(F: Frame, U: np.ndarray):
 
     Q(u, .) is the quadratic form S = L^T L in the real coordinates of v
     (the float64 view, in both fields), with L the float64 view of the rows
-    a_k f_k (a = conj(F) u), so the partner is S's smallest eigenvector. In
-    the complex field Q(u, v + t iu) = Q(u, v): S annihilates the unit view
-    w of iu, and adding trace(S) w w^T (``frames._phase_fill``) moves that
-    eigenvalue to the top, so the partner lies in w's orthogonal complement,
-    where the denominator is 1. The starts go through one stacked ``eigh``
-    per chunk of at most ``_STACK_ENTRIES`` / (m n) rows.
+    a_k f_k (a = conj(F) u, ``frames._coeff_rows``), so the partner is S's
+    smallest eigenvector. In the complex field Q(u, v + t iu) = Q(u, v): S
+    annihilates the unit view w of iu, and adding trace(S) w w^T
+    (``frames._phase_fill``) moves that eigenvalue to the top, so the partner
+    lies in w's orthogonal complement, where the denominator is 1. The starts
+    go through one stacked ``eigh`` per chunk of at most ``_STACK_ENTRIES`` /
+    (m n) rows.
     """
-    fs = F.synthesis
-    step = max(1, _STACK_ENTRIES // fs.size)
+    step = max(1, _STACK_ENTRIES // F.synthesis.size)
     vals, vecs = [], []
     for i in range(0, len(U), step):
         u = U[i:i + step]
-        a = _conj_coeffs(F, u).conj()
-        L = (a[:, :, None] * fs).view(np.float64)
+        L = _coeff_rows(F, _conj_coeffs(F, u))
         S = L.transpose(0, 2, 1) @ L
         _phase_fill(S, u, np.trace(S, axis1=1, axis2=2))
         lam, X = np.linalg.eigh(S)
@@ -280,12 +281,11 @@ _ASCENT_RTOL = 1e-13
 
 def _quartic_terms(F: Frame, U: np.ndarray):
     """sum_k |<u, f_k>|^4 for each row u of a (k, n) stack, and G = F^T
-    (|a|^2 a) with a = conj(F) u, a quarter of its gradient: one product
-    each way for the whole stack (see ``frames._conj_coeffs``)."""
-    fs = F.synthesis
-    A = U @ fs.conj().T
-    P = np.abs(A) ** 2
-    return (P * P).sum(axis=1), (P * A) @ fs
+    (|a|^2 a) with a = conj(F) u, a quarter of its gradient; row i of a
+    stack is its one-row call bit for bit."""
+    B = _conj_coeffs(F, U)  # conj(a)
+    P = np.abs(B) ** 2
+    return (P * P).sum(axis=1), _synthesize(F, P * B.conj())
 
 
 def _neg_quartic_and_grad(F: Frame, rz: np.ndarray):
@@ -315,10 +315,11 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
     degenerate maximum (one where the objective falls off at fourth order,
     as for r2_pr3) the ascent slows to a crawl, so the best start is then
     refined by ``_lbfgs``, with tolerances tight enough to move b0 there.
+    It can stop short: on r2_pr3, 1384 ulps below 3/2 at seed 4.
 
     Returns (value, iterations), iterations counting the batched steps. The
     value is the quartic at a unit vector, so at most b0 up to the rounding
-    of one evaluation (r2_pr3, seed 3: 4 ulps above 3/2);
+    of one evaluation (r2_pr3, seed 3: 3 ulps above 3/2);
     ``upper_lip_ceiling(F)`` = sigma_max(lifted map)^2 brackets it above.
     """
     U = _gaussian(np.random.default_rng(seed), (_ASCENT_STARTS, F.dim), F.field)
@@ -402,7 +403,8 @@ def probe_bilipschitz(F: Frame, samples: int = 10_000, seed: int = 0) -> dict:
         rng = np.random.default_rng([seed, block])
         x = _gaussian(rng, (_BLOCK, F.dim), F.field)[:samples - out]
         y = _gaussian(rng, (_BLOCK, F.dim), F.field)[:samples - out]
-        num = np.sum((_measure_stack(F, x) - _measure_stack(F, y)) ** 2, axis=1)
+        diff = np.abs(_conj_coeffs(F, x)) ** 2 - np.abs(_conj_coeffs(F, y)) ** 2
+        num = np.sum(diff ** 2, axis=1)
         d1 = _lift_dist_stack(x, y, 1)
         scale = np.sum(np.abs(x) ** 2, axis=1) + np.sum(np.abs(y) ** 2, axis=1)
         keep = d1 > 1e-6 * np.maximum(1.0, scale)
@@ -538,9 +540,7 @@ def verify_property_k(which: str, radii: Optional[Sequence[float]] = None) -> di
     ys, xs, dist = ex["y"], ex["x"], ex["dist"]
     rs = ex["r"]
     if radii is not None:
-        rs = _as_field_array(radii, Field.REAL, 1, "radii")
-        if rs.shape != ex["r"].shape:
-            raise ValueError(f"radii: expected {len(ex['r'])} entries, got {len(rs)}")
+        rs = _as_field_array(radii, Field.REAL, 1, "radii", len(ex["r"]))
     tol = 1e-12
     distances_ok = all(
         abs(dist(ys[i][None], ys[j])[0] - want) <= tol

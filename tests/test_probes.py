@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,8 @@ from raylift.probes import (
     _ratio_and_grad,
     certify_min_above,
 )
+from raylift.core import _gaussian
+from raylift.metrics import _lift_dist_stack
 
 from oracles import (
     best_partner_complex,
@@ -120,6 +123,29 @@ class TestLowerLip:
         a = estimate_lower_lip(F, starts=32).value
         b = estimate_lower_lip(G, starts=32).value
         assert b == pytest.approx(16 * a, rel=1e-6)
+
+    @pytest.mark.parametrize("u, message", [
+        ([1.0, math.nan, 0.0], "u has non-finite entries"),
+        ([1.0, 0.0], "u: expected 3 entries, got 2"),
+        ([[1.0, 0.0, 0.0]], "u must be 1-dimensional"),
+    ], ids=["nan", "short", "matrix"])
+    def test_objective_validates_its_vectors(self, field, u, message):
+        """``lower_lip_objective`` refuses a vector that is not a finite
+        vector of ``F.dim`` entries in F's field, naming the argument; the
+        same holds for v."""
+        F = gen_frame("random_gaussian", 3, 9, field, seed=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lower_lip_objective(F, u, [1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=re.escape(message.replace("u", "v", 1))):
+            lower_lip_objective(F, [1.0, 0.0, 0.0], u)
+
+    def test_objective_refuses_complex_vector_on_real_frame(self):
+        F = gen_frame("random_gaussian", 3, 9, Field.REAL, seed=1)
+        with pytest.raises(ValueError, match="v tagged real but has nonzero imaginary part"):
+            lower_lip_objective(F, [1.0, 0.0, 0.0], [1.0, 1j, 0.0])
+        # a complex dtype with zero imaginary parts is a real vector
+        want = lower_lip_objective(F, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        assert lower_lip_objective(F, [1.0 + 0j, 0.0, 0.0], [0.0, 1.0, 0.0]) == want
 
     def test_starts_validation(self):
         # n = 2 frames run no search, yet their starts are still validated
@@ -254,7 +280,8 @@ class TestLowerLipRefinement:
             assert value == q / den
 
     def test_stack_rows_match_one_row_calls(self, field):
-        """Row i of a stacked call of the a0 kernel is its one-row call, bit
+        """Row i of a stacked call of the a0 kernel, and of the b0 kernel
+        (64 starts, as the ascent iterates them), is its one-row call, bit
         for bit, in every output."""
         F = gen_frame("random_gaussian", 4, 16, field, seed=5)
         U = np.stack([random_start(F, 2, s) for s in range(6)])
@@ -266,6 +293,13 @@ class TestLowerLipRefinement:
             assert (q[i], den[i], nn[i]) == (qi[0], deni[0], nni[0])
             assert np.array_equal(DQ[[i, k + i]], DQi)
             assert np.array_equal(Dden[[i, k + i]], Ddeni)
+        F = gen_frame("random_gaussian", 8, 72, field, seed=1)
+        U = np.stack([random_start(F, 4, s) for s in range(64)])
+        quartic, G = probes_mod._quartic_terms(F, U)
+        for i in range(len(U)):
+            qi, Gi = probes_mod._quartic_terms(F, U[i:i + 1])
+            assert quartic[i] == qi[0]
+            assert np.array_equal(G[i], Gi[0])
 
     def test_scale_covariance_n8(self):
         F = gen_frame("random_gaussian", 8, 72, Field.COMPLEX, seed=4)
@@ -595,6 +629,24 @@ class TestBilipschitz:
         res = probe_bilipschitz(_pr3(), samples=1000, seed=0)
         assert np.all(np.isfinite(res["ratios"]))
         assert res["kept"] > 0
+
+    def test_ratios_match_one_pair_recomputation(self, field):
+        """Each sampled ratio is ||measure(x) - measure(y)|| over the lift
+        distance of that one pair, bit for bit, whatever block it was drawn
+        in. The distance is ``lift_dist``'s one-row kernel on the drawn
+        vectors: ``lift_dist`` itself reads canonical representatives,
+        whose phase rounds a complex vector's entries."""
+        F = gen_frame("random_gaussian", 3, 12, field, seed=3)
+        res = probe_bilipschitz(F, samples=50, seed=3)
+        rng = np.random.default_rng([3, 0])
+        X = _gaussian(rng, (512, 3), field)[:50]
+        Y = _gaussian(rng, (512, 3), field)[:50]
+        want = []
+        for x, y in zip(X, Y):
+            d = measure(F, Vector(x, field)).values - measure(F, Vector(y, field)).values
+            want.append(math.sqrt(np.sum(d ** 2)) / _lift_dist_stack(x[None], y[None], 1)[0])
+        assert res["kept"] == 50
+        assert np.array_equal(res["ratios"], want)
 
     def test_onb_ratios_can_approach_zero(self):
         res = probe_bilipschitz(_onb(), samples=5000, seed=0)
