@@ -68,6 +68,7 @@ def _flag_type(kind, valid, expected: str):
 
 
 _parse_count = _flag_type(int, lambda v: v >= 1, "a positive integer")
+_parse_seed = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
 # a norm order; NaN fails the comparison
 _parse_order = _flag_type(float, lambda v: v >= 1, "a number >= 1 or 'inf'")
 _parse_dims = _flag_type(lambda text: tuple(int(t) for t in text.split(",") if t),
@@ -85,10 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a frame and write it as JSON")
-    g.add_argument("--dim", type=int)
-    g.add_argument("--count", type=int)
+    g.add_argument("--dim", type=_parse_count)
+    g.add_argument("--count", type=_parse_count)
     g.add_argument("--field", choices=["real", "complex"], default="real")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_parse_seed, default=0)
     g.add_argument("--kind", choices=["gaussian", "named"], default="gaussian")
     g.add_argument("--name")
     g.add_argument("--out", required=True)
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="phase-retrievability verdict for a frame file")
     c.add_argument("--frame", required=True)
     c.add_argument("--starts", type=_parse_count, default=64)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_parse_seed, default=0)
     c.add_argument("--report", required=True)
 
     r = sub.add_parser("reconstruct", help="invert measurement rows against a frame")
@@ -109,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", choices=["pi", "omega", "bilipschitz", "property-k"], required=True)
     p.add_argument("--p", type=_parse_order, default=math.inf)
     p.add_argument("--samples", type=_parse_count, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4))
     p.add_argument("--report", required=True)
     return parser

@@ -314,8 +314,9 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
     no start's relative gain exceeds 1e-13, or after 1000 steps. At a
     degenerate maximum (one where the objective falls off at fourth order,
     as for r2_pr3) the ascent slows to a crawl, so the best start is then
-    refined by ``_lbfgs``, with tolerances tight enough to move b0 there.
-    It can stop short: on r2_pr3, 1384 ulps below 3/2 at seed 4.
+    refined by ``_lbfgs``. The refinement can stop short there: on r2_pr3 it
+    stops after one iteration 356 ulps below 3/2 at seed 8 and 1384 ulps
+    below at seed 4.
 
     Returns (value, iterations), iterations counting the batched steps. The
     value is the quartic at a unit vector, so at most b0 up to the rounding

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +104,42 @@ class TestParserReuse:
         assert reused == fresh
 
 
+# run in a fresh interpreter by TestImportGraph; argv[1] is a JSON object of
+# command lines, argv[2] says whether scipy.optimize is imported up front
+_FRESH_PROCESS = """
+import json, sys
+argvs, eager = json.loads(sys.argv[1]), sys.argv[2] == "eager"
+if eager:
+    import scipy.optimize
+from raylift.cli import main
+if not eager:
+    for name in ("gen", "reconstruct-polish-off", "reconstruct-polish-on"):
+        assert main(argvs[name]) == 0, name
+    assert "scipy.optimize" not in sys.modules
+assert main(argvs["check"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+class TestImportGraph:
+    def test_optimiser_loads_on_first_refinement(self, tmp_path):
+        """``gen`` and ``reconstruct``, polish off and on, never load
+        scipy.optimize; ``check`` loads it, and writes the same report bytes
+        as a process that imported it before anything ran. Each run is a
+        fresh interpreter, since this one has loaded the module already."""
+        _inputs(tmp_path)
+        argvs = json.dumps({name: [a.format(d=".") for a in argv]
+                            for name, argv in _COMMANDS.items()})
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        reports = []
+        for mode in ("lazy", "eager"):
+            run = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, argvs, mode],
+                                 cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            reports.append((tmp_path / "out.json").read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestOrderFlag:
     @pytest.mark.parametrize("value", ["nan", "0.5", "-inf", "two"])
     def test_bad_order_is_usage_error(self, tmp_path, capsys, value):
@@ -153,13 +192,23 @@ class TestNumericFlags:
                        "--report", "{d}/out.json"]),
         ("--samples", ["probe", "--what", "omega", "--dims", "2", "--samples", "-3",
                        "--report", "{d}/out.json"]),
-    ], ids=["check-starts-0", "bilipschitz-samples-0", "pi-samples-0", "omega-samples-neg"])
+        ("--seed", ["check", "--frame", "{d}/f.json", "--seed", "-1",
+                    "--report", "{d}/out.json"]),
+        ("--seed", ["probe", "--what", "pi", "--dims", "2", "--seed", "-1",
+                    "--report", "{d}/out.json"]),
+        ("--seed", ["gen", "--dim", "3", "--count", "9", "--seed", "-1",
+                    "--out", "{d}/g.json"]),
+        ("--dim", ["gen", "--dim", "0", "--count", "9", "--out", "{d}/g.json"]),
+    ], ids=["check-starts-0", "bilipschitz-samples-0", "pi-samples-0", "omega-samples-neg",
+            "check-seed-neg", "probe-seed-neg", "gen-seed-neg", "gen-dim-0"])
     def test_bad_value_is_usage_error(self, tmp_path, capsys, flag, argv):
-        """A count below 1 exits 2 before any work, naming the flag and
-        writing nothing."""
+        """A count below 1 or a negative seed exits 2 before any work,
+        naming the flag and the value and writing nothing."""
         _inputs(tmp_path)
         assert cli_main([a.format(d=tmp_path) for a in argv]) == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected " in err
+        assert f", got '{argv[argv.index(flag) + 1]}'" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "f.json"]
 
 
