@@ -212,25 +212,40 @@ def _triu_pairs(n: int) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _sym_scatter(n: int) -> np.ndarray:
-    """Flat n x n positions of the diagonal, then of ``_triu_pairs``' (i, j) and (j, i)."""
+def _sym_table(n: int, field: Field) -> tuple:
+    """``(positions, scales)``, read-only, for n x n matrices of the field.
+    ``positions`` are flat positions in the float64 view: first the
+    coordinates' entries, in coordinate order (the diagonal's real parts,
+    then the real and, in the complex field, the imaginary parts of
+    ``_triu_pairs``' (i, j)), then the (j, i) parts. The diagonal's
+    imaginary parts, the only positions left out, hold zero. Each position
+    has a scale, entry times scale being its coordinate: 1 on the diagonal,
+    sqrt(2) above it and below it, and -sqrt(2) at the imaginary parts below
+    it. ``sym_coords`` gathers the head and multiplies; ``sym_from_coords``
+    divides the coordinates t, repeated as [t, t[n:]], and scatters."""
     iu, ju = _triu_pairs(n)
-    idx = np.concatenate([np.arange(n) * (n + 1), iu * n + ju, ju * n + iu])
-    idx.setflags(write=False)
-    return idx
+    diag, upper, lower = np.arange(n) * (n + 1), iu * n + ju, ju * n + iu
+    k = iu.size
+    if field is Field.COMPLEX:
+        parts = [2 * diag, 2 * upper, 2 * upper + 1, 2 * lower, 2 * lower + 1]
+        signs = [1.0] * 3 * k + [-1.0] * k
+    else:
+        parts = [diag, upper, lower]
+        signs = [1.0] * 2 * k
+    table = (np.concatenate(parts), np.concatenate([np.ones(n), _SQRT2 * np.array(signs)]))
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
 def sym_coords(M: np.ndarray, field: Field) -> np.ndarray:
     """Coordinates of self-adjoint matrices in the fixed real orthonormal
     basis of the operator space; works on stacks (..., n, n)."""
-    n = M.shape[-1]
-    iu, ju = _triu_pairs(n)
-    diag = np.real(M[..., np.arange(n), np.arange(n)])
-    off = M[..., iu, ju]
-    parts = [diag, _SQRT2 * np.real(off)]
-    if field is Field.COMPLEX:
-        parts.append(_SQRT2 * np.imag(off))
-    return np.concatenate(parts, axis=-1)
+    a = np.ascontiguousarray(M, dtype=np.complex128 if field is Field.COMPLEX else None)
+    n, cols = a.shape[-1], _sym_dim(a.shape[-1], field)
+    positions, scales = _sym_table(n, Field.COMPLEX if a.dtype.kind == "c" else Field.REAL)
+    flat = a.view(np.float64).reshape(a.shape[:-2] + (-1,))
+    return flat.take(positions[:cols], axis=-1) * scales[:cols]
 
 
 def sym_from_coords(t: np.ndarray, n: int, field: Field) -> np.ndarray:
@@ -238,45 +253,65 @@ def sym_from_coords(t: np.ndarray, n: int, field: Field) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if t.shape != (_sym_dim(n, field),):
         raise ValueError(f"expected {_sym_dim(n, field)} coordinates, got shape {t.shape}")
-    k = n * (n - 1) // 2
-    off = t[n : n + k] / _SQRT2
-    if field is Field.COMPLEX:
-        off = off + 1j * (t[n + k :] / _SQRT2)
-    # every entry is written once, so the matrix starts empty, not zeroed
-    M = np.empty(n * n, dtype=field.dtype)
-    M[_sym_scatter(n)] = np.concatenate([t[:n], off, np.conj(off)])
+    positions, scales = _sym_table(n, field)
+    vals = np.concatenate([t, t[n:]]) / scales
+    if field is Field.COMPLEX and np.count_nonzero(t) < t.size:
+        # the bits of the complex re + 1j * im and its conjugate at a zero:
+        # a real part keeps -0.0 only beside an im with its sign bit set, and
+        # a zero im is +0.0 above the diagonal and -0.0 below it
+        re, im = np.split(t[n:] / _SQRT2, 2)
+        re, im = re + 0.0 * im, im + 0.0
+        vals = np.concatenate([t[:n], re, im, re, -im])
+    M = np.zeros(n * n, dtype=field.dtype)
+    M.view(np.float64)[positions] = vals
     return M.reshape(n, n)
 
 
 @dataclass(frozen=True)
 class LiftedMap:
-    """Matrix A of the linear map T -> (<T f_k, f_k>)_k on self-adjoint
-    operators, in the fixed real orthonormal basis, with the factors of its
-    min-norm inverse.
+    """The linear map A: T -> (<T f_k, f_k>)_k on self-adjoint operators,
+    in the fixed real orthonormal basis, held as its frame and the factors
+    of its min-norm inverse: no m x cols array.
 
     On the Cholesky path (``_right`` is None) ``_left`` is the upper
     Cholesky factor R of G = A^T A over a zeroed lower triangle, Fortran
-    ordered in the buffer in which G was formed, so a map holds A and R and
-    no other array of G's size. On the SVD path ``_left`` is V_r S_r^-1 and
-    ``_right`` is U_r^T (see ``build_lifted_map``). The singular values
-    behind ``sigma_min`` and ``sigma_max`` are computed on first use and
-    cached; the min-norm inverse never needs them.
+    ordered in the buffer in which G was formed, and the inverse reads A^T c
+    from the frame. On the SVD path ``_left`` is V_r S_r^-1 and ``_right``
+    is U_r^T (see ``build_lifted_map``). ``matrix``, A itself, is rebuilt
+    from the frame on first use and cached, and so are the singular values
+    behind ``sigma_min`` and ``sigma_max``, which read it; the min-norm
+    inverse needs neither.
     """
 
-    matrix: np.ndarray
-    dim: int
-    field: Field
+    frame: Frame
     rank: int
     _left: np.ndarray
     _right: Optional[np.ndarray]
 
     @property
+    def dim(self) -> int:
+        return self.frame.dim
+
+    @property
+    def field(self) -> Field:
+        return self.frame.field
+
+    @property
     def rows(self) -> int:
-        return self.matrix.shape[0]
+        return self.frame.count
 
     @property
     def cols(self) -> int:
-        return self.matrix.shape[1]
+        return _sym_dim(self.frame.dim, self.frame.field)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """A, m x cols and read-only: the column-major transpose of
+        ``_lifted_rows``' C-ordered buffer, with the bits and layout that
+        ``build_lifted_map`` factors."""
+        rows_t = _lifted_rows(self.frame)
+        rows_t.setflags(write=False)
+        return rows_t.T
 
     @cached_property
     def _singular_values(self) -> np.ndarray:
@@ -299,38 +334,58 @@ class LiftedMap:
         return self.matrix @ sym_coords(T.entries, self.field)
 
 
-def _lifted_rows(F: Frame) -> np.ndarray:
-    """The (cols, m) transpose of A: column k holds ``sym_coords`` of
-    f_k f_k^*, written pair by pair from the real and imaginary parts of the
-    frame, so no m x n x n outer-product stack is formed."""
+def _lifted_rows(F: Frame, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
+    """The (cols, k) transpose of rows ``start:stop`` of A: column k holds
+    ``sym_coords`` of f_k f_k^*, written pair by pair from the real and
+    imaginary parts of the frame, so no k x n x n outer-product stack is
+    formed. Each entry has the same bits in any block."""
+    fs = F.synthesis[start:stop]
     n = F.dim
-    re = np.ascontiguousarray(F.synthesis.real.T)
-    im = np.ascontiguousarray(F.synthesis.imag.T) if F.field is Field.COMPLEX else None
-    out = np.empty((_sym_dim(n, F.field), F.count))
+    re = np.ascontiguousarray(fs.real.T)
+    im = np.ascontiguousarray(fs.imag.T) if F.field is Field.COMPLEX else None
+    out = np.empty((_sym_dim(n, F.field), fs.shape[0]))
     out[:n] = re * re if im is None else re * re + im * im
     at, k = n, n * (n - 1) // 2
     for i in range(n - 1):  # the pairs (i, j > i), in _triu_pairs order
-        stop = at + n - 1 - i
+        end = at + n - 1 - i
         if im is None:
-            out[at:stop] = _SQRT2 * (re[i] * re[i + 1:])
+            out[at:end] = _SQRT2 * (re[i] * re[i + 1:])
         else:
-            out[at:stop] = _SQRT2 * (re[i] * re[i + 1:] + im[i] * im[i + 1:])
-            out[k + at:k + stop] = _SQRT2 * (im[i] * re[i + 1:] - re[i] * im[i + 1:])
-        at = stop
+            out[at:end] = _SQRT2 * (re[i] * re[i + 1:] + im[i] * im[i + 1:])
+            out[k + at:k + end] = _SQRT2 * (im[i] * re[i + 1:] - re[i] * im[i + 1:])
+        at = end
     return out
 
 
-def build_lifted_map(F: Frame) -> LiftedMap:
-    """Assemble the measurement matrix A on lifted operators for a frame, and
-    factor it for min-norm inversion.
+def _lifted_gram(F: Frame) -> np.ndarray:
+    """G = A^T A in the upper triangle of a Fortran-ordered cols x cols
+    buffer over a zeroed lower triangle, accumulated by one ``dsyrk`` per
+    block of ``_lifted_rows`` of at most ``_STACK_ENTRIES`` entries, so no
+    more of A than one block exists at a time."""
+    cols = _sym_dim(F.dim, F.field)
+    gram = None
+    step = max(1, _STACK_ENTRIES // cols)
+    for start in range(0, F.count, step):
+        # the block's transpose is its F-contiguous (rows x cols) view, which
+        # f2py passes without a copy
+        block = _lifted_rows(F, start, start + step).T
+        if gram is None:  # formed after the first block's row temporaries are gone
+            gram = np.zeros((cols, cols), order="F")
+        # the flags are (beta, c, trans, lower, overwrite_c): G += block^T block in place
+        gram = blas.dsyrk(1.0, block, 1.0, gram, 1, 0, 1)
+        del block  # before the next block is written, so two never coexist
+    return gram
 
-    Row k holds the basis coordinates of the rank-one functional of f_k,
-    ``sym_coords(f_k f_k^*)``: the diagonal re^2 + im^2, then sqrt(2) times
-    re(f_ki conj(f_kj)) = re_i re_j + im_i im_j and, in the complex field,
-    sqrt(2) times im(f_ki conj(f_kj)) = im_i re_j - re_i im_j over the pairs
-    i < j. This real arithmetic gives the bits of the complex outer product
-    (a complex ``a * b.conj()`` or ``abs(a)**2`` would not). ``matrix`` is
-    column-major, the transpose of a C-ordered (cols, m) buffer, and
+
+def build_lifted_map(F: Frame) -> LiftedMap:
+    """Factor the lifted map A of a frame for min-norm inversion.
+
+    Row k of A holds the basis coordinates of the rank-one functional of
+    f_k, ``sym_coords(f_k f_k^*)``: the diagonal re^2 + im^2, then sqrt(2)
+    times re(f_ki conj(f_kj)) = re_i re_j + im_i im_j and, in the complex
+    field, sqrt(2) times im(f_ki conj(f_kj)) = im_i re_j - re_i im_j over
+    the pairs i < j. This real arithmetic gives the bits of the complex
+    outer product (a complex ``a * b.conj()`` or ``abs(a)**2`` would not).
     ``_left`` keeps the layout LAPACK gives it; the BLAS calls in
     ``min_norm_inverse`` round according to that layout, so it is part of
     what makes the estimates reproducible bit for bit. The input picks the
@@ -346,60 +401,70 @@ def build_lifted_map(F: Frame) -> LiftedMap:
       SVD A = U S V^T, whose numerical rank r counts singular values above
       ``_PINV_TOL`` times the top; the inverse applies V_r S_r^-1 U_r^T.
 
-    Memory on the Cholesky path: the build peaks at A plus G, with a few
-    KiB on top. G is formed once and factored (``dpotrf``) inside its own
-    Fortran-ordered buffer, and ``_left`` is that buffer. The 1-norm that
-    ``dpocon`` needs comes from ``dlange``, not from an ``abs`` copy of G.
-    The factor overwrites G, so anything that needs G itself, such as its
-    eigenvalues, must read it before ``dpotrf`` runs.
+    Memory on the Cholesky path: the map holds R and the frame, and the
+    build peaks at G plus one block of A (``_lifted_gram``) and, from the
+    second block on, the block's row temporaries. G is factored (``dpotrf``) inside its own Fortran-ordered
+    buffer, and ``_left`` is that buffer. The 1-norm that ``dpocon`` needs
+    comes from ``dlange`` on G with its upper triangle mirrored in blocks of
+    rows as wide as the blocks of A, not from an ``abs`` copy. The
+    factor overwrites G, so anything that needs G itself, such as its
+    eigenvalues, must read it before ``dpotrf`` runs. The SVD path forms A
+    whole while it runs and keeps only its factors.
     """
-    rows_t = _lifted_rows(F)
-    rows = rows_t.T
-    rank, left, right = rows.shape[1], None, None
+    cols = _sym_dim(F.dim, F.field)
+    rank, left, right = cols, None, None
     # with fewer rows than columns, G has rank <= m < cols: no Cholesky factor
-    if rows.shape[0] >= rank:
-        # exactly symmetric (numpy runs one syrk and copies its triangle), so
-        # the product's Fortran-ordered view is G, and LAPACK works in place
-        gram = (rows_t @ rows).T
+    if F.count >= cols:
+        gram = _lifted_gram(F)
+        step = max(1, _STACK_ENTRIES // cols)
+        for a in range(0, cols, step):  # the lower triangle, block by block
+            b = a + step
+            gram[a:b, :a] = gram[:a, a:b].T
+            gram[a:b, a:b] += np.triu(gram[a:b, a:b], 1).T  # its lower part is still zero
         anorm = lapack.dlange("1", gram)
         gram, info = lapack.dpotrf(gram, overwrite_a=1)
         if info == 0 and lapack.dpocon(gram, anorm)[0] > _CHOL_RCOND:
             left = gram  # R in the upper triangle; dpotrf's clean=1 zeroed the lower
     if left is None:
-        u, s, vt = np.linalg.svd(rows, full_matrices=False)
+        u, s, vt = np.linalg.svd(_lifted_rows(F).T, full_matrices=False)
         rank = int(np.sum(s > _PINV_TOL * s[0]))
         left, right = vt[:rank].T / s[:rank], _freeze(u[:, :rank].T)
-    # read-only views, not copies: nothing else holds these buffers
-    rows_t.setflags(write=False)
+    # a read-only view, not a copy: nothing else holds this buffer
     left.setflags(write=False)
-    return LiftedMap(
-        matrix=rows,
-        dim=F.dim,
-        field=F.field,
-        rank=rank,
-        _left=left,
-        _right=right,
-    )
+    return LiftedMap(frame=F, rank=rank, _left=left, _right=right)
+
+
+def _lifted_adjoint(F: Frame, c: np.ndarray) -> np.ndarray:
+    """A^T c for the lifted map A of F, read from the frame: the coordinates
+    of sum_k c_k f_k f_k^* = (c F)^T conj(F). ``gemm``'s op(b) = b^H
+    conjugates without a copy of the frame, and both transposes are
+    F-contiguous views, which f2py passes uncopied."""
+    fs = F.synthesis
+    gemm = blas.zgemm if F.field is Field.COMPLEX else blas.dgemm
+    # positional flags (beta, c, trans_a, trans_b): f2py parses them faster
+    return sym_coords(gemm(1.0, (c[:, None] * fs).T, fs.T, 0.0, None, 0, 2), F.field)
 
 
 def min_norm_inverse(M: LiftedMap, c: Union[Measurement, np.ndarray]) -> SymOp:
     """Minimum-Frobenius-norm self-adjoint T minimizing ||M(T) - c||_2.
 
     On the Cholesky path of ``build_lifted_map`` the coordinates of T solve
-    G t = A^T c: two triangular solves with the factor, R^T y = A^T c and
-    then R t = y, which are cheaper and more accurate than a product with an
-    explicit G^-1 (Higham, Accuracy and Stability of Numerical Algorithms,
-    sec. 14.1). On the SVD fallback they are the singular-value-thresholded
-    pseudoinverse V_r S_r^-1 (U_r^T c). Linear in c; exact on the
-    measurement range whenever M has full column rank.
+    G t = A^T c: A^T c comes from the frame in closed form, as the
+    coordinates of sum_k c_k f_k f_k^*, so A is never formed; then two
+    triangular solves with the factor, R^T y = A^T c and R t = y, which are
+    cheaper and more accurate than a product with an explicit G^-1 (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 14.1). On the SVD
+    fallback they are the singular-value-thresholded pseudoinverse
+    V_r S_r^-1 (U_r^T c). Linear in c; exact on the measurement range
+    whenever M has full column rank.
     """
     values = _measurement(c, M.rows).values
     if M._right is None:
         # the factor goes to BLAS in its own Fortran order: f2py would copy
         # a C-ordered one on every call. The flags are positional (incx,
         # offx, lower, trans, diag, overwrite_x), which f2py parses faster
-        # than keywords: the two calls are most of a small solve's cost.
-        y = blas.dtrsv(M._left, M.matrix.T @ values, 1, 0, 0, 1, 0, 1)
+        # than keywords.
+        y = blas.dtrsv(M._left, _lifted_adjoint(M.frame, values), 1, 0, 0, 1, 0, 1)
         coords = blas.dtrsv(M._left, y, 1, 0, 0, 0, 0, 1)
     else:
         coords = M._left @ (M._right @ values)

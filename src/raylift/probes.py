@@ -37,8 +37,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import Field, Vector, _as_field_array, _gaussian, _lbfgs
-from .frames import (_STACK_ENTRIES, Frame, _coeff_rows, _conj_coeffs, _lifted_rows,
-                     _phase_fill, _row_dots, _sym_dim, _synthesize, sym_from_coords)
+from .frames import (_STACK_ENTRIES, Frame, _coeff_rows, _conj_coeffs, _lifted_gram,
+                     _lifted_rows, _phase_fill, _row_dots, _sym_dim, _synthesize,
+                     sym_from_coords)
 from .metrics import _align_dist_stack, _lift_dist_stack
 
 __all__ = [
@@ -345,17 +346,15 @@ def upper_lip_ceiling(F: Frame) -> float:
     """Certified upper end of the b0 bracket: sigma_max(lifted map)^2, the
     largest eigenvalue of A^T A and of A A^T, which is the m x m Gram
     matrix |<f_k, f_l>|^2. One symmetric eigenvalue solve on the cheaper of
-    the two: the cols x cols product of ``_lifted_rows`` when forming and
+    the two: the upper triangle of the cols x cols G that
+    ``build_lifted_map`` factors, summed block by block, when forming and
     solving it (m cols^2 + cols^3) costs less than the m x m solve (m^3),
-    else the m x m Gram. No lifted map is built."""
+    else the m x m Gram. No lifted map is built, and A is never whole."""
     m, cols = F.count, _sym_dim(F.dim, F.field)
     if m * cols ** 2 + cols ** 3 < m ** 3:
-        rows_t = _lifted_rows(F)
-        gram = rows_t @ rows_t.T
-    else:
-        fs = F.synthesis
-        gram = np.abs(fs.conj() @ fs.T) ** 2
-    return float(np.linalg.eigvalsh(gram)[-1])
+        return float(np.linalg.eigvalsh(_lifted_gram(F), UPLO="U")[-1])
+    fs = F.synthesis
+    return float(np.linalg.eigvalsh(np.abs(fs.conj() @ fs.T) ** 2)[-1])
 
 
 def pr_verdict(

@@ -101,6 +101,20 @@ _STOPS = ("stationary", "rel_decrease", "line_search", "max_iters")
 _ACTIVE, (_STATIONARY, _REL_DECREASE, _LINE_SEARCH, _MAX_ITERS) = -1, range(4)
 
 
+def _lifted_for(F: Frame, lifted: Optional[LiftedMap]) -> LiftedMap:
+    """``lifted`` when it was built from F's field and vectors, else a
+    ValueError; F's map, built now, when it is None. The identity test comes
+    first, so a caller that passes the map of the very frame pays nothing."""
+    if lifted is None:
+        return build_lifted_map(F)
+    G = lifted.frame
+    if G is not F and (G.field is not F.field or not np.array_equal(G.synthesis, F.synthesis)):
+        raise ValueError(
+            f"lifted map was built from another frame ({G.field.value}, {G.count} x {G.dim}) "
+            f"than this one ({F.field.value}, {F.count} x {F.dim})")
+    return lifted
+
+
 def recover(
     F: Frame,
     c: Union[Measurement, np.ndarray],
@@ -112,13 +126,14 @@ def recover(
     When the lifted measurement matrix has full column rank and c lies on the
     measurement range, the estimate recovers the original ray exactly (up to
     numerical tolerance). Pass a prebuilt ``lifted`` map to amortize the
-    factorization over many measurements.
+    factorization over many measurements; one built from another frame is
+    refused with a ValueError.
 
     The retraction and the un-lift read the same top eigenpair, so one
     ``eigh`` serves both: the estimate is the ray of sqrt(lam1 - lam2) u1.
     """
     c = _measurement(c, F.count)
-    M = lifted if lifted is not None else build_lifted_map(F)
+    M = _lifted_for(F, lifted)
     T = min_norm_inverse(M, c)
     coef, vecs, top, _ = _retract_stack(T.entries[None])
     coef = float(coef[0])
@@ -170,10 +185,11 @@ def recovery_lip_bound(
     lifted: Optional[LiftedMap] = None,
 ) -> LipBound:
     """Evaluate the pipeline's Lipschitz ceiling for input norm p and output
-    metric order q; it bounds an estimate's error only when ``rank == cols``."""
+    metric order q; it bounds an estimate's error only when ``rank == cols``.
+    A ``lifted`` map built from another frame is refused with a ValueError."""
     _check_order(p)
     _check_order(q, "q")
-    M = lifted if lifted is not None else build_lifted_map(F)
+    M = _lifted_for(F, lifted)
     invp = 0.0 if p == math.inf else 1.0 / p
     invq = 0.0 if q == math.inf else 1.0 / q
     measurement = max(1.0, M.rows ** (0.5 - invp))

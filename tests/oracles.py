@@ -19,7 +19,7 @@ import json.encoder
 import math
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 
 def jacobi_eigvalsh(A, sweeps=100, tol=1e-14):
@@ -138,13 +138,20 @@ def lifted_rows_einsum(fs, complex_field):
     return np.concatenate(parts, axis=-1)
 
 
-def lifted_inverse_factors(matrix, cholesky, tol=1e-10):
+def lifted_inverse_factors(matrix, cholesky, step=None, tol=1e-10):
     """``(left, right)`` of the min-norm inverse of ``matrix``, formed beside
     ``lifted_rows_einsum``: on the Cholesky path ``dpotrf``'s upper factor of
     the Gram matrix, Fortran-ordered over a zeroed lower triangle (``right``
-    None), else the thresholded SVD's V_r S_r^-1 and U_r^T."""
+    None), the Gram summed by one ``dsyrk`` per block of ``step`` rows (all
+    of them by default), else the thresholded SVD's V_r S_r^-1 and U_r^T."""
     if cholesky:
-        factor, info = lapack.dpotrf(matrix.T @ matrix)
+        cols = matrix.shape[1]
+        gram = np.zeros((cols, cols), order="F")
+        step = step or matrix.shape[0]
+        for i in range(0, matrix.shape[0], step):
+            gram = blas.dsyrk(1.0, matrix[i:i + step], beta=1.0, c=gram, trans=1,
+                              overwrite_c=1)
+        factor, info = lapack.dpotrf(gram)
         assert info == 0
         return factor, None
     u, s, vt = np.linalg.svd(matrix, full_matrices=False)

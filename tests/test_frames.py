@@ -6,7 +6,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -36,8 +36,9 @@ from raylift import (
 from raylift.cli import main as cli_main
 from raylift.frames import (
     LiftedMap,
+    _lifted_adjoint,
     _phase_fill,
-    _sym_scatter,
+    _sym_table,
     _triu_pairs,
     dumps_json,
     frame_to_dict,
@@ -331,6 +332,17 @@ class TestLiftedFactorization:
         s = M.sigma_min
         assert "_singular_values" in vars(M) and M.sigma_min == s
 
+    def test_matrix_is_lazy(self, field):
+        """The map holds no m x cols array: building it and inverting with it
+        never forms A, and the first ``matrix`` rebuilds it from the frame,
+        once."""
+        F = _gauss(3, 19, field, seed=3)
+        M = build_lifted_map(F)
+        min_norm_inverse(M, np.ones(19))
+        assert "matrix" not in vars(M) and M.frame is F
+        A = M.matrix
+        assert "matrix" in vars(M) and M.matrix is A and not A.flags.writeable
+
 
 def _same_bits(a, b):
     """Equal shape and equal bits, signed zeros included."""
@@ -340,22 +352,23 @@ def _same_bits(a, b):
 class TestLiftedRowsOracle:
     """``build_lifted_map`` against the outer-product construction it
     replaced, bit for bit: the matrix, its layout, ``_left`` (the Cholesky
-    factor or the SVD's V_r S_r^-1) and the min-norm inverse of a map built
-    from the oracle's factors."""
+    factor of the Gram matrix summed over the same row blocks, or the SVD's
+    V_r S_r^-1) and the min-norm inverse of a map built from the oracle's
+    factors."""
 
     def _check(self, F, rng):
         M = build_lifted_map(F)
         rows = lifted_rows_einsum(F.synthesis, F.field is Field.COMPLEX)
         assert _same_bits(M.matrix, rows)
-        # the layout decides how the products in min_norm_inverse round
         assert M.matrix.flags.f_contiguous == rows.flags.f_contiguous
-        left, right = lifted_inverse_factors(rows, cholesky=M._right is None)
+        step = max(1, frames_mod._STACK_ENTRIES // M.cols)
+        left, right = lifted_inverse_factors(rows, cholesky=M._right is None, step=step)
         assert _same_bits(M._left, left)
+        # the layout decides how the solves in min_norm_inverse round
         assert M._left.flags.f_contiguous == left.flags.f_contiguous
         if right is not None:
             assert _same_bits(M._right, right)
-        oracle = LiftedMap(matrix=rows, dim=F.dim, field=F.field, rank=left.shape[1],
-                           _left=left, _right=right)
+        oracle = LiftedMap(frame=F, rank=left.shape[1], _left=left, _right=right)
         assert oracle.rank == M.rank
         for c in (rng.standard_normal(F.count), M.matrix @ rng.standard_normal(M.cols)):
             assert _same_bits(min_norm_inverse(M, c).entries, min_norm_inverse(oracle, c).entries)
@@ -392,10 +405,38 @@ class TestLiftedRowsOracle:
     def test_wide_frame(self, rng):
         self._check(_gauss(32, 2048, Field.COMPLEX, seed=1), rng)
 
+    def test_row_blocks(self, rng, monkeypatch, field):
+        """With ``_STACK_ENTRIES`` cut to 4 rows of A, G accumulates over 5
+        row blocks of a 19-vector frame and its triangle is mirrored in
+        blocks of 4 rows: ``dlange`` reads the full symmetric G, the
+        factor is the oracle's over the same blocks, and factor and inverse
+        match the one-block build within 1e-14."""
+        F = _gauss(3, 19, field, seed=3)
+        one = build_lifted_map(F)
+        monkeypatch.setattr(frames_mod, "_STACK_ENTRIES", 4 * one.cols)
+        seen = []
+        dlange = frames_mod.lapack.dlange
+        monkeypatch.setattr(frames_mod.lapack, "dlange",
+                            lambda norm, a: seen.append(a.copy()) or dlange(norm, a))
+        M = build_lifted_map(F)
+        assert M._right is None and one._right is None
+        rows = lifted_rows_einsum(F.synthesis, field is Field.COMPLEX)
+        full = rows.T @ rows
+        assert np.array_equal(seen[0], seen[0].T)
+        assert np.max(np.abs(seen[0] - full)) <= 1e-14 * np.max(np.abs(full))
+        left, _ = lifted_inverse_factors(rows, cholesky=True, step=4)
+        assert _same_bits(M._left, left)
+        assert np.max(np.abs(M._left - one._left)) <= 1e-14 * np.max(np.abs(one._left))
+        for c in (rng.standard_normal(F.count), one.matrix @ rng.standard_normal(one.cols)):
+            want = min_norm_inverse(one, c).entries
+            got = min_norm_inverse(M, c).entries
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
 
 class TestCholeskyAccuracy:
     """The two triangular solves against ``np.linalg.lstsq`` and against the
-    product with the explicit inverse G^-1 that they replaced."""
+    product with the explicit inverse G^-1 that they replaced, both applied
+    to the map's own A^T c, which comes from the frame."""
 
     @pytest.mark.parametrize("n", [3, 8, 16, 32])
     def test_against_lstsq(self, field, n):
@@ -410,17 +451,40 @@ class TestCholeskyAccuracy:
         for c in (rng.standard_normal(F.count), M.matrix @ rng.standard_normal(cols)):
             want = np.linalg.lstsq(M.matrix, c, rcond=None)[0]
             got = sym_coords(min_norm_inverse(M, c).entries, field)
-            old = inv @ (M.matrix.T @ c)
+            old = inv @ _lifted_adjoint(F, c)
             scale = np.linalg.norm(want)
             assert np.linalg.norm(got - old) <= 1e-12 * np.linalg.norm(old)
             assert np.linalg.norm(got - want) <= 2 * np.linalg.norm(old - want)
             assert np.linalg.norm(got - want) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_frame_adjoint_against_matrix_adjoint(self, field, n):
+        """Over 6 frame seeds, the largest error against ``lstsq`` of the
+        solve from the frame's A^T c is at most 1.5 times that of the same
+        solves from the matrix product A^T c."""
+        cols = n * n if field is Field.COMPLEX else n * (n + 1) // 2
+        errs = {"frame": [], "matrix": []}
+        for seed in range(6):
+            F = _gauss(n, 2 * cols + 1, field, seed=seed)
+            M = build_lifted_map(F)
+            assert M._right is None
+            rng = np.random.default_rng(seed)
+            for c in (rng.standard_normal(F.count), M.matrix @ rng.standard_normal(cols)):
+                want = np.linalg.lstsq(M.matrix, c, rcond=None)[0]
+                y = blas.dtrsv(M._left, M.matrix.T @ c, trans=1)
+                solved = {"frame": sym_coords(min_norm_inverse(M, c).entries, field),
+                          "matrix": blas.dtrsv(M._left, y)}
+                for k, t in solved.items():
+                    errs[k].append(np.linalg.norm(t - want) / np.linalg.norm(want))
+        assert max(errs["frame"]) <= 1.5 * max(errs["matrix"])
+
 
 class TestLiftedMapMemory:
-    """``build_lifted_map`` on the Cholesky path keeps A and the factor of G
-    and forms no other array of G's size: G is factored in its own buffer,
-    and ``_left`` is that buffer."""
+    """``build_lifted_map`` on the Cholesky path keeps the factor of G and no
+    array of A's size: G accumulates from row blocks of A of at most
+    ``_STACK_ENTRIES`` entries and is factored in its own buffer, and
+    ``_left`` is that buffer. The extra peak over R is one block of A and,
+    from the second block on, its row temporaries."""
 
     def _extra_peak(self, F):
         build_lifted_map(F)  # warm caches outside the traced call
@@ -431,14 +495,16 @@ class TestLiftedMapMemory:
         finally:
             tracemalloc.stop()
         assert M._right is None and M._left.flags.f_contiguous
-        return peak - M.matrix.nbytes - M._left.nbytes
+        assert [v for v in vars(M).values() if isinstance(v, np.ndarray)] == [M._left]
+        return peak - M._left.nbytes
 
     def test_one_block(self):
-        # G is 256 x 256
-        assert self._extra_peak(_gauss(16, 513, Field.COMPLEX, seed=1)) <= 64 * 1024
+        # G is 256 x 256, and the 513 rows of A are one block, formed before G
+        assert self._extra_peak(_gauss(16, 513, Field.COMPLEX, seed=1)) - 513 * 256 * 8 <= 64 * 1024
 
     def test_wide_frame(self):
-        assert self._extra_peak(_gauss(32, 2048, Field.COMPLEX, seed=1)) <= 64 * 1024
+        # A would be 16 MiB; the blocks are 256 rows, 2 MiB
+        assert self._extra_peak(_gauss(32, 2048, Field.COMPLEX, seed=1)) <= 4 * 1024 * 1024
 
 
 class TestGenFrame:
@@ -861,10 +927,20 @@ class TestSymFromCoords:
                 assert got.tobytes() == sym_from_coords_2d(c, n, cplx).tobytes()
 
     def test_scatter_is_a_cached_read_only_permutation(self):
-        for n in range(1, 7):
-            idx = _sym_scatter(n)
-            assert sorted(idx.tolist()) == list(range(n * n))
-            assert not idx.flags.writeable and _sym_scatter(n) is idx
+        """One table per (n, field) of positions in the float64 view, each
+        written once; its head is what ``sym_coords`` gathers."""
+        for field, size in ((Field.REAL, 1), (Field.COMPLEX, 2)):
+            for n in range(1, 7):
+                idx, scales = _sym_table(n, field)
+                diag_imag = {2 * i * (n + 1) + 1 for i in range(n)} if size == 2 else set()
+                assert sorted(idx.tolist()) == sorted(set(range(size * n * n)) - diag_imag)
+                assert idx.shape == scales.shape
+                assert not idx.flags.writeable and not scales.flags.writeable
+                assert _sym_table(n, field)[0] is idx
+                M = np.arange(size * n * n, dtype=np.float64).view(field.dtype).reshape(n, n)
+                head = idx[: n * n if size == 2 else n * (n + 1) // 2]
+                scale = np.where(np.arange(head.size) < n, 1.0, math.sqrt(2))
+                assert np.array_equal(sym_coords(M, field), head * scale)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

@@ -455,6 +455,22 @@ class TestUpperLipExact:
         else:
             assert upper_lip_ceiling(F) == want
 
+    def test_ceiling_sums_row_blocks(self, monkeypatch):
+        """The cols x cols branch sums G over row blocks of at most
+        ``_STACK_ENTRIES`` entries of A, so A is never whole: cut to 16 rows,
+        the 400-vector frame goes in 25 blocks, to within a few ulps of the
+        m x m Gram's value."""
+        F = gen_frame("random_gaussian", 4, 400, Field.REAL, seed=1)
+        fs = F.synthesis
+        want = float(np.linalg.eigvalsh(np.abs(fs.conj() @ fs.T) ** 2)[-1])
+        monkeypatch.setattr(frames_mod, "_STACK_ENTRIES", 16 * 10)
+        blocks = []
+        lifted_rows = frames_mod._lifted_rows
+        monkeypatch.setattr(frames_mod, "_lifted_rows",
+                            lambda *a: blocks.append(lifted_rows(*a)) or blocks[-1])
+        assert upper_lip_ceiling(F) == pytest.approx(want, rel=1e-14)
+        assert [b.shape for b in blocks] == [(10, 16)] * 25
+
     @pytest.mark.parametrize("n, m", [(3, 9), (4, 16), (8, 72)])
     def test_bracket(self, field, n, m):
         for seed in (4, 5):

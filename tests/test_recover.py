@@ -149,6 +149,28 @@ class TestRecover:
         assert ("not a left inverse" in err) is warned
         assert json.loads(out.read_text())["rows"][0]["residual"] >= 0
 
+    @pytest.mark.parametrize("other", ["complex-seed2", "real-seed2"])
+    def test_lifted_map_of_another_frame_refused(self, other):
+        """A map built from another frame of the same count once inverted c
+        against the wrong vectors without a word (residual 3.4 against
+        3.6e-14 with the frame's own map here)."""
+        F = _gauss(3, 12, Field.COMPLEX, seed=1)
+        field = Field.COMPLEX if other.startswith("complex") else Field.REAL
+        M = build_lifted_map(_gauss(3, 12, field, seed=2))
+        c = measure(F, vec(np.array([1.0, 2.0 - 1j, 0.5j])))
+        with pytest.raises(ValueError, match="^lifted map was built from another frame"):
+            recover(F, c, lifted=M)
+
+    def test_lifted_map_of_an_equal_frame_accepted(self):
+        """The check reads the field and the vectors: the map of another
+        Frame with the same vectors and another label serves, with the same
+        bits."""
+        F = _gauss(3, 12, Field.COMPLEX, seed=1)
+        twin = Frame(F.synthesis.copy(), Field.COMPLEX, label="twin")
+        c = measure(F, vec(np.array([1.0, 2.0 - 1j, 0.5j])))
+        got = recover(F, c, lifted=build_lifted_map(twin))
+        assert got.estimate.rep.entries.tobytes() == recover(F, c).estimate.rep.entries.tobytes()
+
     def test_one_eigh_per_row(self, eig_calls, field):
         F = _gauss(4, 20, field, seed=15)
         M = build_lifted_map(F)
@@ -246,6 +268,17 @@ class TestLipBound:
         M = build_lifted_map(F)
         lb = recovery_lip_bound(F, 2, 2, lifted=M)
         assert lb.pipeline == pytest.approx((3 + 2 * SQ2) / M.sigma_min, rel=1e-12)
+
+    @pytest.mark.parametrize("other", ["complex-seed2", "real-seed2"])
+    def test_lifted_map_of_another_frame_refused(self, other):
+        """The bound once read sigma_min from another frame's map: 11.07
+        from the complex seed-2 map against 15.03 from the frame's own."""
+        F = _gauss(3, 12, Field.COMPLEX, seed=1)
+        field = Field.COMPLEX if other.startswith("complex") else Field.REAL
+        M = build_lifted_map(_gauss(3, 12, field, seed=2))
+        with pytest.raises(ValueError, match="^lifted map was built from another frame"):
+            recovery_lip_bound(F, 2, 2, lifted=M)
+        assert recovery_lip_bound(F, 2, 2).pipeline == pytest.approx(15.027, abs=1e-3)
 
     def test_q_above_two_uses_q_constant(self):
         F = _gauss(2, 6, Field.REAL, seed=9)
