@@ -10,23 +10,19 @@ from .core import (
     Field,
     RankOnePSD,
     RankOneViolation,
-    SpectralDecomp,
     SpectralError,
     SymOp,
     Vector,
     schatten_norm,
-    spectral_decompose,
     sym_outer,
     symop,
     vec,
-    weyl_gap,
 )
 from .frames import (
     Frame,
     FrameFileError,
     LiftedMap,
     Measurement,
-    amplitudes,
     build_lifted_map,
     gen_frame,
     measure,
@@ -61,7 +57,6 @@ __all__ = [
     "Field",
     "Vector",
     "SymOp",
-    "SpectralDecomp",
     "RankOnePSD",
     "RayPoint",
     "Frame",
@@ -76,16 +71,13 @@ __all__ = [
     "vec",
     "symop",
     "sym_outer",
-    "spectral_decompose",
     "schatten_norm",
-    "weyl_gap",
     "ray",
     "align_dist",
     "lift_dist",
     "lift",
     "unlift",
     "measure",
-    "amplitudes",
     "build_lifted_map",
     "min_norm_inverse",
     "gen_frame",

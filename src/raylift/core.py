@@ -1,4 +1,4 @@
-"""Field-generic vectors, self-adjoint operators, spectral decompositions and
+"""Field-generic vectors, self-adjoint operators, eigenvalue grouping and
 Schatten norms. Everything here is immutable after construction and pure, so
 values are safe to share across threads. A value owns the array its
 constructor converted: fresh, C-ordered and read-only, never the caller's
@@ -19,16 +19,13 @@ __all__ = [
     "Field",
     "Vector",
     "SymOp",
-    "SpectralDecomp",
     "RankOnePSD",
     "SpectralError",
     "RankOneViolation",
     "vec",
     "symop",
     "sym_outer",
-    "spectral_decompose",
     "schatten_norm",
-    "weyl_gap",
 ]
 
 
@@ -242,101 +239,27 @@ def sym_outer(x: Vector, y: Vector) -> SymOp:
     return SymOp(m, x.field)
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Spectral decomposition with eigenvalues grouped by a tolerance.
-
-    ``eigenvalues`` are descending with multiplicities; neighbouring
-    eigenvalues at most ``group_tolerance`` apart are merged (chaining) into
-    one distinct eigenvalue whose projector sums the corresponding
-    eigenprojections.
-    """
-
-    eigenvalues: np.ndarray
-    multiplicities: tuple
-    projectors: tuple
-    group_tolerance: float
-    field: Field
-
-    @property
-    def distinct_count(self) -> int:
-        return len(self.multiplicities)
-
-    @property
-    def group_starts(self) -> tuple:
-        starts, s = [], 0
-        for r in self.multiplicities:
-            starts.append(s)
-            s += r
-        return tuple(starts)
-
-    @property
-    def group_values(self) -> np.ndarray:
-        return self.eigenvalues[list(self.group_starts)]
-
-    def reconstruct(self) -> SymOp:
-        n = self.eigenvalues.shape[0]
-        acc = np.zeros((n, n), dtype=self.field.dtype)
-        for lam, p in zip(self.group_values, self.projectors):
-            acc = acc + lam * p.entries
-        return SymOp(acc, self.field)
-
-
-def _eigh_groups(mats: np.ndarray, group_tol: Optional[float] = None):
+def _eigh_groups(mats: np.ndarray):
     """One batched ``eigh`` of a (k, n, n) stack of self-adjoint matrices,
-    with each row's eigenvalues grouped by a tolerance.
+    with each row's eigenvalues grouped by the row's tolerance
+    1e-8 * max |lam|, so the grouping is scale invariant.
 
     Returns ``(w, vecs, labels, tol)``: the eigenvalues and eigenvectors as
     ``np.linalg.eigh`` orders them (ascending, so the top pair is last), the
     (k, n) group labels counted from the top (label 0 is the top distinct
-    eigenvalue) and each row's tolerance, ``group_tol`` or by default
-    1e-8 * max |lam|. A gap above the tolerance starts a new group, so
-    neighbours at most the tolerance apart chain into one group even when
-    its ends are further apart.
+    eigenvalue) and each row's tolerance. A gap above the tolerance starts a
+    new group, so neighbours at most the tolerance apart chain into one
+    group even when its ends are further apart.
     """
-    if group_tol is not None and not group_tol >= 0:
-        raise ValueError(f"group_tol must be >= 0, got {group_tol}")
     try:
         w, vecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigensolver failed: {e}") from e
-    if group_tol is None:
-        tol = 1e-8 * np.abs(w).max(axis=-1)
-    else:
-        tol = np.full(w.shape[0], float(group_tol))
+    tol = 1e-8 * np.abs(w).max(axis=-1)
     gaps = (w[:, 1:] - w[:, :-1]) > tol[:, None]
     labels = np.zeros(w.shape, dtype=np.intp)
     labels[:, :-1] = gaps[:, ::-1].cumsum(axis=-1)[:, ::-1]
     return w, vecs, labels, tol
-
-
-def spectral_decompose(A: SymOp, group_tol: Optional[float] = None) -> SpectralDecomp:
-    """Eigen-decompose a self-adjoint operator into distinct-eigenvalue groups,
-    the one-row case of ``_eigh_groups``.
-
-    Parameters
-    ----------
-    A : SymOp
-    group_tol : float, optional
-        Non-negative absolute tolerance for merging nearby eigenvalues into
-        one distinct eigenvalue: neighbours whose gap is at most the
-        tolerance share a group, so groups chain. Defaults to
-        ``1e-8 * ||A||_inf`` so behavior is scale invariant.
-    """
-    if A.dim == 0:
-        raise ValueError("spectral decomposition needs dimension >= 1")
-    w, V, labels, tol = _eigh_groups(A.entries[None], group_tol)
-    w, V = w[0, ::-1], V[0, :, ::-1]
-    mults = np.bincount(labels[0, ::-1])
-    # the eigenvectors' phases cancel in each projector V V*
-    blocks = np.split(V, np.cumsum(mults)[:-1], axis=1)
-    return SpectralDecomp(
-        eigenvalues=_freeze(w),
-        multiplicities=tuple(int(r) for r in mults),
-        projectors=tuple(SymOp(b @ b.conj().T, A.field) for b in blocks),
-        group_tolerance=float(tol[0]),
-        field=A.field,
-    )
 
 
 def _schatten_batch(vals: np.ndarray, p: float) -> np.ndarray:
@@ -397,18 +320,6 @@ def schatten_norm(A: SymOp, p: float) -> float:
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigensolver failed: {e}") from e
     return float(_schatten_batch(s, p))
-
-
-def weyl_gap(A: SymOp, B: SymOp) -> float:
-    """Largest movement of sorted eigenvalues between two operators.
-
-    Always at most ``schatten_norm(A - B, inf)`` up to roundoff; asserted as a
-    test property, not assumed.
-    """
-    _check_same(A, B)
-    wa = np.linalg.eigvalsh(A.entries)
-    wb = np.linalg.eigvalsh(B.entries)
-    return float(np.max(np.abs(wa - wb))) if wa.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ __all__ = [
     "LiftedMap",
     "FrameFileError",
     "measure",
-    "amplitudes",
     "build_lifted_map",
     "min_norm_inverse",
     "gen_frame",
@@ -193,11 +192,6 @@ def measure(F: Frame, x: Vector) -> Measurement:
     return Measurement(np.abs(_conj_coeffs(F, x.entries[None])[0]) ** 2)
 
 
-def amplitudes(F: Frame, x: Vector) -> Measurement:
-    """Amplitude measurements: entrywise square root of measure(F, x)."""
-    return Measurement(np.sqrt(measure(F, x).values))
-
-
 def _sym_dim(n: int, field: Field) -> int:
     return n * (n + 1) // 2 if field is Field.REAL else n * n
 
@@ -239,13 +233,12 @@ def _sym_table(n: int, field: Field) -> tuple:
 
 
 def sym_coords(M: np.ndarray, field: Field) -> np.ndarray:
-    """Coordinates of self-adjoint matrices in the fixed real orthonormal
-    basis of the operator space; works on stacks (..., n, n)."""
-    a = np.ascontiguousarray(M, dtype=np.complex128 if field is Field.COMPLEX else None)
-    n, cols = a.shape[-1], _sym_dim(a.shape[-1], field)
-    positions, scales = _sym_table(n, Field.COMPLEX if a.dtype.kind == "c" else Field.REAL)
-    flat = a.view(np.float64).reshape(a.shape[:-2] + (-1,))
-    return flat.take(positions[:cols], axis=-1) * scales[:cols]
+    """Coordinates of one n x n self-adjoint matrix of the field in the
+    fixed real orthonormal basis of the operator space."""
+    a = np.ascontiguousarray(M, dtype=field.dtype)
+    cols = _sym_dim(a.shape[0], field)
+    positions, scales = _sym_table(a.shape[0], field)
+    return a.view(np.float64).ravel()[positions[:cols]] * scales[:cols]
 
 
 def sym_from_coords(t: np.ndarray, n: int, field: Field) -> np.ndarray:
@@ -720,6 +713,8 @@ def read_measurements(path) -> list:
     count, values = doc["count"], doc["values"]
     if type(count) is not int:  # not isinstance: that admits bool
         raise FrameFileError(f"{path}.count: expected integer, got {count!r}")
+    if count < 0:
+        raise FrameFileError(f"{path}.count: expected a nonnegative integer, got {count}")
     if not isinstance(values, list) or not values:
         raise FrameFileError(f"{path}.values: expected a nonempty list")
     rows = values if isinstance(values[0], list) else [values]

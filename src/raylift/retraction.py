@@ -18,7 +18,6 @@ the eigenvalues of a - b.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -51,7 +50,7 @@ def retraction_bound(p: float) -> float:
     return 3.0 + 2.0 ** (1.0 + invp)
 
 
-def _retract_stack(mats: np.ndarray, group_tol: Optional[float] = None):
+def _retract_stack(mats: np.ndarray):
     """The retraction's one eigendecomposition, on a (k, n, n) stack of
     self-adjoint matrices.
 
@@ -62,7 +61,7 @@ def _retract_stack(mats: np.ndarray, group_tol: Optional[float] = None):
     """
     if mats.shape[-1] < 2:
         raise ValueError("retraction needs dimension >= 2")
-    w, vecs, labels, tol = _eigh_groups(mats, group_tol)
+    w, vecs, labels, tol = _eigh_groups(mats)
     return w[:, -1] - w[:, -2], vecs, labels == 0, tol
 
 
@@ -72,16 +71,17 @@ def _carriers(coef: np.ndarray, vecs: np.ndarray, top: np.ndarray) -> np.ndarray
     return coef[:, None, None] * (vm @ vm.conj().transpose(0, 2, 1))
 
 
-def rank_one_retract(A: SymOp, group_tol: Optional[float] = None) -> RankOnePSD:
+def rank_one_retract(A: SymOp) -> RankOnePSD:
     """Retract a self-adjoint operator onto rank-one PSD operators.
 
     Returns (lam1 - lam2) P1 where lam1 >= lam2 are the two largest
     eigenvalues with multiplicity and P1 projects onto the top distinct
-    eigenspace under ``group_tol`` grouping. When the top eigenvalue is
-    (nearly) degenerate the coefficient is at most ``group_tol``, so the
-    output passes continuously through zero there. Fixes rank-one PSD inputs.
+    eigenspace, whose eigenvalues chain by gaps of at most 1e-8 * ||A||_op.
+    When the top eigenvalue is (nearly) degenerate the coefficient is at
+    most that tolerance, so the output passes continuously through zero
+    there. Fixes rank-one PSD inputs.
     """
-    coef, vecs, top, tol = _retract_stack(A.entries[None], group_tol)
+    coef, vecs, top, tol = _retract_stack(A.entries[None])
     generator = None
     if top[0].sum() == 1 and coef[0] > 0.0:
         # the ray's canonical representative, so outputs are reproducible
@@ -93,17 +93,17 @@ def rank_one_retract(A: SymOp, group_tol: Optional[float] = None) -> RankOnePSD:
     )
 
 
-def retraction_ratio(A: SymOp, B: SymOp, p: float, group_tol: Optional[float] = None) -> float:
+def retraction_ratio(A: SymOp, B: SymOp, p: float) -> float:
     """Observed Lipschitz ratio of the retraction on one operator pair."""
     _check_same(A, B)
     _check_order(p)
-    num, den = _ratio_parts(A.entries[None], B.entries[None], p, group_tol)
+    num, den = _ratio_parts(A.entries[None], B.entries[None], p)
     if den[0] == 0.0:
         raise ValueError("operators coincide: retraction ratio is undefined")
     return float(num[0] / den[0])
 
 
-def _ratio_parts(a: np.ndarray, b: np.ndarray, p: float, group_tol: Optional[float] = None):
+def _ratio_parts(a: np.ndarray, b: np.ndarray, p: float):
     """Row by row, the Schatten p-norms of pi(a) - pi(b) and of a - b for two
     (k, n, n) stacks of self-adjoint matrices.
 
@@ -112,8 +112,8 @@ def _ratio_parts(a: np.ndarray, b: np.ndarray, p: float, group_tol: Optional[flo
     ``core._rank2_norms``. Rows where either top group is not simple build
     both carriers and take the eigenvalues of their difference.
     """
-    ca, va, ta = _retract_stack(a, group_tol)[:3]
-    cb, vb, tb = _retract_stack(b, group_tol)[:3]
+    ca, va, ta = _retract_stack(a)[:3]
+    cb, vb, tb = _retract_stack(b)[:3]
     num = _rank2_norms(ca, va[:, :, -1], cb, vb[:, :, -1], p)
     odd = ta[:, -2] | tb[:, -2]
     if odd.any():

@@ -18,7 +18,6 @@ from raylift import (
     Measurement,
     SymOp,
     Vector,
-    amplitudes,
     build_lifted_map,
     estimate_lower_lip,
     gen_frame,
@@ -173,14 +172,6 @@ class TestMeasure:
     def test_zero_vector(self):
         F = gen_frame("named", 2, 2, name="r2_onb")
         assert np.array_equal(measure(F, vec([0.0, 0.0])).values, [0.0, 0.0])
-
-    def test_amplitudes_sqrt(self, rng, field):
-        F = _gauss(3, 7, field, seed=4)
-        x = vec(random_vector(rng, 3, field is Field.COMPLEX), field)
-        a = amplitudes(F, x).values
-        m = measure(F, x).values
-        assert np.max(np.abs(a - np.sqrt(m))) <= 1e-12 * max(1.0, np.max(a))
-        assert np.array_equal(amplitudes(F, vec(np.zeros(3), field)).values, np.zeros(7))
 
     def test_phase_invariance(self, rng, field):
         F = _gauss(4, 9, field, seed=5)
@@ -662,6 +653,8 @@ _READER_CASES = [
      ".vectors[1][1]: expected [re, im] pair, got 1.0"),
     ("flat-ragged", read_measurements, '{"count": 3, "values": [1.0, 2.0]}',
      ".values[0]: expected 3 numbers"),
+    ("negative-count", read_measurements, '{"count": -1, "values": [[1.0, 2.0]]}',
+     ".count: expected a nonnegative integer, got -1"),
     ("flat-deep", read_measurements, '{"count": 3, "values": [1.0, [2.0], 3.0]}',
      ".values[0][1]: expected number, got [2.0]"),
     ("rows-ragged", read_measurements, '{"count": 3, "values": [[1.0, 2.0, 3.0], [1.0, 2.0]]}',

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ class TestRecover:
         assert set(doc["polish"]) == {"iterations", "evaluations", "stop"}
         assert doc["polish"]["stop"] in {"rel_decrease", "stationary", "line_search", "max_iters"}
         assert doc["polish"]["evaluations"] > doc["polish"]["iterations"] >= 1
+
+    def test_polished_follows_polish_record(self):
+        """``polished`` is read from the polish record, so no report can say
+        it was polished without saying how the polish ended."""
+        F = _gauss(2, 6, Field.COMPLEX, seed=5)
+        rep = recover(F, measure(F, vec(np.array([1.0 + 1j, 2.0]), Field.COMPLEX)))
+        with pytest.raises(TypeError):
+            recover_mod.RecoveryReport(rep.estimate, rep.residual, rep.pipeline_stage_norms,
+                                       polished=True)
+        stats = recover_mod.PolishStats(iterations=0, evaluations=1, stop="stationary")
+        assert not rep.polished and "polish" not in rep.to_dict()
+        assert replace(rep, polish=stats).to_dict()["polished"] is True
 
     @pytest.mark.parametrize("mode", ["on", "off"])
     def test_reconstruct_writes_json_bool(self, tmp_path, mode):
