@@ -23,6 +23,7 @@ from . import __version__
 from .core import Field, Vector, _gaussian, symop
 from .frames import (
     FrameFileError,
+    _float_repr17,
     _vec_to_json,
     build_lifted_map,
     dumps_json,
@@ -137,10 +138,7 @@ def _write_text(path, text) -> None:
 def _write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for x in row:
-            cells.append(format(x, ".17g") if isinstance(x, float) else str(x))
-        lines.append(",".join(cells))
+        lines.append(",".join(_float_repr17(x) if isinstance(x, float) else str(x) for x in row))
     _write_text(path, "\n".join(lines) + "\n")
 
 

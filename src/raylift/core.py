@@ -322,10 +322,13 @@ def schatten_norm(A: SymOp, p: float) -> float:
     return float(_schatten_batch(s, p))
 
 
+_RANK_TOL = 1e-10  # RankOnePSD's allowance relative to the top eigenvalue
+
+
 @dataclass(frozen=True)
 class RankOnePSD:
     """A non-negative self-adjoint operator T = [x,x] of rank at most one,
-    checked once against the allowance max(rank_tol * top, rank_atol).
+    checked once against the allowance max(1e-10 * top, rank_atol).
 
     Given a generator x, ||T - [x,x]||_F <= allow, with top = ||x||^2: by
     Weyl's inequality that bounds every eigenvalue but the top. Without one,
@@ -337,14 +340,13 @@ class RankOnePSD:
 
     carrier: SymOp
     generator: Optional[Vector] = None
-    rank_tol: float = 1e-10
     rank_atol: float = 0.0
 
     def __post_init__(self):
         g = self.generator
         if g is not None:
             _check_same(g, self.carrier)
-            allow = max(self.rank_tol * g.norm() ** 2, self.rank_atol)
+            allow = max(_RANK_TOL * g.norm() ** 2, self.rank_atol)
             err = np.linalg.norm(self.carrier.entries - sym_outer(g, g).entries)
             if err > allow:
                 raise RankOneViolation(
@@ -353,7 +355,7 @@ class RankOnePSD:
             return
         w, V = np.linalg.eigh(self.carrier.entries)
         top = float(w[-1]) if w.size else 0.0
-        allow = max(self.rank_tol * top, self.rank_atol)
+        allow = max(_RANK_TOL * top, self.rank_atol)
         second = float(w[-2]) if w.size > 1 else 0.0
         bottom = float(w[0]) if w.size else 0.0
         if second > allow or bottom < -allow:

@@ -264,16 +264,17 @@ def sym_from_coords(t: np.ndarray, n: int, field: Field) -> np.ndarray:
 class LiftedMap:
     """The linear map A: T -> (<T f_k, f_k>)_k on self-adjoint operators,
     in the fixed real orthonormal basis, held as its frame and the factors
-    of its min-norm inverse: no m x cols array.
+    of its min-norm inverse, not as A.
 
     On the Cholesky path (``_right`` is None) ``_left`` is the upper
     Cholesky factor R of G = A^T A over a zeroed lower triangle, Fortran
     ordered in the buffer in which G was formed, and the inverse reads A^T c
-    from the frame. On the SVD path ``_left`` is V_r S_r^-1 and ``_right``
-    is U_r^T (see ``build_lifted_map``). ``matrix``, A itself, is rebuilt
-    from the frame on first use and cached, and so are the singular values
-    behind ``sigma_min`` and ``sigma_max``, which read it; the min-norm
-    inverse needs neither.
+    from the frame, so the map holds no m x cols array. On the SVD path
+    ``_left`` is V_r S_r^-1 and ``_right`` is U_r^T, r x m (see
+    ``build_lifted_map``). The singular values behind
+    ``sigma_min`` and ``sigma_max`` are computed on first use and cached;
+    they and ``apply`` form A from the frame while they run, and the map
+    keeps no copy of it. The min-norm inverse needs neither.
     """
 
     frame: Frame
@@ -298,17 +299,10 @@ class LiftedMap:
         return _sym_dim(self.frame.dim, self.frame.field)
 
     @cached_property
-    def matrix(self) -> np.ndarray:
-        """A, m x cols and read-only: the column-major transpose of
-        ``_lifted_rows``' C-ordered buffer, with the bits and layout that
-        ``build_lifted_map`` factors."""
-        rows_t = _lifted_rows(self.frame)
-        rows_t.setflags(write=False)
-        return rows_t.T
-
-    @cached_property
     def _singular_values(self) -> np.ndarray:
-        return _freeze(np.linalg.svd(self.matrix, compute_uv=False))
+        # A is the column-major transpose of _lifted_rows' C-ordered buffer,
+        # the bits and layout that build_lifted_map factors
+        return _freeze(np.linalg.svd(_lifted_rows(self.frame).T, compute_uv=False))
 
     @property
     def sigma_min(self) -> float:
@@ -319,12 +313,9 @@ class LiftedMap:
     def sigma_max(self) -> float:
         return float(self._singular_values[0])
 
-    def is_full_rank(self) -> bool:
-        return self.rank == self.cols
-
     def apply(self, T: SymOp) -> np.ndarray:
         _check_same(self, T)
-        return self.matrix @ sym_coords(T.entries, self.field)
+        return _lifted_rows(self.frame).T @ sym_coords(T.entries, self.field)
 
 
 def _lifted_rows(F: Frame, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
@@ -717,7 +708,9 @@ def read_measurements(path) -> list:
         raise FrameFileError(f"{path}.count: expected a nonnegative integer, got {count}")
     if not isinstance(values, list) or not values:
         raise FrameFileError(f"{path}.values: expected a nonempty list")
-    rows = values if isinstance(values[0], list) else [values]
     wants = ("expected a nonempty list", f"expected {count} numbers")
-    a = _numbers(rows, (len(rows), count), f"{path}.values", wants)
+    if isinstance(values[0], list):
+        a = _numbers(values, (len(values), count), f"{path}.values", wants)
+    else:  # one flat row: its entries are values[i], not values[0][i]
+        a = _numbers(values, (count,), f"{path}.values", wants[1:])[None]
     return [Measurement(row) for row in a]

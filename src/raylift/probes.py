@@ -357,29 +357,24 @@ def upper_lip_ceiling(F: Frame) -> float:
     return float(np.linalg.eigvalsh(np.abs(fs.conj() @ fs.T) ** 2)[-1])
 
 
-def pr_verdict(
-    F: Frame,
-    threshold: float = 1e-8,
-    estimate: Optional[LowerLipEstimate] = None,
-    starts: int = 64,
-    seed: int = 0,
-) -> str:
-    """Phase-retrievability verdict for a frame, the same at every scaling of
-    it: a0 and Q scale as r = (max_k ||f_k||^2)^2 and are compared relative to r.
+_PR_THRESHOLD = 1e-8  # pr_verdict's least a0, relative to (max_k ||f_k||^2)^2
 
-    "retrievable" when the estimated a0 is at least threshold * r;
+
+def pr_verdict(F: Frame, estimate: LowerLipEstimate) -> str:
+    """Phase-retrievability verdict for a frame from an estimate of its lower
+    stability constant, the same at every scaling of the frame: a0 and Q
+    scale as r = (max_k ||f_k||^2)^2 and are compared relative to r.
+
+    "retrievable" when the estimated a0 is at least 1e-8 * r;
     "not_retrievable" only with an explicit witness pair whose Q is at most
-    1e-12 * r while its (scale-free) denominator exceeds the threshold:
-    estimates alone never condemn a frame; "indeterminate" otherwise.
+    1e-12 * r while its (scale-free) denominator exceeds 1e-8: estimates
+    alone never condemn a frame; "indeterminate" otherwise.
     """
-    if not 0 < threshold < math.inf:
-        raise ValueError(f"threshold must be positive and finite, got {threshold}")
-    est = estimate if estimate is not None else estimate_lower_lip(F, starts=starts, seed=seed)
     norms4 = float(np.sum(np.abs(F.synthesis) ** 2, axis=1).max()) ** 2
-    if est.value >= threshold * norms4:
+    if estimate.value >= _PR_THRESHOLD * norms4:
         return "retrievable"
-    q, den = lower_lip_objective(F, est.argmin_u.entries, est.argmin_v.entries)
-    if q <= 1e-12 * norms4 and den > threshold:
+    q, den = lower_lip_objective(F, estimate.argmin_u.entries, estimate.argmin_v.entries)
+    if q <= 1e-12 * norms4 and den > _PR_THRESHOLD:
         return "not_retrievable"
     return "indeterminate"
 

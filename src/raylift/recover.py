@@ -147,11 +147,11 @@ def recover(
         # (lam1 - lam2) P1 has Frobenius norm coef * sqrt(rank P1)
         "retraction_fro": coef * math.sqrt(int(top[0].sum())),
     }
-    # the bits of measure(F, est.rep), without validating and copying them
-    fit = np.abs(_conj_coeffs(F, est.rep.entries[None])[0]) ** 2 - c.values
+    # scored by polish's kernel: the residual is sqrt(h)
+    h = _fit_rows(F, c.values[None], est.rep.entries[None])[2]
     rep = RecoveryReport(
         estimate=est,
-        residual=float(np.linalg.norm(fit)),
+        residual=math.sqrt(h[0]),
         pipeline_stage_norms=stage_norms,
     )
     return _polish_reports(F, c.values[None], [rep])[0] if do_polish else rep

@@ -36,6 +36,7 @@ from raylift.cli import main as cli_main
 from raylift.frames import (
     LiftedMap,
     _lifted_adjoint,
+    _lifted_rows,
     _phase_fill,
     _sym_table,
     _triu_pairs,
@@ -219,7 +220,7 @@ class TestLiftedMap:
         M = build_lifted_map(F)
         T = SymOp(np.array([[1.5, 0.7], [0.7, -0.25]]), Field.REAL)
         assert np.allclose(M.apply(T), [1.5, -0.25], atol=1e-14)
-        assert M.rank == 2 and M.cols == 3 and not M.is_full_rank()
+        assert M.rank == 2 and M.cols == 3
 
     def test_generic_full_rank(self, field):
         n = 3
@@ -237,7 +238,7 @@ class TestLiftedMap:
     def test_exactness_full_rank(self, rng, field):
         F = _gauss(3, 12, field, seed=10)
         M = build_lifted_map(F)
-        assert M.is_full_rank()
+        assert M.rank == M.cols
         for _ in range(25):
             x = vec(random_vector(rng, 3, field is Field.COMPLEX), field)
             T = min_norm_inverse(M, measure(F, x))
@@ -284,9 +285,10 @@ class TestLiftedFactorization:
     the rank, both extreme singular values and the min-norm solution."""
 
     def _check_vs_svd(self, M, rng, tol):
+        A = _lifted_rows(M.frame).T
         noise = rng.standard_normal(M.rows)
-        in_range = M.matrix @ rng.standard_normal(M.cols)
-        rank, s, want = svd_min_norm(M.matrix, np.stack([noise, in_range]))
+        in_range = A @ rng.standard_normal(M.cols)
+        rank, s, want = svd_min_norm(A, np.stack([noise, in_range]))
         assert M.rank == rank
         assert M.sigma_min == pytest.approx(s[rank - 1], rel=1e-10)
         assert M.sigma_max == pytest.approx(s[0], rel=1e-10)
@@ -298,13 +300,13 @@ class TestLiftedFactorization:
     def test_cholesky_path_matches_svd(self, rng, field, n, m):
         M = build_lifted_map(_gauss(n, m, field, seed=n))
         assert M._right is None  # the normal equations were used
-        assert M.is_full_rank()
+        assert M.rank == M.cols
         self._check_vs_svd(M, rng, 1e-10)
 
     def test_ill_conditioned_frame_falls_back(self, rng, field):
         M = build_lifted_map(_near_duplicate_frame(field))
         assert M._right is not None  # the SVD fallback ran
-        assert M.is_full_rank()
+        assert M.rank == M.cols
         assert M.sigma_min < 1e-3 * M.sigma_max
         self._check_vs_svd(M, rng, 1e-12)
 
@@ -323,16 +325,34 @@ class TestLiftedFactorization:
         s = M.sigma_min
         assert "_singular_values" in vars(M) and M.sigma_min == s
 
-    def test_matrix_is_lazy(self, field):
-        """The map holds no m x cols array: building it and inverting with it
-        never forms A, and the first ``matrix`` rebuilds it from the frame,
-        once."""
+    def test_matrix_is_lazy(self, rng, field):
+        """On the Cholesky path the map holds no m x cols array: building it
+        and inverting with it never forms A, and ``sigma_min``, ``sigma_max``
+        and ``apply`` form it from the frame while they run and keep no
+        copy."""
         F = _gauss(3, 19, field, seed=3)
         M = build_lifted_map(F)
         min_norm_inverse(M, np.ones(19))
-        assert "matrix" not in vars(M) and M.frame is F
-        A = M.matrix
-        assert "matrix" in vars(M) and M.matrix is A and not A.flags.writeable
+        M.sigma_min, M.sigma_max
+        M.apply(SymOp(random_hermitian(rng, 3, field is Field.COMPLEX), field))
+        assert M.frame is F
+        assert not [k for k, v in vars(M).items()
+                    if isinstance(v, np.ndarray) and v.size == M.rows * M.cols]
+
+    # the frames of the benchmark's workloads: complex n = 8, m = 72 (two
+    # seeds: recon-many and certify), n = 8, m = 128 and n = 32, m = 2048
+    @pytest.mark.parametrize("n, m, seed", [(8, 72, 1), (8, 128, 1), (32, 2048, 1), (8, 72, 2)])
+    def test_matrix_free_bits(self, rng, n, m, seed):
+        """``sigma_min``, ``sigma_max`` and ``apply`` give the bits of the
+        same calls on A as the oracle writes it, in the column-major layout
+        that ``build_lifted_map`` factors."""
+        F = _gauss(n, m, Field.COMPLEX, seed=seed)
+        M = build_lifted_map(F)
+        A = np.asfortranarray(lifted_rows_einsum(F.synthesis, True))
+        s = np.linalg.svd(A, compute_uv=False)
+        assert M.sigma_max == s[0] and M.sigma_min == s[M.rank - 1]
+        T = SymOp(random_hermitian(rng, n, True), Field.COMPLEX)
+        assert _same_bits(M.apply(T), A @ sym_coords(T.entries, Field.COMPLEX))
 
 
 def _same_bits(a, b):
@@ -350,8 +370,9 @@ class TestLiftedRowsOracle:
     def _check(self, F, rng):
         M = build_lifted_map(F)
         rows = lifted_rows_einsum(F.synthesis, F.field is Field.COMPLEX)
-        assert _same_bits(M.matrix, rows)
-        assert M.matrix.flags.f_contiguous == rows.flags.f_contiguous
+        A = _lifted_rows(F).T
+        assert _same_bits(A, rows)
+        assert A.flags.f_contiguous == rows.flags.f_contiguous
         step = max(1, frames_mod._STACK_ENTRIES // M.cols)
         left, right = lifted_inverse_factors(rows, cholesky=M._right is None, step=step)
         assert _same_bits(M._left, left)
@@ -361,7 +382,7 @@ class TestLiftedRowsOracle:
             assert _same_bits(M._right, right)
         oracle = LiftedMap(frame=F, rank=left.shape[1], _left=left, _right=right)
         assert oracle.rank == M.rank
-        for c in (rng.standard_normal(F.count), M.matrix @ rng.standard_normal(M.cols)):
+        for c in (rng.standard_normal(F.count), A @ rng.standard_normal(M.cols)):
             assert _same_bits(min_norm_inverse(M, c).entries, min_norm_inverse(oracle, c).entries)
 
     # 2n^2 + 1 Gaussian vectors pass the Cholesky gate; for n >= 2, n
@@ -418,7 +439,7 @@ class TestLiftedRowsOracle:
         left, _ = lifted_inverse_factors(rows, cholesky=True, step=4)
         assert _same_bits(M._left, left)
         assert np.max(np.abs(M._left - one._left)) <= 1e-14 * np.max(np.abs(one._left))
-        for c in (rng.standard_normal(F.count), one.matrix @ rng.standard_normal(one.cols)):
+        for c in (rng.standard_normal(F.count), rows @ rng.standard_normal(one.cols)):
             want = min_norm_inverse(one, c).entries
             got = min_norm_inverse(M, c).entries
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
@@ -438,9 +459,10 @@ class TestCholeskyAccuracy:
         # G^-1 from the factor, mirrored from LAPACK's upper triangle
         inv = lapack.dpotri(M._left)[0]
         inv = np.triu(inv) + np.triu(inv, 1).T
+        A = _lifted_rows(F).T
         rng = np.random.default_rng(n)
-        for c in (rng.standard_normal(F.count), M.matrix @ rng.standard_normal(cols)):
-            want = np.linalg.lstsq(M.matrix, c, rcond=None)[0]
+        for c in (rng.standard_normal(F.count), A @ rng.standard_normal(cols)):
+            want = np.linalg.lstsq(A, c, rcond=None)[0]
             got = sym_coords(min_norm_inverse(M, c).entries, field)
             old = inv @ _lifted_adjoint(F, c)
             scale = np.linalg.norm(want)
@@ -459,10 +481,11 @@ class TestCholeskyAccuracy:
             F = _gauss(n, 2 * cols + 1, field, seed=seed)
             M = build_lifted_map(F)
             assert M._right is None
+            A = _lifted_rows(F).T
             rng = np.random.default_rng(seed)
-            for c in (rng.standard_normal(F.count), M.matrix @ rng.standard_normal(cols)):
-                want = np.linalg.lstsq(M.matrix, c, rcond=None)[0]
-                y = blas.dtrsv(M._left, M.matrix.T @ c, trans=1)
+            for c in (rng.standard_normal(F.count), A @ rng.standard_normal(cols)):
+                want = np.linalg.lstsq(A, c, rcond=None)[0]
+                y = blas.dtrsv(M._left, A.T @ c, trans=1)
                 solved = {"frame": sym_coords(min_norm_inverse(M, c).entries, field),
                           "matrix": blas.dtrsv(M._left, y)}
                 for k, t in solved.items():
@@ -622,7 +645,7 @@ _READER_CASES = [
         (f"complex-{name}", read_frame, _frame_text("complex", _COMPLEX_ROWS.format(token)),
          f".vectors[1][1][1]: {why}"),
         (f"flat-{name}", read_measurements,
-         f'{{"count": 3, "values": [1.0, {token}, 2.0]}}', f".values[0][1]: {why}"),
+         f'{{"count": 3, "values": [1.0, {token}, 2.0]}}', f".values[1]: {why}"),
         (f"rows-{name}", read_measurements,
          f'{{"count": 3, "values": [[1.0, 2.0, 3.0], [1.0, {token}, 2.0]]}}',
          f".values[1][1]: {why}"),
@@ -652,11 +675,11 @@ _READER_CASES = [
      _frame_text("complex", "[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], 1.0], [[0.5, 0.5], [0.5, -0.5]]]"),
      ".vectors[1][1]: expected [re, im] pair, got 1.0"),
     ("flat-ragged", read_measurements, '{"count": 3, "values": [1.0, 2.0]}',
-     ".values[0]: expected 3 numbers"),
+     ".values: expected 3 numbers"),
     ("negative-count", read_measurements, '{"count": -1, "values": [[1.0, 2.0]]}',
      ".count: expected a nonnegative integer, got -1"),
     ("flat-deep", read_measurements, '{"count": 3, "values": [1.0, [2.0], 3.0]}',
-     ".values[0][1]: expected number, got [2.0]"),
+     ".values[1]: expected number, got [2.0]"),
     ("rows-ragged", read_measurements, '{"count": 3, "values": [[1.0, 2.0, 3.0], [1.0, 2.0]]}',
      ".values[1]: expected 3 numbers"),
     ("rows-deep", read_measurements,
@@ -771,7 +794,7 @@ class TestFrameFileErrors:
         ([[1.0, True, 2.0]], r"\.values\[0\]\[1\]: expected number, got True$"),
         ([[1.0, 2.0, 3.0], [1.0, 2.0]], r"\.values\[1\]: expected 3 numbers$"),
         ([[1.0, 2.0, 3.0], 4.0], r"\.values\[1\]: expected 3 numbers$"),
-        ([1.0, "2", 3.0], r"\.values\[0\]\[1\]: expected number, got '2'$"),
+        ([1.0, "2", 3.0], r"\.values\[1\]: expected number, got '2'$"),
         ([[1.0, 2.0, [3.0]]], r"\.values\[0\]\[2\]: expected number, got \[3\.0\]$"),
     ], ids=["bool", "ragged", "number-row", "string", "nested"])
     def test_measurement_entry_messages(self, tmp_path, values, message):

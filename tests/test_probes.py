@@ -593,30 +593,27 @@ class TestCheckReport:
 
 class TestVerdict:
     def test_pr3_retrievable(self):
-        assert pr_verdict(_pr3()) == "retrievable"
+        F = _pr3()
+        assert pr_verdict(F, estimate_lower_lip(F)) == "retrievable"
 
     def test_onb_not_retrievable(self):
-        assert pr_verdict(_onb()) == "not_retrievable"
+        F = _onb()
+        assert pr_verdict(F, estimate_lower_lip(F)) == "not_retrievable"
 
     def test_underdetermined_never_retrievable(self):
         # m = n < 2n - 1 cannot give phase retrieval
         F = gen_frame("random_gaussian", 4, 4, Field.REAL, seed=8)
-        assert pr_verdict(F, starts=24) in ("not_retrievable", "indeterminate")
-
-    def test_threshold_validated(self):
-        # nan and inf gave "indeterminate" where 1e-8 gives "retrievable"
-        for threshold in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="threshold must be positive and finite"):
-                pr_verdict(_pr3(), threshold=threshold)
+        est = estimate_lower_lip(F, starts=24)
+        assert pr_verdict(F, est) in ("not_retrievable", "indeterminate")
 
     def test_scale_invariant(self):
         frames = [(_pr3(), 64), (_onb(), 64),
                   (gen_frame("random_gaussian", 4, 16, Field.COMPLEX, seed=1), 16)]
         for F, starts in frames:
-            want = pr_verdict(F, starts=starts)
+            want = pr_verdict(F, estimate_lower_lip(F, starts=starts))
             for e in range(-4, 5):
                 G = Frame(10.0 ** e * F.synthesis, F.field)
-                assert pr_verdict(G, starts=starts) == want, (F.label, e)
+                assert pr_verdict(G, estimate_lower_lip(G, starts=starts)) == want, (F.label, e)
 
 
 class TestBilipschitz:

@@ -61,7 +61,7 @@ class TestRecover:
     def test_exact_recovery_fixture(self):
         F = _pr_frame_r2()
         M = build_lifted_map(F)
-        assert M.is_full_rank()
+        assert M.rank == M.cols
         x = vec([3.0, 1.0])
         rep = recover(F, measure(F, x), lifted=M)
         assert lift_dist(rep.estimate, ray(x), 1) <= 1e-7

@@ -195,22 +195,25 @@ class TestBatch:
 
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_probe_draws_the_pairs_it_reports(self, monkeypatch, n):
-        """The adversarial samplers draw ``samples_adversarial`` pairs in
-        all, the gap sampler taking the odd one."""
+        """In each field the adversarial samplers draw
+        ``samples_adversarial`` pairs in all, the gap sampler taking the odd
+        one."""
         drawn = {}
 
         def counting(name, sampler):
             def counted(rng, k, dim, field):
-                drawn[name] = drawn.get(name, 0) + k
+                drawn[name, field] = drawn.get((name, field), 0) + k
                 return sampler(rng, k, dim, field)
             return name, counted
 
         monkeypatch.setattr(retraction_mod, "_SAMPLERS",
                             tuple(counting(*s) for s in _SAMPLERS))
-        res = retraction_probe(dims=(2,), fields=(Field.REAL,), ps=(2,), n_random=2,
-                               n_adversarial=n, seed=1)
-        assert drawn.get("gap", 0) + drawn.get("rank_one", 0) == res["samples_adversarial"] == n
-        assert drawn.get("gap", 0) == n - n // 2 and drawn["random"] == 2
+        res = retraction_probe(dims=(2,), ps=(2,), n_random=2, n_adversarial=n, seed=1)
+        assert [c["field"] for c in res["combos"]] == ["real", "complex"]
+        for field in Field:
+            gap, rank_one = drawn.get(("gap", field), 0), drawn.get(("rank_one", field), 0)
+            assert gap + rank_one == res["samples_adversarial"] == n
+            assert gap == n - n // 2 and drawn["random", field] == 2
 
     @pytest.mark.parametrize("n_random, n_adversarial", [(-5, -3), (-1, 4), (2, -1)])
     def test_probe_refuses_negative_counts(self, n_random, n_adversarial):
