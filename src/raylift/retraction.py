@@ -206,8 +206,9 @@ def retraction_probe(
     up to ~5e-7 above it.
     """
     _check_order(p)
-    if samples < 0:
-        raise ValueError(f"sample count must be >= 0, got samples={samples}")
+    if samples < 0 or any(dim < 1 for dim in dims):
+        raise ValueError("sample count must be >= 0 and each dimension >= 1, "
+                         f"got samples={samples}, dims={dims}")
     # the adversarial samplers split the samples, the gap sampler taking the
     # odd pair
     half = samples // 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,11 +215,12 @@ class TestBatch:
             assert gap + rank_one == res["samples_adversarial"] == n
             assert gap == n - n // 2 and drawn["random", field] == res["samples_random"] == n
 
-    @pytest.mark.parametrize("samples", [-5, -1])
-    def test_probe_refuses_negative_counts(self, samples):
-        """A negative count drew no pair and was reported as the count."""
-        with pytest.raises(ValueError, match=f"samples={samples}$"):
-            retraction_probe(dims=(2,), p=2, samples=samples)
+    @pytest.mark.parametrize("samples, dim", [(-5, -3), (-1, 4), (2, -1)])
+    def test_probe_refuses_negative_counts(self, samples, dim):
+        """A negative sample count or dimension drew no pair and was
+        reported with both counts."""
+        with pytest.raises(ValueError, match=re.escape(f"samples={samples}, dims=({dim},)") + "$"):
+            retraction_probe(dims=(dim,), p=2, samples=samples)
 
     def test_probe_deterministic(self):
         r1 = retraction_probe(dims=(2,), p=2, samples=400, seed=9)
