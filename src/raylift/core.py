@@ -1,4 +1,4 @@
-"""Field-generic vectors, self-adjoint operators, eigenvalue grouping and
+"""Field-generic vectors, self-adjoint operators, rank-one PSD operators and
 Schatten norms. Everything here is immutable after construction and pure, so
 values are safe to share across threads. A value owns the array its
 constructor converted: fresh, C-ordered and read-only, never the caller's
@@ -239,29 +239,6 @@ def sym_outer(x: Vector, y: Vector) -> SymOp:
     return SymOp(m, x.field)
 
 
-def _eigh_groups(mats: np.ndarray):
-    """One batched ``eigh`` of a (k, n, n) stack of self-adjoint matrices,
-    with each row's eigenvalues grouped by the row's tolerance
-    1e-8 * max |lam|, so the grouping is scale invariant.
-
-    Returns ``(w, vecs, labels, tol)``: the eigenvalues and eigenvectors as
-    ``np.linalg.eigh`` orders them (ascending, so the top pair is last), the
-    (k, n) group labels counted from the top (label 0 is the top distinct
-    eigenvalue) and each row's tolerance. A gap above the tolerance starts a
-    new group, so neighbours at most the tolerance apart chain into one
-    group even when its ends are further apart.
-    """
-    try:
-        w, vecs = np.linalg.eigh(mats)
-    except np.linalg.LinAlgError as e:
-        raise SpectralError(f"eigensolver failed: {e}") from e
-    tol = 1e-8 * np.abs(w).max(axis=-1)
-    gaps = (w[:, 1:] - w[:, :-1]) > tol[:, None]
-    labels = np.zeros(w.shape, dtype=np.intp)
-    labels[:, :-1] = gaps[:, ::-1].cumsum(axis=-1)[:, ::-1]
-    return w, vecs, labels, tol
-
-
 def _schatten_batch(vals: np.ndarray, p: float) -> np.ndarray:
     """Schatten p-norms of a stack of self-adjoint operators, given their
     eigenvalues along the last axis."""
@@ -328,25 +305,23 @@ _RANK_TOL = 1e-10  # RankOnePSD's allowance relative to the top eigenvalue
 @dataclass(frozen=True)
 class RankOnePSD:
     """A non-negative self-adjoint operator T = [x,x] of rank at most one,
-    checked once against the allowance max(1e-10 * top, rank_atol).
+    checked once against the allowance 1e-10 * top.
 
     Given a generator x, ||T - [x,x]||_F <= allow, with top = ||x||^2: by
     Weyl's inequality that bounds every eigenvalue but the top. Without one,
     one ``eigh`` checks the second and the smallest eigenvalue, and its top
     pair gives the generator sqrt(lam1) u1 (zero when lam1 <= 0) in
-    ``eigh``'s phase. ``rank_atol`` admits the retraction's output near a
-    degenerate top eigenvalue, rank-one only up to the grouping tolerance.
+    ``eigh``'s phase.
     """
 
     carrier: SymOp
     generator: Optional[Vector] = None
-    rank_atol: float = 0.0
 
     def __post_init__(self):
         g = self.generator
         if g is not None:
             _check_same(g, self.carrier)
-            allow = max(_RANK_TOL * g.norm() ** 2, self.rank_atol)
+            allow = _RANK_TOL * g.norm() ** 2
             err = np.linalg.norm(self.carrier.entries - sym_outer(g, g).entries)
             if err > allow:
                 raise RankOneViolation(
@@ -355,7 +330,7 @@ class RankOnePSD:
             return
         w, V = np.linalg.eigh(self.carrier.entries)
         top = float(w[-1]) if w.size else 0.0
-        allow = max(_RANK_TOL * top, self.rank_atol)
+        allow = _RANK_TOL * top
         second = float(w[-2]) if w.size > 1 else 0.0
         bottom = float(w[0]) if w.size else 0.0
         if second > allow or bottom < -allow:

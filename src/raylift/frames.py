@@ -479,8 +479,6 @@ def gen_frame(
             raise ValueError(f"named frame {name} has count {len(rows)}, requested {count}")
         return Frame(np.asarray(rows, dtype=field.dtype), field, label=name)
     if kind == "random_gaussian":
-        if count < dim:
-            raise ValueError(f"need count >= dim, got m={count} < n={dim}")
         a = _gaussian(np.random.default_rng(seed), (count, dim), field)
         return Frame(a, field, label=f"gaussian-n{dim}-m{count}-{field.value}-seed{seed}")
     raise ValueError(f"unknown frame kind {kind!r}")

@@ -22,7 +22,7 @@ from .frames import Frame, LiftedMap, Measurement, build_lifted_map, min_norm_in
 from .frames import (_STACK_ENTRIES, _coeff_rows, _conj_coeffs, _measurement, _phase_fill,
                      _row_dots, _vec_to_json)
 from .metrics import RayPoint, ray
-from .retraction import _retract_stack, retraction_bound
+from .retraction import _retract_ray, retraction_bound
 
 __all__ = [
     "RecoveryReport",
@@ -137,14 +137,11 @@ def recover(
     c = _measurement(c, F.count)
     M = _lifted_for(F, lifted)
     T = min_norm_inverse(M, c)
-    coef, vecs, top, _ = _retract_stack(T.entries[None])
-    coef = float(coef[0])
-    x = math.sqrt(coef) * vecs[0, :, -1] if coef > 0.0 else np.zeros(F.dim, F.field.dtype)
-    est = ray(Vector(x, F.field))
+    coef, est = _retract_ray(T)
     stage_norms = {
         "pseudoinverse_fro": float(np.linalg.norm(T.entries)),
-        # (lam1 - lam2) P1 has Frobenius norm coef * sqrt(rank P1)
-        "retraction_fro": coef * math.sqrt(int(top[0].sum())),
+        # (lam1 - lam2) u1 u1* has Frobenius norm lam1 - lam2
+        "retraction_fro": coef,
     }
     # scored by polish's kernel: the residual is sqrt(h)
     h = _fit_rows(F, c.values[None], est.rep.entries[None])[2]

@@ -1,18 +1,18 @@
 """The Lipschitz retraction from self-adjoint operators onto non-negative
 rank-at-most-one operators, plus empirical probes of its Lipschitz constant.
 
-The retraction keeps (top eigenvalue - second eigenvalue) times the projector
-onto the top distinct eigenspace. It fixes every rank-one PSD operator and is
-Lipschitz in every Schatten p-norm with constant at most 3 + 2^(1 + 1/p); the
-supremum is approached near degenerate top eigenvalues, so the probe samplers
-deliberately target small spectral gaps.
+The retraction is the paper's pi(A) = (lam1 - lam2) u1 u1*, for the two
+largest eigenvalues lam1 >= lam2 of A, counted with multiplicity, and a unit
+top eigenvector u1. It needs no decision about multiplicity: near a tie the
+coefficient is as small as the gap, whichever u1 the eigensolver returns. It
+fixes every rank-one PSD operator and is Lipschitz in every Schatten p-norm
+with constant at most 3 + 2^(1 + 1/p); the supremum is approached near
+degenerate top eigenvalues, so the probe samplers target small spectral gaps.
 
 The probe's ratio ||pi(a) - pi(b)||_p / ||a - b||_p reads its numerator from
-the two top eigenpairs: when both top groups are simple,
-pi(a) - pi(b) = ca ua ua* - cb ub ub* has rank <= 2, and ``core._rank2_norms``
-gives its norm. Rows where a top group is not simple build both carriers and
-take the eigenvalues of their difference. The denominator always comes from
-the eigenvalues of a - b.
+the two top eigenpairs: pi(a) - pi(b) = ca ua ua* - cb ub ub* has rank <= 2,
+and ``core._rank2_norms`` gives its norm. The denominator comes from the
+eigenvalues of a - b.
 """
 
 from __future__ import annotations
@@ -24,16 +24,17 @@ import numpy as np
 from .core import (
     Field,
     RankOnePSD,
+    SpectralError,
     SymOp,
     Vector,
     _check_order,
     _check_same,
-    _eigh_groups,
     _gaussian,
     _rank2_norms,
     _schatten_batch,
+    sym_outer,
 )
-from .metrics import ray
+from .metrics import RayPoint, ray
 
 __all__ = [
     "rank_one_retract",
@@ -52,45 +53,36 @@ def retraction_bound(p: float) -> float:
 
 def _retract_stack(mats: np.ndarray):
     """The retraction's one eigendecomposition, on a (k, n, n) stack of
-    self-adjoint matrices.
-
-    Returns ``(coef, vecs, top, tol)``: the coefficients lam1 - lam2, the
-    eigenvectors as ``np.linalg.eigh`` orders them (ascending, so the top one
-    is ``vecs[:, :, -1]``), the (k, n) mask of the top distinct eigenvalue
-    group and each row's grouping tolerance, all from ``_eigh_groups``.
-    """
+    self-adjoint matrices: ``(coef, u1)``, the (k,) coefficients lam1 - lam2
+    and the (k, n) unit top eigenvectors, so that row i retracts to
+    coef[i] u1[i] u1[i]*. A failed ``eigh`` raises ``SpectralError``."""
     if mats.shape[-1] < 2:
         raise ValueError("retraction needs dimension >= 2")
-    w, vecs, labels, tol = _eigh_groups(mats)
-    return w[:, -1] - w[:, -2], vecs, labels == 0, tol
+    try:
+        w, vecs = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as e:
+        raise SpectralError(f"eigensolver failed: {e}") from e
+    return w[:, -1] - w[:, -2], vecs[:, :, -1]
 
 
-def _carriers(coef: np.ndarray, vecs: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """The retracted operators (lam1 - lam2) P1 of a ``_retract_stack``."""
-    vm = vecs * top[:, None, :]
-    return coef[:, None, None] * (vm @ vm.conj().transpose(0, 2, 1))
+def _retract_ray(A: SymOp) -> tuple[float, RayPoint]:
+    """``(coef, ray)`` for one operator: lam1 - lam2 and the ray of
+    sqrt(lam1 - lam2) u1, which is the zero ray when lam1 = lam2."""
+    coef, u = _retract_stack(A.entries[None])
+    c = float(coef[0])
+    x = math.sqrt(c) * u[0] if c > 0.0 else np.zeros(A.dim, A.field.dtype)
+    return c, ray(Vector(x, A.field))
 
 
 def rank_one_retract(A: SymOp) -> RankOnePSD:
-    """Retract a self-adjoint operator onto rank-one PSD operators.
-
-    Returns (lam1 - lam2) P1 where lam1 >= lam2 are the two largest
-    eigenvalues with multiplicity and P1 projects onto the top distinct
-    eigenspace, whose eigenvalues chain by gaps of at most 1e-8 * ||A||_op.
-    When the top eigenvalue is (nearly) degenerate the coefficient is at
-    most that tolerance, so the output passes continuously through zero
-    there. Fixes rank-one PSD inputs.
-    """
-    coef, vecs, top, tol = _retract_stack(A.entries[None])
-    generator = None
-    if top[0].sum() == 1 and coef[0] > 0.0:
-        # the ray's canonical representative, so outputs are reproducible
-        generator = ray(Vector(math.sqrt(coef[0]) * vecs[0, :, -1], A.field)).rep
-    return RankOnePSD(
-        carrier=SymOp(_carriers(coef, vecs, top)[0], A.field),
-        generator=generator,
-        rank_atol=float(tol[0]) * (1 + 1e-8) + 1e-300,
-    )
+    """Retract a self-adjoint operator onto rank-one PSD operators: the
+    paper's pi(A) = (lam1 - lam2) u1 u1*, where lam1 >= lam2 are the two
+    largest eigenvalues with multiplicity and u1 is a unit top eigenvector.
+    It is 0 when lam1 = lam2 and fixes rank-one PSD inputs. The generator g
+    is sqrt(lam1 - lam2) u1 in its ray's canonical form, so outputs are
+    reproducible, and the carrier is its lift [g, g]."""
+    g = _retract_ray(A)[1].rep
+    return RankOnePSD(carrier=sym_outer(g, g), generator=g)
 
 
 def retraction_ratio(A: SymOp, B: SymOp, p: float) -> float:
@@ -105,21 +97,13 @@ def retraction_ratio(A: SymOp, B: SymOp, p: float) -> float:
 
 def _ratio_parts(a: np.ndarray, b: np.ndarray, p: float):
     """Row by row, the Schatten p-norms of pi(a) - pi(b) and of a - b for two
-    (k, n, n) stacks of self-adjoint matrices.
-
-    Where both top groups are simple, the numerator is the norm of the
-    rank-<=2 difference ca ua ua* - cb ub ub* of the top eigenpairs, from
-    ``core._rank2_norms``. Rows where either top group is not simple build
-    both carriers and take the eigenvalues of their difference.
-    """
-    ca, va, ta = _retract_stack(a)[:3]
-    cb, vb, tb = _retract_stack(b)[:3]
-    num = _rank2_norms(ca, va[:, :, -1], cb, vb[:, :, -1], p)
-    odd = ta[:, -2] | tb[:, -2]
-    if odd.any():
-        diff = _carriers(ca[odd], va[odd], ta[odd]) - _carriers(cb[odd], vb[odd], tb[odd])
-        num[odd] = _schatten_batch(np.linalg.eigvalsh(diff), p)
-    return num, _schatten_batch(np.linalg.eigvalsh(a - b), p)
+    (k, n, n) stacks of self-adjoint matrices. The numerator is the norm of
+    the rank-<=2 difference ca ua ua* - cb ub ub* of the two retractions,
+    from ``core._rank2_norms``; the denominator comes from the eigenvalues
+    of a - b."""
+    ca, ua = _retract_stack(a)
+    cb, ub = _retract_stack(b)
+    return _rank2_norms(ca, ua, cb, ub, p), _schatten_batch(np.linalg.eigvalsh(a - b), p)
 
 
 # --- batched probe machinery -------------------------------------------------

@@ -7,8 +7,7 @@ the lifted rows from an m x n x n outer-product stack (vs pair by pair),
 per-row best-partner solves on a Householder basis (vs one stacked solve
 with a rank-one deflation), the retraction difference from two explicit
 carriers (vs a rank-two closed form), the n = 2 retraction as a traceless
-shift (vs an eigendecomposition), eigenvalue groups by a per-row loop (vs
-stacked array operations), self-adjoint matrices from coordinates by 2-D
+shift (vs an eigendecomposition), self-adjoint matrices from coordinates by 2-D
 assignments into a zeroed matrix (vs one flat scatter), and dense parameter
 scans (the n = 2 a0 over angle pairs vs its closed form from the lifted
 Gram). They are slow and only used at small sizes.
@@ -56,25 +55,6 @@ def jacobi_eigvalsh(A, sweeps=100, tol=1e-14):
                 G[q, q] = c * np.exp(-1j * phi)
                 A = G.conj().T @ A @ G
     return np.sort(np.diag(A).real)
-
-
-def group_labels(w, tol=None):
-    """``(labels, tol)`` for the descending eigenvalues w: one group label
-    per eigenvalue counted from the top. A loop keeps each eigenvalue in its
-    upper neighbour's group while their gap is at most tol (by default 1e-8
-    times the largest magnitude), so groups chain."""
-    if tol is None:
-        tol = 1e-8 * max(abs(float(x)) for x in w)
-    labels = [0] * len(w)
-    for j in range(1, len(w)):
-        labels[j] = labels[j - 1] + int(float(w[j - 1]) - float(w[j]) > tol)
-    return labels, tol
-
-
-def grouped_eigvalsh(A, tol=None):
-    """Jacobi eigenvalues, descending, with their ``group_labels``."""
-    w = jacobi_eigvalsh(A)[::-1]
-    return w, group_labels(w, tol)[0]
 
 
 def sym_from_coords_2d(c, n, complex_field):
@@ -201,26 +181,19 @@ def best_partner_complex(fs, u):
     return float(vals[0]), v / np.linalg.norm(v)
 
 
-def retract_dense(m, group_tol=None):
-    """(lam1 - lam2) P1 for one self-adjoint matrix, P1 the projector onto
-    the top eigenvalues chained by gaps <= group_tol (by default 1e-8 times
-    the largest magnitude), built as a sum of outer products."""
+def retract_dense(m):
+    """The paper's retraction (w1 - w2) v1 v1* of one self-adjoint matrix,
+    from its top two eigenvalues w1 >= w2 and a unit top eigenvector v1, as
+    one outer product."""
     w, v = np.linalg.eigh(m)
-    tol = 1e-8 * float(np.max(np.abs(w))) if group_tol is None else group_tol
-    r = 1
-    while r < len(w) and w[-r] - w[-r - 1] <= tol:
-        r += 1
-    out = np.zeros(m.shape, dtype=np.result_type(m.dtype, v.dtype))
-    for j in range(1, r + 1):
-        out += np.outer(v[:, -j], v[:, -j].conj())
-    return (w[-1] - w[-2]) * out
+    return (w[-1] - w[-2]) * np.outer(v[:, -1], v[:, -1].conj())
 
 
-def retraction_difference_eigvals(a, b, group_tol=None):
+def retraction_difference_eigvals(a, b):
     """Row by row, the eigenvalues of pi(a) - pi(b) for two (k, n, n)
     stacks: both carriers in full, then ``eigvalsh`` of their difference,
     the numerator of the retraction ratio before its rank-two closed form."""
-    return np.stack([np.linalg.eigvalsh(retract_dense(x, group_tol) - retract_dense(y, group_tol))
+    return np.stack([np.linalg.eigvalsh(retract_dense(x) - retract_dense(y))
                      for x, y in zip(a, b)])
 
 

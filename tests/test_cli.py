@@ -240,7 +240,7 @@ class TestGenUsage:
         (["--dim", "3"], "gen: --kind gaussian requires --dim and --count"),
         (["--kind", "named", "--name", "nope"],
          "gen: unknown named frame 'nope'; options: ['r2_onb', 'r2_pr3']"),
-        (["--dim", "4", "--count", "2"], "gen: need count >= dim, got m=2 < n=4"),
+        (["--dim", "4", "--count", "2"], "gen: frame needs count >= dim, got m=2 < n=4"),
     ], ids=["named-without-name", "gaussian-without-count", "unknown-name", "count-below-dim"])
     def test_exits_usage_writing_nothing(self, tmp_path, capsys, argv, err):
         assert cli_main(["gen", *argv, "--out", str(tmp_path / "g.json")]) == 2

@@ -25,10 +25,9 @@ from raylift import (
     symop,
     vec,
 )
-from raylift.core import _eigh_groups, _lbfgs
+from raylift.core import _lbfgs
 
 from oracles import (
-    group_labels,
     outer_sym_entrywise,
     random_hermitian,
     random_vector,
@@ -150,34 +149,6 @@ class TestSymOuter:
             assert np.linalg.eigvalsh(t.entries).min() >= -1e-10 * max(1.0, nrm2)
 
 
-class TestEighGroups:
-    def test_match_rowwise_oracle(self, rng, field):
-        """Labels and tolerances of the stacked grouping against a per-row
-        loop over the same eigenvalues: ties, near ties, zero rows and
-        random rows."""
-        cplx = field is Field.COMPLEX
-        spectra = [
-            [2.0, 2.0, 1.0, 1.0, 0.0],  # two ties
-            [1.0, 1.0, 1.0, 1.0, 1.0],
-            [1.0, 0.992, 0.984, 0.976, 0.0],
-            [1.0, 1.0 - 1e-12, 1.0 - 2e-12, 0.5, 0.5 - 1e-9],  # two near ties
-            [1.0, 0.5, 0.0, -0.5, -1.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0],
-            [3.0, -3.0, -3.0, -3.0 - 1e-8, -7.0],
-        ]
-        diag = np.stack([np.diag(d) for d in spectra]).astype(complex if cplx else float)
-        q = np.linalg.qr(random_hermitian(rng, 5, cplx))[0]
-        stacks = [diag, q @ diag @ q.conj().T,
-                  np.stack([random_hermitian(rng, 5, cplx) for _ in range(20)])]
-        for mats in stacks:
-            w, _, labels, tol = _eigh_groups(mats)
-            assert labels.shape == w.shape
-            for k in range(mats.shape[0]):
-                want, want_tol = group_labels(w[k, ::-1])
-                assert labels[k, ::-1].tolist() == want
-                assert tol[k] == want_tol
-
-
 class TestSchatten:
     def test_nuclear_of_diag(self):
         assert schatten_norm(SymOp(np.diag([1.0, -1.0]), Field.REAL), 1) == 2.0
@@ -266,10 +237,6 @@ class TestRankOnePSD:
         for diag, x in (([1.0, 0.0], [0.0, 1.0]), ([1e-20, 1e-20], [1e-10, 0.0])):
             with pytest.raises(RankOneViolation, match="generator does not reproduce carrier"):
                 RankOnePSD(carrier=SymOp(np.diag(diag), Field.REAL), generator=vec(x))
-
-    def test_atol_admits_grouped_output(self):
-        t = RankOnePSD(carrier=SymOp(np.diag([1e-9, 1e-9]), Field.REAL), rank_atol=1e-8)
-        assert t.generator.norm() ** 2 == pytest.approx(1e-9)
 
     def test_generator_from_top_pair(self, rng, field):
         """Without a generator, the top pair of the one ``eigh`` supplies

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from raylift import (
@@ -180,14 +180,20 @@ class TestMetricAxioms:
         st.lists(st.floats(-5, 5), min_size=3, max_size=3),
         st.lists(st.floats(-5, 5), min_size=3, max_size=3),
     )
+    # entrywise 1e-5 apart: the same ray under allclose's default rtol
+    @example(xs=[2.0, 2.0, 0.0], ys=[2.0, 2.00001, 0.0])
     @settings(max_examples=200, deadline=None)
     def test_zero_iff_same_ray_real(self, xs, ys):
+        """Representatives within atol of each other, entry by entry, lie
+        within (||x|| + ||y||) sqrt(3) atol in the lift metric, since
+        [x,x] - [y,y] = x (x - y)* + (x - y) y*; any others lie apart."""
         x = ray(vec(np.asarray(xs)))
         y = ray(vec(np.asarray(ys)))
-        same = np.allclose(x.rep.entries, y.rep.entries, atol=1e-9)
+        atol = 1e-9
+        same = np.allclose(x.rep.entries, y.rep.entries, rtol=0, atol=atol)
         d = lift_dist(x, y, 2)
         if same:
-            assert d <= 1e-8
+            assert d <= 2 * (x.norm() + y.norm()) * atol
         else:
             assert d > 0
 

@@ -6,6 +6,7 @@ import pytest
 
 from raylift import (
     Field,
+    RankOnePSD,
     SymOp,
     ray,
     rank_one_retract,
@@ -18,10 +19,10 @@ from raylift import (
     vec,
 )
 from raylift import retraction as retraction_mod
-from raylift.core import _eigh_groups, _schatten_batch
+from raylift.core import _schatten_batch
 from raylift.retraction import (
     _SAMPLERS,
-    _carriers,
+    _hermitian_stack,
     _max_ratio_for_stacks,
     _ratio_parts,
     _retract_stack,
@@ -29,10 +30,11 @@ from raylift.retraction import (
 )
 
 from oracles import (
-    grouped_eigvalsh,
+    jacobi_eigvalsh,
     random_hermitian,
     random_vector,
     retract_2x2,
+    retract_dense,
     retraction_difference_eigvals,
 )
 
@@ -104,6 +106,19 @@ class TestRetract:
             rhs = u @ rank_one_retract(a).carrier.entries @ u.conj().T
             assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
 
+    def test_near_tie_output_is_rank_one(self, rng, field):
+        """diag(1, 1 - 0.6e-8, 0) in a random basis retracts to
+        (lam1 - lam2) u1 u1*, rank one to roundoff, which passes the
+        ``RankOnePSD`` check without a generator."""
+        u = _unitary_stack(rng, 1, 3, field)[0]
+        a = u @ np.diag([1.0, 1.0 - 0.6e-8, 0.0]) @ u.conj().T
+        out = rank_one_retract(SymOp(a, field))
+        w = np.linalg.eigvalsh(out.carrier.entries)
+        assert w[-1] == pytest.approx(0.6e-8, rel=1e-6)
+        assert abs(w[-2]) <= 1e-10 * w[-1]
+        assert np.max(np.abs(out.carrier.entries - retract_dense(a))) <= 1e-12
+        RankOnePSD(carrier=out.carrier)
+
 
 class TestRatio:
     def test_paper_pair_ratio_two(self):
@@ -129,6 +144,17 @@ class TestRatio:
             b = SymOp(random_hermitian(rng, n, field is Field.COMPLEX), field)
             assert retraction_ratio(a, b, p) <= bound + 1e-8
 
+    @pytest.mark.parametrize("gaps", [(1.01e-8, 0.99e-8), (1.001e-8, 0.999e-8)])
+    def test_pairs_straddling_a_tolerance_within_bound(self, rng, field, gaps):
+        """Top gaps on either side of 1e-8, diagonal and in a random unitary
+        basis: pi moves continuously across every gap, so these pairs read
+        ratio 1, not the 49.5-500 of a rule that changed rank there."""
+        u = _unitary_stack(rng, 1, 3, field)[0]
+        for basis in (np.eye(3), u):
+            a, b = (basis @ np.diag([1.0, 1.0 - g, 0.0]) @ basis.conj().T for g in gaps)
+            for p in ORDERS:
+                assert retraction_ratio(SymOp(a, field), SymOp(b, field), p) <= retraction_bound(p)
+
     def test_bound_values(self):
         assert retraction_bound(1) == 7.0
         assert retraction_bound(2) == pytest.approx(3 + 2 * math.sqrt(2), abs=1e-15)
@@ -137,44 +163,29 @@ class TestRatio:
 
 class TestBatch:
     def test_kernel_matches_grouping_oracle(self, rng, field):
-        """The grouping kernel's labels, the retraction's coefficient, top
-        group and carrier, each against the independent grouping oracle."""
+        """The kernel's coefficient lam1 - lam2 and unit top eigenvector
+        against Jacobi eigenvalues, on random rows and on the spectra that
+        once split it by multiplicity: a tie, near ties chained at the top
+        and lower down, and zero."""
         cplx = field is Field.COMPLEX
-        t = 1e-8  # the default grouping tolerance of a matrix of norm 1
-        # gaps of 0.6 t chain three eigenvalues into the top group even
-        # though the first and third are 1.2 t apart
-        chain = np.diag([1.0, 1.0 - 0.6 * t, 1.0 - 1.2 * t, 0.0])[None]
-        assert int(_retract_stack(chain)[2][0].sum()) == 3
-        # the same chaining in a lower group (the tolerance here is 2 t)
-        lower = np.diag([2.0, 1.0, 1.0 - 1.2 * t, 1.0 - 2.4 * t, 0.0])[None]
+        t = 1e-8
         stacks = [
             np.stack([random_hermitian(rng, 5, cplx) for _ in range(40)]),
             np.diag([1.0, 1.0, 0.0])[None],
-            chain,
-            lower,
+            np.diag([1.0, 1.0 - 0.6 * t, 1.0 - 1.2 * t, 0.0])[None],
+            np.diag([2.0, 1.0, 1.0 - 1.2 * t, 1.0 - 2.4 * t, 0.0])[None],
             np.zeros((1, 3, 3)),
         ]
         for mats in stacks:
             if not cplx:
                 mats = mats.real
-            labels = _eigh_groups(mats)[2]
-            coef, vecs, top, _ = _retract_stack(mats)
-            carriers = _carriers(coef, vecs, top)
+            coef, u = _retract_stack(mats)
             for k in range(mats.shape[0]):
                 scale = max(1.0, float(np.max(np.abs(mats[k]))))
-                want_w, want_labels = grouped_eigvalsh(mats[k])
-                assert labels[k, ::-1].tolist() == want_labels
-                mults = tuple(np.bincount(want_labels).tolist())
-                want_coef = float(want_w[0] - want_w[1])
-                assert abs(coef[k] - want_coef) <= 1e-12 * scale
-                assert int(top[k].sum()) == mults[0]
-                # coef times the projector onto the top group's eigenspace
-                c, r = carriers[k], mults[0]
-                spread = float(want_w[0] - want_w[r - 1])
-                assert np.max(np.abs(c @ c - want_coef * c)) <= 1e-12 * scale
-                assert abs(np.trace(c).real - want_coef * r) <= 1e-12 * scale
-                resid = mats[k] @ c - want_w[0] * c
-                assert np.max(np.abs(resid)) <= (spread + 1e-12 * scale) * max(want_coef, 1e-300)
+                w = jacobi_eigvalsh(mats[k])
+                assert abs(coef[k] - (w[-1] - w[-2])) <= 1e-12 * scale
+                assert abs(np.linalg.norm(u[k]) - 1.0) <= 1e-12
+                assert np.max(np.abs(mats[k] @ u[k] - w[-1] * u[k])) <= 1e-12 * scale
 
     def test_ratio_is_one_row_of_the_stack_kernel(self, rng, field):
         cplx = field is Field.COMPLEX
@@ -283,12 +294,10 @@ class TestClosedForm:
                 assert np.all(np.abs(num / den - 1.0) <= 1e-6), (theta, p)
 
     def test_non_simple_top_groups_match_oracle(self, rng, field):
-        """Rows whose top group is not simple (B = 0, and diag(1, 1, 0)
-        in a random basis) take the carriers' path, in a stack whose other
-        rows take the closed form. Their coefficient is at most the
-        tolerance 1e-8 ||a||_op, and diag(1, 1 - 0.6e-8, 0) puts 0.6e-8,
-        far above roundoff, on a rank-two projector, where a rank-one
-        stand-in would be off by about that much."""
+        """Rows whose top eigenvalue is not simple (b = 0, and diag(1, 1, 0)
+        in a random basis) or nearly so (diag(1, 1 - 0.6e-8, 0)) take the
+        closed form with the other rows of the stack and match the formula
+        oracle (w1 - w2) v1 v1*."""
         cplx = field is Field.COMPLEX
         u = _unitary_stack(rng, 2, 3, field)
         tied = u[0] @ np.diag([1.0, 1.0, 0.0]) @ u[0].conj().T
@@ -307,29 +316,52 @@ class TestClosedForm:
             assert np.max(np.abs(num - _oracle_norms(ev, p))) <= 1e-12
 
     def test_eigvalsh_and_carriers_only_where_needed(self, rng, monkeypatch):
-        """One ``eigvalsh`` (of a - b) when every top group is simple, and
-        ``_carriers`` on the rows whose top group is not, only."""
-        eigvalsh_calls, carrier_rows = [0], []
-        inner_eigvalsh, inner_carriers = np.linalg.eigvalsh, retraction_mod._carriers
+        """One ``eigvalsh`` (of a - b) per call, zero and tied rows included:
+        no row builds its carriers."""
+        calls = [0]
+        inner = np.linalg.eigvalsh
 
         def eigvalsh(m):
-            eigvalsh_calls[0] += 1
-            return inner_eigvalsh(m)
-
-        def carriers(coef, vecs, top):
-            carrier_rows.append(len(coef))
-            return inner_carriers(coef, vecs, top)
+            calls[0] += 1
+            return inner(m)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-        monkeypatch.setattr(retraction_mod, "_carriers", carriers)
         a = np.stack([random_hermitian(rng, 4, False) for _ in range(20)])
         b = np.stack([random_hermitian(rng, 4, False) for _ in range(20)])
         _ratio_parts(a, b, 2)
-        assert (eigvalsh_calls[0], carrier_rows) == (1, [])
+        assert calls[0] == 1
         b[[3, 7]] = 0.0
-        eigvalsh_calls[0] = 0
+        b[9] = np.diag([1.0, 1.0, 0.0, 0.0])
+        calls[0] = 0
         _ratio_parts(a, b, 2)
-        assert (eigvalsh_calls[0], carrier_rows) == (2, [2, 2])
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_top_gaps_below_the_samplers_within_bound(self, field, p):
+        """Pairs as the gap sampler draws them but with top gaps
+        10^U(-12, -6), below its smallest gap of 1e-6: pair by pair, the
+        ratio stays under the proven bound up to the rounding slack of
+        ``TestTwoByTwo``."""
+        bound = retraction_bound(p)
+        for dim in (2, 3, 4, 8):
+            rng = np.random.default_rng([17, dim])
+            k = 2000
+            gap = 10.0 ** rng.uniform(-12, -6, size=k)
+            lam = np.zeros((k, dim))
+            lam[:, 0], lam[:, 1] = 1.0, 1.0 - gap
+            rest = rng.uniform(-1.0, 1.0, size=(k, dim - 2)) * (1.0 - gap)[:, None]
+            lam[:, 2:] = np.sort(rest, axis=1)[:, ::-1]
+            u = _unitary_stack(rng, k, dim, field)
+            a = (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+            a = (a + a.conj().transpose(0, 2, 1)) / 2
+            e = _hermitian_stack(rng, k, dim, field)
+            e *= (gap * 10.0 ** rng.uniform(-2, 2, size=k)
+                  / np.linalg.norm(e, axis=(1, 2)))[:, None, None]
+            b = a + e
+            slack = 64 * EPS * (np.linalg.norm(a, axis=(1, 2)) + np.linalg.norm(b, axis=(1, 2)))
+            num, den = _ratio_parts(a, b, p)
+            assert np.all(num <= bound * den + slack), dim
+            assert _max_ratio_for_stacks(a, b, p) <= bound
 
 
 class TestTwoByTwo:
