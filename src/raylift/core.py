@@ -73,6 +73,18 @@ def _as_field_array(data, field: Field, ndim: int, name: str,
     return a
 
 
+def _unchecked(cls, **fields):
+    """A ``cls`` (``SymOp``, ``Vector``, ``RayPoint`` or ``Measurement``)
+    holding ``fields`` as given: its validating ``__post_init__`` is skipped.
+    Only for values the package built itself, each already what the public
+    constructor would store: arrays of the field's dtype, C-ordered, finite
+    and read-only, a ``SymOp``'s exactly self-adjoint, a ``RayPoint``'s rep
+    canonical."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # frozen blocks setattr, not the instance dict
+    return obj
+
+
 @dataclass(frozen=True)
 class Vector:
     """A vector in the real or complex n-dimensional Hilbert space."""
@@ -119,7 +131,12 @@ class SymOp:
         a = _as_field_array(self.entries, self.field, 2, "operator")
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"operator must be square, got shape {a.shape}")
-        a = (a + a.conj().T) / 2
+        a = a + a.conj().T
+        # halved part by part: a complex division by 2 would give a zero part
+        # the sign the other part has, so an exactly self-adjoint A would not
+        # come back bit for bit
+        parts = a.view(np.float64)
+        np.multiply(parts, 0.5, out=parts)
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

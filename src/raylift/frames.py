@@ -22,7 +22,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .core import Field, SymOp, Vector, _as_field_array, _check_same, _freeze, _gaussian
+from .core import (Field, SymOp, Vector, _as_field_array, _check_same, _freeze, _gaussian,
+                   _unchecked)
 
 __all__ = [
     "Frame",
@@ -452,7 +453,14 @@ def min_norm_inverse(M: LiftedMap, c: Union[Measurement, np.ndarray]) -> SymOp:
         coords = blas.dtrsv(M._left, y, 1, 0, 0, 0, 0, 1)
     else:
         coords = M._left @ (M._right @ values)
-    return SymOp(sym_from_coords(coords, M.dim, M.field), M.field)
+    if not np.isfinite(coords).all():
+        raise ValueError("operator has non-finite entries")
+    # sym_from_coords writes each (j, i) entry as the exact conjugate of its
+    # (i, j) entry and a real diagonal: SymOp's (A + A*)/2 would return it
+    # bit for bit, but for entries of 2^1023 or more, where A + A* overflows
+    T = sym_from_coords(coords, M.dim, M.field)
+    T.setflags(write=False)
+    return _unchecked(SymOp, entries=T, field=M.field)
 
 
 def gen_frame(
@@ -487,33 +495,64 @@ def gen_frame(
 # --- JSON serialization -----------------------------------------------------
 
 _INDENT = "  "
+# entries of the largest float array (or block of an array's axis-0 slices)
+# formatted by one template: templates up to this size are cached, larger
+# arrays go a block at a time, so no array-sized template or tuple is kept
+_TEMPLATE_CAP = 4096
 
 
 def _float_repr17(x: float) -> str:
     if math.isfinite(x):
-        return format(x, ".17g")
+        return "%.17g" % x  # the bytes of format(x, ".17g"), faster
     raise ValueError(f"non-finite value {x!r} cannot be serialized")
 
 
+@lru_cache(maxsize=1024, typed=True)
+def _key_text(k) -> str:
+    """A dict key as JSON with the ": " after it, encoded once: the keys of
+    a report recur on every row."""
+    if not isinstance(k, str):
+        raise TypeError(f"keys must be str, not {type(k).__name__}")
+    return encode_basestring_ascii(k) + ": "
+
+
+@lru_cache(maxsize=64)
+def _rows_template(count: int, shape: tuple, level: int) -> str:
+    """JSON text of ``count`` float arrays of ``shape`` at ``level``, joined
+    as consecutive list items, with one "%.17g" per entry in row order."""
+    if shape:
+        inner = _INDENT * (level + 1)
+        one = ("[\n" + inner + _rows_template(shape[0], shape[1:], level + 1)
+               + "\n" + _INDENT * level + "]") if shape[0] else "[]"
+    else:
+        one = "%.17g"
+    return (",\n" + _INDENT * level).join([one] * count)
+
+
 def _encode_array(a: np.ndarray, level: int) -> str:
-    """A float array as nested JSON lists, formatted in one pass: the leaves
-    first, then one join per axis from the innermost out."""
+    """A float array as nested JSON lists: its entries fill a template of
+    its shape and level in one ``%`` call, or, above ``_TEMPLATE_CAP``
+    entries, one call per block of axis-0 slices. A non-finite entry is a
+    ValueError naming the first one in row order."""
     if a.dtype.kind != "f":
         return _encode(a.tolist(), level)
-    finite = np.isfinite(a)
-    if not finite.all():
-        raise ValueError(f"non-finite value {float(a[~finite][0])!r} cannot be serialized")
-    parts = [format(x, ".17g") for x in a.ravel().tolist()]
-    for axis in range(a.ndim - 1, -1, -1):
-        d = a.shape[axis]
-        if d == 0:
-            parts = ["[]"] * math.prod(a.shape[:axis])
-            continue
-        inner = _INDENT * (level + axis + 1)
-        head, sep = "[\n" + inner, ",\n" + inner
-        tail = "\n" + _INDENT * (level + axis) + "]"
-        parts = [head + sep.join(parts[i : i + d]) + tail for i in range(0, len(parts), d)]
-    return parts[0]
+    if a.size <= _TEMPLATE_CAP:
+        text = _rows_template(1, a.shape, level) % tuple(a.ravel().tolist())
+    else:
+        inner = _INDENT * (level + 1)
+        rest, per = a.shape[1:], math.prod(a.shape[1:])
+        if per > _TEMPLATE_CAP:
+            parts = [_encode_array(s, level + 1) for s in a]
+        else:
+            step = _TEMPLATE_CAP // per
+            parts = [_rows_template(len(b), rest, level + 1) % tuple(b.ravel().tolist())
+                     for b in (a[i:i + step] for i in range(0, len(a), step))]
+        text = "[\n" + inner + (",\n" + inner).join(parts) + "\n" + _INDENT * level + "]"
+    # "%.17g" spells inf and nan with an n and no finite value with one
+    if "n" in text:
+        bad = a[~np.isfinite(a)][0]
+        raise ValueError(f"non-finite value {float(bad)!r} cannot be serialized")
+    return text
 
 
 def _encode(o, level: int) -> str:
@@ -521,14 +560,20 @@ def _encode(o, level: int) -> str:
     if isinstance(o, dict):
         if not o:
             return "{}"
-        # in containers a float leaf, the commonest, skips the recursive call
+        # the commonest leaves, by exact type, skip the recursive call
         inner = _INDENT * (level + 1)
         items = []
         for k, v in o.items():
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            v = _float_repr17(v) if type(v) is float else _encode(v, level + 1)
-            items.append(encode_basestring_ascii(k) + ": " + v)
+            t = type(v)
+            if t is float:
+                v = _float_repr17(v)
+            elif t is str:
+                v = encode_basestring_ascii(v)
+            elif t is np.ndarray:
+                v = _encode_array(v, level + 1)
+            else:
+                v = _encode(v, level + 1)
+            items.append(_key_text(k) + v)
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + _INDENT * level + "}"
     if isinstance(o, (list, tuple)):
         if not o:
@@ -554,8 +599,14 @@ def _encode(o, level: int) -> str:
 
 def dumps_json(obj) -> str:
     """Serialize to JSON, indented by 2, with all floats at 17 significant
-    digits; numpy scalars and arrays are accepted, and float arrays are
-    written in bulk."""
+    digits; numpy scalars and arrays are accepted. A float array is
+    formatted by template, its text with one "%.17g" per entry, filled by one
+    ``%`` call; the text is then searched once for a non-finite entry, which
+    "%.17g" alone spells with an n. Templates of up to ``_TEMPLATE_CAP``
+    (4096) entries are cached, at most 64 of them; a larger array is
+    formatted one block of axis-0 slices at a time, so neither its template
+    nor a tuple of all its entries is built or kept. Encoded dict keys are
+    cached too, up to 1024 of them."""
     return _encode(obj, 0) + "\n"
 
 
@@ -695,7 +746,10 @@ def write_measurements(path, rows: Sequence[Measurement]) -> None:
 
 
 def read_measurements(path) -> list:
-    """Read measurement rows; 'values' may be one flat row or a list of rows."""
+    """Read measurement rows; 'values' may be one flat row or a list of rows.
+    The rows are read-only views of the one float64 array that ``_numbers``
+    validated (finite, real, one count per row), so each is what
+    ``Measurement(row)`` would store, without a copy or a second check."""
     doc, _ = _read_json(path)
     if not isinstance(doc, dict) or "count" not in doc or "values" not in doc:
         raise FrameFileError(f"{path}: expected object with keys 'count' and 'values'")
@@ -711,4 +765,5 @@ def read_measurements(path) -> list:
         a = _numbers(values, (len(values), count), f"{path}.values", wants)
     else:  # one flat row: its entries are values[i], not values[0][i]
         a = _numbers(values, (count,), f"{path}.values", wants[1:])[None]
-    return [Measurement(row) for row in a]
+    a.setflags(write=False)  # its rows, views of it, are read-only too
+    return [_unchecked(Measurement, values=row) for row in a]

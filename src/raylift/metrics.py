@@ -16,6 +16,7 @@ from .core import (
     _check_same,
     _rank2_norms,
     _schatten_batch,
+    _unchecked,
     sym_outer,
 )
 
@@ -69,13 +70,17 @@ def _canonicalize(x: Vector) -> Vector:
     # real positive a
     if lead.real > 0 and lead.imag == 0:
         return x
+    # x is a Vector and nrm is finite, so every |entry| is below sqrt(max
+    # float): -a and a * phase, fresh arrays, are finite too
     if x.field is Field.REAL:
-        return Vector(-a, x.field)
-    phase = lead.conjugate() / abs(lead)
-    out = a * phase
-    # the pivot entry is now positive real by construction; store it exactly so
-    out[idx[0]] = abs(lead)
-    return Vector(out, x.field)
+        out = -a
+    else:
+        phase = lead.conjugate() / abs(lead)
+        out = a * phase
+        # the pivot entry is now positive real by construction; store it exactly so
+        out[idx[0]] = abs(lead)
+    out.setflags(write=False)
+    return _unchecked(Vector, entries=out, field=x.field)
 
 
 def ray(x: Vector) -> RayPoint:

@@ -32,9 +32,10 @@ from .core import (
     _gaussian,
     _rank2_norms,
     _schatten_batch,
+    _unchecked,
     sym_outer,
 )
-from .metrics import RayPoint, ray
+from .metrics import RayPoint, _canonicalize
 
 __all__ = [
     "rank_one_retract",
@@ -70,8 +71,14 @@ def _retract_ray(A: SymOp) -> tuple[float, RayPoint]:
     sqrt(lam1 - lam2) u1, which is the zero ray when lam1 = lam2."""
     coef, u = _retract_stack(A.entries[None])
     c = float(coef[0])
+    if c == math.inf:  # lam1 - lam2 overflowed: the error Vector's check gave
+        raise ValueError("vector has non-finite entries")
     x = math.sqrt(c) * u[0] if c > 0.0 else np.zeros(A.dim, A.field.dtype)
-    return c, ray(Vector(x, A.field))
+    # u1 is a unit vector of A's dtype and sqrt(c) is finite, so x, a fresh
+    # C-ordered array, would pass Vector's checks unchanged
+    x.setflags(write=False)
+    x = _canonicalize(_unchecked(Vector, entries=x, field=A.field))
+    return c, _unchecked(RayPoint, rep=x)
 
 
 def rank_one_retract(A: SymOp) -> RankOnePSD:
@@ -190,8 +197,8 @@ def retraction_probe(
     up to ~5e-7 above it.
     """
     _check_order(p)
-    if samples < 0 or any(dim < 1 for dim in dims):
-        raise ValueError("sample count must be >= 0 and each dimension >= 1, "
+    if samples < 0 or any(dim < 2 for dim in dims):  # the retraction needs dim >= 2
+        raise ValueError("sample count must be >= 0 and each dimension >= 2, "
                          f"got samples={samples}, dims={dims}")
     # the adversarial samplers split the samples, the gap sampler taking the
     # odd pair

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -25,6 +26,7 @@ from raylift import (
     measure,
     min_norm_inverse,
     polish,
+    ray,
     read_frame,
     read_measurements,
     recover,
@@ -365,6 +367,71 @@ class TestLiftedFactorization:
 def _same_bits(a, b):
     """Equal shape and equal bits, signed zeros included."""
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestUncheckedValues:
+    """Where the package builds a value without its validating constructor,
+    the value is, bit for bit and read-only, what that constructor gives on
+    the same array."""
+
+    @staticmethod
+    def _frozen_as_public(got, want):
+        assert not got.flags.writeable and got.flags.c_contiguous
+        assert got.dtype == want.dtype and _same_bits(got, want)
+
+    # (3, 12) takes the Cholesky path and (3, 5), fewer rows than columns, the SVD
+    @pytest.mark.parametrize("n, m", [(3, 12), (3, 5)])
+    def test_min_norm_inverse_output(self, rng, field, n, m):
+        cplx = field is Field.COMPLEX
+        F = _gauss(n, m, field, seed=2)
+        M = build_lifted_map(F)
+        assert (M._right is None) == (m >= M.cols)
+        x = vec(random_vector(rng, n, cplx), field)
+        for c in (rng.standard_normal(m), measure(F, x).values, np.zeros(m), -np.zeros(m)):
+            T = min_norm_inverse(M, c)
+            self._frozen_as_public(T.entries, SymOp(T.entries, field).entries)
+        # zero coordinates: the imaginary parts below the diagonal are -0.0
+        assert np.signbit(T.entries.imag).any() == cplx
+
+    def test_signed_zero_coordinates_are_a_fixed_point(self, field):
+        """Every pattern of signed zeros beside nonzero coordinates at n = 2:
+        what sym_from_coords writes is what SymOp's (A + A*)/2 stores."""
+        cols = 4 if field is Field.COMPLEX else 3
+        for t in itertools.product([0.0, -0.0, 1.5, -0.75], repeat=cols):
+            A = sym_from_coords(np.array(t), 2, field)
+            assert _same_bits(SymOp(A, field).entries, A)
+
+    @pytest.mark.parametrize("n, m, value", [(3, 12, 1e308), (3, 5, np.finfo(float).max)])
+    def test_overflowing_coordinates_refused(self, field, n, m, value):
+        """Coordinates that overflow are refused by the one finiteness check
+        min_norm_inverse keeps, with the message SymOp's check gave."""
+        M = build_lifted_map(_gauss(n, m, field, seed=2))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="^operator has non-finite entries$"):
+            min_norm_inverse(M, np.full(m, value))
+
+    def test_recover_estimate(self, rng, field):
+        cplx = field is Field.COMPLEX
+        F = _gauss(3, 12, field, seed=3)
+        M = build_lifted_map(F)
+        rows = [measure(F, vec(random_vector(rng, 3, cplx), field)).values for _ in range(20)]
+        for c in rows + [rng.standard_normal(12), np.zeros(12)]:
+            rep = recover(F, c, lifted=M).estimate.rep
+            want = ray(Vector(rep.entries, field)).rep
+            assert rep.field is field
+            self._frozen_as_public(rep.entries, want.entries)
+
+    @pytest.mark.parametrize("values", [
+        [[1.5, -0.0, 2.0], [0.0, -3.25, 1e-300], [7.0, 8.0, -9.5]],
+        [-0.0, 0.1, 5e-324],
+    ])
+    def test_read_measurements_rows(self, tmp_path, values):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"count": 3, "values": values}))
+        rows = read_measurements(p)
+        assert len({id(r.values.base) for r in rows}) == 1  # views of one array
+        for r in rows:
+            self._frozen_as_public(r.values, Measurement(r.values).values)
 
 
 class TestLiftedRowsOracle:
@@ -984,6 +1051,20 @@ _leaves = (
                  elements=_finite)
     | hnp.arrays(np.int64, _shapes)
 )
+_CAP = frames_mod._TEMPLATE_CAP
+# above the template cap: formatted a block of axis-0 slices at a time, or,
+# when one slice is itself above the cap, slice by slice
+_large_shapes = st.sampled_from([
+    (_CAP + 1,), (2 * _CAP + 3,), (_CAP // 64 + 1, 64), (_CAP + 1, 1), (2, _CAP + 1),
+    (3, 2, _CAP // 2 + 1), (2, 3, _CAP // 3 + 1)])
+_large_arrays = _large_shapes.flatmap(lambda s: hnp.arrays(np.float64, s, elements=_finite))
+# one shape at two nesting levels of one document: the cached template of a
+# shape at one level must not serve the other
+_two_levels = _shapes.flatmap(lambda s: st.tuples(
+    hnp.arrays(np.float64, s, elements=_finite), hnp.arrays(np.float64, s, elements=_finite))
+).map(lambda ab: {"a": ab[0], "deeper": [{"b": ab[1]}, ab[0]]})
+
+
 class _ListSubclass(list):
     pass
 
@@ -1004,6 +1085,35 @@ class TestDumpsJson:
     @settings(max_examples=300, deadline=None)
     def test_matches_stdlib_oracle(self, doc):
         assert dumps_json(doc) == dumps_json_stdlib(doc)
+
+    @given(_large_arrays, st.integers(0, 2))
+    @settings(max_examples=50, deadline=None)
+    def test_large_arrays_match_oracle(self, a, depth):
+        """Arrays above the template cap, at levels 0 to 2."""
+        doc = a
+        for _ in range(depth):
+            doc = [doc]
+        assert dumps_json(doc) == dumps_json_stdlib(doc)
+
+    @given(_two_levels)
+    @settings(max_examples=100, deadline=None)
+    def test_one_shape_at_two_levels_matches_oracle(self, doc):
+        assert dumps_json(doc) == dumps_json_stdlib(doc)
+
+    @given(_large_arrays, st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_non_finite_in_large_array_named_as_oracle(self, a, data):
+        """A non-finite entry deep in an array above the template cap: the
+        error names the first bad value in row order, as the oracle does."""
+        flat = a.ravel()
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(a.size // 2, a.size - 1))
+            flat[at] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        with pytest.raises(ValueError, match="non-finite value") as want:
+            dumps_json_stdlib({"x": [a]})
+        with pytest.raises(ValueError) as got:
+            dumps_json({"x": [a]})
+        assert str(got.value) == str(want.value)
 
     def test_matches_oracle_on_edge_values(self):
         doc = {"s": "\u00e9\x00\n\"\\\u2028\U0001f600", "big": [2**64, -(2**70)],

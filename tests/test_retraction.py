@@ -233,6 +233,19 @@ class TestBatch:
         with pytest.raises(ValueError, match=re.escape(f"samples={samples}, dims=({dim},)") + "$"):
             retraction_probe(dims=(dim,), p=2, samples=samples)
 
+    @pytest.mark.parametrize("dims", [(1,), (2, 1)])
+    def test_probe_refuses_dimension_one(self, monkeypatch, dims):
+        """The retraction needs dimension >= 2: a dimension of 1 is the
+        probe's own error, raised before any pair is drawn."""
+        def refuse(rng, k, dim, field):
+            raise AssertionError("a pair was drawn")
+
+        monkeypatch.setattr(retraction_mod, "_SAMPLERS",
+                            tuple((name, refuse) for name, _ in _SAMPLERS))
+        message = f"sample count must be >= 0 and each dimension >= 2, got samples=4, dims={dims}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            retraction_probe(dims=dims, p=2, samples=4)
+
     def test_probe_deterministic(self):
         r1 = retraction_probe(dims=(2,), p=2, samples=400, seed=9)
         r2 = retraction_probe(dims=(2,), p=2, samples=400, seed=9)
