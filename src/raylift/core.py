@@ -1,10 +1,11 @@
 """Field-generic vectors, self-adjoint operators, rank-one PSD operators and
-Schatten norms. Everything here is immutable after construction and pure, so
-values are safe to share across threads. A value owns the array its
-constructor converted: fresh, C-ordered and read-only, never the caller's
-array, and copied once. C order keeps the last axis contiguous, so a complex
-array's float64 view, the real layout of C^n (each entry's real part, then
-its imaginary part), is always a view."""
+Schatten norms, and the stacked BFGS kernel ``_bfgs`` that refines the a0
+and b0 searches in numpy alone. Everything here is immutable after
+construction and pure, so values are safe to share across threads. A value
+owns the array its constructor converted: fresh, C-ordered and read-only,
+never the caller's array, and copied once. C order keeps the last axis
+contiguous, so a complex array's float64 view, the real layout of C^n (each
+entry's real part, then its imaginary part), is always a view."""
 
 from __future__ import annotations
 
@@ -131,14 +132,18 @@ class SymOp:
         a = _as_field_array(self.entries, self.field, 2, "operator")
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"operator must be square, got shape {a.shape}")
-        a = a + a.conj().T
         # halved part by part: a complex division by 2 would give a zero part
         # the sign the other part has, so an exactly self-adjoint A would not
-        # come back bit for bit
-        parts = a.view(np.float64)
+        # come back bit for bit. Where A + A* overflows, the halves are summed.
+        with np.errstate(over="ignore"):
+            s = a + a.conj().T
+        parts = s.view(np.float64)
         np.multiply(parts, 0.5, out=parts)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
+        if np.isinf(parts).any():
+            half = (a.view(np.float64) * 0.5).view(a.dtype)
+            np.copyto(parts, (half + half.conj().T).view(np.float64), where=np.isinf(parts))
+        s.setflags(write=False)
+        object.__setattr__(self, "entries", s)
 
     @property
     def dim(self) -> int:
@@ -195,46 +200,86 @@ def _gaussian(rng: np.random.Generator, shape, field: Field) -> np.ndarray:
     return a
 
 
-_LBFGS_MAX_ITERS = 15000  # ``_lbfgs``'s cap on iterations
+def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """<v, u> = sum conj(u) v for each row pair of two (k, d) stacks, one
+    dot per row, so row i is its one-row call bit for bit; u . v for real
+    stacks, whose ``conj`` is no copy."""
+    return (U.conj()[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
-def _lbfgs(fun, x0: np.ndarray, ftol: float = 1e-13, gtol: float = 1e-9):
-    """L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) from x0 on fun / |fun(x0)|,
-    ``fun`` giving (value, gradient), so that ``ftol`` and ``gtol`` carry no
-    scale. Returns ``(x, value, nit, nfev, stop)``; ``nfev`` omits the start's
-    evaluation and ``stop`` is ``stationary`` (largest scaled gradient entry
-    <= gtol), ``rel_decrease`` (a step's decrease <= ftol * max(|value|,
-    |fun(x0)|)), ``max_iters`` (15,000 iterations) or ``line_search``. The
-    start itself comes back, with its value, when that value is 0 or not
-    finite (no search; ``stationary``) and when the search ends non-finite or
-    higher.
+_BFGS_MAX_ITERS = 15000  # ``_bfgs``'s cap on iterations per row
 
-    scipy.optimize is imported here, on the first refinement, not with the
-    module: only the a0/b0 searches behind ``check`` and ``probe --what
-    bilipschitz`` refine, so ``gen`` and ``reconstruct`` would otherwise carry
-    an import that they never call and that costs about 21 MiB of resident
-    memory and 0.1-0.3 s of start-up (2-core x86 host)."""
-    from scipy import optimize
 
-    f0 = fun(x0)[0]
-    if f0 == 0.0 or not math.isfinite(f0):
-        return x0, f0, 0, 0, "stationary"
-    scale = abs(f0)
-
-    def scaled(x):
-        f, g = fun(x)
-        return f / scale, g / scale
-
-    opts = {"ftol": ftol, "gtol": gtol, "maxiter": _LBFGS_MAX_ITERS}
-    res = optimize.minimize(scaled, x0, jac=True, method="L-BFGS-B", options=opts)
-    if res.status == 0:
-        stop = "stationary" if np.max(np.abs(res.jac)) <= gtol else "rel_decrease"
-    else:
-        stop = "max_iters" if res.status == 1 else "line_search"
-    value = float(res.fun) * scale
-    if not math.isfinite(value) or value > f0:
-        return x0, f0, int(res.nit), int(res.nfev), stop
-    return res.x, value, int(res.nit), int(res.nfev), stop
+def _bfgs(fun, X0: np.ndarray, ftol: float = 1e-13, gtol: float = 1e-9):
+    """BFGS on the inverse Hessian (Nocedal & Wright, Numerical Optimization,
+    Alg. 6.1; H scaled by (6.20) before the first update, which is skipped
+    when s^T y <= 0) with Armijo backtracking, on each row of a (k, d) stack
+    of starts at once. ``fun`` maps a stack to its (k,) values and (k, d)
+    gradients, row i depending on row i alone; each row runs on value /
+    |value at its start|, so ``ftol`` and ``gtol`` carry no scale, and row i
+    of a run is its one-row run bit for bit. Returns ``(X, values, nit,
+    nfev, stops)`` per row; ``nfev`` omits the start's evaluation and the
+    stop is ``stationary`` (largest scaled gradient entry <= gtol; also a
+    start whose value is 0 or not finite, which does not search),
+    ``rel_decrease`` (a step's decrease <= ftol * max(|value|, |value at the
+    start|)), ``max_iters`` (15,000 iterations) or ``line_search`` (no
+    decrease within 40 halvings: the row keeps its point and value)."""
+    k, d = X0.shape
+    with np.errstate(all="ignore"):  # stopped rows may evaluate to NaN or inf
+        f, G = fun(X0)
+        live = np.isfinite(f) & (f != 0.0)
+        scale = np.where(live, np.abs(f), 1.0)
+        f, G = f / scale, G / scale[:, None]
+        X, eye, nit, nfev = X0, np.eye(d), np.zeros(k, int), np.zeros(k, int)
+        H, U, V = np.tile(eye, (k, 1, 1)), np.empty((k, d, 2)), np.empty((k, 2, d))
+        stops = np.full(k, "stationary", dtype=object)
+        live &= np.abs(G).max(axis=1) > gtol
+        fresh = live.copy()  # no update yet: H is the identity
+        while live.any():
+            # the step is -P. A stopped row's P is +0, so it stands still and
+            # re-evaluates to its own bits, as an accepted row does at a later
+            # halving; only rows still searching count evaluations.
+            P = np.where(live[:, None], (H @ G[:, :, None])[:, :, 0], 0.0)
+            c1 = 1e-4 * np.maximum(_row_dots(G, P), 0.0)  # no rise where H does not descend
+            alpha = (np.where(fresh, np.minimum(1.0, 1.0 / np.sqrt(_row_dots(P, P))), 1.0)
+                     if fresh.any() else np.ones(k))  # a first step is at most unit length
+            todo = live
+            for _ in range(40):
+                T = X - alpha[:, None] * P
+                fT, GT = fun(T)
+                fT, GT = fT / scale, GT / scale[:, None]
+                nfev += todo
+                todo = live & ~(fT <= f - alpha * c1)
+                if not todo.any():
+                    break
+                alpha[todo] *= 0.5
+            else:  # no decrease within the halvings: those rows stop where they were
+                T = np.where(todo[:, None], X, T)
+                fT, GT = np.where(todo, f, fT), np.where(todo[:, None], G, GT)
+                stops[todo], live = "line_search", live & ~todo
+            S, Y, drop = T - X, GT - G, f - fT
+            X, f, G = T, fT, GT
+            nit += live
+            for rows, stop in ((np.abs(G).max(axis=1) <= gtol, "stationary"),
+                               (drop <= ftol * np.maximum(np.abs(f), 1.0), "rel_decrease"),
+                               (nit >= _BFGS_MAX_ITERS, "max_iters")):
+                stops[rows & live] = stop
+                live &= ~rows
+            sy = _row_dots(S, Y)  # 0 on every row that did not move
+            upd = sy > 0.0
+            if (upd & fresh).any():
+                H = np.where((upd & fresh)[:, None, None],
+                             (sy / _row_dots(Y, Y))[:, None, None] * eye, H)
+            # H + s (c s - rho Hy)^T - rho Hy s^T, with rho = 1 / s^T y and
+            # c = rho^2 y^T H y + rho: the update (6.17)
+            HY = (H @ Y[:, :, None])[:, :, 0]
+            rho = (1.0 / sy)[:, None]
+            U[:, :, 0], U[:, :, 1] = S, HY
+            V[:, 0] = (rho * rho * _row_dots(Y, HY)[:, None] + rho) * S - rho * HY
+            V[:, 1] = -rho * S
+            H = np.where(upd[:, None, None], H + U @ V, H)
+            fresh &= ~upd
+    return X, f * scale, nit, nfev, list(stops)
 
 
 def _check_same(a, b):

@@ -15,15 +15,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .core import (Field, SymOp, Vector, _as_field_array, _check_same, _freeze, _gaussian,
-                   _unchecked)
+                   _row_dots, _unchecked)
 
 __all__ = [
     "Frame",
@@ -158,12 +157,6 @@ def _coeff_rows(F: Frame, B: np.ndarray) -> np.ndarray:
     """The (k, m, d) float64 view of the rows <x, f_k> f_k, given B =
     ``_conj_coeffs(F, X)``: the a0 screen's L and polish's J / 2."""
     return (B.conj()[:, :, None] * F.synthesis).view(np.float64)
-
-
-def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """<v, u> = sum conj(u) v for each row pair of two (k, d) stacks, one
-    dot per row; u . v for real stacks, whose ``conj`` is no copy."""
-    return (U.conj()[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
 def _phase_fill(S: np.ndarray, X: np.ndarray, weight: np.ndarray) -> None:
@@ -319,6 +312,16 @@ class LiftedMap:
         return _lifted_rows(self.frame).T @ sym_coords(T.entries, self.field)
 
 
+@cache
+def _linalg():
+    """scipy.linalg's ``blas`` and ``lapack``, imported on first use: only
+    the lifted Gram and the Cholesky path call them, so ``gen`` and ``probe
+    --what pi`` never pay the import (about 21 MiB and 0.2 s)."""
+    from scipy.linalg import blas, lapack
+
+    return blas, lapack
+
+
 def _lifted_rows(F: Frame, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
     """The (cols, k) transpose of rows ``start:stop`` of A: column k holds
     ``sym_coords`` of f_k f_k^*, written pair by pair from the real and
@@ -357,7 +360,7 @@ def _lifted_gram(F: Frame) -> np.ndarray:
         if gram is None:  # formed after the first block's row temporaries are gone
             gram = np.zeros((cols, cols), order="F")
         # the flags are (beta, c, trans, lower, overwrite_c): G += block^T block in place
-        gram = blas.dsyrk(1.0, block, 1.0, gram, 1, 0, 1)
+        gram = _linalg()[0].dsyrk(1.0, block, 1.0, gram, 1, 0, 1)
         del block  # before the next block is written, so two never coexist
     return gram
 
@@ -406,6 +409,7 @@ def build_lifted_map(F: Frame) -> LiftedMap:
             b = a + step
             gram[a:b, :a] = gram[:a, a:b].T
             gram[a:b, a:b] += np.triu(gram[a:b, a:b], 1).T  # its lower part is still zero
+        lapack = _linalg()[1]
         anorm = lapack.dlange("1", gram)
         gram, info = lapack.dpotrf(gram, overwrite_a=1)
         if info == 0 and lapack.dpocon(gram, anorm)[0] > _CHOL_RCOND:
@@ -425,7 +429,7 @@ def _lifted_adjoint(F: Frame, c: np.ndarray) -> np.ndarray:
     conjugates without a copy of the frame, and both transposes are
     F-contiguous views, which f2py passes uncopied."""
     fs = F.synthesis
-    gemm = blas.zgemm if F.field is Field.COMPLEX else blas.dgemm
+    gemm = getattr(_linalg()[0], "zgemm" if F.field is Field.COMPLEX else "dgemm")
     # positional flags (beta, c, trans_a, trans_b): f2py parses them faster
     return sym_coords(gemm(1.0, (c[:, None] * fs).T, fs.T, 0.0, None, 0, 2), F.field)
 
@@ -449,8 +453,8 @@ def min_norm_inverse(M: LiftedMap, c: Union[Measurement, np.ndarray]) -> SymOp:
         # a C-ordered one on every call. The flags are positional (incx,
         # offx, lower, trans, diag, overwrite_x), which f2py parses faster
         # than keywords.
-        y = blas.dtrsv(M._left, _lifted_adjoint(M.frame, values), 1, 0, 0, 1, 0, 1)
-        coords = blas.dtrsv(M._left, y, 1, 0, 0, 0, 0, 1)
+        y = _linalg()[0].dtrsv(M._left, _lifted_adjoint(M.frame, values), 1, 0, 0, 1, 0, 1)
+        coords = _linalg()[0].dtrsv(M._left, y, 1, 0, 0, 0, 0, 1)
     else:
         coords = M._left @ (M._right @ values)
     if not np.isfinite(coords).all():

@@ -4,6 +4,7 @@ operators."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,27 +59,26 @@ class RayPoint:
 
 def _canonicalize(x: Vector) -> Vector:
     a = x.entries
-    nrm = np.linalg.norm(a)
-    if nrm == 0.0:
+    mags = np.abs(a).tolist()
+    cut = _CANON_CUTOFF * math.hypot(*mags)  # hypot scales as it sums: no square overflows
+    i = next((i for i, mag in enumerate(mags) if mag > cut), None)
+    if i is None:  # the zero vector, or one whose norm exceeds the float range
         return x
-    idx = np.nonzero(np.abs(a) > _CANON_CUTOFF * nrm)[0]
-    if idx.size == 0:
-        return x
-    lead = a[idx[0]]
+    lead = a[i]
     # checked before any arithmetic, so that canonicalizing is idempotent:
     # numpy's complex division rounds conj(a) / |a| to 1 - 2^-53 for some
     # real positive a
     if lead.real > 0 and lead.imag == 0:
         return x
-    # x is a Vector and nrm is finite, so every |entry| is below sqrt(max
-    # float): -a and a * phase, fresh arrays, are finite too
+    # -a, and a * phase with |phase| = 1, are fresh arrays, finite wherever
+    # |a_i| is
     if x.field is Field.REAL:
         out = -a
     else:
         phase = lead.conjugate() / abs(lead)
         out = a * phase
         # the pivot entry is now positive real by construction; store it exactly so
-        out[idx[0]] = abs(lead)
+        out[i] = abs(lead)
     out.setflags(write=False)
     return _unchecked(Vector, entries=out, field=x.field)
 

@@ -17,12 +17,13 @@ The lower stability constant a0 of a frame is the minimum over unit pairs
 divided by ||u||^2 ||v||^2 - Im(<u, v>)^2. A frame is phase retrievable iff
 that minimum is positive. At n = 2, in both fields, a0 has a closed form in
 the lifted Gram matrix (``_exact_lower_lip``); for n >= 3 seeded starts
-screened by exact block minimization (``_best_partners``) are refined by
-``core._lbfgs`` (``_multistart_lower_lip``).
+screened by exact block minimization (``_best_partners``) are refined, the
+best three as one stack, by the BFGS kernel ``core._bfgs``
+(``_multistart_lower_lip``).
 
 The upper stability constant b0 is the maximum over unit u of
 sum_k |<u, f_k>|^4, found by a batched fixed-point ascent refined by
-``core._lbfgs``. The value is the quartic at a unit vector, whose bits do not
+``core._bfgs``. The value is the quartic at a unit vector, whose bits do not
 depend on the batch, so it is at most b0 up to the rounding of one
 evaluation; the largest eigenvalue of the Gram matrix |<f_k, f_l>|^2,
 sigma_max(lifted map)^2, brackets it above.
@@ -36,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Field, Vector, _as_field_array, _gaussian, _lbfgs
+from .core import Field, Vector, _as_field_array, _bfgs, _gaussian
 from .frames import (_STACK_ENTRIES, Frame, _coeff_rows, _conj_coeffs, _lifted_gram,
                      _lifted_rows, _phase_fill, _row_dots, _sym_dim, _synthesize,
                      sym_from_coords)
@@ -69,10 +70,10 @@ class LowerLipEstimate:
     explored points, an upper bound on the true constant. ``kept_starts``
     counts the starts whose one block alternation gave a pair with
     denominator above 1e-9; ``refine_iterations`` and ``refine_evaluations``
-    sum the refinement's iterations and evaluations over the (at most three)
-    refined candidates, and ``refine_stop`` is the stop rule (see
-    ``core._lbfgs``) of the refinement whose value is reported: for the best
-    screened pair, the refinement started from it.
+    sum the iterations and evaluations of the (at most three) rows of the
+    stacked refinement, and ``refine_stop`` is the stop rule (see
+    ``core._bfgs``) of the row whose value is reported: for the best
+    screened pair, the row started from it.
     """
 
     value: float
@@ -162,34 +163,21 @@ def _alternating_min(F: Frame, U0: np.ndarray):
     return vals, U, V
 
 
-def _ratio_and_grad(F: Frame, rz: np.ndarray):
-    """The stability ratio Q/den at a pair (u, v) packed as the float64 view
-    of their concatenation, and its gradient in those coordinates, from the
-    one-row call of ``_lower_lip_terms``; (inf, 0) where the denominator
-    degenerates."""
-    u, v = rz.view(F.field.dtype).reshape(2, 1, -1)
-    q, den, nn, DQ, Dden = _lower_lip_terms(F, u, v)
-    d = den[0]
-    if d <= _DEN_CUTOFF * max(nn[0], 1e-30):
-        return math.inf, np.zeros_like(rz)
-    r = q[0] / d
-    return float(r), (2.0 * (DQ - r * Dden) / d).view(np.float64).ravel()
-
-
-def _polish_pair(F: Frame, u: np.ndarray, v: np.ndarray):
-    """Local gradient refinement of a candidate pair by ``_lbfgs``. The
-    ratio is invariant under separate real rescaling of u and v, so the raw
-    coordinates can be searched unconstrained; block alternation alone
-    stalls on flat valleys and at block-optimal saddles.
-
-    Returns (value, u, v, iterations, evaluations, stop); the start comes
-    back as given whenever ``_lbfgs`` keeps it."""
-    x0 = np.concatenate([u, v]).view(np.float64)
-    x, value, nit, nfev, stop = _lbfgs(lambda rz: _ratio_and_grad(F, rz), x0)
-    if x is not x0:
-        u, v = x.view(F.field.dtype).reshape(2, -1)
-        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-    return value, u, v, nit, nfev, stop
+def _ratio_and_grad(F: Frame, RZ: np.ndarray):
+    """The stability ratio Q/den at each pair (u, v) of a stack, row i the
+    float64 view of the concatenation of pair i, and its gradient in those
+    coordinates, which the ratio's invariance under separate real rescaling
+    of u and v lets a search roam unconstrained, from ``_lower_lip_terms``;
+    (inf, 0) where the denominator degenerates. Row i is its one-row call
+    bit for bit."""
+    W = RZ.view(F.field.dtype).reshape(len(RZ), 2, -1)
+    q, den, nn, DQ, Dden = _lower_lip_terms(F, W[:, 0], W[:, 1])
+    ok = den > _DEN_CUTOFF * np.maximum(nn, 1e-30)
+    d = np.where(ok, den, math.inf)  # a degenerate pair's gradient comes out 0
+    r = q / d
+    grad = 2.0 * (DQ.reshape(2, -1, F.dim) - r[:, None] * Dden.reshape(2, -1, F.dim)) / d[:, None]
+    r[~ok] = math.inf
+    return r, grad.transpose(1, 0, 2).copy().view(np.float64).reshape(RZ.shape)
 
 
 def _at_witnesses(F: Frame, u, v, method: str, *search) -> LowerLipEstimate:
@@ -240,9 +228,10 @@ def _multistart_lower_lip(F: Frame, starts: int, seed: int) -> LowerLipEstimate:
     from each of ``starts`` seeded starts, all screened as one stack by
     ``_alternating_min``; pairs whose denominator is at most 1e-9 are
     dropped, the rest ordered by value (stable, so ties keep start order),
-    and the best three refined by ``_polish_pair``. The estimate is the
-    lowest of the best screened pair and its three refinements, the first of
-    equal values winning."""
+    and the best three refined as one stack by ``core._bfgs`` in the raw
+    coordinates of ``_ratio_and_grad``. The estimate is the lowest of the
+    best screened pair and its three refinements, the first of equal values
+    winning."""
     U0 = np.stack([_gaussian(np.random.default_rng([seed, s]), F.dim, F.field)
                    for s in range(starts)])
     _, U, V = _alternating_min(F, U0)
@@ -253,13 +242,15 @@ def _multistart_lower_lip(F: Frame, starts: int, seed: int) -> LowerLipEstimate:
     ratio = q[keep] / den[keep]
     order = np.argsort(ratio, kind="stable")
     top = keep[order[:3]]
-    refined = [_polish_pair(F, U[k], V[k]) for k in top]
-    # min keeps the first of equal values, so a tie keeps the unrefined best
-    screened = (ratio[order[0]], U[top[0]], V[top[0]], refined[0][5])
-    _, u, v, stop = min([screened] + [r[:3] + r[5:] for r in refined],
-                        key=lambda c: c[0])
+    X, values, nit, nfev, stops = _bfgs(lambda RZ: _ratio_and_grad(F, RZ),
+                                        np.concatenate([U[top], V[top]], axis=1).view(np.float64))
+    j = int(np.argmin(values))  # a tie with the screened best keeps it
+    u, v, stop = U[top[0]], V[top[0]], stops[0]
+    if values[j] < ratio[order[0]]:
+        u, v = X[j].view(F.field.dtype).reshape(2, -1)
+        u, v, stop = u / np.linalg.norm(u), v / np.linalg.norm(v), stops[j]
     return _at_witnesses(F, u, v, "multistart", starts, int(keep.size),
-                         sum(r[3] for r in refined), sum(r[4] for r in refined), stop)
+                         int(nit.sum()), int(nfev.sum()), stop)
 
 
 def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEstimate:
@@ -289,17 +280,17 @@ def _quartic_terms(F: Frame, U: np.ndarray):
     return (P * P).sum(axis=1), _synthesize(F, P * B.conj())
 
 
-def _neg_quartic_and_grad(F: Frame, rz: np.ndarray):
-    """Minus sum_k |<u, f_k>|^4 / ||u||^4 at the real coordinates rz of u
-    (its float64 view), and minus its gradient there, 4 (G - value ||u||^2
-    u) / ||u||^4, from the one-row call of ``_quartic_terms``: what
-    ``estimate_upper_lip`` minimises."""
-    u = rz.view(F.field.dtype)
-    q, G = _quartic_terms(F, u[None])
-    n2 = float(np.vdot(u, u).real)
-    value = q[0] / (n2 * n2)
-    g = 4.0 * (G[0] - value * n2 * u) / (n2 * n2)
-    return -float(value), -g.view(np.float64)
+def _neg_quartic_and_grad(F: Frame, RZ: np.ndarray):
+    """Minus sum_k |<u, f_k>|^4 / ||u||^4 at each row of a stack, the real
+    coordinates of u (its float64 view), and minus its gradient there,
+    4 (G - value ||u||^2 u) / ||u||^4, from ``_quartic_terms``: what
+    ``estimate_upper_lip`` minimises. Row i is its one-row call bit for bit."""
+    U = RZ.view(F.field.dtype)
+    q, G = _quartic_terms(F, U)
+    n2 = _row_dots(U, U).real
+    value = q / (n2 * n2)
+    g = 4.0 * (G - (value * n2)[:, None] * U) / (n2 * n2)[:, None]
+    return -value, -g.view(np.float64)
 
 
 def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
@@ -315,9 +306,9 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
     no start's relative gain exceeds 1e-13, or after 1000 steps. At a
     degenerate maximum (one where the objective falls off at fourth order,
     as for r2_pr3) the ascent slows to a crawl, so the best start is then
-    refined by ``_lbfgs``. The refinement can stop short there: on r2_pr3 it
-    stops after one iteration 356 ulps below 3/2 at seed 8 and 1384 ulps
-    below at seed 4.
+    refined by ``core._bfgs``. The refinement can stop short there: on
+    r2_pr3 it stops after one iteration 356 ulps below 3/2 at seed 8 and
+    1384 ulps below at seed 4.
 
     Returns (value, iterations), iterations counting the batched steps. The
     value is the quartic at a unit vector, so at most b0 up to the rounding
@@ -337,9 +328,9 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
         iterations += 1
         U = G / np.linalg.norm(G, axis=1, keepdims=True)
     i = int(np.argmax(vals))
-    refined = _lbfgs(lambda rz: _neg_quartic_and_grad(F, rz), U[i].view(np.float64),
-                     ftol=1e-15, gtol=1e-12)[1]
-    return max(float(vals[i]), -refined), iterations
+    refined = _bfgs(lambda RZ: _neg_quartic_and_grad(F, RZ), U[i:i + 1].view(np.float64),
+                    ftol=1e-15, gtol=1e-12)[1]
+    return max(float(vals[i]), -float(refined[0])), iterations
 
 
 def upper_lip_ceiling(F: Frame) -> float:

@@ -126,40 +126,58 @@ class TestPolishDoor:
         assert all(row["polished"] is (mode == "on") for row in rows)
 
 
-# run in a fresh interpreter by TestImportGraph; argv[1] is a JSON object of
-# command lines, argv[2] says whether scipy.optimize is imported up front
+# run in a fresh interpreter by TestImportGraph: argv[1] is a JSON object of
+# command lines, argv[2] says whether scipy.linalg and scipy.optimize are
+# imported up front. A copy of each command's output file (its last argument)
+# is kept under the mode and the command's name.
 _FRESH_PROCESS = """
-import json, sys
+import json, shutil, sys
 argvs, eager = json.loads(sys.argv[1]), sys.argv[2] == "eager"
 if eager:
-    import scipy.optimize
+    import scipy.linalg, scipy.optimize
 from raylift.cli import main
-if not eager:
-    for name in ("gen", "reconstruct-polish-off", "reconstruct-polish-on"):
-        assert main(argvs[name]) == 0, name
-    assert "scipy.optimize" not in sys.modules
-assert main(argvs["check"]) == 0
-assert "scipy.optimize" in sys.modules
+
+def run(name):
+    assert main(argvs[name]) == 0, name
+    shutil.copy(argvs[name][-1], sys.argv[2] + "-" + name + ".json")
+
+first = ("gen-8-72", "check-8-72", "probe-pi")
+for name in first:
+    run(name)
+    assert eager or "scipy.linalg" not in sys.modules, name
+run("reconstruct-polish-off")
+assert "scipy.linalg" in sys.modules
+for name in argvs:
+    if name not in first + ("reconstruct-polish-off",):
+        run(name)
+assert eager or "scipy.optimize" not in sys.modules
 """
 
 
 class TestImportGraph:
-    def test_optimiser_loads_on_first_refinement(self, tmp_path):
-        """``gen`` and ``reconstruct``, polish off and on, never load
-        scipy.optimize; ``check`` loads it, and writes the same report bytes
-        as a process that imported it before anything ran. Each run is a
-        fresh interpreter, since this one has loaded the module already."""
+    def test_scipy_loads_only_for_the_lifted_map(self, tmp_path):
+        """No command loads scipy.optimize. ``gen``, ``check`` on a complex
+        n = 8, m = 72 frame (whose ceiling takes the m x m path) and ``probe
+        --what pi`` do not load scipy.linalg either; ``reconstruct`` does.
+        Every command writes the same bytes as in a process that imported
+        both before anything ran. Each run is a fresh interpreter, since
+        this one has loaded both modules already."""
         _inputs(tmp_path)
+        commands = {**_COMMANDS,
+                    "gen-8-72": ["gen", "--dim", "8", "--count", "72", "--field", "complex",
+                                 "--seed", "1", "--out", "{d}/w.json"],
+                    "check-8-72": ["check", "--frame", "{d}/w.json", "--starts", "8",
+                                   "--report", "{d}/out.json"]}
         argvs = json.dumps({name: [a.format(d=".") for a in argv]
-                            for name, argv in _COMMANDS.items()})
+                            for name, argv in commands.items()})
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
-        reports = []
         for mode in ("lazy", "eager"):
             run = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, argvs, mode],
                                  cwd=tmp_path, env=env, capture_output=True, text=True)
             assert run.returncode == 0, run.stderr
-            reports.append((tmp_path / "out.json").read_bytes())
-        assert reports[0] == reports[1]
+        for name in commands:
+            lazy = (tmp_path / f"lazy-{name}.json").read_bytes()
+            assert lazy == (tmp_path / f"eager-{name}.json").read_bytes(), name
 
 
 class TestOrderFlag:

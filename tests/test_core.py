@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from raylift import (
     symop,
     vec,
 )
-from raylift.core import _lbfgs
+from raylift.core import _bfgs
 
 from oracles import (
     outer_sym_entrywise,
@@ -55,6 +57,24 @@ class TestVectorSymOp:
             a = a + 1j * rng.standard_normal((4, 4))
         s = SymOp(a, field)
         assert np.array_equal(s.entries, s.entries.conj().T)
+
+    def test_symop_huge_self_adjoint_comes_back(self, field):
+        """Entries of 1e308, whose A + A* overflows, come back finite and
+        unchanged."""
+        a = np.full((2, 2), 1e308, dtype=field.dtype)
+        assert np.array_equal(SymOp(a, field).entries, a)
+
+    def test_symop_huge_is_exact_half_sum(self, field):
+        """A large non-self-adjoint input gives its exact (A + A*)/2, part
+        by part, where A + A* overflows and where it does not."""
+        a = np.array([[1e308, 1.5e308], [1.7e308, -1e308]], dtype=field.dtype)
+        if field is Field.COMPLEX:
+            a += 1j * np.array([[1e308, -1.2e308], [1.6e308, 3.0]])
+        got = SymOp(a, field).entries
+        for i, j in itertools.product(range(2), repeat=2):
+            re = (Fraction(a[i, j].real) + Fraction(a[j, i].real)) / 2
+            im = (Fraction(a[i, j].imag) - Fraction(a[j, i].imag)) / 2
+            assert (got[i, j].real, got[i, j].imag) == (float(re), float(im))
 
     def test_symop_check_tol(self):
         with pytest.raises(ValueError):
@@ -265,32 +285,75 @@ class TestRankOnePSD:
 
 
 def _first_call_then(later):
-    """A (value, gradient) function worth 1 at its first call and
-    ``later(x)`` at every call after it."""
+    """A stacked (values, gradients) function worth 1 on every row at its
+    first call and ``later(X)`` at every call after it."""
     calls = [0]
 
-    def fun(x):
+    def fun(X):
         calls[0] += 1
-        return (1.0, 2.0 * x) if calls[0] == 1 else later(x)
+        return (np.ones(len(X)), 2.0 * X) if calls[0] == 1 else later(X)
     return fun
 
 
-class TestLbfgsKeepsStart:
+def _squares(X):
+    return np.sum(X * X, axis=1)
+
+
+def _rosenbrock(X):
+    """The Rosenbrock function of each row of a stack, and its gradient,
+    in elementwise operations only (0 at the all-ones row)."""
+    a, b = X[:, :-1], X[:, 1:]
+    r = b - a * a
+    G = np.zeros_like(X)
+    G[:, :-1] = -400.0 * a * r - 2.0 * (1.0 - a)
+    G[:, 1:] += 200.0 * r
+    return np.sum(100.0 * r * r + (1.0 - a) ** 2, axis=1), G
+
+
+_STOPS = ("stationary", "rel_decrease", "max_iters", "line_search")
+
+
+class TestBfgs:
     @pytest.mark.parametrize("make, x0", [
-        (lambda: lambda x: (float(x @ x), 2.0 * x), [0.0, 0.0]),
-        (lambda: lambda x: (math.nan, np.zeros_like(x)), [1.0, -2.0]),
-        (lambda: _first_call_then(lambda x: (2.0 + float(x @ x), 2.0 * x)), [1.0, -2.0]),
-        (lambda: _first_call_then(lambda x: (math.nan, np.full_like(x, math.nan))),
-         [1.0, -2.0]),
+        (lambda: lambda X: (_squares(X), 2.0 * X), [0.0, 0.0]),
+        (lambda: lambda X: (np.full(len(X), math.nan), np.zeros_like(X)), [1.0, -2.0]),
+        (lambda: _first_call_then(lambda X: (2.0 + _squares(X), 2.0 * X)), [1.0, -2.0]),
+        (lambda: _first_call_then(lambda X: (np.full(len(X), math.nan),
+                                             np.full_like(X, math.nan))), [1.0, -2.0]),
     ], ids=["zero-start", "nan-start", "ends-higher", "ends-nan"])
     def test_start_comes_back(self, make, x0):
-        """A zero or non-finite start value runs no search, and a search
-        that ends higher or non-finite hands back the start with its value;
-        the a0 refinement and the b0 refinement rely on it."""
-        fun, x0 = make(), np.array(x0)
-        f0 = make()(x0)[0]
-        x, value, nit, nfev, _ = _lbfgs(fun, x0)
-        assert x is x0
-        assert value == f0 or (math.isnan(value) and math.isnan(f0))
-        if not (f0 != 0.0 and math.isfinite(f0)):
-            assert nit == nfev == 0
+        """Row by row: a zero or non-finite start value runs no search, and
+        a search that finds no lower value hands back the start with its
+        value; the a0 refinement and the b0 refinement rely on it."""
+        X0 = np.array([x0, x0])
+        f0 = make()(X0)[0]
+        X, values, nit, nfev, stops = _bfgs(make(), X0)
+        for i in range(len(X0)):
+            assert np.array_equal(X[i], X0[i])
+            assert values[i] == f0[i] or (math.isnan(values[i]) and math.isnan(f0[i]))
+            assert stops[i] in _STOPS
+            if not (f0[i] != 0.0 and math.isfinite(f0[i])):
+                assert nit[i] == nfev[i] == 0 and stops[i] == "stationary"
+            else:
+                assert nit[i] == 0 < nfev[i] and stops[i] == "line_search"
+
+    def test_rows_run_alone(self):
+        """Row i of a stacked run is its one-row run bit for bit, in every
+        output; a row whose start value is 0 (the minimum) or NaN comes
+        back as given and leaves its neighbours' runs unchanged."""
+        rng = np.random.default_rng(5)
+        X0 = np.concatenate([rng.uniform(-2.0, 2.0, (4, 3)), np.ones((1, 3)),
+                             [[math.nan, 0.0, 1.0]]])
+        X0 = X0[[0, 4, 1, 5, 2, 3]]
+        stacked = _bfgs(_rosenbrock, X0)
+        assert all(stop in _STOPS for stop in stacked[4])
+        for i in range(len(X0)):
+            alone = _bfgs(_rosenbrock, X0[i:i + 1])
+            assert np.array_equal(stacked[0][i], alone[0][0], equal_nan=True)
+            assert np.array_equal(stacked[1][i], alone[1][0], equal_nan=True)
+            assert (stacked[2][i], stacked[3][i], stacked[4][i]) == (alone[2][0], alone[3][0],
+                                                                     alone[4][0])
+        for i in (1, 3):
+            assert np.array_equal(stacked[0][i], X0[i], equal_nan=True)
+            assert stacked[2][i] == stacked[3][i] == 0 and stacked[4][i] == "stationary"
+        assert all(stacked[1][i] <= 1e-10 for i in (0, 2, 4, 5))

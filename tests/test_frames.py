@@ -480,8 +480,9 @@ class TestLiftedRowsOracle:
         straight to the SVD: ``dpotrf`` never runs, and the factors are the
         SVD path's."""
         calls = []
-        dpotrf = frames_mod.lapack.dpotrf
-        monkeypatch.setattr(frames_mod.lapack, "dpotrf",
+        lapack_mod = frames_mod._linalg()[1]
+        dpotrf = lapack_mod.dpotrf
+        monkeypatch.setattr(lapack_mod, "dpotrf",
                             lambda *args, **kwargs: calls.append(1) or dpotrf(*args, **kwargs))
         F = _gauss(n, m, field, seed=n)
         assert m < build_lifted_map(F).cols
@@ -501,8 +502,9 @@ class TestLiftedRowsOracle:
         one = build_lifted_map(F)
         monkeypatch.setattr(frames_mod, "_STACK_ENTRIES", 4 * one.cols)
         seen = []
-        dlange = frames_mod.lapack.dlange
-        monkeypatch.setattr(frames_mod.lapack, "dlange",
+        lapack_mod = frames_mod._linalg()[1]
+        dlange = lapack_mod.dlange
+        monkeypatch.setattr(lapack_mod, "dlange",
                             lambda norm, a: seen.append(a.copy()) or dlange(norm, a))
         M = build_lifted_map(F)
         assert M._right is None and one._right is None

@@ -36,6 +36,15 @@ class TestCanonicalization:
         r = ray(vec(np.array([1j, 1.0 + 0j])))
         assert np.allclose(r.rep.entries, [1.0, -1j], atol=1e-15)
 
+    def test_huge_entries_one_ray(self, field):
+        """Entries of 1e200, whose squares overflow, still pick the pivot by
+        1e-12 ||x||, so x and -x (i x and x in the complex field) give one
+        canonical representative."""
+        x = np.array([-1e200, 1e200], dtype=field.dtype)
+        y = 1j * x if field is Field.COMPLEX else -x
+        assert ray(vec(x, field)) == ray(vec(y, field))
+        assert np.array_equal(ray(vec(y, field)).rep.entries, [1e200, -1e200])
+
     def test_zero_fixed(self):
         r = ray(vec([0.0, 0.0]))
         assert np.array_equal(r.rep.entries, [0.0, 0.0])

@@ -32,7 +32,7 @@ from raylift.probes import (
     _ratio_and_grad,
     certify_min_above,
 )
-from raylift.core import _gaussian
+from raylift.core import _bfgs, _gaussian
 from raylift.metrics import _lift_dist_stack
 
 from oracles import (
@@ -260,9 +260,8 @@ class TestLowerLipRefinement:
             q, den = lower_lip_objective(F, z[:n], z[n:])
             return q / den
 
-        for _ in range(3):
-            x = rng.standard_normal(rdim)
-            value, grad = _ratio_and_grad(F, x)
+        X = rng.standard_normal((3, rdim))
+        for x, value, grad in zip(X, *_ratio_and_grad(F, X)):
             assert value == pytest.approx(ratio(x), rel=1e-12)
             h = 1e-6
             fd = np.array([(ratio(x + h * e) - ratio(x - h * e)) / (2 * h)
@@ -276,7 +275,7 @@ class TestLowerLipRefinement:
         for s in range(4):
             u, v = random_start(F, 7, s), random_start(F, 8, s)
             q, den = lower_lip_objective(F, u, v)
-            value, _ = _ratio_and_grad(F, np.concatenate([u, v]).view(np.float64))
+            value = _ratio_and_grad(F, np.concatenate([u, v]).view(np.float64)[None])[0][0]
             assert value == q / den
 
     def test_stack_rows_match_one_row_calls(self, field):
@@ -394,20 +393,40 @@ class TestLowerLipRefinement:
         assert est.refine_stop in ("stationary", "rel_decrease")
 
     def test_refine_stop_names_the_reported_refinement(self, monkeypatch, field):
+        """The reported stop and value are those of the stacked refinement's
+        lowest row."""
         F = gen_frame("random_gaussian", 4, 16, field, seed=3)
-        inner = probes_mod._polish_pair
-        values = []
+        inner = probes_mod._bfgs
+        runs = []
 
-        def tagged(*args):
-            r = inner(*args)
-            values.append(r[0])
-            return r[:5] + (f"run{len(values) - 1}",)
+        def tagged(*args, **kwargs):
+            X, values, nit, nfev, stops = inner(*args, **kwargs)
+            runs.append(values)
+            return X, values, nit, nfev, [f"run{i}" for i in range(len(stops))]
 
-        monkeypatch.setattr(probes_mod, "_polish_pair", tagged)
+        monkeypatch.setattr(probes_mod, "_bfgs", tagged)
         est = estimate_lower_lip(F, starts=16, seed=0)
+        values, = runs
         best = int(np.argmin(values))
+        assert len(values) == 3
         assert est.refine_stop == f"run{best}"
         assert est.value == pytest.approx(values[best], rel=1e-12)
+
+    def test_refinement_rows_match_one_row_runs(self, field):
+        """Each candidate's refinement in the stacked run is its one-row
+        run bit for bit, in every output."""
+        F = gen_frame("random_gaussian", 4, 16, field, seed=3)
+        X0 = np.stack([np.concatenate([random_start(F, 7, s), random_start(F, 8, s)])
+                       for s in range(3)]).view(np.float64)
+
+        def fun(RZ):
+            return _ratio_and_grad(F, RZ)
+
+        stacked = _bfgs(fun, X0)
+        for i in range(len(X0)):
+            alone = _bfgs(fun, X0[i:i + 1])
+            assert np.array_equal(stacked[0][i], alone[0][0])
+            assert [out[i] for out in stacked[1:]] == [out[0] for out in alone[1:]]
 
     def test_refinement_evaluation_guard(self):
         # the simplex search this replaced spent 24,000 evaluations here
@@ -492,9 +511,8 @@ class TestUpperLipExact:
             c = measure(F, Vector(u, field)).values
             return float(c @ c) / float(np.vdot(u, u).real) ** 2
 
-        for _ in range(3):
-            x = rng.standard_normal(rdim)
-            value, grad = _neg_quartic_and_grad(F, x)
+        X = rng.standard_normal((3, rdim))
+        for x, value, grad in zip(X, *_neg_quartic_and_grad(F, X)):
             assert -value == pytest.approx(quartic(x), rel=1e-12)
             h = 1e-6
             fd = np.array([(quartic(x + h * e) - quartic(x - h * e)) / (2 * h)
