@@ -267,8 +267,8 @@ class LiftedMap:
     ``_left`` is V_r S_r^-1 and ``_right`` is U_r^T, r x m (see
     ``build_lifted_map``). The singular values behind
     ``sigma_min`` and ``sigma_max`` are computed on first use and cached;
-    they and ``apply`` form A from the frame while they run, and the map
-    keeps no copy of it. The min-norm inverse needs neither.
+    they form A from the frame while they run, and the map keeps no copy of
+    it. The min-norm inverse needs neither.
     """
 
     frame: Frame
@@ -306,10 +306,6 @@ class LiftedMap:
     @property
     def sigma_max(self) -> float:
         return float(self._singular_values[0])
-
-    def apply(self, T: SymOp) -> np.ndarray:
-        _check_same(self, T)
-        return _lifted_rows(self.frame).T @ sym_coords(T.entries, self.field)
 
 
 @cache

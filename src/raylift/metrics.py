@@ -61,8 +61,12 @@ def _canonicalize(x: Vector) -> Vector:
     a = x.entries
     mags = np.abs(a).tolist()
     cut = _CANON_CUTOFF * math.hypot(*mags)  # hypot scales as it sums: no square overflows
+    if cut == math.inf:  # ||x|| overflowed, perhaps |a_i| too; 2 ||a / 2|| scaled by top does not
+        half = np.abs(a / 2).tolist()
+        top_half = max(half)
+        cut = 2 * _CANON_CUTOFF * top_half * math.hypot(*(mag / top_half for mag in half))
     i = next((i for i, mag in enumerate(mags) if mag > cut), None)
-    if i is None:  # the zero vector, or one whose norm exceeds the float range
+    if i is None:  # the zero vector
         return x
     lead = a[i]
     # checked before any arithmetic, so that canonicalizing is idempotent:
@@ -71,20 +75,33 @@ def _canonicalize(x: Vector) -> Vector:
     if lead.real > 0 and lead.imag == 0:
         return x
     # -a, and a * phase with |phase| = 1, are fresh arrays, finite wherever
-    # |a_i| is
+    # |a_i| is, but for rounding within a few ulps of the float range's end
     if x.field is Field.REAL:
         out = -a
     else:
-        phase = lead.conjugate() / abs(lead)
-        out = a * phase
+        scale = abs(lead)
+        if scale == math.inf:  # the positive real pivot would not be a float
+            raise ValueError("vector has non-finite entries")
+        phase = lead.conjugate() / scale
+        edge = max(mags) >= 2.0**1023  # only there can a_i * phase round past the float range
+        if not edge:
+            out = a * phase
+        else:
+            with np.errstate(over="ignore"):  # checked below
+                out = a * phase
         # the pivot entry is now positive real by construction; store it exactly so
-        out[i] = abs(lead)
+        out[i] = scale
+        if edge and not np.isfinite(out).all():
+            raise ValueError("vector has non-finite entries")
     out.setflags(write=False)
     return _unchecked(Vector, entries=out, field=x.field)
 
 
 def ray(x: Vector) -> RayPoint:
-    """Project a vector to its ray (canonical representative)."""
+    """Project a vector to its ray (canonical representative). Where the
+    pivot's modulus, or an entry turned by the pivot's phase, leaves the
+    float range, no finite representative exists: that raises the
+    ValueError of a non-finite vector."""
     return RayPoint(x)
 
 

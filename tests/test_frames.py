@@ -204,21 +204,21 @@ class TestMeasure:
 
     def test_factors_through_lifted_map(self, rng, field):
         F = _gauss(3, 8, field, seed=6)
-        M = build_lifted_map(F)
+        A = _lifted_rows(F).T
         for _ in range(50):
             x = vec(random_vector(rng, 3, field is Field.COMPLEX), field)
             lhs = measure(F, x).values
-            rhs = M.apply(sym_outer(x, x))
+            rhs = A @ sym_coords(sym_outer(x, x).entries, field)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(lhs)))
 
 
 class TestLiftedMap:
     def test_basis_inner_products(self, rng, field):
         F = _gauss(4, 10, field, seed=7)
-        M = build_lifted_map(F)
+        A = _lifted_rows(F).T
         for _ in range(100):
             T = SymOp(random_hermitian(rng, 4, field is Field.COMPLEX), field)
-            got = M.apply(T)
+            got = A @ sym_coords(T.entries, field)
             want = np.array([
                 np.vdot(f, T.entries @ f).real for f in F.synthesis
             ])
@@ -228,7 +228,8 @@ class TestLiftedMap:
         F = gen_frame("named", 2, 2, name="r2_onb")
         M = build_lifted_map(F)
         T = SymOp(np.array([[1.5, 0.7], [0.7, -0.25]]), Field.REAL)
-        assert np.allclose(M.apply(T), [1.5, -0.25], atol=1e-14)
+        assert np.allclose(_lifted_rows(F).T @ sym_coords(T.entries, Field.REAL), [1.5, -0.25],
+                           atol=1e-14)
         assert M.rank == 2 and M.cols == 3
 
     def test_generic_full_rank(self, field):
@@ -334,16 +335,15 @@ class TestLiftedFactorization:
         s = M.sigma_min
         assert "_singular_values" in vars(M) and M.sigma_min == s
 
-    def test_matrix_is_lazy(self, rng, field):
+    def test_matrix_is_lazy(self, field):
         """On the Cholesky path the map holds no m x cols array: building it
-        and inverting with it never forms A, and ``sigma_min``, ``sigma_max``
-        and ``apply`` form it from the frame while they run and keep no
+        and inverting with it never forms A, and ``sigma_min`` and
+        ``sigma_max`` form it from the frame while they run and keep no
         copy."""
         F = _gauss(3, 19, field, seed=3)
         M = build_lifted_map(F)
         min_norm_inverse(M, np.ones(19))
         M.sigma_min, M.sigma_max
-        M.apply(SymOp(random_hermitian(rng, 3, field is Field.COMPLEX), field))
         assert M.frame is F
         assert not [k for k, v in vars(M).items()
                     if isinstance(v, np.ndarray) and v.size == M.rows * M.cols]
@@ -351,17 +351,17 @@ class TestLiftedFactorization:
     # the frames of the benchmark's workloads: complex n = 8, m = 72 (two
     # seeds: recon-many and certify), n = 8, m = 128 and n = 32, m = 2048
     @pytest.mark.parametrize("n, m, seed", [(8, 72, 1), (8, 128, 1), (32, 2048, 1), (8, 72, 2)])
-    def test_matrix_free_bits(self, rng, n, m, seed):
-        """``sigma_min``, ``sigma_max`` and ``apply`` give the bits of the
-        same calls on A as the oracle writes it, in the column-major layout
-        that ``build_lifted_map`` factors."""
+    def test_matrix_free_bits(self, n, m, seed):
+        """``sigma_min`` and ``sigma_max`` give the bits of the same calls on
+        A as the oracle writes it, in the column-major layout that
+        ``build_lifted_map`` factors, and ``_lifted_rows`` writes the
+        oracle's A bit for bit."""
         F = _gauss(n, m, Field.COMPLEX, seed=seed)
         M = build_lifted_map(F)
         A = np.asfortranarray(lifted_rows_einsum(F.synthesis, True))
         s = np.linalg.svd(A, compute_uv=False)
         assert M.sigma_max == s[0] and M.sigma_min == s[M.rank - 1]
-        T = SymOp(random_hermitian(rng, n, True), Field.COMPLEX)
-        assert _same_bits(M.apply(T), A @ sym_coords(T.entries, Field.COMPLEX))
+        assert _same_bits(_lifted_rows(F).T, A)
 
 
 def _same_bits(a, b):

@@ -45,6 +45,40 @@ class TestCanonicalization:
         assert ray(vec(x, field)) == ray(vec(y, field))
         assert np.array_equal(ray(vec(y, field)).rep.entries, [1e200, -1e200])
 
+    def test_overflowing_norm_one_ray(self):
+        """||x|| above the float range: the pivot is still chosen by
+        1e-12 ||x||, taken as 1e-12 top ||x / top||, so x and -x give one
+        representative, whose pivot is positive real."""
+        x = np.array([-1.5e308, 1.5e308])
+        assert ray(vec(x)) == ray(vec(-x))
+        assert np.array_equal(ray(vec(x)).rep.entries, [1.5e308, -1.5e308])
+        z = np.array([-1e308j, 1.7e308])
+        rep = ray(vec(z)).rep.entries
+        assert ray(vec(z)) == ray(vec(-z))
+        assert rep[0] == 1e308 and np.allclose(rep, [1e308, 1.7e308j], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("x", [
+        [-1.5e308 + 1.5e308j, 1.0],
+        [1.5e308 - 1.5e308j, -1.0],
+        [complex(*map(float.fromhex, ("0x1.7c34987e97438p+996", "0x1.3d00e32e62a2bp+993"))),
+         complex(*map(float.fromhex, ("0x1.fd3de47d8dcc9p+1023", "0x1.a897058f67ab2p+1020")))],
+    ])
+    def test_overflowing_modulus_has_no_representative(self, x):
+        """A pivot whose modulus, 2.1e308, exceeds the float range would be
+        that as a positive real, and an entry within ulps of the range,
+        turned by the pivot's phase, rounds past it: no finite canonical
+        representative exists, and ``ray`` refuses it as it refuses a
+        non-finite vector."""
+        with pytest.raises(ValueError, match="^vector has non-finite entries$"):
+            ray(vec(x))
+
+    def test_overflowing_modulus_past_the_pivot(self):
+        """An entry of modulus 2.1e308 after a positive real pivot, which
+        the pivot test against 1e-12 ||x|| still finds: x is its own
+        finite representative."""
+        x = np.array([1e300, 1.5e308 + 1.5e308j])
+        assert np.array_equal(ray(vec(x)).rep.entries, x)
+
     def test_zero_fixed(self):
         r = ray(vec([0.0, 0.0]))
         assert np.array_equal(r.rep.entries, [0.0, 0.0])

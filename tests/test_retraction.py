@@ -3,6 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from raylift import (
     Field,
@@ -22,9 +25,13 @@ from raylift import retraction as retraction_mod
 from raylift.core import _schatten_batch
 from raylift.retraction import (
     _SAMPLERS,
+    _SCREEN_EPS,
+    _ceiling,
+    _denominators,
+    _floor,
     _hermitian_stack,
     _max_ratio_for_stacks,
-    _ratio_parts,
+    _numerators,
     _retract_stack,
     _unitary_stack,
 )
@@ -155,10 +162,41 @@ class TestRatio:
             for p in ORDERS:
                 assert retraction_ratio(SymOp(a, field), SymOp(b, field), p) <= retraction_bound(p)
 
+    def test_n3_floor_above_n2_constant_at_p1(self):
+        """At p = 1 the constant at n = 3 exceeds the exact n = 2 value 1.
+        This real pair, the rank-one sampler's that sets the probe's maximum
+        at dim 3, p = 1, seed 1 and 200 samples, has ||a - b||_1 = 0.906 and
+        ratio 1.03175545774767680 to 17 digits (50-digit arithmetic), 0.03
+        above 1, where the probe's rounding allowance
+        64 eps (||a||_F + ||b||_F) / ||a - b||_1 is 2e-13. The Jacobi oracle
+        agrees."""
+        a = np.array([float.fromhex(h) for h in _N3_P1_PAIR[0]]).reshape(3, 3)
+        b = np.array([float.fromhex(h) for h in _N3_P1_PAIR[1]]).reshape(3, 3)
+        exact = 1.0317554577476768
+        num = np.sum(np.abs(jacobi_eigvalsh(retract_dense(a) - retract_dense(b))))
+        den = np.sum(np.abs(jacobi_eigvalsh(a - b)))
+        assert den == pytest.approx(0.9060327442696184, rel=1e-12)
+        assert num / den == pytest.approx(exact, rel=1e-12)
+        got = retraction_ratio(symop(a), symop(b), 1)
+        assert got == pytest.approx(exact, rel=1e-12) and got > _exact_n2(1) + 0.03
+        res = retraction_probe(dims=(3,), p=1, samples=200, seed=1)
+        assert res["combos"][0]["max_ratio"] == got
+
     def test_bound_values(self):
         assert retraction_bound(1) == 7.0
         assert retraction_bound(2) == pytest.approx(3 + 2 * math.sqrt(2), abs=1e-15)
         assert retraction_bound(math.inf) == 5.0
+
+
+# the pair behind the n = 3 floor at p = 1: a = x x^T and a nearby b, row by row
+_N3_P1_PAIR = (
+    ["0x1.2c9f16ad10f6ep-5", "0x1.fab1f392d7f1ap-3", "-0x1.d5e1c1291e6e7p-2",
+     "0x1.fab1f392d7f1ap-3", "0x1.ab03eef35a1bcp+0", "-0x1.8bfdba4b2f06dp+1",
+     "-0x1.d5e1c1291e6e7p-2", "-0x1.8bfdba4b2f06dp+1", "0x1.6f388d73fae60p+2"],
+    ["0x1.732bd18e48980p-3", "0x1.17a798baf16c8p-2", "-0x1.f0124ec748447p-2",
+     "0x1.17a798baf16c8p-2", "0x1.a62908731525fp+0", "-0x1.8223a459a9176p+1",
+     "-0x1.f0124ec748447p-2", "-0x1.8223a459a9176p+1", "0x1.403b4c0a7b97dp+2"],
+)
 
 
 class TestBatch:
@@ -270,8 +308,8 @@ class TestBatch:
 
 
 class TestClosedForm:
-    """The numerator of ``_ratio_parts`` from the two top eigenpairs, against
-    the carriers built in full."""
+    """The ratio's numerator from the two top eigenpairs, against the
+    carriers built in full."""
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 8])
     def test_numerator_matches_carrier_oracle(self, field, dim):
@@ -280,7 +318,7 @@ class TestClosedForm:
             ev = retraction_difference_eigvals(a, b)
             scale = _retract_stack(a)[0] + _retract_stack(b)[0]
             for p in ORDERS:
-                num = _ratio_parts(a, b, p)[0]
+                num = _numerators(a, b, p)
                 err = np.abs(num - _oracle_norms(ev, p))
                 assert np.all(err <= 64 * EPS * scale), (name, p, float(np.max(err / scale)))
 
@@ -303,7 +341,7 @@ class TestClosedForm:
             ur = u @ g
             b = (ur * lam[:, None, :]) @ ur.conj().transpose(0, 2, 1)
             for p in ORDERS:
-                num, den = _ratio_parts(a, b, p)
+                num, den = _numerators(a, b, p), _denominators(a - b, p)
                 assert np.all(np.abs(num / den - 1.0) <= 1e-6), (theta, p)
 
     def test_non_simple_top_groups_match_oracle(self, rng, field):
@@ -325,12 +363,12 @@ class TestClosedForm:
         b[5] = near
         ev = retraction_difference_eigvals(a, b)
         for p in ORDERS:
-            num = _ratio_parts(a, b, p)[0]
+            num = _numerators(a, b, p)
             assert np.max(np.abs(num - _oracle_norms(ev, p))) <= 1e-12
 
     def test_eigvalsh_and_carriers_only_where_needed(self, rng, monkeypatch):
-        """One ``eigvalsh`` (of a - b) per call, zero and tied rows included:
-        no row builds its carriers."""
+        """The numerator calls no ``eigvalsh`` and the denominator one (of
+        a - b), zero and tied rows included: no row builds its carriers."""
         calls = [0]
         inner = np.linalg.eigvalsh
 
@@ -341,13 +379,18 @@ class TestClosedForm:
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         a = np.stack([random_hermitian(rng, 4, False) for _ in range(20)])
         b = np.stack([random_hermitian(rng, 4, False) for _ in range(20)])
-        _ratio_parts(a, b, 2)
-        assert calls[0] == 1
+
+        def counts():
+            calls[0] = 0
+            _numerators(a, b, 2)
+            before = calls[0]
+            _denominators(a - b, 2)
+            return before, calls[0]
+
+        assert counts() == (0, 1)
         b[[3, 7]] = 0.0
         b[9] = np.diag([1.0, 1.0, 0.0, 0.0])
-        calls[0] = 0
-        _ratio_parts(a, b, 2)
-        assert calls[0] == 1
+        assert counts() == (0, 1)
 
     @pytest.mark.parametrize("p", [1, 2, math.inf])
     def test_top_gaps_below_the_samplers_within_bound(self, field, p):
@@ -372,7 +415,7 @@ class TestClosedForm:
                   / np.linalg.norm(e, axis=(1, 2)))[:, None, None]
             b = a + e
             slack = 64 * EPS * (np.linalg.norm(a, axis=(1, 2)) + np.linalg.norm(b, axis=(1, 2)))
-            num, den = _ratio_parts(a, b, p)
+            num, den = _numerators(a, b, p), _denominators(a - b, p)
             assert np.all(num <= bound * den + slack), dim
             assert _max_ratio_for_stacks(a, b, p) <= bound
 
@@ -409,7 +452,7 @@ class TestTwoByTwo:
             a, b = sampler(np.random.default_rng([13, si]), 4000, 2, field)
             slack = 64 * EPS * (np.linalg.norm(a, axis=(1, 2)) + np.linalg.norm(b, axis=(1, 2)))
             for p in ORDERS:
-                num, den = _ratio_parts(a, b, p)
+                num, den = _numerators(a, b, p), _denominators(a - b, p)
                 assert np.all(num <= _exact_n2(p) * den + slack), (name, p)
 
     def test_probe_dim_two_within_exact_constant(self):
@@ -425,3 +468,134 @@ class TestTwoByTwo:
             assert len(res["combos"]) == 2
             for c in res["combos"]:
                 assert c["max_ratio"] <= _exact_n2(p) * (1 + 1e-6) < c["bound"]
+
+
+def _unscreened(a, b, p, best=0.0):
+    """``_max_ratio_for_stacks`` without its screen: every pair's exact
+    ratio, then the maximum."""
+    num, den = _numerators(a, b, p), _denominators(a - b, p)
+    scale = np.maximum(np.linalg.norm(a, axis=(1, 2)), np.linalg.norm(b, axis=(1, 2)))
+    keep = den > 1e-12 * np.maximum(1.0, scale)
+    return max(best, float(np.max(num[keep] / den[keep]))) if np.any(keep) else best
+
+
+def _screen_pairs(dim, field):
+    """Seeded pairs from the three samplers, then pairs the screen must
+    not drop: tied tops against random operators, rank-one pairs 1e-8
+    apart, orthogonal rank-one pairs (ratio 1, where the eigenvalue ceiling
+    is exact) and I vs diag(2, 0) (ratio 2 at p = inf), set above a common
+    eigenvalue -5 at dim > 2, which changes neither pi nor a - b."""
+    rng = np.random.default_rng([23, dim, 0 if field is Field.REAL else 1])
+    pairs = [sampler(rng, 60, dim, field) for _, sampler in _SAMPLERS]
+    u = _unitary_stack(rng, 20, dim, field)
+    x, y = u[:, :, 0], u[:, :, 1]
+    top = np.einsum("ki,kj->kij", x, x.conj())
+    e = _hermitian_stack(rng, 20, dim, field)
+    e /= np.linalg.norm(e, axis=(1, 2))[:, None, None]
+    tied = np.zeros(dim)
+    tied[:2] = 1.0
+    pairs += [
+        ((u * tied) @ u.conj().transpose(0, 2, 1), _hermitian_stack(rng, 20, dim, field)),
+        (top, top + 1e-8 * e),
+        (top, np.einsum("ki,kj->kij", y, y.conj())),
+    ]
+    tail = np.full(dim, -5.0)
+    eye, diag = tail.copy(), tail.copy()
+    eye[:2], diag[:2] = 1.0, (2.0, 0.0)
+    pairs.append((np.diag(eye)[None].astype(field.dtype), np.diag(diag)[None].astype(field.dtype)))
+    return tuple(np.concatenate(side) for side in zip(*pairs))
+
+
+# the unscreened probe's maxima at seed 1, dims 2, 3, 4 and 8, 1000 samples,
+# real then complex at each dim, on numpy 2.x with OpenBLAS 0.3.31 (Haswell
+# kernels): another LAPACK build may round the eigensolves differently
+_PINNED_MAXIMA = {
+    1: ["0x1.00000152c45f8p+0", "0x1.0000019b9642ap+0", "0x1.0897911b6608bp+0",
+        "0x1.019ea89179348p+0", "0x1.db905e7107745p-1", "0x1.b8c5f4daced57p-1",
+        "0x1.0c7140e604230p-1", "0x1.e441e92d6444dp-2"],
+    2: ["0x1.69a1dee359546p+0", "0x1.697ed1571fabfp+0", "0x1.66284f74cb295p+0",
+        "0x1.53935003b3753p+0", "0x1.5c3e74c986e08p+0", "0x1.35996d565156ep+0",
+        "0x1.12c759bcb2ae4p+0", "0x1.044f55f68fe41p+0"],
+    math.inf: ["0x1.fdbd27d57de1fp+0", "0x1.f7538b8fc5661p+0", "0x1.e45c92992e215p+0",
+               "0x1.d9e6120da2942p+0", "0x1.f75dbc2217c93p+0", "0x1.c0c4740d15ff3p+0",
+               "0x1.db6fb8625d394p+0", "0x1.d05502886d0a4p+0"],
+}
+
+
+class TestScreen:
+    """The probe computes exact ratios only for pairs whose ceiling still
+    reaches the running maximum; the maximum keeps the bits of the
+    unscreened one."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3.5, math.inf, 2000.0])
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_matches_unscreened(self, field, dim, p):
+        """Against any running maximum, and pair by pair against one just
+        below the pair's own ratio, which the screen must let through."""
+        a, b = _screen_pairs(dim, field)
+        top = _unscreened(a, b, p)
+        for best in (0.0, top / 2, np.nextafter(top, 0.0), top, 2 * top):
+            assert _max_ratio_for_stacks(a, b, p, best) == _unscreened(a, b, p, best), best
+        for i in range(len(a)):
+            ratio = _unscreened(a[i:i + 1], b[i:i + 1], p)
+            if ratio > 0.0:
+                below = np.nextafter(ratio, 0.0)
+                assert _max_ratio_for_stacks(a[i:i + 1], b[i:i + 1], p, below) == ratio, i
+
+    # entries are 0 or at least 1e-100 in magnitude: squares below the
+    # normal range cost LAPACK's eigvalsh its accuracy (see retraction_probe)
+    @given(
+        st.integers(2, 4).flatmap(lambda n: hnp.arrays(
+            np.float64, (4, n, n),
+            elements=st.floats(-4, 4).filter(lambda x: x == 0.0 or abs(x) >= 1e-100))),
+        st.sampled_from([1, 2, 3.5, math.inf, 2000.0]),
+        st.booleans(),
+        st.floats(-9, 0),
+    )
+    # the I vs diag(2, 0) pair, and orthogonal rank-one operators at p = 2,
+    # where both ceilings and the floor are exact
+    @example(parts=np.stack([np.eye(2), 0 * np.eye(2), np.diag([1.0, -1.0]), 0 * np.eye(2)]),
+             p=math.inf, cplx=False, log_sep=0.0)
+    @example(parts=np.stack([np.diag([1.0, 0.0]), 0 * np.eye(2), np.diag([-1.0, 1.0]),
+                             0 * np.eye(2)]), p=2, cplx=True, log_sep=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_ceilings_cover_the_ratio(self, parts, p, cplx, log_sep):
+        """On any pair b = a + 10^log_sep e that the maximum counts, the
+        eigenvalue ceiling and the exact numerator each reach ratio * floor
+        less the allowance, so a pair the screen drops has a ratio below the
+        running maximum."""
+        a, e = (parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]) if cplx else parts[::2]
+        a = (a + a.conj().T)[None] / 2
+        b = a + 10.0 ** log_sep * (e + e.conj().T)[None] / 2
+        num, den = _numerators(a, b, p), _denominators(a - b, p)
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        assume(den[0] > 1e-12 * max(1.0, na, nb))  # a pair the maximum counts
+        ratio = num[0] / den[0]
+        need = ratio * _floor(a - b, p)[0] - _SCREEN_EPS * (1.0 + ratio) * (na + nb)
+        assert _ceiling(a, b, p)[0] >= need
+        assert num[0] >= need
+
+    def test_random_pairs_mostly_screened(self, monkeypatch):
+        """Held to a maximum of 1.9 at dim 8 and p = inf, the probe's
+        largest, under 2% of random pairs reach the numerator's ``eigh``."""
+        rows = [0]
+
+        def counted(a, b, p):
+            rows[0] += len(a)
+            return _numerators(a, b, p)
+
+        monkeypatch.setattr(retraction_mod, "_numerators", counted)
+        for field in Field:
+            rng = np.random.default_rng([29, field is Field.COMPLEX])
+            a, b = _SAMPLERS[0][1](rng, 500, 8, field)
+            _max_ratio_for_stacks(a, b, math.inf, 1.9)
+        assert rows[0] < 20
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_probe_maxima_keep_their_bits(self, monkeypatch, p):
+        """The screened probe reports the maxima that the unscreened one
+        reported before the screen, and that it reports now."""
+        res = retraction_probe(dims=(2, 3, 4, 8), p=p, samples=1000, seed=1)
+        assert [c["max_ratio"].hex() for c in res["combos"]] == _PINNED_MAXIMA[p]
+        monkeypatch.setattr(retraction_mod, "_max_ratio_for_stacks", _unscreened)
+        assert retraction_probe(dims=(2, 3, 4, 8), p=p, samples=1000, seed=1) == res
