@@ -235,14 +235,19 @@ def _bfgs(fun, X0: np.ndarray, ftol: float = 1e-13, gtol: float = 1e-9):
         stops = np.full(k, "stationary", dtype=object)
         live &= np.abs(G).max(axis=1) > gtol
         fresh = live.copy()  # no update yet: H is the identity
+        # Python flags for "every row live" and "some row fresh" spare the
+        # masked writes while they hold; they change no row's arithmetic
+        all_live, any_fresh, it = bool(live.all()), bool(fresh.any()), 0
         while live.any():
             # the step is -P. A stopped row's P is +0, so it stands still and
             # re-evaluates to its own bits, as an accepted row does at a later
             # halving; only rows still searching count evaluations.
-            P = np.where(live[:, None], (H @ G[:, :, None])[:, :, 0], 0.0)
+            P = (H @ G[:, :, None])[:, :, 0]
+            if not all_live:
+                P = np.where(live[:, None], P, 0.0)
             c1 = 1e-4 * np.maximum(_row_dots(G, P), 0.0)  # no rise where H does not descend
             alpha = (np.where(fresh, np.minimum(1.0, 1.0 / np.sqrt(_row_dots(P, P))), 1.0)
-                     if fresh.any() else np.ones(k))  # a first step is at most unit length
+                     if any_fresh else np.ones(k))  # a first step is at most unit length
             todo = live
             for _ in range(40):
                 T = X - alpha[:, None] * P
@@ -260,16 +265,23 @@ def _bfgs(fun, X0: np.ndarray, ftol: float = 1e-13, gtol: float = 1e-9):
             S, Y, drop = T - X, GT - G, f - fT
             X, f, G = T, fT, GT
             nit += live
-            for rows, stop in ((np.abs(G).max(axis=1) <= gtol, "stationary"),
-                               (drop <= ftol * np.maximum(np.abs(f), 1.0), "rel_decrease"),
-                               (nit >= _BFGS_MAX_ITERS, "max_iters")):
-                stops[rows & live] = stop
-                live &= ~rows
+            it += 1
+            stat = np.abs(G).max(axis=1) <= gtol
+            rel = drop <= ftol * np.maximum(np.abs(f), 1.0)
+            if ((stat | rel) & live).any() or it >= _BFGS_MAX_ITERS:
+                for rows, stop in ((stat, "stationary"), (rel, "rel_decrease"),
+                                   (nit >= _BFGS_MAX_ITERS, "max_iters")):
+                    stops[rows & live] = stop
+                    live &= ~rows
+            all_live = all_live and bool(live.all())
             sy = _row_dots(S, Y)  # 0 on every row that did not move
             upd = sy > 0.0
-            if (upd & fresh).any():
-                H = np.where((upd & fresh)[:, None, None],
-                             (sy / _row_dots(Y, Y))[:, None, None] * eye, H)
+            if any_fresh:
+                if (upd & fresh).any():
+                    H = np.where((upd & fresh)[:, None, None],
+                                 (sy / _row_dots(Y, Y))[:, None, None] * eye, H)
+                fresh &= ~upd
+                any_fresh = bool(fresh.any())
             # H + s (c s - rho Hy)^T - rho Hy s^T, with rho = 1 / s^T y and
             # c = rho^2 y^T H y + rho: the update (6.17)
             HY = (H @ Y[:, :, None])[:, :, 0]
@@ -277,8 +289,7 @@ def _bfgs(fun, X0: np.ndarray, ftol: float = 1e-13, gtol: float = 1e-9):
             U[:, :, 0], U[:, :, 1] = S, HY
             V[:, 0] = (rho * rho * _row_dots(Y, HY)[:, None] + rho) * S - rho * HY
             V[:, 1] = -rho * S
-            H = np.where(upd[:, None, None], H + U @ V, H)
-            fresh &= ~upd
+            H = H + U @ V if upd.all() else np.where(upd[:, None, None], H + U @ V, H)
     return X, f * scale, nit, nfev, list(stops)
 
 

@@ -31,14 +31,16 @@ __all__ = [
 ]
 
 _CANON_CUTOFF = 1e-12
+_NEG_ZERO = np.float64(-0.0).tobytes()  # the bytes of a -0.0 part, in native order
 
 
 @dataclass(frozen=True)
 class RayPoint:
     """Equivalence class of vectors under multiplication by a unimodular
     scalar, held by its canonical representative: the first entry whose
-    magnitude exceeds 1e-12 * ||x|| is real and positive. The zero vector is
-    its own class (the cone point)."""
+    magnitude exceeds 1e-12 * ||x|| is real and positive, and no zero part
+    of an entry is -0.0, so one ray has one set of bytes. The zero vector
+    is its own class (the cone point)."""
 
     rep: Vector
 
@@ -65,18 +67,20 @@ def _canonicalize(x: Vector) -> Vector:
         half = np.abs(a / 2).tolist()
         top_half = max(half)
         cut = 2 * _CANON_CUTOFF * top_half * math.hypot(*(mag / top_half for mag in half))
-    i = next((i for i, mag in enumerate(mags) if mag > cut), None)
-    if i is None:  # the zero vector
-        return x
-    lead = a[i]
+    for i, mag in enumerate(mags):  # the pivot: a loop, not a generator, costs less per row
+        if mag > cut:
+            lead = a[i]
+            break
+    else:  # the zero vector
+        lead = None
     # checked before any arithmetic, so that canonicalizing is idempotent:
     # numpy's complex division rounds conj(a) / |a| to 1 - 2^-53 for some
     # real positive a
-    if lead.real > 0 and lead.imag == 0:
-        return x
+    if lead is None or (lead.real > 0 and lead.imag == 0):
+        out = a
     # -a, and a * phase with |phase| = 1, are fresh arrays, finite wherever
     # |a_i| is, but for rounding within a few ulps of the float range's end
-    if x.field is Field.REAL:
+    elif x.field is Field.REAL:
         out = -a
     else:
         scale = abs(lead)
@@ -93,6 +97,16 @@ def _canonicalize(x: Vector) -> Vector:
         out[i] = scale
         if edge and not np.isfinite(out).all():
             raise ValueError("vector has non-finite entries")
+    # one ray, one set of bytes: a part that is exactly zero may be -0.0,
+    # which + 0.0 turns to +0.0, leaving every other value as it is. The
+    # byte search finds every -0.0 part; a match across two parts only
+    # costs the exact test.
+    if _NEG_ZERO in out.tobytes():
+        parts = out.view(np.float64)  # out itself in the real field
+        if np.signbit(parts[parts == 0.0]).any():
+            out = out + 0.0
+    if out is a:
+        return x
     out.setflags(write=False)
     return _unchecked(Vector, entries=out, field=x.field)
 

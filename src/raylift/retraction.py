@@ -190,25 +190,102 @@ def _max_ratio_for_stacks(a, b, p, best=0.0):
     ||a - b||_p exceeds 1e-12 max(1, ||a||_F, ||b||_F)), with the bits of
     that maximum, computing exact ratios only where a ceiling still reaches
     best (see ``retraction_probe``)."""
-    na, nb = np.linalg.norm(a, axis=(1, 2)), np.linalg.norm(b, axis=(1, 2))
-    need = best * _floor(a - b, p) - _SCREEN_EPS * (1.0 + best) * (na + nb)
+    floor = _floor(a - b, p)
+    tol = _SCREEN_EPS * (_fro(a) + _fro(b))
+    need = best * floor - (1.0 + best) * tol
     if best > 0.0:
-        a, b, na, nb, need = _rows(_ceiling(a, b, p) >= need, a, b, na, nb, need)
+        a, b, need = _rows(_cap_ceiling(a, b, p) >= need, a, b, need)
+        a, b, need = _rows(_ceiling(a, b, p) >= need, a, b, need)
     num = _numerators(a, b, p)
-    a, b, na, nb, num = _rows(num >= need, a, b, na, nb, num)
+    if best == 0.0 and len(num) > _SEED_ROWS:
+        # no maximum to screen against yet: seed one from the pairs whose
+        # numerator over floor, a ceiling on their ratio, is largest, picked
+        # by argmax (a first sort would load numpy's sort kernels, 0.25 MiB)
+        score = np.divide(num, floor, out=np.zeros_like(num), where=floor > 0.0)
+        top = []
+        for _ in range(_SEED_ROWS):
+            top.append(score.argmax())
+            score[top[-1]] = -math.inf
+        best = _exact_max(a[top], b[top], num[top], p, best)
+        need = best * floor - (1.0 + best) * tol
+    a, b, num = _rows(num >= need, a, b, num)
+    return _exact_max(a, b, num, p, best)
+
+
+def _exact_max(a, b, num, p, best):
+    """max(best, num / ||a - b||_p over the pairs the maximum counts)."""
     den = _denominators(a - b, p)
-    keep = den > 1e-12 * np.maximum(1.0, np.maximum(na, nb))
+    scale = np.maximum(np.linalg.norm(a, axis=(1, 2)), np.linalg.norm(b, axis=(1, 2)))
+    keep = den > 1e-12 * np.maximum(1.0, scale)
     if not np.any(keep):
         return best
     return max(best, float(np.max(num[keep] / den[keep])))
+
+
+def _floats(x):
+    """The float64 view of a stack whose last axis is contiguous: (k, n, 2n)
+    for a complex (k, n, n) one, each entry's real part, then its imaginary
+    part."""
+    return x.view(np.float64) if np.iscomplexobj(x) else x
+
+
+def _fro(x):
+    """||x||_F row by row, summed on the float64 view: no temporary the
+    size of the stack."""
+    v = _floats(x)
+    return np.sqrt(np.einsum("kij,kij->k", v, v))
 
 
 def _floor(d, p):
     """A floor under ||d||_p row by row: ||d||_F at p <= 2, else the largest
     column norm, which ||d||_inf <= ||d||_p bounds."""
     if p <= 2:
-        return np.linalg.norm(d, axis=(1, 2))
-    return np.max(np.linalg.norm(d, axis=1), axis=-1)
+        return _fro(d)
+    v = _floats(d)
+    cols = np.einsum("kij,kij->kj", v, v)
+    if v is not d:  # a complex column's two float columns
+        cols = cols.reshape(len(d), -1, 2).sum(axis=-1)
+    return np.sqrt(cols.max(axis=-1))
+
+
+def _gap_cap(a):
+    """A ceiling over lam1 - lam2 row by row for a (k, n, n) stack of
+    self-adjoint matrices, in O(n^2) per row and without an eigensolve; it
+    is exact at n = 2. With t = tr(a) / n, lam1 <= t + sqrt((n - 1) / n)
+    ||a - t I||_F (Wolkowicz & Styan, Linear Algebra Appl. 29, 1980), and
+    lam2 is at least the smaller eigenvalue of the 2 x 2 principal
+    submatrix on the two largest diagonal entries (Cauchy interlacing).
+    Both read the traceless part a - t I, whose norm is summed from the
+    off-diagonal entries and the diagonal less t, not taken as
+    ||a||_F^2 - n t^2: on near-scalar rows (3 I + 1e-9 H) that difference
+    cancels, and the cap under-read the gap by up to 4.7e7 eps ||a||_F.
+    Rows must be self-adjoint and C-ordered in their last two axes."""
+    k, n = a.shape[0], a.shape[-1]
+    rows = np.arange(k)
+    diag = np.diagonal(a, axis1=1, axis2=2).real
+    dev = diag - (diag.sum(axis=-1) / n)[:, None]
+    # the off-diagonal entries, uncopied: the flat entries 1 .. n^2 - 1 of a
+    # row, laid out (n - 1) x (n + 1), hold the diagonal in their last column
+    off = _floats(a.reshape(k, n * n)[:, 1:].reshape(k, n - 1, n + 1)[:, :, :n])
+    spread = np.sqrt((n - 1) / n * (np.einsum("kij,kij->k", off, off)
+                                    + np.einsum("ki,ki->k", dev, dev)))
+    i = dev.argmax(axis=-1)
+    di = dev[rows, i]
+    rest = dev.copy()
+    rest[rows, i] = -math.inf
+    j = rest.argmax(axis=-1)
+    dj = dev[rows, j]
+    return spread + np.hypot((di - dj) / 2, np.abs(a[rows, i, j])) - (di + dj) / 2
+
+
+def _cap_ceiling(a, b, p):
+    """||(cap_a, cap_b)||_p row by row from ``_gap_cap``: a ceiling over
+    ||pi(a) - pi(b)||_p without an eigensolve, and +inf on a row whose cap
+    is negative or not finite, which rounding or overflow has left
+    unproven."""
+    cap = np.stack([_gap_cap(a), _gap_cap(b)], -1)
+    sure = np.all((cap >= 0.0) & (cap < math.inf), axis=-1)  # NaN fails both
+    return np.where(sure, _schatten_batch(np.where(sure[:, None], cap, 0.0), p), math.inf)
 
 
 def _ceiling(a, b, p):
@@ -226,6 +303,7 @@ def _rows(sel, *stacks):
 
 _SCREEN_EPS = 64 * float(np.finfo(np.float64).eps)  # the screen's rounding allowance
 _CHUNK = 20_000  # pairs per sampler draw; it fixes the sample stream
+_SEED_ROWS = 8  # pairs whose exact ratio seeds a chunk screened against 0
 
 
 def retraction_probe(
@@ -249,34 +327,53 @@ def retraction_probe(
 
     Each maximum has the bits of the maximum over every pair it counts,
     those with ||a - b||_p > 1e-12 max(1, ||a||_F, ||b||_F), but a pair
-    gets its exact ratio only while two ceilings on it reach the running
-    maximum ``best``. Both hold at every p >= 1. The denominator is at
+    gets its exact ratio only while ceilings on it reach the running
+    maximum ``best``. All hold at every p >= 1. The denominator is at
     least ``floor``: ||a - b||_F at p <= 2, since Schatten norms fall as p
     grows, and the largest column norm of a - b at p > 2, since
     ||d e_j|| <= ||d||_inf <= ||d||_p. The numerator is at most
     ||(ca, cb)||_p for c = lam1 - lam2, since ca ua ua* - cb ub ub*, a
     rank-one PSD operator less another, has one eigenvalue in [0, ca] and
-    one in [-cb, 0] (Weyl). Once best > 0, a pair whose ||(ca, cb)||_p,
-    with c from ``eigvalsh`` at about half an ``eigh``'s cost, falls below
-    best floor - tol is dropped; the rest get the numerator's two ``eigh``,
-    and only those whose numerator still reaches best floor - tol get the
-    ``eigvalsh`` of a - b.
+    one in [-cb, 0] (Weyl), and so at most ||(cap_a, cap_b)||_p for any
+    caps cap >= c. Once best > 0, the tiers run in this order, each on the
+    pairs the one before kept, and drop a pair whose value falls below
+    best floor - tol:
+    1. the gap cap (``_gap_cap``), O(n^2) per operator and no eigensolve:
+       lam1 <= t + sqrt((n - 1) / n) ||a - t I||_F for t = tr(a) / n
+       (Wolkowicz & Styan, Linear Algebra Appl. 29, 1980), less a floor
+       under lam2, the smaller eigenvalue of the 2 x 2 principal
+       submatrix on the two largest diagonal entries (Cauchy
+       interlacing); both are exact at n = 2. A negative or non-finite
+       cap proves nothing, and its pair is kept;
+    2. the eigenvalue ceiling, c from ``eigvalsh`` at about half an
+       ``eigh``'s cost;
+    3. the numerator, from two ``eigh``;
+    4. the denominator, the ``eigvalsh`` of a - b, which gives the ratio.
+    A chunk screened against best = 0, each (dim, field)'s first, has no
+    maximum for tiers 1 and 2: it computes every numerator, takes the
+    exact ratios of the 8 pairs with the largest numerator / floor, a
+    ceiling on their ratio, and screens the other denominators against
+    their maximum by the same rule.
 
     The allowance tol = 64 eps (1 + best) (||a||_F + ||b||_F) covers the
     numerators' rounding, the 64 eps (||a||_F + ||b||_F) above, and 64 eps
     of best floor (floor <= ||a||_F + ||b||_F) for the rounding of the floor
     and of the denominator. No pair tested has needed more than
-    4 eps (1 + ratio) (||a||_F + ||b||_F), so a dropped pair could not have
-    raised the maximum. That holds while no nonzero entry of a, b or a - b
-    lies below about 1e-150 in magnitude, as for every pair the samplers
-    draw: where squares leave the normal range, ``eigvalsh`` has been seen
-    to lose 1e-13 of an eigenvalue.
+    4 eps (1 + ratio) (||a||_F + ||b||_F), and no gap cap tested has
+    fallen more than 5 eps ||a||_F below the ``eigvalsh`` gap, so a
+    dropped pair could not have raised the maximum. That holds while no
+    nonzero entry of a, b or a - b lies below about 1e-150 in magnitude,
+    as for every pair the samplers draw: where squares leave the normal
+    range, ``eigvalsh`` has been seen to lose 1e-13 of an eigenvalue, and
+    the gap cap, a sum of squares, loses every entry whose square
+    underflows. Where squares overflow, above about 1e150, the cap is not
+    finite and keeps its pair.
 
     Each (dim, field) draws its chunks rank_one, gap, random, each from its
     own generator, so the order does not change the pairs. The rank-one
-    chunk, whose tiny ||a - b|| defeats the eigenvalue ceiling, runs first
-    and unscreened; the random pairs, nearly all dropped at dims >= 3, run
-    last.
+    chunk, whose tiny ||a - b|| defeats the eigenvalue ceilings, runs first
+    and seeds its own maximum; the random pairs, nearly all dropped by the
+    gap cap at dims >= 3 and p > 1, run last.
     """
     _check_order(p)
     if samples < 0 or any(dim < 2 for dim in dims):  # the retraction needs dim >= 2

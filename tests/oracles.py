@@ -10,7 +10,9 @@ carriers (vs a rank-two closed form), the n = 2 retraction as a traceless
 shift (vs an eigendecomposition), self-adjoint matrices from coordinates by 2-D
 assignments into a zeroed matrix (vs one flat scatter), and dense parameter
 scans (the n = 2 a0 over angle pairs vs its closed form from the lifted
-Gram). They are slow and only used at small sizes.
+Gram), and the stacked BFGS loop with every masked write (vs the loop that
+skips those that change nothing). They are slow and only used at small
+sizes.
 """
 
 import json
@@ -320,3 +322,72 @@ def dumps_json_stdlib(obj):
     """JSON text of ``obj`` by element-wise conversion to Python scalars and
     the stdlib encoder: indent 2, floats at 17 significant digits."""
     return json.dumps(_pyify(obj), cls=_Float17Encoder, indent=2) + "\n"
+
+
+def _row_dots_ref(U, V):
+    """One dot per row of two (k, d) stacks, as ``core._row_dots`` forms it."""
+    return (U.conj()[:, None, :] @ V[:, :, None])[:, 0, 0]
+
+
+def bfgs_reference(fun, X0, ftol=1e-13, gtol=1e-9, max_iters=15000):
+    """``core._bfgs`` as it stood before its loop dropped the masked writes
+    that change no row's arithmetic: every step masks P and H by the live
+    and updated rows, writes the three stop rules and tests for fresh rows.
+    The new loop must return the same X, values, nit, nfev and stops bit
+    for bit."""
+    k, d = X0.shape
+    with np.errstate(all="ignore"):  # stopped rows may evaluate to NaN or inf
+        f, G = fun(X0)
+        live = np.isfinite(f) & (f != 0.0)
+        scale = np.where(live, np.abs(f), 1.0)
+        f, G = f / scale, G / scale[:, None]
+        X, eye, nit, nfev = X0, np.eye(d), np.zeros(k, int), np.zeros(k, int)
+        H, U, V = np.tile(eye, (k, 1, 1)), np.empty((k, d, 2)), np.empty((k, 2, d))
+        stops = np.full(k, "stationary", dtype=object)
+        live &= np.abs(G).max(axis=1) > gtol
+        fresh = live.copy()  # no update yet: H is the identity
+        while live.any():
+            # the step is -P. A stopped row's P is +0, so it stands still and
+            # re-evaluates to its own bits, as an accepted row does at a later
+            # halving; only rows still searching count evaluations.
+            P = np.where(live[:, None], (H @ G[:, :, None])[:, :, 0], 0.0)
+            c1 = 1e-4 * np.maximum(_row_dots_ref(G, P), 0.0)  # no rise where H does not descend
+            alpha = (np.where(fresh, np.minimum(1.0, 1.0 / np.sqrt(_row_dots_ref(P, P))), 1.0)
+                     if fresh.any() else np.ones(k))  # a first step is at most unit length
+            todo = live
+            for _ in range(40):
+                T = X - alpha[:, None] * P
+                fT, GT = fun(T)
+                fT, GT = fT / scale, GT / scale[:, None]
+                nfev += todo
+                todo = live & ~(fT <= f - alpha * c1)
+                if not todo.any():
+                    break
+                alpha[todo] *= 0.5
+            else:  # no decrease within the halvings: those rows stop where they were
+                T = np.where(todo[:, None], X, T)
+                fT, GT = np.where(todo, f, fT), np.where(todo[:, None], G, GT)
+                stops[todo], live = "line_search", live & ~todo
+            S, Y, drop = T - X, GT - G, f - fT
+            X, f, G = T, fT, GT
+            nit += live
+            for rows, stop in ((np.abs(G).max(axis=1) <= gtol, "stationary"),
+                               (drop <= ftol * np.maximum(np.abs(f), 1.0), "rel_decrease"),
+                               (nit >= max_iters, "max_iters")):
+                stops[rows & live] = stop
+                live &= ~rows
+            sy = _row_dots_ref(S, Y)  # 0 on every row that did not move
+            upd = sy > 0.0
+            if (upd & fresh).any():
+                H = np.where((upd & fresh)[:, None, None],
+                             (sy / _row_dots_ref(Y, Y))[:, None, None] * eye, H)
+            # H + s (c s - rho Hy)^T - rho Hy s^T, with rho = 1 / s^T y and
+            # c = rho^2 y^T H y + rho: the update (6.17)
+            HY = (H @ Y[:, :, None])[:, :, 0]
+            rho = (1.0 / sy)[:, None]
+            U[:, :, 0], U[:, :, 1] = S, HY
+            V[:, 0] = (rho * rho * _row_dots_ref(Y, HY)[:, None] + rho) * S - rho * HY
+            V[:, 1] = -rho * S
+            H = np.where(upd[:, None, None], H + U @ V, H)
+            fresh &= ~upd
+    return X, f * scale, nit, nfev, list(stops)

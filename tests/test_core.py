@@ -27,9 +27,11 @@ from raylift import (
     symop,
     vec,
 )
+from raylift import core as core_mod
 from raylift.core import _bfgs
 
 from oracles import (
+    bfgs_reference,
     outer_sym_entrywise,
     random_hermitian,
     random_vector,
@@ -336,6 +338,43 @@ class TestBfgs:
                 assert nit[i] == nfev[i] == 0 and stops[i] == "stationary"
             else:
                 assert nit[i] == 0 < nfev[i] and stops[i] == "line_search"
+
+    # starts for _rosenbrock, but for the uphill row, whose gradient has the
+    # wrong sign; with at most 30 iterations they end, in order, max_iters,
+    # rel_decrease, on a zero start value, stationary, line_search, on NaN
+    # and on inf starts, and max_iters
+    _POOL = np.array([[-1.2, 1.0], [0.9, 0.8], [1.0, 1.0], [1.0 + 1e-7, 1.0], [1.0, 2.0],
+                      [math.nan, 1.0], [math.inf, 0.0], [3.0, -2.0]])
+    _UPHILL = 4
+
+    @pytest.mark.parametrize("cap", [30, 15000])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_matches_frozen_loop(self, monkeypatch, k, cap):
+        """The loop that skips the masked writes no row needs returns what
+        the loop that made them all returned, bit for bit: X, values, nit,
+        nfev and stops, on stacks of 1 to 5 rows drawn from starts that end
+        by each stop rule or start at a value of 0, NaN or inf."""
+        monkeypatch.setattr(core_mod, "_BFGS_MAX_ITERS", cap)
+        rng = np.random.default_rng([k, cap])
+        seen = set()
+        for _ in range(8):
+            rows = rng.choice(len(self._POOL), size=k, replace=False)
+            up = rows == self._UPHILL
+
+            def fun(X):
+                f, G = _rosenbrock(X)
+                f[up], G[up] = 1.0 + _squares(X[up]), -2.0 * X[up]
+                return f, G
+
+            got = _bfgs(fun, self._POOL[rows])
+            want = bfgs_reference(fun, self._POOL[rows], max_iters=cap)
+            for g, w in zip(got[:2], want[:2]):
+                assert g.tobytes() == w.tobytes()
+            assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+            assert got[4] == want[4]
+            seen.update(got[4])
+        if k == 5:
+            assert seen == set(_STOPS) if cap == 30 else seen == set(_STOPS) - {"max_iters"}
 
     def test_rows_run_alone(self):
         """Row i of a stacked run is its one-row run bit for bit, in every

@@ -103,6 +103,37 @@ class TestCanonicalization:
             assert ray(r).rep.entries.tobytes() == r.entries.tobytes()
 
 
+    @pytest.mark.parametrize("x, y", [
+        ([-1j, 2.0], [1j, -2.0]),
+        ([-1.0, 1j], [1.0, complex(0.0, -1.0)]),
+        ([1.0, complex(-0.0, 2.0)], [1.0, 2j]),
+        ([1.0, -0.0], [1.0, 0.0]),
+        ([-0.0, 0.0], [0.0, 0.0]),
+    ])
+    def test_signed_zeros_one_representative(self, x, y):
+        """x and y lie on one ray and differ, after the pivot's phase, only
+        in the sign of a zero: their representatives have the same bytes."""
+        assert ray(vec(x)).rep.entries.tobytes() == ray(vec(y)).rep.entries.tobytes()
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, -0.5, 1.0, -3.0, 2.0]), st.booleans(),
+                              st.sampled_from([0.0, -0.0])), min_size=1, max_size=5),
+           st.booleans(), st.sampled_from([1.0, -1.0, 1j, -1j]))
+    @settings(max_examples=300, deadline=None)
+    def test_axis_entries_have_unsigned_zeros(self, entries, cplx, unit):
+        """Entries on an axis, with zero parts of either sign: every product
+        on the way to a representative is exact, so x and unit * x give the
+        same bytes, and no zero part of a representative is -0.0."""
+        if cplx:
+            x = np.array([complex(z, v) if imag else complex(v, z) for v, imag, z in entries])
+        else:
+            x = np.array([v if v else z for v, _, z in entries])
+            unit = unit.real or 1.0
+        rep = ray(vec(x)).rep.entries
+        parts = rep.view(np.float64)
+        assert not np.signbit(parts[parts == 0.0]).any()
+        assert ray(vec(unit * x)).rep.entries.tobytes() == rep.tobytes()
+
+
 class TestAlignDist:
     def test_same_ray_zero(self, rng, field):
         x = _rray(rng, 3, field)

@@ -26,9 +26,12 @@ from raylift.core import _schatten_batch
 from raylift.retraction import (
     _SAMPLERS,
     _SCREEN_EPS,
+    _SEED_ROWS,
+    _cap_ceiling,
     _ceiling,
     _denominators,
     _floor,
+    _gap_cap,
     _hermitian_stack,
     _max_ratio_for_stacks,
     _numerators,
@@ -470,6 +473,58 @@ class TestTwoByTwo:
                 assert c["max_ratio"] <= _exact_n2(p) * (1 + 1e-6) < c["bound"]
 
 
+def _cap_stack(kind, rng, k, n, field):
+    """k self-adjoint n x n matrices of one kind: random, near-scalar
+    (c I + 1e-9 H), tied top (lam1 = lam2), rank-one PSD, diagonal or
+    negative definite."""
+    h = _hermitian_stack(rng, k, n, field)
+    if kind == "random":
+        return h
+    if kind == "near_scalar":
+        return rng.uniform(-5.0, 5.0, (k, 1, 1)) * np.eye(n) + 1e-9 * h
+    if kind == "tied":
+        lam = rng.standard_normal((k, n))
+        lam[:, :2] = np.abs(lam).max(axis=1, keepdims=True) + 1.0
+        u = _unitary_stack(rng, k, n, field)
+        m = (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+        return (m + m.conj().transpose(0, 2, 1)) / 2
+    if kind == "rank_one":
+        x = h[:, :, 0]
+        return np.einsum("ki,kj->kij", x, x.conj())
+    if kind == "diagonal":
+        return rng.standard_normal((k, n))[:, :, None] * np.eye(n).astype(field.dtype)
+    m = -(h @ h.conj().transpose(0, 2, 1)) - 0.1 * np.eye(n)  # negative definite
+    return (m + m.conj().transpose(0, 2, 1)) / 2
+
+
+_CAP_KINDS = ("random", "near_scalar", "tied", "rank_one", "diagonal", "negative_definite")
+
+
+class TestGapCap:
+    """``_gap_cap``, the closed-form ceiling over lam1 - lam2 that the
+    screen tries before any eigensolve."""
+
+    @given(st.sampled_from(_CAP_KINDS), st.integers(2, 8), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_caps_the_top_gap(self, kind, n, cplx, seed):
+        """cap >= lam1 - lam2 from ``eigvalsh``, less 8 eps ||a||_F of
+        rounding, on every kind of stack the screen can meet."""
+        field = Field.COMPLEX if cplx else Field.REAL
+        a = _cap_stack(kind, np.random.default_rng(seed), 16, n, field)
+        w = np.linalg.eigvalsh(a)
+        slack = 8 * EPS * np.linalg.norm(a, axis=(1, 2))
+        assert np.all(_gap_cap(a) >= w[:, -1] - w[:, -2] - slack)
+
+    @pytest.mark.parametrize("kind", _CAP_KINDS)
+    def test_exact_at_n2(self, rng, field, kind):
+        """At n = 2 both bounds are equalities: the cap is the gap
+        sqrt((a11 - a22)^2 + 4 |a12|^2), to a few eps ||a||_F."""
+        a = _cap_stack(kind, rng, 200, 2, field)
+        gap = np.sqrt((a[:, 0, 0].real - a[:, 1, 1].real) ** 2 + 4 * np.abs(a[:, 0, 1]) ** 2)
+        assert np.all(np.abs(_gap_cap(a) - gap) <= 4 * EPS * np.linalg.norm(a, axis=(1, 2)))
+
+
 def _unscreened(a, b, p, best=0.0):
     """``_max_ratio_for_stacks`` without its screen: every pair's exact
     ratio, then the maximum."""
@@ -483,8 +538,10 @@ def _screen_pairs(dim, field):
     """Seeded pairs from the three samplers, then pairs the screen must
     not drop: tied tops against random operators, rank-one pairs 1e-8
     apart, orthogonal rank-one pairs (ratio 1, where the eigenvalue ceiling
-    is exact) and I vs diag(2, 0) (ratio 2 at p = inf), set above a common
-    eigenvalue -5 at dim > 2, which changes neither pi nor a - b."""
+    is exact), near-scalar pairs 3 I + 1e-9 H, whose gap cap would cancel
+    if formed as ||a||_F^2 - tr(a)^2 / n, and I vs diag(2, 0) (ratio 2 at
+    p = inf), set above a common eigenvalue -5 at dim > 2, which changes
+    neither pi nor a - b."""
     rng = np.random.default_rng([23, dim, 0 if field is Field.REAL else 1])
     pairs = [sampler(rng, 60, dim, field) for _, sampler in _SAMPLERS]
     u = _unitary_stack(rng, 20, dim, field)
@@ -494,10 +551,13 @@ def _screen_pairs(dim, field):
     e /= np.linalg.norm(e, axis=(1, 2))[:, None, None]
     tied = np.zeros(dim)
     tied[:2] = 1.0
+    scalar = 3.0 * np.eye(dim)
     pairs += [
         ((u * tied) @ u.conj().transpose(0, 2, 1), _hermitian_stack(rng, 20, dim, field)),
         (top, top + 1e-8 * e),
         (top, np.einsum("ki,kj->kij", y, y.conj())),
+        (scalar + 1e-9 * _hermitian_stack(rng, 20, dim, field),
+         scalar + 1e-9 * _hermitian_stack(rng, 20, dim, field)),
     ]
     tail = np.full(dim, -5.0)
     eye, diag = tail.copy(), tail.copy()
@@ -561,9 +621,9 @@ class TestScreen:
     @settings(max_examples=300, deadline=None)
     def test_ceilings_cover_the_ratio(self, parts, p, cplx, log_sep):
         """On any pair b = a + 10^log_sep e that the maximum counts, the
-        eigenvalue ceiling and the exact numerator each reach ratio * floor
-        less the allowance, so a pair the screen drops has a ratio below the
-        running maximum."""
+        gap cap's ceiling, the eigenvalue ceiling and the exact numerator
+        each reach ratio * floor less the allowance, so a pair the screen
+        drops has a ratio below the running maximum."""
         a, e = (parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]) if cplx else parts[::2]
         a = (a + a.conj().T)[None] / 2
         b = a + 10.0 ** log_sep * (e + e.conj().T)[None] / 2
@@ -572,8 +632,69 @@ class TestScreen:
         assume(den[0] > 1e-12 * max(1.0, na, nb))  # a pair the maximum counts
         ratio = num[0] / den[0]
         need = ratio * _floor(a - b, p)[0] - _SCREEN_EPS * (1.0 + ratio) * (na + nb)
+        assert _cap_ceiling(a, b, p)[0] >= need
         assert _ceiling(a, b, p)[0] >= need
         assert num[0] >= need
+
+    @pytest.mark.parametrize("p", [1, 2, math.inf])
+    def test_first_chunk_seeds_its_maximum(self, monkeypatch, field, p):
+        """Screened against 0, a chunk first takes the exact ratios of its
+        _SEED_ROWS pairs with the largest numerator over floor, then
+        screens the rest against their maximum, and reports the unscreened
+        maximum's bits."""
+        a, b = _screen_pairs(8, field)
+        want = _unscreened(a, b, p)
+        rows = []
+
+        def counted(d, p):
+            rows.append(len(d))
+            return _denominators(d, p)
+
+        monkeypatch.setattr(retraction_mod, "_denominators", counted)
+        assert _max_ratio_for_stacks(a, b, p) == want
+        assert rows[0] == _SEED_ROWS and sum(rows) < _SEED_ROWS + len(a)
+
+    @pytest.mark.parametrize("bad", [-1e-300, -1.0, math.nan, math.inf])
+    def test_unproven_caps_keep_their_pairs(self, monkeypatch, field, bad):
+        """A gap cap that is negative or not finite proves nothing: its
+        pair's cap ceiling is +inf, and the screen keeps the pair."""
+        a, b = _screen_pairs(4, field)
+        top = _unscreened(a, b, math.inf)
+        real_cap = retraction_mod._gap_cap
+
+        def spoiled(x):
+            cap = real_cap(x)
+            cap[::3] = bad
+            return cap
+
+        monkeypatch.setattr(retraction_mod, "_gap_cap", spoiled)
+        assert np.all(_cap_ceiling(a, b, math.inf)[::3] == math.inf)
+        for p in (1, 3.5, math.inf):
+            assert _max_ratio_for_stacks(a, b, p, _unscreened(a, b, p) / 2) == _unscreened(a, b, p)
+        assert _max_ratio_for_stacks(a, b, math.inf, np.nextafter(top, 0.0)) == top
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_cap_drops_random_pairs_before_any_eigensolve(self, monkeypatch, dim):
+        """In the probe at seed 1 and p = inf, the gap cap alone drops at
+        least 90% of the random pairs at dims 4 and 8: they reach neither
+        the eigenvalue ceiling nor the numerator."""
+        chunks, reached = [], []
+        inner_max, inner_ceiling = retraction_mod._max_ratio_for_stacks, retraction_mod._ceiling
+
+        def chunk(a, b, p, best=0.0):
+            chunks.append(len(a))
+            return inner_max(a, b, p, best)
+
+        def ceiling(a, b, p):
+            reached.append((chunks[-1], len(a)))
+            return inner_ceiling(a, b, p)
+
+        monkeypatch.setattr(retraction_mod, "_max_ratio_for_stacks", chunk)
+        monkeypatch.setattr(retraction_mod, "_ceiling", ceiling)
+        retraction_probe(dims=(dim,), p=math.inf, samples=1000, seed=1)
+        # the random chunk is the only one of 1000 pairs; one per field
+        random = [n for size, n in reached if size == 1000]
+        assert len(random) == 2 and sum(random) <= 0.1 * 2000
 
     def test_random_pairs_mostly_screened(self, monkeypatch):
         """Held to a maximum of 1.9 at dim 8 and p = inf, the probe's
