@@ -14,8 +14,12 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, Union
 
@@ -153,10 +157,12 @@ def _synthesize(F: Frame, W: np.ndarray) -> np.ndarray:
     return (W[:, None, :] @ F.synthesis)[:, 0, :]
 
 
-def _coeff_rows(F: Frame, B: np.ndarray) -> np.ndarray:
+def _coeff_rows(F: Frame, B: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """The (k, m, d) float64 view of the rows <x, f_k> f_k, given B =
-    ``_conj_coeffs(F, X)``: the a0 screen's L and polish's J / 2."""
-    return (B.conj()[:, :, None] * F.synthesis).view(np.float64)
+    ``_conj_coeffs(F, X)``: the a0 screen's L and polish's J / 2. ``out``, a
+    C-ordered (k, m, n) array of the frame's dtype, receives the product, so
+    a caller that forms many stacks reuses one buffer."""
+    return np.multiply(B.conj()[:, :, None], F.synthesis, out=out).view(np.float64)
 
 
 def _phase_fill(S: np.ndarray, X: np.ndarray, weight: np.ndarray) -> None:
@@ -171,9 +177,9 @@ def _phase_fill(S: np.ndarray, X: np.ndarray, weight: np.ndarray) -> None:
         S += weight[:, None, None] * (w[:, :, None] * w[:, None, :])
 
 
-# rows x m x n entries per block of a ``_coeff_rows`` stack: the a0 screen and
-# polish's Jacobian take at most this many at a time, so a wide frame adds
-# little to either's peak memory
+# rows x m x n entries per block of rows: the a0 screen's ``_coeff_rows``
+# stack and polish's coefficient stacks take at most this many at a time, so a
+# wide frame adds little to either's peak memory
 _STACK_ENTRIES = 2 ** 18
 
 
@@ -310,12 +316,43 @@ class LiftedMap:
 
 @cache
 def _linalg():
-    """scipy.linalg's ``blas`` and ``lapack``, imported on first use: only
-    the lifted Gram and the Cholesky path call them, so ``gen`` and ``probe
-    --what pi`` never pay the import (about 21 MiB and 0.2 s)."""
-    from scipy.linalg import blas, lapack
+    """scipy's compiled BLAS and LAPACK wrappers, the f2py extension modules
+    ``scipy.linalg._fblas`` and ``scipy.linalg._flapack``, loaded on first
+    use: only the lifted Gram, the Cholesky path and ``min_norm_inverse``
+    call them, so ``gen``, ``check`` and ``probe`` never load them.
 
-    return blas, lapack
+    ``scipy.linalg.blas`` and ``scipy.linalg.lapack`` re-export these two
+    modules' functions with ``import *``, so the functions called here are
+    scipy's own objects, with the same ``libscipy_openblas``. Importing them
+    through ``scipy.linalg`` would run that package's ``__init__``, which
+    loads about 320 modules and 23 MiB of resident memory (numpy.f2py,
+    importlib.metadata, scipy's array-API layer, ...) that no command uses;
+    the two wrappers together with a plain ``import scipy``, which sets up
+    scipy's library path, take 25 modules and about 4.5 MiB (both measured
+    after ``import raylift.cli``, scipy 1.17). They are loaded from scipy's
+    install directory and registered in ``sys.modules`` under their own
+    names, so a later ``import scipy.linalg`` reuses them and its
+    ``blas.dsyrk`` is the object returned here; in that import order the
+    package lacks the private attributes ``scipy.linalg._fblas`` and
+    ``_flapack``, while every public name works. When scipy.linalg is loaded
+    first, its modules are reused. A missing wrapper raises ``ImportError``
+    naming the directory searched."""
+    import scipy
+
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    wrappers = []
+    for name in ("scipy.linalg._fblas", "scipy.linalg._flapack"):
+        module = sys.modules.get(name)
+        if module is None:
+            spec = finder.find_spec(name)
+            if spec is None:
+                raise ImportError(f"no extension module {name} in {directory}", name=name)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+        wrappers.append(module)
+    return tuple(wrappers)
 
 
 def _lifted_rows(F: Frame, start: int = 0, stop: Optional[int] = None) -> np.ndarray:

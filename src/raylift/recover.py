@@ -101,6 +101,10 @@ _DECREASE_TOL = 1e-13  # an accepted step lowering h by at most this times h0 en
 _DAMP_START = 1e-6  # the damping at the start, in units of H's mean eigenvalue
 _DAMP_CAP = 1e10  # damping above this without a decrease ends the row
 _STOPS = ("stationary", "rel_decrease", "line_search", "max_iters")
+# bytes of the Jacobian block polish forms at a time: far enough below glibc's
+# 64 KiB trim trigger and 128 KiB mmap threshold that the block and its
+# products reuse heap pages from one evaluation and one call to the next
+_JACOBIAN_BYTES = 2 ** 15
 _ACTIVE, (_STATIONARY, _REL_DECREASE, _LINE_SEARCH, _MAX_ITERS) = -1, range(4)
 
 
@@ -240,7 +244,7 @@ def _fit_rows(F: Frame, C: np.ndarray, X: np.ndarray,
     return B + dB, R + rise, h + _row_dots(rise, 2.0 * R + rise)
 
 
-def _normal_eqs(F: Frame, X: np.ndarray, B: np.ndarray, R: np.ndarray):
+def _normal_eqs(F: Frame, X: np.ndarray, B: np.ndarray, R: np.ndarray, buf: np.ndarray):
     """The Gauss-Newton system of each row at x: ``(H, g, mu)`` with
     H = J^T J and g = J^T R for the Jacobian J of the misfits in the real
     coordinates of x, each entry's real part followed by its imaginary part
@@ -249,12 +253,21 @@ def _normal_eqs(F: Frame, X: np.ndarray, B: np.ndarray, R: np.ndarray):
     annihilates the phase direction i x, along which h does not change; H
     gets mu along it (``frames._phase_fill``), so it is definite, and g,
     orthogonal to i x, gives a step without a phase component. Rows must be
-    nonzero."""
-    J = _coeff_rows(F, B)  # J / 2
-    Jt = J.transpose(0, 2, 1)
-    H = 4.0 * (Jt @ J)
-    g = 2.0 * (Jt @ R[:, :, None])[:, :, 0]
-    mu = np.trace(H, axis1=1, axis2=2) / H.shape[-1]
+    nonzero. J / 2 is formed ``len(buf)`` rows at a time inside ``buf``, a
+    (k', m, n) stack of the frame's dtype; each row's products are one
+    matrix product of its own, so they have the bits of the whole stack's."""
+    d = X.view(np.float64).shape[1]
+    H, g = np.empty((len(X), d, d)), np.empty((len(X), d))
+    step = len(buf)
+    for i in range(0, len(X), step):
+        Bi = B[i:i + step]
+        J = _coeff_rows(F, Bi, buf[:len(Bi)])  # J / 2
+        Jt = J.transpose(0, 2, 1)
+        np.matmul(Jt, J, out=H[i:i + step])
+        np.matmul(Jt, R[i:i + step, :, None], out=g[i:i + step, :, None])
+    H *= 4.0  # scalings by powers of 2 are exact
+    g *= 2.0
+    mu = np.trace(H, axis1=1, axis2=2) / d
     _phase_fill(H, X, mu)
     return H, g, mu
 
@@ -265,8 +278,10 @@ def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray):
     and stopped on its own. Returns ``(X, h0, iterations, evaluations,
     stops)``: each row's last accepted iterate (its start when none was), h
     at the start, the accepted steps, the evaluations and the index of the
-    stop rule in ``_STOPS``. The Jacobian stack is (k, m, d): callers pass
-    blocks of at most ``_STACK_ENTRIES`` / (m n) rows."""
+    stop rule in ``_STOPS``. The (k, m) stacks of coefficients and misfits
+    stay small because callers pass blocks of at most ``_STACK_ENTRIES`` /
+    (m n) rows; the Jacobian is formed a few rows at a time
+    (``_JACOBIAN_BYTES``)."""
     k = X.shape[0]
     X = X.copy()
     B, R, h = _fit_rows(F, C, X)
@@ -282,7 +297,10 @@ def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray):
     act = np.flatnonzero(stop == _ACTIVE)
     d = X.view(np.float64).shape[1]
     H, g, mu = np.empty((k, d, d)), np.empty((k, d)), np.empty(k)
-    H[act], g[act], mu[act] = _normal_eqs(F, X[act], B[act], R[act])
+    # one Jacobian buffer of a few rows for every evaluation (see _JACOBIAN_BYTES)
+    buf = np.empty((max(1, _JACOBIAN_BYTES // F.synthesis.nbytes),) + F.synthesis.shape,
+                   F.synthesis.dtype)
+    H[act], g[act], mu[act] = _normal_eqs(F, X[act], B[act], R[act], buf)
     stop[act[~g[act].any(axis=1)]] = _STATIONARY
     lam, nu = np.full(k, _DAMP_START), np.full(k, 2.0)
     eye = np.eye(d)
@@ -327,7 +345,7 @@ def _polish_stack(F: Frame, C: np.ndarray, X: np.ndarray):
         stop[acc[(drop <= _DECREASE_TOL * h0[acc]) & (h[acc] > drop)]] = _REL_DECREASE
         stop[acc[h[acc] <= floor[acc]]] = _STATIONARY
         acc = acc[stop[acc] == _ACTIVE]
-        H[acc], g[acc], mu[acc] = _normal_eqs(F, X[acc], B[acc], R[acc])
+        H[acc], g[acc], mu[acc] = _normal_eqs(F, X[acc], B[acc], R[acc], buf)
     return X, h0, iterations, evaluations, stop
 
 

@@ -195,7 +195,8 @@ def _max_ratio_for_stacks(a, b, p, best=0.0):
     need = best * floor - (1.0 + best) * tol
     if best > 0.0:
         a, b, need = _rows(_cap_ceiling(a, b, p) >= need, a, b, need)
-        a, b, need = _rows(_ceiling(a, b, p) >= need, a, b, need)
+        if a.shape[-1] > 2:  # at n = 2 the cap is exact: the ceiling would drop nothing
+            a, b, need = _rows(_ceiling(a, b, p) >= need, a, b, need)
     num = _numerators(a, b, p)
     if best == 0.0 and len(num) > _SEED_ROWS:
         # no maximum to screen against yet: seed one from the pairs whose
@@ -346,7 +347,7 @@ def retraction_probe(
        interlacing); both are exact at n = 2. A negative or non-finite
        cap proves nothing, and its pair is kept;
     2. the eigenvalue ceiling, c from ``eigvalsh`` at about half an
-       ``eigh``'s cost;
+       ``eigh``'s cost, skipped at n = 2, where tier 1 is already exact;
     3. the numerator, from two ``eigh``;
     4. the denominator, the ``eigvalsh`` of a - b, which gives the ratio.
     A chunk screened against best = 0, each (dim, field)'s first, has no

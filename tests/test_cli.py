@@ -129,39 +129,61 @@ class TestPolishDoor:
 # run in a fresh interpreter by TestImportGraph: argv[1] is a JSON object of
 # command lines, argv[2] says whether scipy.linalg and scipy.optimize are
 # imported up front. A copy of each command's output file (its last argument)
-# is kept under the mode and the command's name.
+# is kept under the mode and the command's name; the lazy run then imports
+# scipy.linalg and reruns both reconstructs, kept under "rerun".
 _FRESH_PROCESS = """
 import json, shutil, sys
 argvs, eager = json.loads(sys.argv[1]), sys.argv[2] == "eager"
 if eager:
     import scipy.linalg, scipy.optimize
+from raylift import frames
 from raylift.cli import main
 
-def run(name):
+def run(name, tag=sys.argv[2]):
     assert main(argvs[name]) == 0, name
-    shutil.copy(argvs[name][-1], sys.argv[2] + "-" + name + ".json")
+    shutil.copy(argvs[name][-1], tag + "-" + name + ".json")
 
 first = ("gen-8-72", "check-8-72", "probe-pi")
 for name in first:
     run(name)
-    assert eager or "scipy.linalg" not in sys.modules, name
+    assert eager or "scipy" not in sys.modules, name
 run("reconstruct-polish-off")
-assert "scipy.linalg" in sys.modules
+wrappers = ("scipy.linalg._fblas", "scipy.linalg._flapack")
+assert frames._linalg() == tuple(sys.modules[name] for name in wrappers)
 for name in argvs:
     if name not in first + ("reconstruct-polish-off",):
         run(name)
+assert eager or "scipy.linalg" not in sys.modules
 assert eager or "scipy.optimize" not in sys.modules
+if eager:
+    assert frames._linalg() == (scipy.linalg._fblas, scipy.linalg._flapack)
+else:
+    import numpy as np
+    import scipy.linalg
+    blas, lapack = frames._linalg()
+    assert scipy.linalg.blas.dsyrk is blas.dsyrk and scipy.linalg.blas.dtrsv is blas.dtrsv
+    assert scipy.linalg.lapack.dpotrf is lapack.dpotrf
+    assert scipy.linalg.lapack.dpocon is lapack.dpocon
+    assert np.array_equal(scipy.linalg.solve(np.diag([2.0, 4.0]), np.ones(2)), [0.5, 0.25])
+    run("reconstruct-polish-off", "rerun")
+    run("reconstruct-polish-on", "rerun")
 """
 
 
 class TestImportGraph:
     def test_scipy_loads_only_for_the_lifted_map(self, tmp_path):
-        """No command loads scipy.optimize. ``gen``, ``check`` on a complex
-        n = 8, m = 72 frame (whose ceiling takes the m x m path) and ``probe
-        --what pi`` do not load scipy.linalg either; ``reconstruct`` does.
-        Every command writes the same bytes as in a process that imported
-        both before anything ran. Each run is a fresh interpreter, since
-        this one has loaded both modules already."""
+        """No command loads the scipy.linalg package or scipy.optimize.
+        ``gen``, ``check`` on a complex n = 8, m = 72 frame (whose ceiling
+        takes the m x m path) and ``probe --what pi`` load no scipy at all;
+        ``reconstruct`` loads only the compiled wrappers
+        ``scipy.linalg._fblas`` and ``scipy.linalg._flapack``. Every command
+        writes the same bytes as in a process that imported both packages
+        before anything ran, where ``frames._linalg`` reuses the package's
+        wrappers. Imported afterwards, scipy.linalg's public BLAS and LAPACK
+        functions are the objects ``frames._linalg`` returned, its public
+        functions work, and both reconstructs write the same bytes again.
+        Each run is a fresh interpreter, since this one has loaded both
+        packages already."""
         _inputs(tmp_path)
         commands = {**_COMMANDS,
                     "gen-8-72": ["gen", "--dim", "8", "--count", "72", "--field", "complex",
@@ -178,6 +200,9 @@ class TestImportGraph:
         for name in commands:
             lazy = (tmp_path / f"lazy-{name}.json").read_bytes()
             assert lazy == (tmp_path / f"eager-{name}.json").read_bytes(), name
+        for name in ("reconstruct-polish-off", "reconstruct-polish-on"):
+            rerun = (tmp_path / f"rerun-{name}.json").read_bytes()
+            assert rerun == (tmp_path / f"lazy-{name}.json").read_bytes(), name
 
 
 class TestOrderFlag:

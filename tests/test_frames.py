@@ -2,6 +2,7 @@ import importlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from collections import OrderedDict
 from dataclasses import replace
@@ -595,6 +596,17 @@ class TestLiftedMapMemory:
     def test_wide_frame(self):
         # A would be 16 MiB; the blocks are 256 rows, 2 MiB
         assert self._extra_peak(_gauss(32, 2048, Field.COMPLEX, seed=1)) <= 4 * 1024 * 1024
+
+
+class TestLinalgWrappers:
+    def test_missing_wrapper_names_the_directory(self, tmp_path, monkeypatch):
+        import scipy
+
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._fblas")
+        with pytest.raises(ImportError) as err:
+            frames_mod._linalg.__wrapped__()
+        assert str(err.value) == f"no extension module scipy.linalg._fblas in {tmp_path / 'linalg'}"
 
 
 class TestGenFrame:

@@ -611,6 +611,24 @@ class TestPolishDescent:
         last = stacked[-1][2]
         assert last.evaluations > last.iterations + 2
 
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_normal_eqs_bits_do_not_depend_on_the_jacobian_block(self, field, rows):
+        """H, g and mu from J / 2 formed ``rows`` rows at a time in the
+        buffer have the bits of the products of the whole (5, m, d) stack."""
+        F = _gauss(4, 24, field, seed=5)
+        rng = np.random.default_rng(5)
+        X = np.array([random_vector(rng, 4, field is Field.COMPLEX) for _ in range(5)])
+        B = frames_mod._conj_coeffs(F, X)
+        R = np.abs(B) ** 2 - rng.standard_normal((5, 24)) ** 2
+        J = frames_mod._coeff_rows(F, B)
+        Jt = J.transpose(0, 2, 1)
+        H, g = 4.0 * (Jt @ J), 2.0 * (Jt @ R[:, :, None])[:, :, 0]
+        mu = np.trace(H, axis1=1, axis2=2) / H.shape[-1]
+        frames_mod._phase_fill(H, X, mu)
+        buf = np.empty((rows, 24, 4), field.dtype)
+        got = recover_mod._normal_eqs(F, X, B, R, buf)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, (H, g, mu)))
+
     def test_reconstruct_polishes_rows_as_recover_does(self, tmp_path):
         """``reconstruct --polish on`` polishes its rows as one stack; each
         row reports what polishing ``recover``'s estimate of it alone reports."""

@@ -696,6 +696,24 @@ class TestScreen:
         random = [n for size, n in reached if size == 1000]
         assert len(random) == 2 and sum(random) <= 0.1 * 2000
 
+    @pytest.mark.parametrize("p", [1, math.inf])
+    def test_eigenvalue_ceiling_skipped_at_dim_two(self, monkeypatch, p):
+        """At n = 2 the gap cap is exact, so the probe sends no pair to the
+        eigenvalue ceiling there; at dims 3, 4 and 8 pairs still reach it,
+        in both fields."""
+        reached = []
+        inner = retraction_mod._ceiling
+
+        def ceiling(a, b, p):
+            reached.append((a.shape[-1], np.iscomplexobj(a), len(a)))
+            return inner(a, b, p)
+
+        monkeypatch.setattr(retraction_mod, "_ceiling", ceiling)
+        retraction_probe(dims=(2, 3, 4, 8), p=p, samples=1000, seed=1)
+        assert {(n, cplx) for n, cplx, rows in reached if rows} == {
+            (n, cplx) for n in (3, 4, 8) for cplx in (False, True)}
+        assert all(n > 2 for n, _, _ in reached)
+
     def test_random_pairs_mostly_screened(self, monkeypatch):
         """Held to a maximum of 1.9 at dim 8 and p = inf, the probe's
         largest, under 2% of random pairs reach the numerator's ``eigh``."""
