@@ -6,8 +6,10 @@ with stability constants), reconstruct (invert measurement files), probe
 is deterministic given its flags, including --seed; reports carry full
 provenance and contain no timestamps, so reruns are byte identical.
 
-Exit codes: 0 success/affirmative, 1 negative verdict, 2 usage, 3 I/O,
-4 indeterminate, 5 bound violation.
+Exit codes: 0 success/affirmative, 1 negative verdict, 2 usage, 3 I/O
+(also a measurement row the pipeline cannot represent, such as one whose
+inversion overflows: reconstruct names the row and writes no output), 4
+indeterminate, 5 bound violation.
 """
 
 from __future__ import annotations
@@ -21,9 +23,10 @@ from functools import cache
 import numpy as np
 
 from . import __version__
-from .core import Field, Vector, _gaussian, symop
+from .core import Field, SpectralError, Vector, _gaussian, symop
 from .frames import (
     FrameFileError,
+    _RowError,
     _float_repr17,
     _vec_to_json,
     build_lifted_map,
@@ -44,7 +47,7 @@ from .probes import (
     upper_lip_ceiling,
     verify_property_k,
 )
-from .recover import polish, recover, recovery_lip_bound
+from .recover import _report_rows, polish, recover, recovery_lip_bound
 from .retraction import retraction_probe, retraction_ratio
 
 EXIT_OK = 0
@@ -244,17 +247,29 @@ def cmd_reconstruct(args) -> int:
             f"this frame and estimates may be wrong even without noise",
             file=sys.stderr,
         )
-    reps = (recover(F, row, lifted=lifted) for row in rows)
-    if args.polish == "on":  # the rows' estimates polished as one stack
-        reps = list(reps)
-        polished = polish(F, np.array([row.values for row in rows]), [r.estimate for r in reps])
-        reps = (replace(rep, estimate=est, residual=res, polish=stats)
-                for rep, (est, res, stats) in zip(reps, polished))
-    reports = [rep.to_dict() for rep in reps]
+    reps, i = [], None
+    # a row that overflows fails a finiteness check whose error names the
+    # row; numpy's overflow warnings on the way would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for i, row in enumerate(rows):
+                reps.append(recover(F, row, lifted=lifted))
+            i = None  # a later failure names its row itself, or the stack
+            if args.polish == "on":  # the rows' estimates polished as one stack
+                polished = polish(F, np.array([row.values for row in rows]),
+                                  [r.estimate for r in reps])
+                reps = [replace(rep, estimate=est, residual=res, polish=stats)
+                        for rep, (est, res, stats) in zip(reps, polished)]
+            stack = _report_rows(reps)
+        except (ValueError, SpectralError) as e:
+            i = e.row if isinstance(e, _RowError) else i
+            at = "" if i is None else f"[{i}]"
+            print(f"reconstruct: {args.measurements}.values{at}: {e}", file=sys.stderr)
+            return EXIT_IO
     doc = {
         "frame_label": F.label,
         "frame_hash": F.file_sha256,
-        "rows": reports,
+        "rows": stack,
         "provenance": _provenance("reconstruct", args),
     }
     try:
@@ -262,8 +277,8 @@ def cmd_reconstruct(args) -> int:
     except OSError as e:
         print(f"reconstruct: cannot write {args.out}: {e}", file=sys.stderr)
         return EXIT_IO
-    worst = max(r["residual"] for r in reports)
-    print(f"reconstructed {len(reports)} rows; worst residual {worst:.6g}")
+    worst = max(r.residual for r in reps)
+    print(f"reconstructed {len(reps)} rows; worst residual {worst:.6g}")
     return EXIT_OK
 
 

@@ -592,6 +592,108 @@ def _encode_array(a: np.ndarray, level: int) -> str:
     return text
 
 
+# a row stack's slot markers, one per dtype kind of its columns, and the
+# "%" format each becomes in the row template; _encode writes a marker as
+# a JSON string, "\u0000" then the kind
+_SLOT_FORMATS = {"f": "%.17g", "i": "%d", "U": "%s"}
+
+
+class _RowError(ValueError):
+    """A value of row ``row`` of a ``_Rows`` stack that JSON cannot hold."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _slot_markers(o, columns: list):
+    """``o`` with each array leaf appended to ``columns`` and replaced by
+    one slot marker per entry of its row, nested as the row is; the walk
+    takes the leaves in the order ``_encode`` writes them."""
+    if isinstance(o, dict):
+        return {k: _slot_markers(v, columns) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_slot_markers(v, columns) for v in o]
+    if isinstance(o, np.ndarray):
+        if o.dtype.kind not in _SLOT_FORMATS:
+            raise TypeError(f"a row stack has no slot for arrays of dtype {o.dtype}")
+        columns.append(o)
+        return np.full(o.shape[1:], "\x00" + o.dtype.kind, dtype=object).tolist()
+    return o
+
+
+class _Rows:
+    """k JSON documents of one layout, which ``dumps_json`` writes as a
+    list, the bytes of the list of the k documents themselves. ``layout``
+    is that document with each leaf that varies by row given as an array
+    column, one entry (or subarray) per row: float, integer or str. A
+    float column's row is written as a float or a float array, an integer
+    one's as an int, a str one's as a string; every other leaf is the same
+    on every row. One ``np.isfinite`` over the float columns refuses a
+    non-finite value with a ``_RowError`` naming its row."""
+
+    __slots__ = ("sample", "columns", "floats")
+
+    def __init__(self, layout):
+        columns = []
+        self.sample = _slot_markers(layout, columns)
+        k = len(columns[0]) if columns else 0
+        if not columns or any(len(c) != k for c in columns):
+            raise ValueError("a row stack needs array columns of one length")
+        self.columns = [c.reshape(k, math.prod(c.shape[1:])) for c in columns]
+        floats = [c for c in self.columns if c.dtype.kind == "f"]
+        self.floats = np.concatenate(floats, axis=1) if floats else np.empty((k, 0))
+        finite = np.isfinite(self.floats)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise _RowError(int(i), f"non-finite value {float(self.floats[i, j])!r} "
+                            f"cannot be serialized")
+
+    def __len__(self) -> int:
+        return len(self.floats)
+
+    def values(self) -> np.ndarray:
+        """The slots of each row, in the order the template holds them:
+        the float stack itself, or Python objects when a column is not
+        float, strings already encoded."""
+        if all(c.dtype.kind == "f" for c in self.columns):
+            return self.floats
+        parts = []
+        for c in self.columns:
+            if c.dtype.kind == "U":
+                c = np.array([encode_basestring_ascii(s) for s in c.ravel().tolist()],
+                             dtype=object).reshape(c.shape)
+            parts.append(c.astype(object))
+        return np.concatenate(parts, axis=1)
+
+
+@lru_cache(maxsize=64)
+def _row_template(sample: str) -> str:
+    """One row of a stack as a "%" template: ``sample``, the row's JSON
+    text with a slot marker per value, with each marker made its format."""
+    row = sample.replace("%", "%%")
+    for kind, fmt in _SLOT_FORMATS.items():
+        row = row.replace('"\\u0000' + kind + '"', fmt)
+    return row
+
+
+def _encode_rows(rows: _Rows, level: int) -> str:
+    """A row stack as a JSON list: each block of at most ``_TEMPLATE_CAP``
+    values (one row at least) fills the row template, repeated for the
+    block, in one ``%`` call. Only the row template is cached: a block's
+    is as long as its text."""
+    if not len(rows):
+        return "[]"
+    inner = _INDENT * (level + 1)
+    sep = ",\n" + inner
+    row = _row_template(_encode(rows.sample, level + 1))
+    values = rows.values()
+    step = max(1, _TEMPLATE_CAP // max(1, values.shape[1]))
+    parts = [sep.join([row] * len(b)) % tuple(b.ravel().tolist())
+             for b in (values[i:i + step] for i in range(0, len(values), step))]
+    return "[\n" + inner + sep.join(parts) + "\n" + _INDENT * level + "]"
+
+
 def _encode(o, level: int) -> str:
     # containers first: no container is one of the scalar types below
     if isinstance(o, dict):
@@ -631,6 +733,8 @@ def _encode(o, level: int) -> str:
         return _float_repr17(float(o))
     if isinstance(o, np.ndarray):
         return _encode_array(o, level)
+    if isinstance(o, _Rows):
+        return _encode_rows(o, level)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -643,7 +747,17 @@ def dumps_json(obj) -> str:
     (4096) entries are cached, at most 64 of them; a larger array is
     formatted one block of axis-0 slices at a time, so neither its template
     nor a tuple of all its entries is built or kept. Encoded dict keys are
-    cached too, up to 1024 of them."""
+    cached too, up to 1024 of them.
+
+    A row stack (``_Rows``; ``reconstruct`` hands its report rows over as
+    one) is written as the list of its k documents, with their bytes. Its
+    layout is the caller's: for report rows, ``recover._report_doc``, the
+    one ``RecoveryReport.to_dict`` fills with a single row's values. One row
+    of the layout, a slot marker in place of each value that varies by row,
+    is encoded here as any document is, and its markers become "%" formats:
+    that row template is cached (64 of them) and, repeated for a block of
+    rows, filled by one ``%`` call per block of at most ``_TEMPLATE_CAP``
+    values, one row when a row holds more."""
     return _encode(obj, 0) + "\n"
 
 

@@ -12,7 +12,7 @@ constant) without asserting a relation between them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .core import Field, Vector, _as_field_array, _check_order, _check_same
 from .frames import Frame, LiftedMap, Measurement, build_lifted_map, min_norm_inverse
 from .frames import (_STACK_ENTRIES, _coeff_rows, _conj_coeffs, _measurement, _phase_fill,
-                     _row_dots, _vec_to_json)
+                     _row_dots, _Rows, _vec_to_json)
 from .metrics import RayPoint, ray
 from .retraction import _retract_ray, retraction_bound
 
@@ -78,17 +78,54 @@ class RecoveryReport:
         return self.polish is not None
 
     def to_dict(self) -> dict:
-        rep = self.estimate.rep
-        doc = {
-            "estimate": {"field": rep.field.value, "dim": rep.dim,
-                         "entries": _vec_to_json(rep.entries, rep.field)},
-            "residual": self.residual,
-            "pipeline_stage_norms": dict(self.pipeline_stage_norms),
-            "polished": self.polished,
-        }
-        if self.polish is not None:
-            doc["polish"] = asdict(self.polish)
-        return doc
+        """The report as one JSON row, the public one-row form.
+        ``_report_doc`` owns the layout: ``reconstruct`` writes its rows
+        as one stack (``_report_rows``) in that same layout, each row with
+        the bytes ``dumps_json`` gives this dict."""
+        rep, p = self.estimate.rep, self.polish
+        return _report_doc(rep.field, rep.dim, _vec_to_json(rep.entries, rep.field),
+                           self.residual, dict(self.pipeline_stage_norms),
+                           None if p is None else (p.iterations, p.evaluations, p.stop))
+
+
+def _report_doc(field: Field, dim: int, entries, residual, norms: dict,
+                polish: Optional[tuple]) -> dict:
+    """The layout of a report row, owned here for ``RecoveryReport.to_dict``,
+    one row of values, and for ``_report_rows``, whose leaves are columns
+    of a stack. ``polish`` is (iterations, evaluations, stop), or None when
+    no polish ran."""
+    doc = {
+        "estimate": {"field": field.value, "dim": dim, "entries": entries},
+        "residual": residual,
+        "pipeline_stage_norms": norms,
+        "polished": polish is not None,
+    }
+    if polish is not None:
+        iterations, evaluations, stop = polish
+        doc["polish"] = {"iterations": iterations, "evaluations": evaluations, "stop": stop}
+    return doc
+
+
+def _report_rows(reports: list) -> _Rows:
+    """Reports of one field and dimension, polished all or none, with the
+    stage norms of the first, as one stack that ``dumps_json`` writes with
+    the bytes of ``[r.to_dict() for r in reports]``: the estimates as one
+    (k, n) array, the residuals, the stage norms and the polish records as
+    columns of ``_report_doc``'s layout. A non-finite value is a
+    ``frames._RowError`` naming its row."""
+    first = reports[0]
+    field, dim = first.estimate.rep.field, first.estimate.rep.dim
+    X = np.array([r.estimate.rep.entries for r in reports])
+    norms = {key: np.array([r.pipeline_stage_norms[key] for r in reports])
+             for key in first.pipeline_stage_norms}
+    polish = None
+    if first.polish is not None:
+        stats = [r.polish for r in reports]
+        polish = (np.array([p.iterations for p in stats]),
+                  np.array([p.evaluations for p in stats]),
+                  np.array([p.stop for p in stats]))
+    residual = np.array([r.residual for r in reports])
+    return _Rows(_report_doc(field, dim, _vec_to_json(X, field), residual, norms, polish))
 
 
 _POLISH_ITERS = 200  # polish's cap on accepted steps

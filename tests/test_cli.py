@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from raylift import Field, gen_frame, measure, read_frame, vec, write_frame, write_measurements
+from raylift import (Field, Measurement, gen_frame, measure, read_frame, vec, write_frame,
+                     write_measurements)
 from raylift import cli as cli_mod
 from raylift.cli import main as cli_main
 from raylift.frames import dumps_json, frame_to_dict
@@ -320,6 +321,44 @@ class TestReconstructUsage:
         assert cli_main(argv) == 2
         assert capsys.readouterr().err == (
             "reconstruct: the retraction needs dimension >= 2, the frame has 1\n")
+        assert not (tmp_path / "out.json").exists()
+
+
+class TestRowOverflow:
+    @pytest.mark.parametrize("mode", ["off", "on"])
+    @pytest.mark.parametrize("scale, message", [
+        (1e156, "non-finite value inf cannot be serialized"),  # a stage norm
+        (1e300, "residual must be finite and >= 0, got inf"),
+        (1e308, "operator has non-finite entries"),
+    ])
+    def test_row_is_named_and_nothing_written(self, tmp_path, capsys, mode, scale, message):
+        """A noiseless row scaled until its inversion overflows, second of
+        three: one line on stderr naming the row, exit 3, no output file."""
+        F = gen_frame("random_gaussian", 3, 12, Field.COMPLEX, seed=1)
+        write_frame(tmp_path / "f.json", F)
+        rng = np.random.default_rng(2)
+        c = measure(F, vec(random_vector(rng, 3, True), Field.COMPLEX)).values
+        c = c / c.max()
+        write_measurements(tmp_path / "c.json", [Measurement(r) for r in (c, c * scale, c)])
+        argv = ["reconstruct", "--frame", str(tmp_path / "f.json"), "--measurements",
+                str(tmp_path / "c.json"), "--polish", mode, "--out", str(tmp_path / "out.json")]
+        assert cli_main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"reconstruct: {tmp_path / 'c.json'}.values[1]: {message}\n"
+        assert not (tmp_path / "out.json").exists()
+
+    def test_polish_failure_names_the_stack(self, tmp_path, capsys, monkeypatch):
+        """``polish`` runs on every row at once, so an error from it names
+        the measurement stack, not a row."""
+        _inputs(tmp_path)
+
+        def failing(F, C, starts):
+            raise ValueError("no step")
+
+        monkeypatch.setattr(cli_mod, "polish", failing)
+        argv = [a.format(d=tmp_path) for a in _COMMANDS["reconstruct-polish-on"]]
+        assert cli_main(argv) == 3
+        assert capsys.readouterr().err == f"reconstruct: {tmp_path / 'c.json'}.values: no step\n"
         assert not (tmp_path / "out.json").exists()
 
 

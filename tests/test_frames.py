@@ -1158,3 +1158,56 @@ class TestDumpsJson:
         assert doc["a"] is True and doc["b"] is False
         assert doc["c"] == [1, 2] and all(type(v) is int for v in doc["c"])
         assert '"a": true' in dumps_json({"a": True})
+
+
+def _row_of(layout, i):
+    """Row i of a ``_Rows`` layout as its own document: each array leaf
+    replaced by its ith entry, as a float array, float, int or str."""
+    if isinstance(layout, dict):
+        return {k: _row_of(v, i) for k, v in layout.items()}
+    if isinstance(layout, (list, tuple)):
+        return [_row_of(v, i) for v in layout]
+    if isinstance(layout, np.ndarray):
+        return layout[i] if layout.ndim > 1 else layout[i].item()
+    return layout
+
+
+class TestRowStack:
+    """``frames._Rows``: k documents of one layout, written as the list of
+    the documents themselves."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 700])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_matches_documents_and_oracle(self, k, level):
+        rng = np.random.default_rng(k)
+        layout = {
+            "100%": "%s %d %% é\"\\",
+            "x": rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k),
+            "nested": {"a": rng.standard_normal((k, 3, 2)), "b": [None, True, 2.5, -0.0]},
+            "i": rng.integers(-2**62, 2**62, k),
+            "s": np.array(["%s", "a\"b", "ü%d", "", "\n"])[np.arange(k) % 5],
+            "empty": np.zeros((k, 0)),
+        }
+        rows = [_row_of(layout, i) for i in range(k)]
+        doc, want = frames_mod._Rows(layout), rows
+        for _ in range(level):
+            doc, want = [doc], [want]
+        text = dumps_json(want)
+        assert dumps_json(doc) == text == dumps_json_stdlib(want)
+
+    def test_non_finite_names_first_row(self):
+        layout = {"a": np.ones(4), "b": np.ones((4, 2))}
+        layout["b"][2, 1] = -math.inf
+        layout["b"][3, 0] = math.nan
+        with pytest.raises(frames_mod._RowError, match=r"^non-finite value -inf") as got:
+            frames_mod._Rows(layout)
+        assert got.value.row == 2
+
+    @pytest.mark.parametrize("layout", [{"a": 1.0}, {"a": np.ones(2), "b": np.ones(3)}])
+    def test_columns_of_one_length_required(self, layout):
+        with pytest.raises(ValueError, match="array columns of one length"):
+            frames_mod._Rows(layout)
+
+    def test_unsupported_column_raises_type_error(self):
+        with pytest.raises(TypeError):
+            frames_mod._Rows({"a": np.ones(2, dtype=complex)})

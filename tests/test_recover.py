@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -30,7 +31,7 @@ from raylift import (
 from raylift.cli import main as cli_main
 from raylift.frames import dumps_json
 
-from oracles import random_vector
+from oracles import dumps_json_stdlib, random_vector
 
 # the package re-exports the function recover, which shadows its module
 frames_mod = importlib.import_module("raylift.frames")
@@ -227,6 +228,79 @@ _MEASUREMENT_TAKERS = {
     "min_norm_inverse": lambda F, c: min_norm_inverse(build_lifted_map(F), c),
     "polish": lambda F, c: polish(F, c[None], [ray(vec(np.ones(F.dim)))])[0][0],
 }
+
+
+def _distinct_reports(F, polished):
+    """Reports of F on a zero row, a noiseless row and two noisy ones; when
+    ``polished``, polished as ``reconstruct --polish on`` does, plus two
+    copies that end by the stop rules a polish of these rows does not
+    reach."""
+    rng = np.random.default_rng(F.dim)
+    field = F.field
+    C = [np.zeros(F.count)]
+    for noise in (0.0, 0.01, 0.05):
+        c = measure(F, vec(random_vector(rng, F.dim, field is Field.COMPLEX), field)).values
+        C.append(c * (1 + noise * rng.standard_normal(F.count)))
+    reps = [recover(F, c) for c in C]
+    if not polished:
+        return reps
+    reps = [replace(rep, estimate=est, residual=res, polish=stats) for rep, (est, res, stats)
+            in zip(reps, polish(F, np.array(C), [r.estimate for r in reps]))]
+    stats = recover_mod.PolishStats
+    return reps + [replace(reps[2], polish=stats(200, 431, "max_iters")),
+                   replace(reps[3], polish=stats(7, 41, "line_search"))]
+
+
+class TestReportRows:
+    """``reconstruct`` writes its rows through one stack,
+    ``recover._report_rows``, filled a block of rows at a time: its bytes
+    are those of the per-row ``to_dict`` documents."""
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("polished", [False, True])
+    def test_stack_writes_to_dict_bytes(self, field, n, polished):
+        F = _gauss(n, n * n + n, field, seed=n)
+        distinct = _distinct_reports(F, polished)
+        assert not distinct[0].estimate.rep.entries.any()  # the zero row
+        if polished:
+            assert {r.polish.stop for r in distinct} == set(recover_mod._STOPS)
+        # slots per row: the entries, the residual and the two stage norms,
+        # then the polish record's three
+        per = n * (2 if field is Field.COMPLEX else 1) + 3 + (3 if polished else 0)
+        block = frames_mod._TEMPLATE_CAP // per
+        for k in (1, block - 1, block, block + 1, 2 * block + 3):
+            reports = [distinct[i % len(distinct)] for i in range(k)]
+            stack = recover_mod._report_rows(reports)
+            assert stack.values().shape == (k, per)
+            for level in (0, 1):
+                doc, want = stack, [r.to_dict() for r in reports]
+                for _ in range(level):
+                    doc, want = {"rows": doc, "k": k}, {"rows": want, "k": k}
+                text = dumps_json(want)
+                assert dumps_json(doc) == text
+                assert text == dumps_json_stdlib(want)
+
+    def test_non_finite_value_names_its_row(self):
+        """A stage norm that overflowed: the stack refuses it with the error
+        ``dumps_json`` gives the row's dict, and names the row."""
+        F = _gauss(3, 12, Field.COMPLEX, seed=1)
+        reps = _distinct_reports(F, False)
+        bad = replace(reps[1], pipeline_stage_norms={"pseudoinverse_fro": math.inf,
+                                                     "retraction_fro": 1.0})
+        with pytest.raises(ValueError) as want:
+            dumps_json(bad.to_dict())
+        with pytest.raises(frames_mod._RowError) as got:
+            recover_mod._report_rows(reps + [bad, bad])
+        assert got.value.row == len(reps)
+        assert str(got.value) == str(want.value) == "non-finite value inf cannot be serialized"
+
+    def test_polish_record_is_its_three_fields(self):
+        """``to_dict`` writes the polish record from its three fields, as
+        ``dataclasses.asdict`` would, without its recursive copy."""
+        F = _gauss(3, 12, Field.REAL, seed=1)
+        for rep in _distinct_reports(F, True):
+            assert rep.to_dict()["polish"] == dataclasses.asdict(rep.polish)
 
 
 class TestMeasurementArgument:
