@@ -203,7 +203,10 @@ def _gaussian(rng: np.random.Generator, shape, field: Field) -> np.ndarray:
 def _row_dots(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """<v, u> = sum conj(u) v for each row pair of two (k, d) stacks, one
     dot per row, so row i is its one-row call bit for bit; u . v for real
-    stacks, whose ``conj`` is no copy."""
+    stacks, whose ``conj`` is no copy. One row goes through ``np.dot``,
+    the kernel that ``matmul`` calls for each row, without its stack setup."""
+    if U.shape[0] == 1:
+        return np.dot(U.conj(), V[0])
     return (U.conj()[:, None, :] @ V[:, :, None])[:, 0, 0]
 
 
@@ -363,10 +366,12 @@ def _rank2_norms(ca: np.ndarray, ua: np.ndarray, cb: np.ndarray, ub: np.ndarray,
 
 def schatten_norm(A: SymOp, p: float) -> float:
     """Schatten p-norm of a self-adjoint operator (p=1 nuclear, 2 Frobenius,
-    inf operator norm). Singular values are the absolute eigenvalues."""
+    inf operator norm). Singular values are the absolute eigenvalues, from
+    ``eigh``: ``eigvalsh`` has lost up to 5e-7 of an eigenvalue, relative,
+    where small entries have subnormal squares (see ``retraction_probe``)."""
     _check_order(p)
     try:
-        s = np.abs(np.linalg.eigvalsh(A.entries))
+        s = np.abs(np.linalg.eigh(A.entries)[0])
     except np.linalg.LinAlgError as e:
         raise SpectralError(f"eigensolver failed: {e}") from e
     return float(_schatten_batch(s, p))

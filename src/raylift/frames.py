@@ -207,26 +207,31 @@ def _triu_pairs(n: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _sym_table(n: int, field: Field) -> tuple:
-    """``(positions, scales)``, read-only, for n x n matrices of the field.
-    ``positions`` are flat positions in the float64 view: first the
-    coordinates' entries, in coordinate order (the diagonal's real parts,
-    then the real and, in the complex field, the imaginary parts of
-    ``_triu_pairs``' (i, j)), then the (j, i) parts. The diagonal's
-    imaginary parts, the only positions left out, hold zero. Each position
-    has a scale, entry times scale being its coordinate: 1 on the diagonal,
-    sqrt(2) above it and below it, and -sqrt(2) at the imaginary parts below
-    it. ``sym_coords`` gathers the head and multiplies; ``sym_from_coords``
-    divides the coordinates t, repeated as [t, t[n:]], and scatters."""
+    """``(positions, scales, head_t, spread)``, read-only, for n x n
+    matrices of the field. ``positions`` are flat positions in the float64
+    view: first the coordinates' entries, in coordinate order (the
+    diagonal's real parts, then the real and, in the complex field, the
+    imaginary parts of ``_triu_pairs``' (i, j)), then the (j, i) parts. The
+    diagonal's imaginary parts, the only positions left out, hold zero. Each
+    position has a scale, entry times scale being its coordinate: 1 on the
+    diagonal, sqrt(2) above it and below it, and -sqrt(2) at the imaginary
+    parts below it. ``sym_coords`` gathers the head and multiplies;
+    ``head_t`` is that head read through the transpose, so that it gathers
+    from the float64 view of a Fortran-ordered matrix's ``ravel("F")``.
+    ``sym_from_coords`` spreads the coordinates t as t[spread] = [t, t[n:]],
+    divides and scatters."""
     iu, ju = _triu_pairs(n)
     diag, upper, lower = np.arange(n) * (n + 1), iu * n + ju, ju * n + iu
-    k = iu.size
+    k, cols = iu.size, _sym_dim(n, field)
     if field is Field.COMPLEX:
-        parts = [2 * diag, 2 * upper, 2 * upper + 1, 2 * lower, 2 * lower + 1]
+        diag, upper, lower = 2 * diag, [2 * upper, 2 * upper + 1], [2 * lower, 2 * lower + 1]
         signs = [1.0] * 3 * k + [-1.0] * k
     else:
-        parts = [diag, upper, lower]
+        upper, lower = [upper], [lower]
         signs = [1.0] * 2 * k
-    table = (np.concatenate(parts), np.concatenate([np.ones(n), _SQRT2 * np.array(signs)]))
+    table = (np.concatenate([diag, *upper, *lower]),
+             np.concatenate([np.ones(n), _SQRT2 * np.array(signs)]),
+             np.concatenate([diag, *lower]), np.concatenate([np.arange(cols), np.arange(n, cols)]))
     for a in table:
         a.setflags(write=False)
     return table
@@ -237,7 +242,7 @@ def sym_coords(M: np.ndarray, field: Field) -> np.ndarray:
     fixed real orthonormal basis of the operator space."""
     a = np.ascontiguousarray(M, dtype=field.dtype)
     cols = _sym_dim(a.shape[0], field)
-    positions, scales = _sym_table(a.shape[0], field)
+    positions, scales = _sym_table(a.shape[0], field)[:2]
     return a.view(np.float64).ravel()[positions[:cols]] * scales[:cols]
 
 
@@ -246,8 +251,8 @@ def sym_from_coords(t: np.ndarray, n: int, field: Field) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if t.shape != (_sym_dim(n, field),):
         raise ValueError(f"expected {_sym_dim(n, field)} coordinates, got shape {t.shape}")
-    positions, scales = _sym_table(n, field)
-    vals = np.concatenate([t, t[n:]]) / scales
+    positions, scales, _, spread = _sym_table(n, field)
+    vals = t[spread] / scales
     if field is Field.COMPLEX and np.count_nonzero(t) < t.size:
         # the bits of the complex re + 1j * im and its conjugate at a zero:
         # a real part keeps -0.0 only beside an im with its sign bit set, and
@@ -460,11 +465,15 @@ def _lifted_adjoint(F: Frame, c: np.ndarray) -> np.ndarray:
     """A^T c for the lifted map A of F, read from the frame: the coordinates
     of sum_k c_k f_k f_k^* = (c F)^T conj(F). ``gemm``'s op(b) = b^H
     conjugates without a copy of the frame, and both transposes are
-    F-contiguous views, which f2py passes uncopied."""
+    F-contiguous views, which f2py passes uncopied. Its Fortran-ordered
+    result is read in place through the transposed head of ``_sym_table``."""
     fs = F.synthesis
-    gemm = getattr(_linalg()[0], "zgemm" if F.field is Field.COMPLEX else "dgemm")
+    blas = _linalg()[0]
+    gemm = blas.zgemm if F.field is Field.COMPLEX else blas.dgemm
+    _, scales, head_t, _ = _sym_table(fs.shape[1], F.field)
     # positional flags (beta, c, trans_a, trans_b): f2py parses them faster
-    return sym_coords(gemm(1.0, (c[:, None] * fs).T, fs.T, 0.0, None, 0, 2), F.field)
+    S = gemm(1.0, (c[:, None] * fs).T, fs.T, 0.0, None, 0, 2)
+    return S.ravel("F").view(np.float64)[head_t] * scales[:head_t.size]
 
 
 def min_norm_inverse(M: LiftedMap, c: Union[Measurement, np.ndarray]) -> SymOp:
@@ -480,14 +489,20 @@ def min_norm_inverse(M: LiftedMap, c: Union[Measurement, np.ndarray]) -> SymOp:
     V_r S_r^-1 (U_r^T c). Linear in c; exact on the measurement range
     whenever M has full column rank.
     """
-    values = _measurement(c, M.rows).values
+    # a Measurement of the right count is checked already: the rest go
+    # through the rule, errors and all
+    if isinstance(c, Measurement) and c.values.shape[0] == M.rows:
+        values = c.values
+    else:
+        values = _measurement(c, M.rows).values
     if M._right is None:
         # the factor goes to BLAS in its own Fortran order: f2py would copy
         # a C-ordered one on every call. The flags are positional (incx,
         # offx, lower, trans, diag, overwrite_x), which f2py parses faster
         # than keywords.
-        y = _linalg()[0].dtrsv(M._left, _lifted_adjoint(M.frame, values), 1, 0, 0, 1, 0, 1)
-        coords = _linalg()[0].dtrsv(M._left, y, 1, 0, 0, 0, 0, 1)
+        trsv = _linalg()[0].dtrsv
+        y = trsv(M._left, _lifted_adjoint(M.frame, values), 1, 0, 0, 1, 0, 1)
+        coords = trsv(M._left, y, 1, 0, 0, 0, 0, 1)
     else:
         coords = M._left @ (M._right @ values)
     if not np.isfinite(coords).all():

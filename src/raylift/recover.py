@@ -179,8 +179,11 @@ def recover(
     M = _lifted_for(F, lifted)
     T = min_norm_inverse(M, c)
     coef, est = _retract_ray(T)
+    # np.linalg.norm's sum, the real parts' dot plus the imaginary parts', unwrapped
+    t = T.entries.ravel()
+    fro2 = t.dot(t) if M.field is Field.REAL else t.real.dot(t.real) + t.imag.dot(t.imag)
     stage_norms = {
-        "pseudoinverse_fro": float(np.linalg.norm(T.entries)),
+        "pseudoinverse_fro": math.sqrt(fro2),
         # (lam1 - lam2) u1 u1* has Frobenius norm lam1 - lam2
         "retraction_fro": coef,
     }

@@ -28,7 +28,7 @@ from raylift import (
     vec,
 )
 from raylift import core as core_mod
-from raylift.core import _bfgs
+from raylift.core import _bfgs, _row_dots
 
 from oracles import (
     bfgs_reference,
@@ -195,6 +195,27 @@ class TestSchatten:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             schatten_norm(SymOp(np.eye(2), Field.REAL), 0.5)
+
+    def test_tiny_entries_beside_a_large_pair(self, field):
+        """Every entry about 2e-156, whose square is subnormal, but one
+        off-diagonal pair of magnitude v: the eigenvalues are +-v to double
+        precision, where ``eigvalsh`` read up to 4e-9 (real) and 2e-9 (complex)
+        off, relative."""
+        g = np.random.default_rng(7)
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            d = g.standard_normal((4, 4)) * 2e-156
+            if field is Field.COMPLEX:
+                d = d + 1j * g.standard_normal((4, 4)) * 2e-156
+            d = (d + d.conj().T) / 2
+            i, j = g.choice(4, 2, replace=False)
+            v = g.uniform(0.5, 2.0)
+            sign = g.choice([-1.0, 1.0]) if field is Field.REAL else np.exp(1j * g.uniform(0, 6))
+            d[i, j] = v * sign
+            d[j, i] = np.conj(d[i, j])
+            a = SymOp(d, field)
+            for p, want in ((math.inf, v), (2, math.sqrt(2) * v), (1, 2 * v)):
+                assert abs(schatten_norm(a, p) - want) <= 8 * eps * want
 
     def test_vs_svd_oracle(self, rng, field):
         from oracles import svd_schatten
@@ -396,3 +417,21 @@ class TestBfgs:
             assert np.array_equal(stacked[0][i], X0[i], equal_nan=True)
             assert stacked[2][i] == stacked[3][i] == 0 and stacked[4][i] == "stationary"
         assert all(stacked[1][i] <= 1e-10 for i in (0, 2, 4, 5))
+
+
+class TestRowDots:
+    @pytest.mark.parametrize("m", [1, 2, 7, 72, 129, 2048])
+    def test_one_row_is_its_row_of_the_stack(self, rng, field, m):
+        """A one-row call, which goes through ``np.dot``, gives the bits of
+        its row of a stacked call, on contiguous rows and strided views."""
+        cplx = field is Field.COMPLEX
+        U = np.stack([random_vector(rng, 2 * m, cplx) * 10.0 ** rng.integers(-5, 5)
+                      for _ in range(4)])
+        V = np.stack([random_vector(rng, 2 * m, cplx) for _ in range(4)])
+        for a, b in ((U[:, :m], V[:, :m]), (U[:, ::2], V[:, ::2])):
+            stacked = _row_dots(a, b)
+            assert stacked.shape == (4,) and stacked.dtype == a.dtype
+            for i in range(4):
+                one = _row_dots(a[i:i + 1], b[i:i + 1])
+                assert one.shape == (1,) and one.dtype == stacked.dtype
+                assert one.tobytes() == stacked[i:i + 1].tobytes()

@@ -69,6 +69,17 @@ def _gauss(dim, count, field, seed=0):
     return gen_frame("random_gaussian", dim, count, field, seed=seed)
 
 
+def _awkward(rng, shape):
+    """Normal draws with about a fifth of the entries -0.0 and a fifth
+    subnormal, each of either sign."""
+    a = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    a[pick < 0.2] = -0.0
+    tiny = (pick >= 0.2) & (pick < 0.4)
+    a[tiny] = rng.choice([-1.0, 1.0], tiny.sum()) * 5e-324 * rng.integers(1, 2 ** 40, tiny.sum())
+    return a
+
+
 class TestFrameType:
     def test_count_below_dim_rejected(self):
         with pytest.raises(ValueError, match=r"^frame needs count >= dim, got m=1 < n=2$"):
@@ -433,6 +444,34 @@ class TestUncheckedValues:
         assert len({id(r.values.base) for r in rows}) == 1  # views of one array
         for r in rows:
             self._frozen_as_public(r.values, Measurement(r.values).values)
+
+
+class TestMinNormInverseInput:
+    """``min_norm_inverse`` takes a Measurement of the frame's count as it
+    is; every input gives the bits and the errors of the measurement rule
+    that ``recover`` applies (``_measurement``)."""
+
+    # (3, 12) takes the Cholesky path and (3, 5) the SVD
+    @pytest.mark.parametrize("n, m", [(3, 12), (3, 5)])
+    def test_same_bits_and_errors(self, rng, field, n, m):
+        M = build_lifted_map(_gauss(n, m, field, seed=2))
+        c = _awkward(rng, m)
+        want = min_norm_inverse(M, c).entries
+        for same in (Measurement(c), c.tolist(), Measurement(c.tolist())):
+            assert _same_bits(min_norm_inverse(M, same).entries, want)
+        for wrong in (c[:-1], np.append(c, 1.0)):
+            for bad in (wrong, Measurement(wrong)):
+                with pytest.raises(ValueError) as got:
+                    min_norm_inverse(M, bad)
+                assert str(got.value) == (
+                    f"measurement count {wrong.size} does not match frame count {m}")
+        for bad in (np.append(c[:-1], np.nan), np.append(c[:-1], -np.inf), c + 1j,
+                    c.reshape(1, m)):
+            with pytest.raises(ValueError) as want_err:
+                Measurement(bad)
+            with pytest.raises(ValueError) as got:
+                min_norm_inverse(M, bad)
+            assert str(got.value) == str(want_err.value)
 
 
 class TestLiftedRowsOracle:
@@ -1032,19 +1071,74 @@ class TestSymFromCoords:
 
     def test_scatter_is_a_cached_read_only_permutation(self):
         """One table per (n, field) of positions in the float64 view, each
-        written once; its head is what ``sym_coords`` gathers."""
+        written once; its head is what ``sym_coords`` gathers, its
+        transposed head the same parts of the transpose, and its spread
+        index repeats the coordinates as [t, t[n:]]."""
         for field, size in ((Field.REAL, 1), (Field.COMPLEX, 2)):
             for n in range(1, 7):
-                idx, scales = _sym_table(n, field)
+                table = _sym_table(n, field)
+                idx, scales, head_t, spread = table
                 diag_imag = {2 * i * (n + 1) + 1 for i in range(n)} if size == 2 else set()
                 assert sorted(idx.tolist()) == sorted(set(range(size * n * n)) - diag_imag)
-                assert idx.shape == scales.shape
-                assert not idx.flags.writeable and not scales.flags.writeable
+                assert idx.shape == scales.shape == spread.shape
+                assert not any(a.flags.writeable for a in table)
                 assert _sym_table(n, field)[0] is idx
                 M = np.arange(size * n * n, dtype=np.float64).view(field.dtype).reshape(n, n)
-                head = idx[: n * n if size == 2 else n * (n + 1) // 2]
+                cols = n * n if size == 2 else n * (n + 1) // 2
+                head = idx[:cols]
                 scale = np.where(np.arange(head.size) < n, 1.0, math.sqrt(2))
                 assert np.array_equal(sym_coords(M, field), head * scale)
+                assert np.array_equal(M.ravel("F").view(np.float64)[head_t],
+                                      M.view(np.float64).ravel()[head])
+                t = np.arange(cols)
+                assert np.array_equal(t[spread], np.concatenate([t, t[n:]]))
+
+
+class TestCoordTables:
+    """The index tables of ``_sym_table`` read and write the bits of the
+    plain gathers and scatters they replace."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_transposed_gather_matches_sym_coords(self, rng, field, n):
+        """Gathered through the transposed head from a Fortran-ordered
+        matrix, the coordinates are ``sym_coords`` of its C-ordered copy.
+        The matrices are not self-adjoint, so a gather from the wrong
+        triangle would show."""
+        _, scales, head_t, _ = _sym_table(n, field)
+        for _ in range(5):
+            M = _awkward(rng, (n, n))
+            if field is Field.COMPLEX:
+                M = M + 1j * _awkward(rng, (n, n))
+            S = np.asfortranarray(M)
+            got = S.ravel("F").view(np.float64)[head_t] * scales[:head_t.size]
+            assert got.tobytes() == sym_coords(np.ascontiguousarray(M), field).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_spread_scatter_matches_2d_oracle(self, rng, field, n):
+        """``sym_from_coords``' spread gather writes the bits of a zeroed
+        matrix filled by 2-D assignments, on coordinates with signed zeros
+        and subnormals, and on all-nonzero ones (the branch without the
+        signed-zero fix)."""
+        cplx = field is Field.COMPLEX
+        for k in range(6):
+            c = _awkward(rng, n * n if cplx else n * (n + 1) // 2)
+            if k == 0:
+                c[c == 0.0] = 1.0
+            got = sym_from_coords(c, n, field)
+            assert got.tobytes() == sym_from_coords_2d(c, n, cplx).tobytes()
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (2, 7), (3, 12), (5, 40)])
+    def test_lifted_adjoint_reads_gemm_in_place(self, rng, field, n, m):
+        """``_lifted_adjoint`` gives the bits of ``sym_coords`` of a
+        C-ordered copy of its ``gemm`` product."""
+        F = _gauss(n, m, field, seed=n)
+        fs = F.synthesis
+        blas_mod = frames_mod._linalg()[0]
+        gemm = blas_mod.zgemm if field is Field.COMPLEX else blas_mod.dgemm
+        for c in (rng.standard_normal(m), _awkward(rng, m), -np.zeros(m)):
+            S = gemm(1.0, (c[:, None] * fs).T, fs.T, 0.0, None, 0, 2)
+            want = sym_coords(np.ascontiguousarray(S), field)
+            assert _lifted_adjoint(F, c).tobytes() == want.tobytes()
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

@@ -11,6 +11,7 @@ from raylift import (
     Field,
     RankOnePSD,
     SymOp,
+    Vector,
     ray,
     rank_one_retract,
     retraction_bound,
@@ -227,6 +228,23 @@ class TestBatch:
                 assert abs(coef[k] - (w[-1] - w[-2])) <= 1e-12 * scale
                 assert abs(np.linalg.norm(u[k]) - 1.0) <= 1e-12
                 assert np.max(np.abs(mats[k] @ u[k] - w[-1] * u[k])) <= 1e-12 * scale
+
+    def test_one_matrix_is_a_one_matrix_stack(self, rng, field):
+        """One (n, n) matrix gives a scalar coefficient and an (n,) vector
+        with the bits of its row of a stack, and ``_retract_ray`` reads
+        them; the last matrix has a tied top eigenvalue."""
+        cplx = field is Field.COMPLEX
+        ops = [SymOp(random_hermitian(rng, 5, cplx), field) for _ in range(20)]
+        ops.append(SymOp(np.diag([1.0, 1.0, 0.0, -1.0, 0.5]), field))
+        coef, u = _retract_stack(np.stack([a.entries for a in ops]))
+        for k, a in enumerate(ops):
+            c, v = _retract_stack(a.entries)
+            assert np.ndim(c) == 0 and v.shape == (5,)
+            assert np.float64(c).tobytes() == coef[k].tobytes() and v.tobytes() == u[k].tobytes()
+            got_c, est = retraction_mod._retract_ray(a)
+            assert type(got_c) is float and got_c == coef[k]
+            want = ray(Vector(math.sqrt(coef[k]) * u[k] if coef[k] > 0 else np.zeros(5), field))
+            assert est.rep.entries.tobytes() == want.rep.entries.tobytes()
 
     def test_ratio_is_one_row_of_the_stack_kernel(self, rng, field):
         cplx = field is Field.COMPLEX
