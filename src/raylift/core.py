@@ -75,12 +75,12 @@ def _as_field_array(data, field: Field, ndim: int, name: str,
 
 
 def _unchecked(cls, **fields):
-    """A ``cls`` (``SymOp``, ``Vector``, ``RayPoint`` or ``Measurement``)
-    holding ``fields`` as given: its validating ``__post_init__`` is skipped.
-    Only for values the package built itself, each already what the public
-    constructor would store: arrays of the field's dtype, C-ordered, finite
-    and read-only, a ``SymOp``'s exactly self-adjoint, a ``RayPoint``'s rep
-    canonical."""
+    """A ``cls`` (``SymOp``, ``Vector``, ``RayPoint``, ``Measurement`` or
+    ``Frame``) holding ``fields`` as given: its validating ``__post_init__``
+    is skipped. Only for values the package built itself, each already what
+    the public constructor would store: arrays of the field's dtype,
+    C-ordered, finite and read-only, a ``SymOp``'s exactly self-adjoint, a
+    ``RayPoint``'s rep canonical, a ``Frame``'s spanning."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)  # frozen blocks setattr, not the instance dict
     return obj

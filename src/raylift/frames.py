@@ -547,9 +547,10 @@ def gen_frame(
 # --- JSON serialization -----------------------------------------------------
 
 _INDENT = "  "
-# entries of the largest float array (or block of an array's axis-0 slices)
-# formatted by one template: templates up to this size are cached, larger
-# arrays go a block at a time, so no array-sized template or tuple is kept
+# values one "%" call fills: a row stack goes a block of at most this many
+# values at a time (one row at least), so no stack-sized template or tuple
+# is built; a float array whose axis-0 slices each hold more is written
+# slice by slice, so no cached row template holds more slots than this
 _TEMPLATE_CAP = 4096
 
 
@@ -559,52 +560,11 @@ def _float_repr17(x: float) -> str:
     raise ValueError(f"non-finite value {x!r} cannot be serialized")
 
 
-@lru_cache(maxsize=1024, typed=True)
 def _key_text(k) -> str:
-    """A dict key as JSON with the ": " after it, encoded once: the keys of
-    a report recur on every row."""
+    """A dict key as JSON with the ": " after it."""
     if not isinstance(k, str):
         raise TypeError(f"keys must be str, not {type(k).__name__}")
     return encode_basestring_ascii(k) + ": "
-
-
-@lru_cache(maxsize=64)
-def _rows_template(count: int, shape: tuple, level: int) -> str:
-    """JSON text of ``count`` float arrays of ``shape`` at ``level``, joined
-    as consecutive list items, with one "%.17g" per entry in row order."""
-    if shape:
-        inner = _INDENT * (level + 1)
-        one = ("[\n" + inner + _rows_template(shape[0], shape[1:], level + 1)
-               + "\n" + _INDENT * level + "]") if shape[0] else "[]"
-    else:
-        one = "%.17g"
-    return (",\n" + _INDENT * level).join([one] * count)
-
-
-def _encode_array(a: np.ndarray, level: int) -> str:
-    """A float array as nested JSON lists: its entries fill a template of
-    its shape and level in one ``%`` call, or, above ``_TEMPLATE_CAP``
-    entries, one call per block of axis-0 slices. A non-finite entry is a
-    ValueError naming the first one in row order."""
-    if a.dtype.kind != "f":
-        return _encode(a.tolist(), level)
-    if a.size <= _TEMPLATE_CAP:
-        text = _rows_template(1, a.shape, level) % tuple(a.ravel().tolist())
-    else:
-        inner = _INDENT * (level + 1)
-        rest, per = a.shape[1:], math.prod(a.shape[1:])
-        if per > _TEMPLATE_CAP:
-            parts = [_encode_array(s, level + 1) for s in a]
-        else:
-            step = _TEMPLATE_CAP // per
-            parts = [_rows_template(len(b), rest, level + 1) % tuple(b.ravel().tolist())
-                     for b in (a[i:i + step] for i in range(0, len(a), step))]
-        text = "[\n" + inner + (",\n" + inner).join(parts) + "\n" + _INDENT * level + "]"
-    # "%.17g" spells inf and nan with an n and no finite value with one
-    if "n" in text:
-        bad = a[~np.isfinite(a)][0]
-        raise ValueError(f"non-finite value {float(bad)!r} cannot be serialized")
-    return text
 
 
 # a row stack's slot markers, one per dtype kind of its columns, and the
@@ -645,7 +605,9 @@ class _Rows:
     float column's row is written as a float or a float array, an integer
     one's as an int, a str one's as a string; every other leaf is the same
     on every row. One ``np.isfinite`` over the float columns refuses a
-    non-finite value with a ``_RowError`` naming its row."""
+    non-finite value with a ``_RowError`` naming its row. A slot marker is
+    a string, "\x00" then its kind, so no constant string or key of a
+    layout may contain "\x00"."""
 
     __slots__ = ("sample", "columns", "floats")
 
@@ -656,8 +618,9 @@ class _Rows:
         if not columns or any(len(c) != k for c in columns):
             raise ValueError("a row stack needs array columns of one length")
         self.columns = [c.reshape(k, math.prod(c.shape[1:])) for c in columns]
-        floats = [c for c in self.columns if c.dtype.kind == "f"]
-        self.floats = np.concatenate(floats, axis=1) if floats else np.empty((k, 0))
+        floats = [c for c in self.columns if c.dtype.kind == "f"] or [np.empty((k, 0))]
+        # one float column stays a view: a frame is not copied to be written
+        self.floats = floats[0] if len(floats) == 1 else np.concatenate(floats, axis=1)
         finite = np.isfinite(self.floats)
         if not finite.all():
             i, j = np.argwhere(~finite)[0]
@@ -714,26 +677,14 @@ def _encode(o, level: int) -> str:
     if isinstance(o, dict):
         if not o:
             return "{}"
-        # the commonest leaves, by exact type, skip the recursive call
         inner = _INDENT * (level + 1)
-        items = []
-        for k, v in o.items():
-            t = type(v)
-            if t is float:
-                v = _float_repr17(v)
-            elif t is str:
-                v = encode_basestring_ascii(v)
-            elif t is np.ndarray:
-                v = _encode_array(v, level + 1)
-            else:
-                v = _encode(v, level + 1)
-            items.append(_key_text(k) + v)
+        items = [_key_text(k) + _encode(v, level + 1) for k, v in o.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + _INDENT * level + "}"
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = _INDENT * (level + 1)
-        items = [_float_repr17(v) if type(v) is float else _encode(v, level + 1) for v in o]
+        items = [_encode(v, level + 1) for v in o]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + _INDENT * level + "]"
     if isinstance(o, str):
         return encode_basestring_ascii(o)
@@ -747,7 +698,11 @@ def _encode(o, level: int) -> str:
     if isinstance(o, (float, np.floating)):
         return _float_repr17(float(o))
     if isinstance(o, np.ndarray):
-        return _encode_array(o, level)
+        if not o.ndim or o.dtype.kind != "f":
+            return _encode(o.tolist(), level)
+        if math.prod(o.shape[1:]) > _TEMPLATE_CAP:  # no row template above the cap
+            return _encode(list(o), level)
+        return _encode_rows(_Rows(o), level)
     if isinstance(o, _Rows):
         return _encode_rows(o, level)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
@@ -755,24 +710,23 @@ def _encode(o, level: int) -> str:
 
 def dumps_json(obj) -> str:
     """Serialize to JSON, indented by 2, with all floats at 17 significant
-    digits; numpy scalars and arrays are accepted. A float array is
-    formatted by template, its text with one "%.17g" per entry, filled by one
-    ``%`` call; the text is then searched once for a non-finite entry, which
-    "%.17g" alone spells with an n. Templates of up to ``_TEMPLATE_CAP``
-    (4096) entries are cached, at most 64 of them; a larger array is
-    formatted one block of axis-0 slices at a time, so neither its template
-    nor a tuple of all its entries is built or kept. Encoded dict keys are
-    cached too, up to 1024 of them.
+    digits; numpy scalars and arrays are accepted. One template engine
+    writes every row stack and float array; a non-finite float is a
+    ValueError naming the first one in row order.
 
     A row stack (``_Rows``; ``reconstruct`` hands its report rows over as
     one) is written as the list of its k documents, with their bytes. Its
     layout is the caller's: for report rows, ``recover._report_doc``, the
-    one ``RecoveryReport.to_dict`` fills with a single row's values. One row
-    of the layout, a slot marker in place of each value that varies by row,
-    is encoded here as any document is, and its markers become "%" formats:
-    that row template is cached (64 of them) and, repeated for a block of
-    rows, filled by one ``%`` call per block of at most ``_TEMPLATE_CAP``
-    values, one row when a row holds more."""
+    one ``RecoveryReport.to_dict`` fills with a single row's values. A float
+    array of one or more dimensions is the row stack of its axis-0 slices.
+    One row of the layout, a slot marker in place of each value that varies
+    by row, is encoded here as any document is, and its markers become "%"
+    formats: that row template is cached (64 of them) and, repeated for a
+    block of rows, filled by one ``%`` call per block of at most
+    ``_TEMPLATE_CAP`` (4096) values, one row when a row holds more. A float
+    array whose axis-0 slices hold more than that is written slice by
+    slice, so no cached template does. A 0-d array, or one not of floats,
+    is written as its ``tolist()``."""
     return _encode(obj, 0) + "\n"
 
 

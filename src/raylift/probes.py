@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Field, Vector, _as_field_array, _bfgs, _gaussian
+from .core import Field, Vector, _as_field_array, _bfgs, _gaussian, _unchecked
 from .frames import (_STACK_ENTRIES, Frame, _coeff_rows, _conj_coeffs, _lifted_gram,
                      _lifted_rows, _phase_fill, _row_dots, _sym_dim, _synthesize,
                      sym_from_coords)
@@ -310,11 +310,23 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
     r2_pr3 it stops after one iteration 356 ulps below 3/2 at seed 8 and
     1384 ulps below at seed 4.
 
+    b0 scales as the fourth power of the frame, and so do G and, squared,
+    its norm, which overflow or underflow far from unit scale. So the search
+    runs on 2^-e F, e the ``math.frexp`` exponent of the largest entry of
+    F's float64 view, and its value is scaled back by 2^(4e): exact, so the
+    value at 2^k F is 2^(4k) times the value at F, bit for bit, wherever
+    neither overflows.
+
     Returns (value, iterations), iterations counting the batched steps. The
     value is the quartic at a unit vector, so at most b0 up to the rounding
     of one evaluation (r2_pr3, seed 3: 3 ulps above 3/2);
     ``upper_lip_ceiling(F)`` = sigma_max(lifted map)^2 brackets it above.
     """
+    a = F.synthesis.view(np.float64)
+    e = math.frexp(float(np.abs(a).max()))[1]
+    S = np.ldexp(a, -e).view(F.synthesis.dtype)
+    S.setflags(write=False)
+    F = _unchecked(Frame, synthesis=S, field=F.field)
     U = _gaussian(np.random.default_rng(seed), (_ASCENT_STARTS, F.dim), F.field)
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     vals = np.zeros(_ASCENT_STARTS)
@@ -330,7 +342,7 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
     i = int(np.argmax(vals))
     refined = _bfgs(lambda RZ: _neg_quartic_and_grad(F, RZ), U[i:i + 1].view(np.float64),
                     ftol=1e-15, gtol=1e-12)[1]
-    return max(float(vals[i]), -float(refined[0])), iterations
+    return math.ldexp(max(float(vals[i]), -float(refined[0])), 4 * e), iterations
 
 
 def upper_lip_ceiling(F: Frame) -> float:

@@ -81,7 +81,9 @@ class RecoveryReport:
         """The report as one JSON row, the public one-row form.
         ``_report_doc`` owns the layout: ``reconstruct`` writes its rows
         as one stack (``_report_rows``) in that same layout, each row with
-        the bytes ``dumps_json`` gives this dict."""
+        the bytes ``dumps_json`` gives this dict. Its entries array and the
+        stack go through one engine: ``dumps_json`` writes a float array
+        as the row stack of its axis-0 slices."""
         rep, p = self.estimate.rep, self.polish
         return _report_doc(rep.field, rep.dim, _vec_to_json(rep.entries, rep.field),
                            self.residual, dict(self.pipeline_stage_norms),
@@ -112,7 +114,8 @@ def _report_rows(reports: list) -> _Rows:
     the bytes of ``[r.to_dict() for r in reports]``: the estimates as one
     (k, n) array, the residuals, the stage norms and the polish records as
     columns of ``_report_doc``'s layout. A non-finite value is a
-    ``frames._RowError`` naming its row."""
+    ``frames._RowError`` naming its row. ``dumps_json`` writes every float
+    array through the same row-stack engine, ``to_dict``'s entries too."""
     first = reports[0]
     field, dim = first.estimate.rep.field, first.estimate.rep.dim
     X = np.array([r.estimate.rep.entries for r in reports])

@@ -306,8 +306,8 @@ def _pyify(obj):
         return {k: _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray):  # a 0-d array's tolist() is a scalar
+        return _pyify(obj.tolist())
     # bool before int: bool is a subclass of int
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)

@@ -1228,19 +1228,38 @@ class TestDumpsJson:
                "f": [-0.0, 5e-324, 1e308, 1.5, np.float64(0.1)], "i": np.int64(-7),
                "b": [True, np.bool_(False)], "n": None, "t": (1, (2.5, "x")), "e": [[], {}],
                "a": np.arange(6.0).reshape(1, 2, 3), "z": np.zeros((2, 0)),
-               "ai": np.arange(4).reshape(2, 2), "c": Field.COMPLEX, "\u00fc": np.float32(0.1)}
+               "ai": np.arange(4).reshape(2, 2), "c": Field.COMPLEX, "\u00fc": np.float32(0.1),
+               "0d": [np.array(1.5), np.array(-0.0), np.array(-0.0, dtype=np.float32)]}
         assert dumps_json(doc) == dumps_json_stdlib(doc)
-        for scalar in (1.5, "x", None, True, np.zeros(3), np.zeros(0)):
+        for scalar in (1.5, "x", None, True, np.zeros(3), np.zeros(0), np.array(1.5),
+                       np.array(-0.0), np.array(-0.0, dtype=np.float32)):
             assert dumps_json(scalar) == dumps_json_stdlib(scalar)
 
     @pytest.mark.parametrize("bad", [
         math.nan, math.inf, -math.inf, np.float64("nan"), np.float32("inf"),
         np.array([1.0, math.nan]), np.array([[0.0, 1.0], [-math.inf, 2.0]]),
         [1.0, [2.0, math.inf]], {"a": np.array([[[0.0, math.nan]]])},
+        np.array(math.nan), {"a": np.array(-math.inf)}, np.array(math.inf, dtype=np.float32),
     ])
     def test_non_finite_raises(self, bad):
-        with pytest.raises(ValueError, match="non-finite value"):
+        with pytest.raises(ValueError, match="non-finite value") as want:
+            dumps_json_stdlib(bad)
+        with pytest.raises(ValueError) as got:
             dumps_json(bad)
+        assert str(got.value) == str(want.value)
+
+    def test_row_templates_stay_within_the_cap(self, monkeypatch):
+        """An array whose axis-0 slices hold more than ``_TEMPLATE_CAP``
+        entries goes slice by slice: no row template it makes, and so none
+        that ``_row_template`` caches, holds more slots than the cap."""
+        made = []
+        row_template = frames_mod._row_template
+        monkeypatch.setattr(frames_mod, "_row_template",
+                            lambda sample: made.append(row_template(sample)) or made[-1])
+        for shape in ((2, _CAP + 1), (3, 2, _CAP // 2 + 1)):
+            a = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
+            assert dumps_json(a) == dumps_json_stdlib(a)
+        assert made and max(t.count("%.17g") for t in made) <= _CAP
 
     @pytest.mark.parametrize("bad", [object(), 1j, np.array([1j]), {1: 2.0}, {"a": {3}}])
     def test_unsupported_raises_type_error(self, bad):
@@ -1296,6 +1315,14 @@ class TestRowStack:
         with pytest.raises(frames_mod._RowError, match=r"^non-finite value -inf") as got:
             frames_mod._Rows(layout)
         assert got.value.row == 2
+
+    def test_one_float_column_is_a_view(self):
+        """A lone float column, as a frame or measurement stack is, is not
+        copied; two are joined into one stack."""
+        a = np.ones((6, 4, 2))
+        assert np.shares_memory(frames_mod._Rows(a).floats, a)
+        assert np.shares_memory(frames_mod._Rows({"a": a, "i": np.arange(6)}).floats, a)
+        assert not np.shares_memory(frames_mod._Rows({"a": a, "b": np.ones(6)}).floats, a)
 
     @pytest.mark.parametrize("layout", [{"a": 1.0}, {"a": np.ones(2), "b": np.ones(3)}])
     def test_columns_of_one_length_required(self, layout):

@@ -524,6 +524,22 @@ class TestUpperLipExact:
         assert upper_lip_ceiling(F) == pytest.approx(1.0, rel=1e-12)
         assert estimate_upper_lip(F)[0] == pytest.approx(1.0, rel=1e-12)
 
+    def test_power_of_two_scaling_is_exact(self, field, tmp_path):
+        """b0 scales as the fourth power of the frame: far from unit scale,
+        where the ascent's G and its norm overflow or underflow, the value
+        at 2^k F is 2^(4k) times the value at F, bit for bit, and ``check``
+        on the frame at 2^-140 exits 0 with that b0."""
+        F = gen_frame("random_gaussian", 8, 72, field, seed=1)
+        b0, iterations = estimate_upper_lip(F, seed=0)
+        for k in (-200, -140, 130, 200):
+            G = Frame(F.synthesis * 2.0 ** k, field)
+            assert estimate_upper_lip(G, seed=0) == (math.ldexp(b0, 4 * k), iterations)
+        write_frame(tmp_path / "f.json", Frame(F.synthesis * 2.0 ** -140, field))
+        argv = ["check", "--frame", str(tmp_path / "f.json"), "--report", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 0
+        rep = json.loads((tmp_path / "r.json").read_text())
+        assert rep["b0"] == math.ldexp(b0, -560) > 0
+
     def test_refinement_makes_no_measure_calls(self, monkeypatch):
         calls = []
 
