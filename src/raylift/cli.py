@@ -7,8 +7,9 @@ is deterministic given its flags, including --seed; reports carry full
 provenance and contain no timestamps, so reruns are byte identical.
 
 Exit codes: 0 success/affirmative, 1 negative verdict, 2 usage, 3 I/O
-(also a measurement row the pipeline cannot represent, such as one whose
-inversion overflows: reconstruct names the row and writes no output), 4
+(also an input whose result the pipeline cannot represent: reconstruct
+names a measurement row whose inversion overflows, check a stability
+constant outside the normal float range, and neither writes output), 4
 indeterminate, 5 bound violation.
 """
 
@@ -134,8 +135,6 @@ def _provenance(command: str, args: argparse.Namespace) -> dict:
     for k, v in flags.items():
         if isinstance(v, float) and math.isinf(v):
             flags[k] = "inf"
-        if isinstance(v, tuple):
-            flags[k] = list(v)
     return {"tool": "raylift", "version": __version__, "command": command, "flags": flags}
 
 
@@ -182,15 +181,20 @@ def cmd_check(args) -> int:
     except (FrameFileError, OSError) as e:
         print(f"check: {e}", file=sys.stderr)
         return EXIT_IO
-    est = estimate_lower_lip(F, starts=args.starts, seed=args.seed)
-    b0, b0_iterations = estimate_upper_lip(F, args.seed)
+    try:
+        est = estimate_lower_lip(F, starts=args.starts, seed=args.seed)
+        b0, b0_iterations = estimate_upper_lip(F, args.seed)
+        b0_upper = upper_lip_ceiling(F)
+    except OverflowError as e:
+        print(f"check: {args.frame}: {e}", file=sys.stderr)
+        return EXIT_IO
     verdict = pr_verdict(F, estimate=est)
     report = {
         "frame_label": F.label,
         "frame_hash": F.file_sha256,
         "a0": est.value,
         "b0": b0,
-        "b0_upper": upper_lip_ceiling(F),
+        "b0_upper": b0_upper,
         "verdict": verdict,
         "witnesses": {
             "u": _vec_to_json(est.argmin_u.entries, F.field),

@@ -197,21 +197,12 @@ def _sym_dim(n: int, field: Field) -> int:
 
 
 @lru_cache(maxsize=64)
-def _triu_pairs(n: int) -> tuple:
-    """Read-only ``np.triu_indices(n, 1)``, built once per n."""
-    pairs = np.triu_indices(n, 1)
-    for a in pairs:
-        a.setflags(write=False)
-    return pairs
-
-
-@lru_cache(maxsize=64)
 def _sym_table(n: int, field: Field) -> tuple:
     """``(positions, scales, head_t, spread)``, read-only, for n x n
     matrices of the field. ``positions`` are flat positions in the float64
     view: first the coordinates' entries, in coordinate order (the
     diagonal's real parts, then the real and, in the complex field, the
-    imaginary parts of ``_triu_pairs``' (i, j)), then the (j, i) parts. The
+    imaginary parts at ``np.triu_indices(n, 1)``), then the (j, i) parts. The
     diagonal's imaginary parts, the only positions left out, hold zero. Each
     position has a scale, entry times scale being its coordinate: 1 on the
     diagonal, sqrt(2) above it and below it, and -sqrt(2) at the imaginary
@@ -220,7 +211,7 @@ def _sym_table(n: int, field: Field) -> tuple:
     from the float64 view of a Fortran-ordered matrix's ``ravel("F")``.
     ``sym_from_coords`` spreads the coordinates t as t[spread] = [t, t[n:]],
     divides and scatters."""
-    iu, ju = _triu_pairs(n)
+    iu, ju = np.triu_indices(n, 1)
     diag, upper, lower = np.arange(n) * (n + 1), iu * n + ju, ju * n + iu
     k, cols = iu.size, _sym_dim(n, field)
     if field is Field.COMPLEX:
@@ -372,7 +363,7 @@ def _lifted_rows(F: Frame, start: int = 0, stop: Optional[int] = None) -> np.nda
     out = np.empty((_sym_dim(n, F.field), fs.shape[0]))
     out[:n] = re * re if im is None else re * re + im * im
     at, k = n, n * (n - 1) // 2
-    for i in range(n - 1):  # the pairs (i, j > i), in _triu_pairs order
+    for i in range(n - 1):  # the pairs (i, j > i), in np.triu_indices order
         end = at + n - 1 - i
         if im is None:
             out[at:end] = _SQRT2 * (re[i] * re[i + 1:])

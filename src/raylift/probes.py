@@ -32,7 +32,7 @@ sigma_max(lifted map)^2, brackets it above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,6 +58,29 @@ __all__ = [
 _DEN_CUTOFF = 1e-9
 
 
+def _unit_scale(F: Frame) -> tuple[Frame, int]:
+    """(2^-e F, e), e the ``math.frexp`` exponent of F's largest float64-view
+    entry: the scale a0, b0 and the ceiling are computed at. Each scales as
+    the fourth power of the frame, but far from unit scale the b0 ascent's G
+    overflows or underflows and the eigensolves drift by ulps. 2^-e F has the
+    same bits for every 2^k F with normal entries, so a value scaled back by
+    2^(4e) (``_scale_back``) is 2^(4k) times its value at F, bit for bit."""
+    a = F.synthesis.view(np.float64)
+    e = math.frexp(float(np.abs(a).max()))[1]
+    S = np.ldexp(a, -e).view(F.synthesis.dtype)
+    S.setflags(write=False)
+    return _unchecked(Frame, synthesis=S, field=F.field), e
+
+
+def _scale_back(value: float, e: int, name: str) -> float:
+    """value * 2^(4e), exactly; OverflowError naming the constant when a
+    nonzero product leaves the normal float range, where it is inf or rounds."""
+    x = math.frexp(value)[1] + 4 * e
+    if not math.isfinite(value) or (value and not -1021 <= x <= 1024):
+        raise OverflowError(f"{name} = {value!r} * 2^{4 * e} is outside the normal float range")
+    return math.ldexp(value, 4 * e)
+
+
 # --- lower stability constant -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -68,12 +91,12 @@ class LowerLipEstimate:
     runs, so ``starts``, ``kept_starts`` and both refine counts are 0 and
     ``refine_stop`` is None. method="multistart" (n >= 3): a minimum over
     explored points, an upper bound on the true constant. ``kept_starts``
-    counts the starts whose one block alternation gave a pair with
-    denominator above 1e-9; ``refine_iterations`` and ``refine_evaluations``
-    sum the iterations and evaluations of the (at most three) rows of the
-    stacked refinement, and ``refine_stop`` is the stop rule (see
-    ``core._bfgs``) of the row whose value is reported: for the best
-    screened pair, the row started from it.
+    counts the screened pairs, one per start, each with denominator 1 by
+    construction (``_best_partners``); ``refine_iterations`` and
+    ``refine_evaluations`` sum the iterations and evaluations of the (at most
+    three) rows of the stacked refinement, and ``refine_stop`` is the stop
+    rule (see ``core._bfgs``) of the row whose value is reported: for the
+    best screened pair, the row started from it.
     """
 
     value: float
@@ -226,9 +249,9 @@ def _exact_lower_lip(F: Frame) -> LowerLipEstimate:
 def _multistart_lower_lip(F: Frame, starts: int, seed: int) -> LowerLipEstimate:
     """The search for the lower stability constant: one block alternation
     from each of ``starts`` seeded starts, all screened as one stack by
-    ``_alternating_min``; pairs whose denominator is at most 1e-9 are
-    dropped, the rest ordered by value (stable, so ties keep start order),
-    and the best three refined as one stack by ``core._bfgs`` in the raw
+    ``_alternating_min``; every pair counts (its denominator is 1 by
+    construction), ordered by value (stable, so ties keep start order), and
+    the best three refined as one stack by ``core._bfgs`` in the raw
     coordinates of ``_ratio_and_grad``. The estimate is the lowest of the
     best screened pair and its three refinements, the first of equal values
     winning."""
@@ -236,12 +259,9 @@ def _multistart_lower_lip(F: Frame, starts: int, seed: int) -> LowerLipEstimate:
                    for s in range(starts)])
     _, U, V = _alternating_min(F, U0)
     q, den = _lower_lip_terms(F, U, V)[:2]
-    keep = np.flatnonzero(den > _DEN_CUTOFF)
-    if keep.size == 0:
-        raise RuntimeError("all multistarts degenerated; try more starts")
-    ratio = q[keep] / den[keep]
+    ratio = q / den
     order = np.argsort(ratio, kind="stable")
-    top = keep[order[:3]]
+    top = order[:3]
     X, values, nit, nfev, stops = _bfgs(lambda RZ: _ratio_and_grad(F, RZ),
                                         np.concatenate([U[top], V[top]], axis=1).view(np.float64))
     j = int(np.argmin(values))  # a tie with the screened best keeps it
@@ -249,19 +269,20 @@ def _multistart_lower_lip(F: Frame, starts: int, seed: int) -> LowerLipEstimate:
     if values[j] < ratio[order[0]]:
         u, v = X[j].view(F.field.dtype).reshape(2, -1)
         u, v, stop = u / np.linalg.norm(u), v / np.linalg.norm(v), stops[j]
-    return _at_witnesses(F, u, v, "multistart", starts, int(keep.size),
+    return _at_witnesses(F, u, v, "multistart", starts, starts,
                          int(nit.sum()), int(nfev.sum()), stop)
 
 
 def estimate_lower_lip(F: Frame, starts: int = 64, seed: int = 0) -> LowerLipEstimate:
     """The frame's lower stability constant a0: exact for every n = 2 frame
     (``_exact_lower_lip``, which ignores ``starts`` and ``seed``), else
-    searched from ``starts`` seeded starts (``_multistart_lower_lip``)."""
+    searched from ``starts`` seeded starts (``_multistart_lower_lip``), both
+    at unit scale (``_unit_scale``); OverflowError if a0 leaves the range."""
     if starts < 1:
         raise ValueError(f"starts must be >= 1, got {starts}")
-    if F.dim == 2:
-        return _exact_lower_lip(F)
-    return _multistart_lower_lip(F, starts, seed)
+    F, e = _unit_scale(F)
+    est = _exact_lower_lip(F) if F.dim == 2 else _multistart_lower_lip(F, starts, seed)
+    return replace(est, value=_scale_back(est.value, e, "a0"))
 
 
 # --- upper stability constant -------------------------------------------------
@@ -310,23 +331,15 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
     r2_pr3 it stops after one iteration 356 ulps below 3/2 at seed 8 and
     1384 ulps below at seed 4.
 
-    b0 scales as the fourth power of the frame, and so do G and, squared,
-    its norm, which overflow or underflow far from unit scale. So the search
-    runs on 2^-e F, e the ``math.frexp`` exponent of the largest entry of
-    F's float64 view, and its value is scaled back by 2^(4e): exact, so the
-    value at 2^k F is 2^(4k) times the value at F, bit for bit, wherever
-    neither overflows.
+    The search runs at unit scale (``_unit_scale``), so 2^k F takes the same
+    iterations as F; OverflowError if b0 leaves the normal range.
 
     Returns (value, iterations), iterations counting the batched steps. The
     value is the quartic at a unit vector, so at most b0 up to the rounding
     of one evaluation (r2_pr3, seed 3: 3 ulps above 3/2);
     ``upper_lip_ceiling(F)`` = sigma_max(lifted map)^2 brackets it above.
     """
-    a = F.synthesis.view(np.float64)
-    e = math.frexp(float(np.abs(a).max()))[1]
-    S = np.ldexp(a, -e).view(F.synthesis.dtype)
-    S.setflags(write=False)
-    F = _unchecked(Frame, synthesis=S, field=F.field)
+    F, e = _unit_scale(F)
     U = _gaussian(np.random.default_rng(seed), (_ASCENT_STARTS, F.dim), F.field)
     U /= np.linalg.norm(U, axis=1, keepdims=True)
     vals = np.zeros(_ASCENT_STARTS)
@@ -342,7 +355,7 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
     i = int(np.argmax(vals))
     refined = _bfgs(lambda RZ: _neg_quartic_and_grad(F, RZ), U[i:i + 1].view(np.float64),
                     ftol=1e-15, gtol=1e-12)[1]
-    return math.ldexp(max(float(vals[i]), -float(refined[0])), 4 * e), iterations
+    return _scale_back(max(float(vals[i]), -float(refined[0])), e, "b0"), iterations
 
 
 def upper_lip_ceiling(F: Frame) -> float:
@@ -352,12 +365,17 @@ def upper_lip_ceiling(F: Frame) -> float:
     the two: the upper triangle of the cols x cols G that
     ``build_lifted_map`` factors, summed block by block, when forming and
     solving it (m cols^2 + cols^3) costs less than the m x m solve (m^3),
-    else the m x m Gram. No lifted map is built, and A is never whole."""
+    else the m x m Gram, at unit scale (``_unit_scale``; OverflowError if the
+    value leaves the normal range). No lifted map is built, and A is never
+    whole."""
+    F, e = _unit_scale(F)
     m, cols = F.count, _sym_dim(F.dim, F.field)
     if m * cols ** 2 + cols ** 3 < m ** 3:
-        return float(np.linalg.eigvalsh(_lifted_gram(F), UPLO="U")[-1])
-    fs = F.synthesis
-    return float(np.linalg.eigvalsh(np.abs(fs.conj() @ fs.T) ** 2)[-1])
+        top = np.linalg.eigvalsh(_lifted_gram(F), UPLO="U")[-1]
+    else:
+        fs = F.synthesis
+        top = np.linalg.eigvalsh(np.abs(fs.conj() @ fs.T) ** 2)[-1]
+    return _scale_back(float(top), e, "b0_upper")
 
 
 _PR_THRESHOLD = 1e-8  # pr_verdict's least a0, relative to (max_k ||f_k||^2)^2

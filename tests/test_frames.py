@@ -44,7 +44,6 @@ from raylift.frames import (
     _lifted_rows,
     _phase_fill,
     _sym_table,
-    _triu_pairs,
     dumps_json,
     frame_to_dict,
     sym_coords,
@@ -1028,16 +1027,6 @@ class TestFrameFileErrors:
         err = capsys.readouterr().err
         assert f"reconstruct: {c}.values[1][2]: expected a finite number, got inf" in err
         assert not (tmp_path / "r.json").exists()
-
-
-class TestTriuPairs:
-    def test_cached_read_only_and_equal(self):
-        for n in (1, 2, 5):
-            iu, ju = _triu_pairs(n)
-            want_i, want_j = np.triu_indices(n, 1)
-            assert np.array_equal(iu, want_i) and np.array_equal(ju, want_j)
-            assert not iu.flags.writeable and not ju.flags.writeable
-            assert _triu_pairs(n)[0] is iu
 
 
 class TestSymFromCoords:

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raylift import (
     Field,
@@ -342,6 +344,21 @@ class TestLowerLipRefinement:
         estimate_lower_lip(F, starts=5, seed=0)
         assert len(calls) == 4 and calls[2].shape == (5, F.dim)
 
+    @given(st.sampled_from([Field.REAL, Field.COMPLEX]), st.integers(3, 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_screened_denominators_are_one(self, field, n, data):
+        """Every pair the alternation screens has denominator 1 to 1e-12:
+        unit partners, each orthogonal to the other's phase direction. So
+        the search ranks every start's pair, even below the injectivity
+        thresholds (m down to 2n - 2)."""
+        m = data.draw(st.integers(2 * n - 2, n * (n + 1)), label="m")
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        F = gen_frame("random_gaussian", n, m, field, seed=seed)
+        U0 = np.stack([random_start(F, seed, s) for s in range(16)])
+        _, U, V = _alternating_min(F, U0)
+        den = probes_mod._lower_lip_terms(F, U, V)[1]
+        assert np.abs(den - 1.0).max() <= 1e-12
+
     @pytest.mark.parametrize("n, m", [(3, 9), (4, 16), (8, 72)])
     def test_partners_match_rowwise_oracle(self, field, n, m):
         """The stacked, deflated solve agrees with the per-row solve on an
@@ -388,13 +405,14 @@ class TestLowerLipRefinement:
     def test_search_diagnostics(self, field):
         F = gen_frame("random_gaussian", 3, 9, field, seed=2)
         est = estimate_lower_lip(F, starts=16, seed=0)
-        assert 3 <= est.kept_starts <= 16
+        assert est.kept_starts == 16
         assert 0 < est.refine_iterations <= est.refine_evaluations
         assert est.refine_stop in ("stationary", "rel_decrease")
 
     def test_refine_stop_names_the_reported_refinement(self, monkeypatch, field):
         """The reported stop and value are those of the stacked refinement's
-        lowest row."""
+        lowest row, which runs on the frame at unit scale, 2^-e F: the value
+        is scaled back by 2^(4e)."""
         F = gen_frame("random_gaussian", 4, 16, field, seed=3)
         inner = probes_mod._bfgs
         runs = []
@@ -410,7 +428,8 @@ class TestLowerLipRefinement:
         best = int(np.argmin(values))
         assert len(values) == 3
         assert est.refine_stop == f"run{best}"
-        assert est.value == pytest.approx(values[best], rel=1e-12)
+        e = probes_mod._unit_scale(F)[1]
+        assert est.value == pytest.approx(math.ldexp(values[best], 4 * e), rel=1e-12)
 
     def test_refinement_rows_match_one_row_runs(self, field):
         """Each candidate's refinement in the stacked run is its one-row
@@ -525,20 +544,34 @@ class TestUpperLipExact:
         assert estimate_upper_lip(F)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_power_of_two_scaling_is_exact(self, field, tmp_path):
-        """b0 scales as the fourth power of the frame: far from unit scale,
-        where the ascent's G and its norm overflow or underflow, the value
-        at 2^k F is 2^(4k) times the value at F, bit for bit, and ``check``
-        on the frame at 2^-140 exits 0 with that b0."""
-        F = gen_frame("random_gaussian", 8, 72, field, seed=1)
-        b0, iterations = estimate_upper_lip(F, seed=0)
-        for k in (-200, -140, 130, 200):
-            G = Frame(F.synthesis * 2.0 ** k, field)
-            assert estimate_upper_lip(G, seed=0) == (math.ldexp(b0, 4 * k), iterations)
+        """a0, b0 and the ceiling scale as the fourth power of the frame: far
+        from unit scale, where the ascent's G and its norm overflow or
+        underflow and the eigensolves drift by ulps, each value at 2^k F is
+        2^(4k) times the value at F, bit for bit, with the same witness
+        bytes and ascent steps, on an 8/72 frame and on an n = 2 frame, whose
+        a0 is the closed form; ``check`` on the 8/72 frame at 2^-140 exits 0
+        with those values."""
+        n2 = _pr3() if field is Field.REAL else gen_frame("random_gaussian", 2, 5, field, seed=1)
+        unscaled = []
+        for F in (gen_frame("random_gaussian", 8, 72, field, seed=1), n2):
+            est = estimate_lower_lip(F)
+            b0, iterations = estimate_upper_lip(F, seed=0)
+            ceiling = upper_lip_ceiling(F)
+            unscaled.append((F, est.value, b0, ceiling))
+            for k in (-200, -140, 130, 200):
+                G = Frame(F.synthesis * 2.0 ** k, field)
+                got = estimate_lower_lip(G)
+                assert got.value == math.ldexp(est.value, 4 * k)
+                for w in ("argmin_u", "argmin_v"):
+                    assert getattr(got, w).entries.tobytes() == getattr(est, w).entries.tobytes()
+                assert estimate_upper_lip(G, seed=0) == (math.ldexp(b0, 4 * k), iterations)
+                assert upper_lip_ceiling(G) == math.ldexp(ceiling, 4 * k)
+        F, *want = unscaled[0]
         write_frame(tmp_path / "f.json", Frame(F.synthesis * 2.0 ** -140, field))
         argv = ["check", "--frame", str(tmp_path / "f.json"), "--report", str(tmp_path / "r.json")]
         assert cli_main(argv) == 0
         rep = json.loads((tmp_path / "r.json").read_text())
-        assert rep["b0"] == math.ldexp(b0, -560) > 0
+        assert [rep["a0"], rep["b0"], rep["b0_upper"]] == [math.ldexp(v, -560) for v in want]
 
     def test_refinement_makes_no_measure_calls(self, monkeypatch):
         calls = []
@@ -556,6 +589,21 @@ class TestUpperLipExact:
 
 
 class TestCheckReport:
+    @pytest.mark.parametrize("k", [256, -270])
+    def test_constants_outside_the_float_range_exit_3(self, field, k, tmp_path, capsys):
+        """At 2^256 F a0 and b0 overflow, at 2^-270 F they fall below the
+        normal range: ``check`` names the frame and the constant on one
+        stderr line, exits 3 and writes no report."""
+        F = gen_frame("random_gaussian", 8, 72, field, seed=1)
+        write_frame(tmp_path / "f.json", Frame(F.synthesis * 2.0 ** k, field))
+        argv = ["check", "--frame", str(tmp_path / "f.json"), "--report", str(tmp_path / "r.json")]
+        assert cli_main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"check: {tmp_path / 'f.json'}: a0 = ")
+        assert "outside the normal float range" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_bracket_and_search_record(self, tmp_path, monkeypatch):
         F = gen_frame("random_gaussian", 3, 9, Field.COMPLEX, seed=3)
         write_frame(tmp_path / "f.json", F)
