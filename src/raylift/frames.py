@@ -314,8 +314,12 @@ class LiftedMap:
 def _linalg():
     """scipy's compiled BLAS and LAPACK wrappers, the f2py extension modules
     ``scipy.linalg._fblas`` and ``scipy.linalg._flapack``, loaded on first
-    use: only the lifted Gram, the Cholesky path and ``min_norm_inverse``
-    call them, so ``gen``, ``check`` and ``probe`` never load them.
+    use: only ``_lifted_gram`` (which ``build_lifted_map`` calls, and
+    ``upper_lip_ceiling`` when it reads the cols x cols Gram), the Cholesky
+    path and ``min_norm_inverse`` call them. So ``reconstruct`` and ``probe
+    --what omega`` load them, ``check`` only on frames whose ceiling reads
+    that Gram (complex 3/12 does, complex 8/72 does not), and ``gen`` and
+    the other probes never.
 
     ``scipy.linalg.blas`` and ``scipy.linalg.lapack`` re-export these two
     modules' functions with ``import *``, so the functions called here are
@@ -331,8 +335,9 @@ def _linalg():
     ``blas.dsyrk`` is the object returned here; in that import order the
     package lacks the private attributes ``scipy.linalg._fblas`` and
     ``_flapack``, while every public name works. When scipy.linalg is loaded
-    first, its modules are reused. A missing wrapper raises ``ImportError``
-    naming the directory searched."""
+    first, its modules are reused. When a wrapper is not in that directory,
+    the public ``scipy.linalg.blas`` and ``scipy.linalg.lapack`` are
+    returned instead, at the package's cost."""
     import scipy
 
     directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
@@ -343,7 +348,8 @@ def _linalg():
         if module is None:
             spec = finder.find_spec(name)
             if spec is None:
-                raise ImportError(f"no extension module {name} in {directory}", name=name)
+                from scipy.linalg import blas, lapack
+                return blas, lapack
             module = module_from_spec(spec)
             spec.loader.exec_module(module)
             sys.modules[name] = module
@@ -478,14 +484,10 @@ def min_norm_inverse(M: LiftedMap, c: Union[Measurement, np.ndarray]) -> SymOp:
     Accuracy and Stability of Numerical Algorithms, sec. 14.1). On the SVD
     fallback they are the singular-value-thresholded pseudoinverse
     V_r S_r^-1 (U_r^T c). Linear in c; exact on the measurement range
-    whenever M has full column rank.
+    whenever M has full column rank. ``c`` goes through ``_measurement``,
+    the rule ``recover`` applies, errors and all.
     """
-    # a Measurement of the right count is checked already: the rest go
-    # through the rule, errors and all
-    if isinstance(c, Measurement) and c.values.shape[0] == M.rows:
-        values = c.values
-    else:
-        values = _measurement(c, M.rows).values
+    values = _measurement(c, M.rows).values
     if M._right is None:
         # the factor goes to BLAS in its own Fortran order: f2py would copy
         # a C-ordered one on every call. The flags are positional (incx,
@@ -541,7 +543,7 @@ _INDENT = "  "
 # values one "%" call fills: a row stack goes a block of at most this many
 # values at a time (one row at least), so no stack-sized template or tuple
 # is built; a float array whose axis-0 slices each hold more is written
-# slice by slice, so no cached row template holds more slots than this
+# slice by slice, so no row template holds more slots than this
 _TEMPLATE_CAP = 4096
 
 
@@ -558,10 +560,15 @@ def _key_text(k) -> str:
     return encode_basestring_ascii(k) + ": "
 
 
-# a row stack's slot markers, one per dtype kind of its columns, and the
-# "%" format each becomes in the row template; _encode writes a marker as
-# a JSON string, "\u0000" then the kind
-_SLOT_FORMATS = {"f": "%.17g", "i": "%d", "U": "%s"}
+class _Slot:
+    """A row stack's value slot, which ``_encode`` writes as its "%" format;
+    not a str, which ``np.full(..., dtype=object).tolist()`` would make plain."""
+
+    def __init__(self, fmt: str):
+        self.fmt = fmt
+
+
+_SLOTS = {"f": _Slot("%.17g"), "i": _Slot("%d"), "U": _Slot("%s")}  # one per column kind
 
 
 class _RowError(ValueError):
@@ -573,18 +580,22 @@ class _RowError(ValueError):
 
 
 def _slot_markers(o, columns: list):
-    """``o`` with each array leaf appended to ``columns`` and replaced by
-    one slot marker per entry of its row, nested as the row is; the walk
-    takes the leaves in the order ``_encode`` writes them."""
+    """``o`` as a row template's layout: each array leaf appended to
+    ``columns`` and replaced by one ``_Slot`` per entry of its row, nested as
+    the row is, and each "%" in a string or str key doubled; the walk takes
+    the leaves in the order ``_encode`` writes them."""
     if isinstance(o, dict):
-        return {k: _slot_markers(v, columns) for k, v in o.items()}
+        return {k.replace("%", "%%") if isinstance(k, str) else k: _slot_markers(v, columns)
+                for k, v in o.items()}
     if isinstance(o, (list, tuple)):
         return [_slot_markers(v, columns) for v in o]
+    if isinstance(o, str):
+        return o.replace("%", "%%")
     if isinstance(o, np.ndarray):
-        if o.dtype.kind not in _SLOT_FORMATS:
+        if o.dtype.kind not in _SLOTS:
             raise TypeError(f"a row stack has no slot for arrays of dtype {o.dtype}")
         columns.append(o)
-        return np.full(o.shape[1:], "\x00" + o.dtype.kind, dtype=object).tolist()
+        return np.full(o.shape[1:], _SLOTS[o.dtype.kind], dtype=object).tolist()
     return o
 
 
@@ -596,9 +607,9 @@ class _Rows:
     float column's row is written as a float or a float array, an integer
     one's as an int, a str one's as a string; every other leaf is the same
     on every row. One ``np.isfinite`` over the float columns refuses a
-    non-finite value with a ``_RowError`` naming its row. A slot marker is
-    a string, "\x00" then its kind, so no constant string or key of a
-    layout may contain "\x00"."""
+    non-finite value with a ``_RowError`` naming its row. ``sample`` is the
+    layout with a ``_Slot`` per value (``_slot_markers``), which ``_encode``
+    writes as the row template."""
 
     __slots__ = ("sample", "columns", "floats")
 
@@ -636,26 +647,15 @@ class _Rows:
         return np.concatenate(parts, axis=1)
 
 
-@lru_cache(maxsize=64)
-def _row_template(sample: str) -> str:
-    """One row of a stack as a "%" template: ``sample``, the row's JSON
-    text with a slot marker per value, with each marker made its format."""
-    row = sample.replace("%", "%%")
-    for kind, fmt in _SLOT_FORMATS.items():
-        row = row.replace('"\\u0000' + kind + '"', fmt)
-    return row
-
-
 def _encode_rows(rows: _Rows, level: int) -> str:
     """A row stack as a JSON list: each block of at most ``_TEMPLATE_CAP``
-    values (one row at least) fills the row template, repeated for the
-    block, in one ``%`` call. Only the row template is cached: a block's
-    is as long as its text."""
+    values (one row at least) fills the row template, the encoded sample,
+    repeated for the block, in one ``%`` call."""
     if not len(rows):
         return "[]"
     inner = _INDENT * (level + 1)
     sep = ",\n" + inner
-    row = _row_template(_encode(rows.sample, level + 1))
+    row = _encode(rows.sample, level + 1)
     values = rows.values()
     step = max(1, _TEMPLATE_CAP // max(1, values.shape[1]))
     parts = [sep.join([row] * len(b)) % tuple(b.ravel().tolist())
@@ -696,6 +696,8 @@ def _encode(o, level: int) -> str:
         return _encode_rows(_Rows(o), level)
     if isinstance(o, _Rows):
         return _encode_rows(o, level)
+    if isinstance(o, _Slot):
+        return o.fmt
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -710,14 +712,13 @@ def dumps_json(obj) -> str:
     layout is the caller's: for report rows, ``recover._report_doc``, the
     one ``RecoveryReport.to_dict`` fills with a single row's values. A float
     array of one or more dimensions is the row stack of its axis-0 slices.
-    One row of the layout, a slot marker in place of each value that varies
-    by row, is encoded here as any document is, and its markers become "%"
-    formats: that row template is cached (64 of them) and, repeated for a
-    block of rows, filled by one ``%`` call per block of at most
-    ``_TEMPLATE_CAP`` (4096) values, one row when a row holds more. A float
-    array whose axis-0 slices hold more than that is written slice by
-    slice, so no cached template does. A 0-d array, or one not of floats,
-    is written as its ``tolist()``."""
+    One row of the layout, a "%" format in place of each value that varies
+    by row and every other "%" doubled, is encoded here as any document is:
+    that row template, repeated for a block of rows, is filled by one ``%``
+    call per block of at most ``_TEMPLATE_CAP`` (4096) values, one row when
+    a row holds more. A float array whose axis-0 slices hold more than that
+    is written slice by slice, so no template does. A 0-d array, or one not
+    of floats, is written as its ``tolist()``."""
     return _encode(obj, 0) + "\n"
 
 

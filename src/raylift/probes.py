@@ -325,9 +325,12 @@ def estimate_upper_lip(F: Frame, seed: int = 0) -> tuple[float, int]:
     per row. G is a quarter of the gradient and the objective is convex, so
     no step lowers a value (SS-HOPM, Kolda & Mayo 2011). The batch stops once
     no start's relative gain exceeds 1e-13, or after 1000 steps. At a
-    degenerate maximum (one where the objective falls off at fourth order,
-    as for r2_pr3) the ascent slows to a crawl, so the best start is then
-    refined by ``core._bfgs``. The refinement can stop short there: on
+    degenerate maximum (one where the objective falls off at fourth order)
+    the ascent slows to a crawl, so the best start is then refined by
+    ``core._bfgs``. Such maxima occur at any n: r2_pr3 has one, and so has
+    r2_pr3 with e3 added at n = 3 (b0 = 3/2 for both), where the ascent
+    stops at its cap up to 5.2e-7 short at seeds 0-9 and the refinement
+    ends 3-329 ulps below 3/2. The refinement can stop short there: on
     r2_pr3 it stops after one iteration 356 ulps below 3/2 at seed 8 and
     1384 ulps below at seed 4.
 
@@ -367,7 +370,8 @@ def upper_lip_ceiling(F: Frame) -> float:
     solving it (m cols^2 + cols^3) costs less than the m x m solve (m^3),
     else the m x m Gram, at unit scale (``_unit_scale``; OverflowError if the
     value leaves the normal range). No lifted map is built, and A is never
-    whole."""
+    whole, but the cols x cols branch sums G with scipy's ``dsyrk``, so
+    ``check`` loads scipy's BLAS and LAPACK wrappers there (``_linalg``)."""
     F, e = _unit_scale(F)
     m, cols = F.count, _sym_dim(F.dim, F.field)
     if m * cols ** 2 + cols ** 3 < m ** 3:

@@ -446,9 +446,8 @@ class TestUncheckedValues:
 
 
 class TestMinNormInverseInput:
-    """``min_norm_inverse`` takes a Measurement of the frame's count as it
-    is; every input gives the bits and the errors of the measurement rule
-    that ``recover`` applies (``_measurement``)."""
+    """Every input of ``min_norm_inverse`` gives the bits and the errors of
+    the measurement rule that ``recover`` applies (``_measurement``)."""
 
     # (3, 12) takes the Cholesky path and (3, 5) the SVD
     @pytest.mark.parametrize("n, m", [(3, 12), (3, 5)])
@@ -637,14 +636,17 @@ class TestLiftedMapMemory:
 
 
 class TestLinalgWrappers:
-    def test_missing_wrapper_names_the_directory(self, tmp_path, monkeypatch):
+    def test_missing_wrapper_falls_back_to_scipy_linalg(self, tmp_path, monkeypatch):
+        """With no wrapper in scipy's install directory (here an empty one),
+        the functions called are scipy.linalg's public objects."""
         import scipy
+        from scipy.linalg import blas, lapack
 
         monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
         monkeypatch.delitem(sys.modules, "scipy.linalg._fblas")
-        with pytest.raises(ImportError) as err:
-            frames_mod._linalg.__wrapped__()
-        assert str(err.value) == f"no extension module scipy.linalg._fblas in {tmp_path / 'linalg'}"
+        got_blas, got_lapack = frames_mod._linalg.__wrapped__()
+        assert got_blas.dsyrk is blas.dsyrk and got_blas.dtrsv is blas.dtrsv
+        assert got_lapack.dpotrf is lapack.dpotrf and got_lapack.dpocon is lapack.dpocon
 
 
 class TestGenFrame:
@@ -1239,12 +1241,17 @@ class TestDumpsJson:
 
     def test_row_templates_stay_within_the_cap(self, monkeypatch):
         """An array whose axis-0 slices hold more than ``_TEMPLATE_CAP``
-        entries goes slice by slice: no row template it makes, and so none
-        that ``_row_template`` caches, holds more slots than the cap."""
+        entries goes slice by slice: no row template it makes, the encoded
+        sample of a row stack that ``_encode_rows`` writes, holds more slots
+        than the cap."""
         made = []
-        row_template = frames_mod._row_template
-        monkeypatch.setattr(frames_mod, "_row_template",
-                            lambda sample: made.append(row_template(sample)) or made[-1])
+        encode_rows = frames_mod._encode_rows
+
+        def recording(rows, level):
+            made.append(frames_mod._encode(rows.sample, level + 1))
+            return encode_rows(rows, level)
+
+        monkeypatch.setattr(frames_mod, "_encode_rows", recording)
         for shape in ((2, _CAP + 1), (3, 2, _CAP // 2 + 1)):
             a = np.arange(math.prod(shape), dtype=np.float64).reshape(shape)
             assert dumps_json(a) == dumps_json_stdlib(a)
@@ -1289,6 +1296,7 @@ class TestRowStack:
             "i": rng.integers(-2**62, 2**62, k),
             "s": np.array(["%s", "a\"b", "ü%d", "", "\n"])[np.arange(k) % 5],
             "empty": np.zeros((k, 0)),
+            "\x00f \x00i \x00U": ["\x00f", "\x00i", "\x00U", "%\x00f%"],
         }
         rows = [_row_of(layout, i) for i in range(k)]
         doc, want = frames_mod._Rows(layout), rows
